@@ -728,6 +728,24 @@ mod tests {
     }
 
     #[test]
+    fn quiet_cluster_advances_few_nodes_per_barrier() {
+        // The active-set engine advances only nodes with work before
+        // each epoch end; on the quiet 64-node cluster that is about
+        // one node per barrier, against 64 for an engine that advances
+        // every node. The count is deterministic, so this pins it.
+        for seed in [1, 7] {
+            let mut c = build_quiet_cluster(64, seed, 1);
+            c.run_until(Time::from_ms(2_000));
+            let barriers = c.exec_stats().barriers;
+            assert!(
+                c.node_advances() <= 2 * barriers,
+                "seed {seed}: {} node advances over {barriers} barriers",
+                c.node_advances()
+            );
+        }
+    }
+
+    #[test]
     fn json_round_trips_through_baseline_check() {
         let params = ScaleParams {
             nodes: vec![4],

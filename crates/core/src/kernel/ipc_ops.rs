@@ -348,11 +348,16 @@ impl Kernel {
 
     /// First-level handling of one acknowledged interrupt line.
     pub(crate) fn handle_irq_line(&mut self, line: IrqLine) {
-        // Wake user-level driver threads parked on the line.
-        let waiters = std::mem::take(&mut self.irq_waiters[line.index()]);
-        for w in waiters {
+        // Wake user-level driver threads parked on the line. The list
+        // goes back afterwards, emptied, so a driver that parks again
+        // reuses its capacity instead of allocating per interrupt.
+        let mut waiters = std::mem::take(&mut self.irq_waiters[line.index()]);
+        for &w in &waiters {
             self.complete_blocking_call(w);
         }
+        waiters.clear();
+        let parked_meanwhile = std::mem::replace(&mut self.irq_waiters[line.index()], waiters);
+        self.irq_waiters[line.index()].extend(parked_meanwhile);
         match self.irq_actions[line.index()] {
             IrqAction::None => {}
             IrqAction::ReleaseSem(s) => {

@@ -343,6 +343,9 @@ pub struct FaultClock {
     /// decision is an independent, stateless function of (seed, index).
     grants: u64,
     nodes: Vec<NodeFaults>,
+    /// Indices of the nodes with any fail-stop or babble window,
+    /// ascending; every other node's schedule is empty.
+    faulted: Vec<usize>,
 }
 
 impl FaultClock {
@@ -375,11 +378,15 @@ impl FaultClock {
             nf.down = merge_windows(std::mem::take(&mut nf.down));
             nf.babble.sort_by_key(|w| w.from);
         }
+        let faulted = (0..per.len())
+            .filter(|&i| !per[i].down.is_empty() || !per[i].babble.is_empty())
+            .collect();
         FaultClock {
             seed: plan.seed,
             corruption: plan.corruption,
             grants: 0,
             nodes: per,
+            faulted,
         }
     }
 
@@ -404,6 +411,18 @@ impl FaultClock {
     /// The node's outage windows, sorted and disjoint.
     pub fn down_windows(&self, node: usize) -> &[(Time, Time)] {
         &self.nodes[node].down
+    }
+
+    /// The nodes the plan schedules any fail-stop or babble window
+    /// for, ascending. Only these can go down or babble, so executives
+    /// visit just these for the per-barrier offline and babble checks.
+    pub fn faulted_nodes(&self) -> &[usize] {
+        &self.faulted
+    }
+
+    /// The schedules of [`FaultClock::faulted_nodes`].
+    fn faulted_schedules(&self) -> impl Iterator<Item = &NodeFaults> {
+        self.faulted.iter().map(|&i| &self.nodes[i])
     }
 
     /// Total scheduled downtime for `node` within `[0, until)`.
@@ -437,8 +456,7 @@ impl FaultClock {
     /// frame is granted, and a stretch is only proposed when nothing
     /// is queued or in flight.
     pub fn next_babble_instant(&self) -> Option<Time> {
-        self.nodes
-            .iter()
+        self.faulted_schedules()
             .flat_map(|nf| nf.babble.iter())
             .filter(|w| w.cursor < w.until)
             .map(|w| w.cursor)
@@ -452,8 +470,7 @@ impl FaultClock {
     /// after* each one — not merely past it — to judge offline state
     /// at the same instants as a fixed-cadence run.
     pub fn next_outage_boundary_after(&self, after: Time) -> Option<Time> {
-        self.nodes
-            .iter()
+        self.faulted_schedules()
             .flat_map(|nf| nf.down.iter())
             .flat_map(|&(s, e)| [s, e])
             .filter(|&t| t > after)
@@ -557,7 +574,9 @@ mod tests {
         let plan = FaultPlan::new(5)
             .fail_stop(NodeId(0), Time::from_ms(10), ms(5))
             .babble(NodeId(1), Time::from_ms(30), ms(1), Duration::from_us(500));
-        let mut fc = FaultClock::new(&plan, 2);
+        let mut fc = FaultClock::new(&plan, 4);
+        // Only the two scheduled nodes carry fault state.
+        assert_eq!(fc.faulted_nodes(), &[0, 1]);
         // Outage start, then end, then nothing.
         assert_eq!(
             fc.next_outage_boundary_after(Time::ZERO),

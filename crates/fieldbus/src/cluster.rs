@@ -7,10 +7,13 @@
 //! deterministic conservative-lookahead engine of
 //! [`emeralds_sim::run_epochs`]:
 //!
-//! - **Epoch**: every node independently advances its local virtual
-//!   clock by one lookahead window *L* (default: one max-size
-//!   bus-frame time — no frame can cross the bus faster, so no node
-//!   can miss an input by running ahead).
+//! - **Epoch**: every node with work before the epoch end
+//!   independently advances its local virtual clock by one lookahead
+//!   window *L* (default: one max-size bus-frame time — no frame can
+//!   cross the bus faster, so no node can miss an input by running
+//!   ahead). An idle node — no running thread, no staged frame — is
+//!   skipped until its next timer or device event, or until a frame
+//!   is staged for it; its clock catches up (idle time only) first.
 //! - **Barrier exchange** (serial, node order): deliver in-flight
 //!   frames whose wire time completed, harvest each node's TX mailbox
 //!   onto the arbitration queue, then grant the bus CAN-style (lowest
@@ -32,7 +35,7 @@ use emeralds_core::kernel::{ClusterMetrics, NodeMetrics};
 use emeralds_core::Kernel;
 use emeralds_faults::{FaultClock, FaultPlan};
 use emeralds_sim::{
-    run_epochs_reusing, Duration, EpochConfig, EpochNode, EpochScratch, IrqLine, MboxId, NodeId,
+    run_epochs, ActiveSet, Barrier, Duration, EpochConfig, EpochNode, IrqLine, MboxId, NodeId,
     StateId, Time,
 };
 
@@ -142,11 +145,19 @@ impl ClusterNode {
         self.gate = gate;
     }
 
-    /// Applies every staged reception. Runs on the node's own worker
-    /// (or serially at the end of a `run_until`): it touches only this
-    /// node's kernel and stats, so it is data-race-free and
-    /// deterministic regardless of worker count.
-    pub(crate) fn apply_inbox(&mut self) {
+    /// Runs the kernel to `to` through the fail-stop gate, if any.
+    fn drive(&mut self, to: Time) {
+        match self.gate.as_mut() {
+            Some(gate) => gate.drive(&mut self.kernel, to),
+            None => self.kernel.advance_to(to),
+        }
+    }
+
+    /// Applies every staged reception. Runs inside the node's own
+    /// advance (or its run-end catch-up): it touches only this node's
+    /// kernel and stats, so it is data-race-free and deterministic
+    /// regardless of worker count.
+    fn apply_inbox(&mut self) {
         for rx in self.inbox.drain(..) {
             match rx {
                 StagedRx::State {
@@ -180,19 +191,36 @@ impl ClusterNode {
 }
 
 impl EpochNode for ClusterNode {
-    fn advance_to(&mut self, horizon: Time) {
-        // NIC delivery DMA runs here, in parallel, not under the
-        // serial exchange. The inbox was staged at the barrier this
-        // advance starts from, so the kernel clock equals the staging
-        // instant.
-        self.apply_inbox();
+    /// Now while the kernel runs a thread or the NIC holds staged
+    /// frames; otherwise the kernel's next timer or device event. An
+    /// idle kernel only wakes on one of those, so until then an advance
+    /// would only add idle time. A fail-stop gate needs no entry: its
+    /// stall only moves the clock and adds idle time too, and the gate
+    /// applies it whenever the node next runs — at its wake, before a
+    /// staged frame lands, or at the run-end catch-up — exactly as it
+    /// would have at the window start (`FailStopGate::drive`).
+    fn wake(&self) -> Time {
+        if !self.inbox.is_empty() || !self.staged_tx.is_empty() || self.kernel.current().is_some() {
+            Time::ZERO
+        } else {
+            self.kernel.next_external_time().unwrap_or(Time::MAX)
+        }
+    }
+
+    fn advance(&mut self, from: Time, to: Time) -> Time {
+        if !self.inbox.is_empty() {
+            // A node skipped since an earlier barrier first catches up
+            // to the staging barrier (idle time only), so the kernel
+            // observes the same instant an every-epoch advance would.
+            // NIC delivery DMA then runs here, in parallel, not under
+            // the serial exchange.
+            self.drive(from);
+            self.apply_inbox();
+        }
         // The gate consults only this node's own clock and its static
         // outage windows, so running it inside the parallel per-node
         // advance cannot perturb determinism.
-        match self.gate.as_mut() {
-            Some(gate) => gate.drive(&mut self.kernel, horizon),
-            None => self.kernel.advance_to(horizon),
-        }
+        self.drive(to);
         // Sharded TX harvest: pop the NIC mailbox here, on this
         // node's own worker, instead of under the serial exchange.
         // The kernel clock sits exactly at the upcoming barrier, so a
@@ -203,6 +231,7 @@ impl EpochNode for ClusterNode {
         while let Some(msg) = self.kernel.external_mbox_pop(tx) {
             self.staged_tx.push(msg);
         }
+        self.wake()
     }
 }
 
@@ -255,6 +284,10 @@ pub(crate) struct BusState {
     /// Reused receiver-index buffer for [`BusState::stage`]: staging a
     /// frame in the steady state must not allocate.
     stage_scratch: Vec<usize>,
+    /// Nodes currently in bus-off, in no particular order.
+    bus_off: Vec<usize>,
+    /// Reused buffer of the nodes the TX-harvest step visits.
+    visit: Vec<usize>,
 }
 
 impl BusState {
@@ -284,6 +317,8 @@ impl BusState {
             remote_out: Vec::new(),
             wide_tags: false,
             stage_scratch: Vec::new(),
+            bus_off: Vec::new(),
+            visit: Vec::new(),
         };
         bus.lookahead = bus.frame_time(8);
         bus
@@ -309,15 +344,23 @@ impl BusState {
         self.faults = Some(fc);
     }
 
+    /// Re-reads which nodes are in bus-off, at the start of a run (node
+    /// stats are public and may have changed between runs).
+    pub(crate) fn refresh(&mut self, nodes: &[ClusterNode]) {
+        self.bus_off.clear();
+        self.bus_off
+            .extend((0..nodes.len()).filter(|&i| nodes[i].stats.is_bus_off()));
+    }
+
     /// Is `node` off the bus at `at` (fail-stop outage or bus-off)?
-    fn node_offline(&self, nodes: &[&mut ClusterNode], node: usize, at: Time) -> bool {
+    fn node_offline(&self, nodes: &[ClusterNode], node: usize, at: Time) -> bool {
         nodes[node].stats.is_bus_off() || self.faults.as_ref().is_some_and(|f| f.is_down(node, at))
     }
 
     /// Drops every pending frame from `src` (its NIC left the bus).
     /// Garbage frames were never counted as sent, so they don't count
     /// as dropped.
-    fn purge_pending(&mut self, nodes: &mut [&mut ClusterNode], src: usize) {
+    fn purge_pending(&mut self, nodes: &mut [ClusterNode], src: usize) {
         let mut purged = 0;
         self.pending.retain(|&(_, _, f)| {
             if f.src.index() == src {
@@ -341,12 +384,21 @@ impl BusState {
     /// own worker at the top of the next advance, and TX-mailbox pops
     /// already ran in each node's advance epilogue — keeping the
     /// serial section down to frame arbitration and routing.
-    pub(crate) fn exchange(&mut self, nodes: &mut [&mut ClusterNode], now: Time) {
+    ///
+    /// Only the nodes that can have changed are visited: those the
+    /// epoch advanced (`b.active`), receivers of staged frames, bus-off
+    /// nodes, and nodes with fail-stop or babble windows. Every other
+    /// node holds no tallies, no TX and no offline state, so skipping
+    /// it changes nothing; the error-frame observers below still visit
+    /// every node.
+    pub(crate) fn exchange(&mut self, nodes: &mut [ClusterNode], b: &mut Barrier<'_>) {
+        let now = b.at;
         // 0. Fold the previous epoch's node-local delivery tallies
-        //    into the global stats. The fields are order-independent
-        //    sums, so totals are identical to the old serial scheme.
-        for node in nodes.iter_mut() {
-            let o = std::mem::take(&mut node.outcome);
+        //    into the global stats. Only an advance applies an inbox,
+        //    and the fields are order-independent sums, so totals are
+        //    identical to the old serial scheme.
+        for &i in b.active {
+            let o = std::mem::take(&mut nodes[i].outcome);
             self.stats.frames_delivered += o.delivered;
             self.stats.frames_dropped += o.dropped;
             self.stats.total_latency += o.latency;
@@ -355,11 +407,13 @@ impl BusState {
         // 0b. Complete due bus-off recoveries before anything else
         //     this barrier: a recovered node sends and receives again.
         let recovery = self.error_cfg.recovery_time(self.bitrate_bps);
-        for node in nodes.iter_mut() {
-            if node.stats.try_recover(now, recovery) {
-                self.stats.bus_off_recoveries += 1;
-            }
-        }
+        let mut recovered = 0;
+        self.bus_off.retain(|&i| {
+            let done = nodes[i].stats.try_recover(now, recovery);
+            recovered += u64::from(done);
+            !done && nodes[i].stats.is_bus_off()
+        });
+        self.stats.bus_off_recoveries += recovered;
 
         // 1. Stage frames whose wire time has completed. `in_flight`
         //    is in completion order (the bus is serial). Receiver
@@ -370,7 +424,7 @@ impl BusState {
                 break;
             }
             self.in_flight.pop_front();
-            self.stage(nodes, frame, done);
+            self.stage(nodes, frame, done, b);
         }
 
         // 2. Consume the TX messages each node's own advance drained
@@ -378,8 +432,20 @@ impl BusState {
         //    order. Frames posted during the elapsed epoch are
         //    stamped at this barrier — the conservative end of the
         //    window. An offline node's posts (and its already-pending
-        //    frames) are lost.
-        for i in 0..nodes.len() {
+        //    frames) are lost. Only advanced nodes hold TX and only
+        //    bus-off or fault-plan nodes can be offline or babble, so
+        //    the visit list is their union in ascending order.
+        let mut visit = std::mem::take(&mut self.visit);
+        visit.clear();
+        visit.extend_from_slice(b.active);
+        let faulted = self.faults.as_ref().map_or(&[][..], |f| f.faulted_nodes());
+        if !self.bus_off.is_empty() || !faulted.is_empty() {
+            visit.extend_from_slice(&self.bus_off);
+            visit.extend_from_slice(faulted);
+            visit.sort_unstable();
+            visit.dedup();
+        }
+        for &i in &visit {
             let offline = self.node_offline(nodes, i, now);
             let mut staged = std::mem::take(&mut nodes[i].staged_tx);
             let node = &mut nodes[i];
@@ -420,6 +486,7 @@ impl BusState {
                 }
             }
         }
+        self.visit = visit;
 
         // 2b. Harvest the networked state-message links (§7), in
         //     registration order: sample each link's writer variable;
@@ -511,6 +578,7 @@ impl BusState {
             }
             if entered_busoff {
                 self.stats.bus_off_events += 1;
+                self.bus_off.push(src);
                 // Bus-off kills the controller: the failed frame and
                 // everything it still had queued are lost.
                 if !frame.garbage {
@@ -527,7 +595,8 @@ impl BusState {
         }
     }
 
-    /// Stages a completed frame into its receivers' inboxes. Offline
+    /// Stages a completed frame into its receivers' inboxes and marks
+    /// them woken, so each advances in the next epoch. Offline
     /// receivers are judged here (they need the global fault clock);
     /// everything else — mailbox push, replica DMA, IRQ — happens on
     /// the receiver's own worker at the top of the next advance.
@@ -536,7 +605,7 @@ impl BusState {
     /// destination is not on this segment is parked in `remote_out`
     /// for the topology executive instead; broadcasts always stay
     /// segment-local.
-    fn stage(&mut self, nodes: &mut [&mut ClusterNode], frame: Frame, done: Time) {
+    fn stage(&mut self, nodes: &mut [ClusterNode], frame: Frame, done: Time, b: &mut Barrier<'_>) {
         let mut targets = std::mem::take(&mut self.stage_scratch);
         debug_assert!(targets.is_empty());
         match frame.dst {
@@ -570,6 +639,7 @@ impl BusState {
                 continue;
             }
             let latency = done.since(frame.queued_at.min(done));
+            b.wake(t);
             if let Some(sp) = frame.state {
                 // State frame: the replica DMA carries the original
                 // writer's stamp end to end.
@@ -638,7 +708,8 @@ impl BusState {
     /// differs. `tests/cluster_determinism.rs` pins both.
     pub(crate) fn next_barrier_proposal(
         &self,
-        nodes: &[&mut ClusterNode],
+        nodes: &[ClusterNode],
+        wake_min: Time,
         now: Time,
         origin: Time,
         horizon: Time,
@@ -646,7 +717,7 @@ impl BusState {
         if !self.adaptive {
             return None;
         }
-        let (strict, at_or) = self.quiet_classes(nodes.iter().map(|n| &**n), now)?;
+        let (strict, at_or) = self.quiet_classes(nodes, wake_min, now)?;
         let l = self.lookahead.as_ns();
         let grid = |k: u64| k.checked_mul(l).map(|ns| origin + Duration::from_ns(ns));
         // No bound at all: nothing will ever happen again, run
@@ -676,36 +747,35 @@ impl BusState {
     /// The quietness test shared by both adaptive rules (the inner
     /// grid rule above and the topology's outer-cadence rule): `None`
     /// when the bus cannot prove the next window empty — frames
-    /// pending arbitration, staged deliveries or harvests, or a
-    /// running kernel. Otherwise the earliest instant of each
+    /// pending arbitration, or a node with work now (running, or handed
+    /// input at this barrier). Otherwise the earliest instant of each
     /// barrier-placement class — `(strict, at_or)`, with the class
     /// semantics of [`BusState::next_barrier_proposal`] — at which
     /// anything on this bus can act again (`None` entries = never).
-    pub(crate) fn quiet_classes<'a>(
+    ///
+    /// `wake_min` is the minimum of the engine's wake array
+    /// ([`Barrier::wake_min`] / [`ActiveSet::wake_min`]): a busy node
+    /// reports `Time::ZERO`, an idle one its kernel's next timer or
+    /// device event, so the node bound costs no pass over the nodes. A
+    /// wake before `now` — a busy node, or a timer a fail-stop stall
+    /// left overdue — vetoes the stretch.
+    pub(crate) fn quiet_classes(
         &self,
-        nodes: impl Iterator<Item = &'a ClusterNode>,
+        nodes: &[ClusterNode],
+        wake_min: Time,
         now: Time,
     ) -> Option<(Option<Time>, Option<Time>)> {
-        if !self.pending.is_empty() {
+        if !self.pending.is_empty() || wake_min < now {
             return None;
         }
-        let mut strict: Option<Time> = None;
+        let mut strict: Option<Time> = (wake_min != Time::MAX).then_some(wake_min);
         let mut at_or: Option<Time> = None;
         let fold = |slot: &mut Option<Time>, t: Time| {
             *slot = Some(slot.map_or(t, |m| m.min(t)));
         };
         let recovery = self.error_cfg.recovery_time(self.bitrate_bps);
-        // One pass over the nodes: any busy node vetoes the stretch
-        // outright (partially folded bounds are discarded with it);
-        // every quiet node contributes its wake instants.
-        for n in nodes {
-            if !n.inbox.is_empty() || !n.staged_tx.is_empty() || n.kernel.current().is_some() {
-                return None;
-            }
-            if let Some(t) = n.kernel.next_external_time() {
-                fold(&mut strict, t);
-            }
-            if let Some(since) = n.stats.bus_off_since {
+        for &i in &self.bus_off {
+            if let Some(since) = nodes[i].stats.bus_off_since {
                 fold(&mut at_or, since + recovery);
             }
         }
@@ -727,17 +797,14 @@ impl BusState {
     }
 
     /// End-of-run flush, shared by [`Cluster::run_until`] and the
-    /// topology executive: the final barrier staged deliveries but no
-    /// epoch follows inside this call, so apply the inboxes here (the
-    /// nodes' clocks sit exactly at the horizon, the same instant a
-    /// following advance would apply them), fold the tallies in, and
-    /// snapshot what is still underway so the ledger
-    /// `sent == delivered + dropped + in_flight` is exact at this
-    /// horizon (garbage frames never counted as sent, so they don't
-    /// count here).
+    /// topology executive, after [`ActiveSet::catch_up`] brought every
+    /// node to the horizon and applied the inboxes staged at the final
+    /// barrier: fold the remaining tallies in, and snapshot what is
+    /// still underway so the ledger `sent == delivered + dropped +
+    /// in_flight` is exact at this horizon (garbage frames never
+    /// counted as sent, so they don't count here).
     pub(crate) fn flush_run_end(&mut self, nodes: &mut [ClusterNode]) {
         for node in nodes.iter_mut() {
-            node.apply_inbox();
             let o = std::mem::take(&mut node.outcome);
             self.stats.frames_delivered += o.delivered;
             self.stats.frames_dropped += o.dropped;
@@ -760,9 +827,9 @@ pub struct Cluster {
     cursor: Time,
     /// Accumulated engine cost accounting across `run_until` calls.
     exec_stats: EpochStats,
-    /// Persisted epoch-engine scratch so a warmed serial `run_until`
-    /// allocates nothing.
-    epoch_scratch: EpochScratch,
+    /// The engine's wake array and index lists, persisted so a warmed
+    /// `run_until` allocates nothing.
+    set: ActiveSet,
 }
 
 impl Cluster {
@@ -780,7 +847,7 @@ impl Cluster {
             workers: 1,
             cursor: Time::ZERO,
             exec_stats: EpochStats::default(),
-            epoch_scratch: EpochScratch::default(),
+            set: ActiveSet::default(),
         }
     }
 
@@ -826,6 +893,14 @@ impl Cluster {
     /// simulation.
     pub fn exec_stats(&self) -> &EpochStats {
         &self.exec_stats
+    }
+
+    /// Node advances the engine made across every `run_until` so far:
+    /// deterministic, and at most `len() * exec_stats().barriers`. The
+    /// gap is the work the active-set engine skipped; run-end
+    /// catch-ups are not counted.
+    pub fn node_advances(&self) -> u64 {
+        self.set.advances()
     }
 
     /// Attaches a node. The kernel must already own the two mailboxes
@@ -941,7 +1016,9 @@ impl Cluster {
         }
     }
 
-    /// Advances every node to `horizon` in parallel epochs. Callable
+    /// Advances every node to `horizon` in parallel epochs, each epoch
+    /// advancing only the nodes with work before its end; every node's
+    /// clock sits at (or past) `horizon` on return. Callable
     /// repeatedly; each call resumes from the previous horizon.
     ///
     /// # Panics
@@ -957,20 +1034,25 @@ impl Cluster {
             workers: self.workers,
         };
         let origin = self.cursor;
+        // Nodes are public between runs: re-read their wakes and
+        // bus-off states once per call, never per barrier.
+        self.set.refresh(&self.nodes);
+        self.bus.refresh(&self.nodes);
         let bus = &mut self.bus;
-        let stats = run_epochs_reusing(
+        let stats = run_epochs(
             &mut self.nodes,
+            &mut self.set,
             origin,
             horizon,
             &cfg,
-            &mut |nodes, at| {
-                bus.exchange(nodes, at);
-                bus.next_barrier_proposal(nodes, at, origin, horizon)
+            &mut |nodes, b| {
+                bus.exchange(nodes, b);
+                bus.next_barrier_proposal(nodes, b.wake_min(), b.at, origin, horizon)
             },
-            &mut self.epoch_scratch,
         );
         self.exec_stats.merge(&stats);
         self.cursor = horizon;
+        self.set.catch_up(&mut self.nodes, horizon);
         self.bus.flush_run_end(&mut self.nodes);
     }
 
@@ -1199,5 +1281,251 @@ mod tests {
         whole.run_until(Time::from_ms(40));
         assert_eq!(split.stats(), whole.stats());
         assert_eq!(split.metrics(), whole.metrics());
+    }
+
+    // --- Active-set engine contract ---
+
+    /// A board with nothing but an interrupt-driven NIC driver: after
+    /// its boot dispatch parks the driver on the NIC line it has no
+    /// timer at all, so the engine skips it until a frame lands. The
+    /// mailbox push wakes nobody, so the interrupt is logged one
+    /// mailbox copy after the instant the frame is applied.
+    fn listener() -> (Kernel, MboxId, MboxId) {
+        let mut b = KernelBuilder::new(KernelConfig {
+            policy: SchedPolicy::RmQueue,
+            ..KernelConfig::default()
+        });
+        let p = b.add_process("listener");
+        let tx = b.add_mailbox(4);
+        let rx = b.add_mailbox(4);
+        b.board_mut().add_nic("can", NIC_IRQ);
+        b.add_driver_task(
+            p,
+            "rx-driver",
+            Duration::from_ms(1),
+            Script::looping(vec![
+                Action::WaitIrq(NIC_IRQ),
+                Action::RecvMbox(rx),
+                Action::Compute(Duration::from_us(30)),
+            ]),
+        );
+        (b.build(), tx, rx)
+    }
+
+    /// A board that sends one frame (`payload` to `dst`) shortly after
+    /// `at`, and nothing else for a second.
+    fn one_shot_sender(
+        at: Duration,
+        dst: Option<NodeId>,
+        payload: u32,
+    ) -> (Kernel, MboxId, MboxId) {
+        let mut b = KernelBuilder::new(KernelConfig {
+            policy: SchedPolicy::RmQueue,
+            ..KernelConfig::default()
+        });
+        let p = b.add_process("sender");
+        let tx = b.add_mailbox(4);
+        let rx = b.add_mailbox(4);
+        b.board_mut().add_nic("can", NIC_IRQ);
+        b.add_periodic_task_phased(
+            p,
+            "once",
+            Duration::from_ms(1000),
+            Duration::from_ms(1000),
+            at,
+            Script::periodic(vec![
+                Action::Compute(Duration::from_us(100)),
+                Action::SendMbox {
+                    mbox: tx,
+                    bytes: 8,
+                    tag: addressed_tag(dst, payload),
+                },
+            ]),
+        );
+        (b.build(), tx, rx)
+    }
+
+    fn irq_instants(k: &Kernel) -> Vec<Time> {
+        k.trace()
+            .iter()
+            .filter(|(_, e)| matches!(e, emeralds_sim::TraceEvent::IrqRaised { .. }))
+            .map(|&(t, _)| t)
+            .collect()
+    }
+
+    #[test]
+    fn idle_receiver_logs_irq_at_the_staging_barrier() {
+        for workers in [1, 2, 4] {
+            let mut c = Cluster::new(1_000_000).with_workers(workers);
+            c.set_adaptive(false); // a barrier at every grid point
+            let (k0, tx0, rx0) = one_shot_sender(Duration::from_ms(20), Some(NodeId(1)), 5);
+            let (k1, tx1, rx1) = listener();
+            let s = c.add_node("sender", k0, tx0, rx0, NIC_IRQ, 1);
+            let r = c.add_node("idle", k1, tx1, rx1, NIC_IRQ, 2);
+            c.run_until(Time::from_ms(30));
+            // The post, the barrier that harvests it (the first grid
+            // point after it), and the barrier that stages the frame
+            // once its wire time (one lookahead) has passed.
+            let l = c.lookahead().as_ns();
+            let posted = c
+                .node(s)
+                .kernel
+                .trace()
+                .iter()
+                .find(|(_, e)| matches!(e, emeralds_sim::TraceEvent::MboxSend { .. }))
+                .map(|&(t, _)| t.as_ns())
+                .expect("the sender posted");
+            let staged = Time::from_ns((posted / l + 1) * l + l);
+            assert!(
+                staged.as_ns() / l > 100,
+                "receiver idle for over 100 barriers"
+            );
+            // The lagging kernel caught up to exactly that barrier,
+            // copied the frame into its RX mailbox, then raised the line.
+            let copy = KernelConfig::default().cost.mbox_copy(8);
+            let rx = &c.node(r).kernel;
+            assert_eq!(irq_instants(rx), vec![staged + copy], "workers={workers}");
+            assert_eq!(rx.tcb(emeralds_sim::ThreadId(0)).last_read, 5);
+            // The receiver sat those barriers out.
+            assert!(
+                c.node_advances() + 100 <= 2 * c.exec_stats().barriers,
+                "advances {} over {} barriers",
+                c.node_advances(),
+                c.exec_stats().barriers
+            );
+        }
+    }
+
+    #[test]
+    fn broadcast_reaches_lagging_listeners() {
+        let run = |workers: usize| {
+            let mut c = Cluster::new(1_000_000).with_workers(workers);
+            let (k, tx, rx) = one_shot_sender(Duration::from_ms(15), None, 42);
+            c.add_node("caster", k, tx, rx, NIC_IRQ, 1);
+            for i in 0..4u32 {
+                let (k, tx, rx) = listener();
+                c.add_node(format!("l{i}"), k, tx, rx, NIC_IRQ, 2 + i);
+            }
+            c.run_until(Time::from_ms(25));
+            c
+        };
+        let base = run(1);
+        let first = irq_instants(&base.nodes()[1].kernel);
+        assert_eq!(first.len(), 1);
+        for n in &base.nodes()[1..] {
+            assert_eq!(irq_instants(&n.kernel), first, "{}", n.name);
+            assert_eq!(n.kernel.tcb(emeralds_sim::ThreadId(0)).last_read, 42);
+        }
+        let s = base.stats();
+        assert_eq!((s.frames_sent, s.frames_delivered), (1, 4));
+        assert_eq!((s.bcast_resolved, s.bcast_fanout), (1, 4));
+        for workers in [2, 4] {
+            let c = run(workers);
+            assert_eq!(c.stats(), base.stats(), "workers={workers}");
+            assert_eq!(c.metrics(), base.metrics(), "workers={workers}");
+            assert_eq!(c.node_advances(), base.node_advances());
+        }
+    }
+
+    /// A board with one sparse periodic task and its NIC driver.
+    fn sparse_node(period: Duration) -> (Kernel, MboxId, MboxId) {
+        let mut b = KernelBuilder::new(KernelConfig {
+            policy: SchedPolicy::RmQueue,
+            ..KernelConfig::default()
+        });
+        let p = b.add_process("sparse");
+        let tx = b.add_mailbox(4);
+        let rx = b.add_mailbox(4);
+        b.board_mut().add_nic("can", NIC_IRQ);
+        b.add_periodic_task(
+            p,
+            "law",
+            period,
+            Script::compute_only(Duration::from_us(150)),
+        );
+        b.add_driver_task(
+            p,
+            "rx-driver",
+            Duration::from_ms(1),
+            Script::looping(vec![
+                Action::RecvMbox(rx),
+                Action::Compute(Duration::from_us(30)),
+            ]),
+        );
+        (b.build(), tx, rx)
+    }
+
+    #[test]
+    fn fail_stop_window_opens_on_an_idle_node() {
+        // The window opens at 10 ms, between the node's releases at 7
+        // and 14 ms, while the engine is skipping it.
+        let window = (Time::from_ms(10), Duration::from_ms(5));
+        let plan = FaultPlan::new(3).fail_stop(NodeId(0), window.0, window.1);
+        // Reference: the same board advanced at every grid point
+        // through its gate, as an engine without skipping would.
+        let (mut reference, ..) = sparse_node(Duration::from_ms(7));
+        let mut gate = FailStopGate::new(&[(window.0, window.0 + window.1)]);
+        for workers in [1, 2, 4] {
+            let mut c = Cluster::new(1_000_000).with_workers(workers);
+            let (k, tx, rx) = sparse_node(Duration::from_ms(7));
+            c.add_node("victim", k, tx, rx, NIC_IRQ, 1);
+            c.set_fault_plan(&plan);
+            // Stop inside the outage: the catch-up applies the stall.
+            c.run_until(Time::from_ms(12));
+            assert_eq!(
+                c.nodes()[0].kernel.now(),
+                Time::from_ms(15),
+                "workers={workers}"
+            );
+            c.run_until(Time::from_ms(30));
+            assert!(
+                c.node_advances() < c.exec_stats().barriers,
+                "the victim was skipped"
+            );
+            if workers == 1 {
+                let l = c.lookahead();
+                let mut t = Time::ZERO;
+                while t < Time::from_ms(30) {
+                    t = Time::from_ms(30).min(t + l);
+                    gate.drive(&mut reference, t);
+                }
+            }
+            let victim = &c.nodes()[0].kernel;
+            assert_eq!(victim.metrics(), reference.metrics(), "workers={workers}");
+            assert_eq!(victim.trace().to_jsonl(), reference.trace().to_jsonl());
+        }
+    }
+
+    #[test]
+    fn every_clock_sits_at_the_horizon_with_balanced_time() {
+        for workers in [1, 2, 4] {
+            let mut c = Cluster::new(1_000_000).with_workers(workers);
+            let (k, tx, rx) = make_node(3, 1, Some(NodeId(1)));
+            c.add_node("busy", k, tx, rx, NIC_IRQ, 1);
+            let (k, tx, rx) = sparse_node(Duration::from_ms(9));
+            c.add_node("sparse", k, tx, rx, NIC_IRQ, 2);
+            let (k, tx, rx) = listener();
+            c.add_node("idle", k, tx, rx, NIC_IRQ, 3);
+            c.set_fault_plan(&FaultPlan::new(9).fail_stop(
+                NodeId(1),
+                Time::from_us(12_345),
+                Duration::from_ms(4),
+            ));
+            for ms in [1u64, 7, 13, 14, 29, 40] {
+                let horizon = Time::from_ms(ms);
+                c.run_until(horizon);
+                for n in c.nodes() {
+                    let m = n.kernel.metrics();
+                    let now = n.kernel.now();
+                    assert!(now >= horizon, "{} at {now:?} < {horizon:?}", n.name);
+                    assert_eq!(
+                        now,
+                        Time::ZERO + m.app_time + m.idle_time + m.total_overhead,
+                        "{} at {ms} ms, workers={workers}",
+                        n.name
+                    );
+                }
+            }
+        }
     }
 }

@@ -106,8 +106,8 @@ use emeralds_core::script::{Action, Script};
 use emeralds_core::{Kernel, SchedPolicy};
 use emeralds_faults::{FaultClock, FaultEvent, FaultPlan, GatewayFaultClock};
 use emeralds_sim::{
-    run_epochs, run_two_level, Duration, EpochConfig, EpochGroup, EpochStats, IrqLine, MboxId,
-    NodeId, Time, TwoLevelStats,
+    run_epochs, run_two_level, ActiveSet, Duration, EpochConfig, EpochGroup, EpochStats, IrqLine,
+    MboxId, NodeId, Time, TwoLevelStats,
 };
 
 use crate::cluster::{BusState, ClusterNode, SegmentRouting};
@@ -396,6 +396,9 @@ struct Segment {
     nodes: Vec<ClusterNode>,
     /// Global node id of each local node, parallel to `nodes`.
     globals: Vec<u32>,
+    /// The inner engine's wake array, kept across outer epochs: skipped
+    /// nodes lag until a frame lands on them or the public run ends.
+    set: ActiveSet,
     cursor: Time,
 }
 
@@ -411,10 +414,17 @@ impl EpochGroup for Segment {
         };
         let origin = self.cursor;
         let bus = &mut self.bus;
-        let stats = run_epochs(&mut self.nodes, origin, horizon, &cfg, &mut |nodes, at| {
-            bus.exchange(nodes, at);
-            bus.next_barrier_proposal(nodes, at, origin, horizon)
-        });
+        let stats = run_epochs(
+            &mut self.nodes,
+            &mut self.set,
+            origin,
+            horizon,
+            &cfg,
+            &mut |nodes, b| {
+                bus.exchange(nodes, b);
+                bus.next_barrier_proposal(nodes, b.wake_min(), b.at, origin, horizon)
+            },
+        );
         self.cursor = horizon;
         stats
     }
@@ -544,6 +554,7 @@ impl Topology {
             bus,
             nodes: Vec::new(),
             globals: Vec::new(),
+            set: ActiveSet::default(),
             cursor: self.cursor,
         });
         self.routes_dirty = true;
@@ -897,6 +908,14 @@ impl Topology {
         &self.exec_stats
     }
 
+    /// Node advances the inner engines made across every `run_until`
+    /// so far, summed over segments (deterministic; run-end catch-ups
+    /// excluded). An engine advancing every node would make one per
+    /// node per inner barrier of its segment.
+    pub fn node_advances(&self) -> u64 {
+        self.segments.iter().map(|s| s.set.advances()).sum()
+    }
+
     /// How far the executive has driven the topology.
     pub fn now(&self) -> Time {
         self.cursor
@@ -922,16 +941,19 @@ impl Topology {
         // Judge gateway liveness at the run start so the first routes
         // already reflect outages that began while the executive was
         // parked (the initial build doesn't count as a reroute).
-        {
-            let mut refs: Vec<&mut Segment> = self.segments.iter_mut().collect();
-            judge_gateways(
-                &mut refs,
-                &mut self.gateways,
-                self.gw_faults.as_ref(),
-                self.cursor,
-                &mut self.events,
-                &mut self.routes_dirty,
-            );
+        judge_gateways(
+            &mut self.segments,
+            &mut self.gateways,
+            self.gw_faults.as_ref(),
+            self.cursor,
+            &mut self.events,
+            &mut self.routes_dirty,
+        );
+        // Nodes are public between runs: re-read their wakes and
+        // bus-off states once per call, never per barrier.
+        for seg in &mut self.segments {
+            seg.set.refresh(&seg.nodes);
+            seg.bus.refresh(&seg.nodes);
         }
         self.ensure_routes();
         let outer_l = self.inter_lookahead();
@@ -993,8 +1015,8 @@ impl Topology {
                 seg.bus.remote_out.is_empty(),
                 "outer exchange must drain remote_out"
             );
-            let Segment { bus, nodes, .. } = seg;
-            bus.flush_run_end(nodes);
+            seg.set.catch_up(&mut seg.nodes, horizon);
+            seg.bus.flush_run_end(&mut seg.nodes);
         }
         for gw in &mut self.gateways {
             gw.stats.buffered = gw.queues.iter().map(|q| q.buf.len() as u64).sum();
@@ -1109,7 +1131,7 @@ fn build_routes(n: usize, gateways: &[Gateway]) -> RouteTables {
 /// and resetting the server clock on the way up. Either transition
 /// marks the route table dirty.
 fn judge_gateways(
-    segs: &mut [&mut Segment],
+    segs: &mut [Segment],
     gateways: &mut [Gateway],
     clock: Option<&GatewayFaultClock>,
     at: Time,
@@ -1161,7 +1183,7 @@ fn judge_gateways(
 /// into its far segment's arbitration queue. Segments, then gateways,
 /// in registration order — fully deterministic.
 fn route_frames(
-    segs: &mut [&mut Segment],
+    segs: &mut [Segment],
     gateways: &mut [Gateway],
     node_seg: &[u32],
     routes: &[Vec<Option<u32>>],
@@ -1240,7 +1262,7 @@ fn route_frames(
 /// `BusState::next_barrier_proposal`, sharing its strict / at-or grid
 /// classes via `BusState::quiet_classes`).
 fn outer_proposal(
-    segs: &[&mut Segment],
+    segs: &[Segment],
     gateways: &[Gateway],
     clock: Option<&GatewayFaultClock>,
     at: Time,
@@ -1257,7 +1279,7 @@ fn outer_proposal(
         if !seg.bus.remote_out.is_empty() {
             return None; // defensive: capture just drained these
         }
-        let (s, a) = seg.bus.quiet_classes(seg.nodes.iter(), at)?;
+        let (s, a) = seg.bus.quiet_classes(&seg.nodes, seg.set.wake_min(), at)?;
         if let Some(t) = s {
             fold(&mut strict, t);
         }
@@ -1531,7 +1553,28 @@ mod tests {
                 base.gateway_stats(GatewayId(0)),
                 "workers={workers}"
             );
+            assert_eq!(t.node_advances(), base.node_advances(), "workers={workers}");
         }
+    }
+
+    #[test]
+    fn inner_engines_skip_idle_nodes_and_catch_up_at_the_horizon() {
+        let (mut t, ..) = two_segment_topology(1);
+        let horizon = Time::from_ms(50);
+        t.run_until(horizon);
+        // Two nodes per segment (the app and the bridge NIC): an engine
+        // advancing every node would make two advances per inner
+        // barrier; the mostly idle nodes are skipped instead.
+        let every_node = 2 * t.exec_stats().inner.barriers;
+        assert!(
+            t.node_advances() > 0 && t.node_advances() < every_node,
+            "{} advances vs {every_node}",
+            t.node_advances()
+        );
+        for i in 0..t.node_count() {
+            assert!(t.node(NodeId(i as u32)).kernel.now() >= horizon);
+        }
+        assert!(t.conservation().holds(), "{:?}", t.conservation());
     }
 
     #[test]

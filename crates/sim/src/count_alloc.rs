@@ -14,26 +14,41 @@
 //! static ALLOC: emeralds_sim::CountingAlloc = emeralds_sim::CountingAlloc;
 //! ```
 //!
-//! Counters are relaxed atomics — the gate tests are single-threaded
-//! over the window they measure, and exactness across threads is not
-//! part of the claim.
+//! Process counters are relaxed atomics. The gate tests read the
+//! per-thread count instead ([`thread_alloc_count`]): each window they
+//! measure runs on the test's own thread, and the test harness runs
+//! the gate tests concurrently, so another test's set-up would
+//! otherwise land in the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Const-initialised and free of `Drop`, so touching it from inside
+    // the allocator never allocates and never meets a destroyed slot.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 /// A [`System`]-backed allocator that counts allocations.
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the only
-// addition is relaxed counter traffic.
+// addition is relaxed counter traffic and a const thread-local counter
+// that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -45,14 +60,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growth that moves is an allocation for gate purposes: the
         // hot loop must not trigger it either.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -61,6 +74,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// installed as `#[global_allocator]`).
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Heap allocations made by the calling thread since it started.
+pub fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Heap deallocations since process start.

@@ -10,8 +10,9 @@
 //! fine-grained *intra-segment* epochs without observing any input from
 //! another segment.
 //!
-//! [`run_two_level`] is that composition: the outer engine is
-//! [`run_epochs`] over [`EpochGroup`]s (one per segment), each group's
+//! [`run_two_level`] is that composition: the outer engine is the
+//! [`crate::run_epochs`] engine over [`EpochGroup`]s (one per segment,
+//! each advanced at every outer barrier), each group's
 //! `advance_group` runs its own serial inner epoch loop, and the outer
 //! exchange moves frames between groups at inter-segment barriers. The
 //! determinism argument stacks: inner loops are serial per group and
@@ -19,15 +20,16 @@
 //! barriers, and the outer exchange is serial in group order — so the
 //! result is bit-for-bit identical for any outer worker count.
 //!
-//! Both levels inherit [`run_epochs`]'s synchronization machinery
-//! wholesale: outer workers cross the hybrid spin-then-park barrier
-//! once per inter-segment epoch (the fused leader/follower crossing),
-//! and each segment's inner loop batches provably-quiet grid points
-//! through its own bus's adaptive next-barrier proposals.
+//! Both levels inherit [`crate::run_epochs`]'s synchronization
+//! machinery wholesale: outer workers cross the hybrid spin-then-park
+//! barrier once per inter-segment epoch (the fused leader/follower
+//! crossing), and each segment's inner loop batches provably-quiet grid
+//! points through its own bus's adaptive next-barrier proposals and
+//! advances only its nodes with work.
 //!
 //! The outer exchange may return next-barrier proposals of its own —
-//! the same contract as [`run_epochs`]: `Some(t)` schedules the next
-//! *inter-group* barrier at `t` (clamped to the horizon) instead of
+//! the same contract as [`crate::run_epochs`]: `Some(t)` schedules the
+//! next *inter-group* barrier at `t` (clamped to the horizon) instead of
 //! one fixed lookahead out, letting a topology executive batch outer
 //! barriers across windows where every group is provably idle and no
 //! inter-group transfer comes due. Soundness is the caller's burden,
@@ -42,7 +44,9 @@
 //! group computes between them, so determinism across outer worker
 //! counts is preserved verbatim.
 
-use crate::cluster::{run_epochs, EpochConfig, EpochNode, EpochStats};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::cluster::{run_with, ActiveSet, EpochConfig, EpochStats};
 use crate::time::Time;
 
 /// A self-contained sub-executive (e.g. one bus segment and its nodes)
@@ -73,17 +77,25 @@ impl TwoLevelStats {
     }
 }
 
-/// Adapter: lets the outer [`run_epochs`] drive a group as a node
-/// while collecting the inner loops' stats.
-struct GroupCell<G> {
-    group: G,
-    inner: EpochStats,
-}
+/// The inner loops' stats, summed from whichever outer worker ran each
+/// group (order-independent sums).
+#[derive(Default)]
+struct InnerTally([AtomicU64; 3]);
 
-impl<G: EpochGroup> EpochNode for GroupCell<G> {
-    fn advance_to(&mut self, horizon: Time) {
-        let s = self.group.advance_group(horizon);
-        self.inner.merge(&s);
+impl InnerTally {
+    fn add(&self, s: &EpochStats) {
+        for (slot, v) in self.0.iter().zip([s.barriers, s.serial_ns, s.wall_ns]) {
+            slot.fetch_add(v, Ordering::Relaxed);
+        }
+    }
+
+    fn total(&self) -> EpochStats {
+        let [barriers, serial_ns, wall_ns] = self.0.each_ref().map(|a| a.load(Ordering::Relaxed));
+        EpochStats {
+            barriers,
+            serial_ns,
+            wall_ns,
+        }
     }
 }
 
@@ -91,14 +103,15 @@ impl<G: EpochGroup> EpochNode for GroupCell<G> {
 /// `cfg.lookahead` (the inter-group latency), running each group's own
 /// inner epoch loop in parallel between outer barriers and invoking
 /// `exchange` serially at every barrier with in-order access to all
-/// groups. The exchange may return a next-barrier proposal exactly as
-/// in [`run_epochs`].
+/// groups. Every group advances in every outer epoch; the inner loops
+/// skip idle nodes. The exchange may return a next-barrier proposal
+/// exactly as in [`crate::run_epochs`].
 ///
 /// # Panics
 ///
 /// Panics on a zero outer lookahead or a non-advancing proposal.
 pub fn run_two_level<G, X>(
-    groups: &mut Vec<G>,
+    groups: &mut [G],
     from: Time,
     horizon: Time,
     cfg: &EpochConfig,
@@ -106,35 +119,27 @@ pub fn run_two_level<G, X>(
 ) -> TwoLevelStats
 where
     G: EpochGroup,
-    X: FnMut(&mut [&mut G], Time) -> Option<Time>,
+    X: FnMut(&mut [G], Time) -> Option<Time>,
 {
-    let mut cells: Vec<GroupCell<G>> = groups
-        .drain(..)
-        .map(|group| GroupCell {
-            group,
-            inner: EpochStats::default(),
-        })
-        .collect();
-    // Reused across outer barriers: the adapter slice is rebuilt each
-    // exchange but never reallocates once warmed.
-    let mut scratch: Vec<*mut G> = Vec::with_capacity(cells.len());
-    let outer = run_epochs(&mut cells, from, horizon, cfg, &mut |cells, at| {
-        scratch.clear();
-        scratch.extend(cells.iter_mut().map(|c| &mut c.group as *mut G));
-        // SAFETY: the pointers address distinct groups behind the
-        // exclusive `cells` slice handed to this closure; the re-cast
-        // slice dies at the end of the exchange call.
-        let refs = unsafe {
-            std::slice::from_raw_parts_mut(scratch.as_mut_ptr().cast::<&mut G>(), scratch.len())
-        };
-        exchange(refs, at)
-    });
-    let mut inner = EpochStats::default();
-    for cell in cells {
-        inner.merge(&cell.inner);
-        groups.push(cell.group);
+    let inner = InnerTally::default();
+    let mut set = ActiveSet::all_busy(groups.len());
+    let step = |g: &mut G, _: Time, to: Time| {
+        inner.add(&g.advance_group(to));
+        Time::ZERO
+    };
+    let outer = run_with(
+        groups,
+        &mut set,
+        from,
+        horizon,
+        cfg,
+        &step,
+        &mut |groups, b| exchange(groups, b.at),
+    );
+    TwoLevelStats {
+        outer,
+        inner: inner.total(),
     }
-    TwoLevelStats { outer, inner }
 }
 
 #[cfg(test)]

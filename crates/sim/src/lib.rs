@@ -18,8 +18,9 @@
 //!   of the workspace.
 //! - [`run_epochs`]: a deterministic conservative-lookahead engine that
 //!   advances many independent nodes in parallel across host threads,
-//!   exchanging state only at epoch barriers (the cluster executive's
-//!   generic half).
+//!   exchanging state only at epoch barriers and advancing at each
+//!   barrier only the nodes with work (the cluster executive's generic
+//!   half).
 //!
 //! Everything here is deterministic: no wall-clock reads, no global
 //! state, and the RNG helpers require explicit seeds. The one
@@ -42,9 +43,7 @@ pub mod time;
 pub mod trace;
 
 pub use account::{Accounting, OverheadKind};
-pub use cluster::{
-    run_epochs, run_epochs_reusing, EpochConfig, EpochNode, EpochScratch, EpochStats,
-};
+pub use cluster::{run_epochs, ActiveSet, Barrier, EpochConfig, EpochNode, EpochStats};
 #[cfg(feature = "alloc-count")]
 pub use count_alloc::CountingAlloc;
 pub use event::EventQueue;

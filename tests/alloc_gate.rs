@@ -10,7 +10,10 @@
 //! - a single-kernel `Kernel::advance_to` window mixing timer
 //!   releases, dispatches, and uncontended semaphore traffic;
 //! - a quiet-bus cluster stretch, where the epoch executive proves
-//!   idleness and crosses barriers without staging a frame.
+//!   idleness and crosses barriers without staging a frame;
+//! - a sparse-traffic cluster window, where the active-set engine
+//!   skips most nodes at most barriers and frames land on nodes whose
+//!   clocks lag.
 //!
 //! Any new allocation on these paths (a `clone` in the dispatch loop,
 //! a fresh `Vec` per epoch, a far-bucket promotion that outgrows the
@@ -21,9 +24,9 @@
 use emeralds::core::kernel::{KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Script};
 use emeralds::core::{Kernel, SchedPolicy};
-use emeralds::fieldbus::Cluster;
+use emeralds::fieldbus::{addressed_tag, Cluster};
 use emeralds::sim::count_alloc;
-use emeralds::sim::{Duration, IrqLine, Time};
+use emeralds::sim::{Duration, IrqLine, NodeId, Time};
 
 #[global_allocator]
 static ALLOC: emeralds::sim::CountingAlloc = emeralds::sim::CountingAlloc;
@@ -70,9 +73,9 @@ fn steady_state_kernel_window_allocates_nothing() {
     // Warm-up: first jobs grow the ready queues, timer buckets, and
     // IRQ scratch to their high-water marks.
     k.run_until(Time::from_ms(50));
-    let before = count_alloc::alloc_count();
+    let before = count_alloc::thread_alloc_count();
     k.advance_to(Time::from_ms(100));
-    let delta = count_alloc::alloc_count() - before;
+    let delta = count_alloc::thread_alloc_count() - before;
     assert_eq!(
         delta, 0,
         "steady-state Kernel::advance_to made {delta} heap allocations"
@@ -124,12 +127,91 @@ fn quiet_cluster_stretch_allocates_nothing() {
     // Warm-up pass: epoch scratch, per-node buffers, and the bus
     // bookkeeping all reach steady capacity.
     c.run_until(Time::from_ms(60));
-    let before = count_alloc::alloc_count();
+    let before = count_alloc::thread_alloc_count();
     c.run_until(Time::from_ms(120));
-    let delta = count_alloc::alloc_count() - before;
+    let delta = count_alloc::thread_alloc_count() - before;
     assert_eq!(
         delta, 0,
         "quiet-bus cluster stretch made {delta} heap allocations"
     );
     assert!(c.metrics().jobs_completed > 0);
+}
+
+/// Sixteen nodes, each sending one frame to its ring successor about
+/// every 20 ms (periods spread over 19–21 ms so sends drift apart) and
+/// draining its own RX mailbox from an interrupt-woken driver. Most
+/// nodes have nothing to do at most barriers, so the engine skips
+/// them, and every frame lands on a node whose clock lags.
+fn sparse_traffic_cluster() -> Cluster {
+    const N: usize = 16;
+    let mut c = Cluster::new(1_000_000).with_workers(1);
+    for i in 0..N {
+        let mut b = KernelBuilder::new(KernelConfig {
+            policy: SchedPolicy::RmQueue,
+            record_trace: false,
+            ..KernelConfig::default()
+        });
+        let p = b.add_process(format!("s{i}"));
+        let tx = b.add_mailbox(4);
+        let rx = b.add_mailbox(4);
+        b.board_mut().add_nic("can", NIC_IRQ);
+        let dst = NodeId(((i + 1) % N) as u32);
+        b.add_periodic_task_phased(
+            p,
+            "report",
+            Duration::from_us(19_000 + 133 * i as u64),
+            Duration::from_us(19_000 + 133 * i as u64),
+            Duration::from_us(1_250 * i as u64),
+            Script::periodic(vec![
+                Action::Compute(Duration::from_us(80)),
+                Action::SendMbox {
+                    mbox: tx,
+                    bytes: 8,
+                    tag: addressed_tag(Some(dst), i as u32),
+                },
+            ]),
+        );
+        b.add_driver_task(
+            p,
+            "nicdrv",
+            Duration::from_ms(5),
+            Script::looping(vec![
+                Action::WaitIrq(NIC_IRQ),
+                Action::RecvMbox(rx),
+                Action::Compute(Duration::from_us(20)),
+            ]),
+        );
+        c.add_node(format!("s{i}"), b.build(), tx, rx, NIC_IRQ, (i + 1) as u32);
+    }
+    c
+}
+
+#[test]
+fn sparse_traffic_window_allocates_nothing() {
+    let mut c = sparse_traffic_cluster();
+    // Warm-up: every node has sent and received, so inboxes, TX
+    // buffers, the pending queue and the engine's lists are at
+    // their steady capacity.
+    c.run_until(Time::from_ms(100));
+    let (sent, advances) = (c.stats().frames_sent, c.node_advances());
+    let before = count_alloc::thread_alloc_count();
+    for step in 1..=20u64 {
+        c.run_until(Time::from_ms(100 + 10 * step));
+    }
+    let delta = count_alloc::thread_alloc_count() - before;
+    assert_eq!(
+        delta, 0,
+        "sparse-traffic cluster window made {delta} heap allocations"
+    );
+    // Real traffic crossed the window, and most node-epochs were
+    // skipped.
+    let s = c.stats();
+    assert!(s.frames_sent - sent >= 100, "sent {}", s.frames_sent - sent);
+    assert_eq!(s.frames_dropped, 0);
+    let advanced = c.node_advances() - advances;
+    let barriers = c.exec_stats().barriers;
+    assert!(
+        advanced * 4 < 16 * barriers,
+        "{advanced} advances over {barriers} barriers"
+    );
 }
