@@ -402,7 +402,9 @@ fn policy_ab_row(scenario: &'static str, horizon: Time) -> PolicyAbRow {
 /// The original timer structure, reimplemented for an honest
 /// "before": a list ordered by expiry, each insert walking from the
 /// head to its position (the O(n) cost the calendar queue removes).
-/// Ties keep arm order, matching the real queue's FIFO guarantee.
+/// Ties keep arm order, matching the real queue's FIFO guarantee. It
+/// is also the reference model the calendar queue's property test
+/// checks against.
 struct LegacyDeltaQueue<E> {
     entries: Vec<(Time, u64, E)>,
     seq: u64,
@@ -435,6 +437,19 @@ impl<E> LegacyDeltaQueue<E> {
         } else {
             None
         }
+    }
+
+    #[cfg(test)]
+    fn next_expiry(&self) -> Option<Time> {
+        self.entries.first().map(|e| e.0)
+    }
+
+    /// Removes every entry whose payload matches; returns how many.
+    #[cfg(test)]
+    fn cancel(&mut self, pred: impl Fn(&E) -> bool) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|e| !pred(&e.2));
+        before - self.entries.len()
     }
 }
 
@@ -1024,6 +1039,7 @@ pub fn gate(r: &HotpathReport) -> (Vec<String>, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emeralds_core::timerq::BUCKET_NS;
 
     #[test]
     fn quick_report_is_deterministic_and_passes_gate() {
@@ -1045,6 +1061,137 @@ mod tests {
             calendar * 2 <= legacy,
             "calendar {calendar} vs legacy {legacy}"
         );
+    }
+
+    /// Property test: the kernel's bucket wheel is observationally
+    /// identical to the legacy delta queue on randomized
+    /// arm/pop/cancel workloads — including arms landing *exactly* on
+    /// a calendar-bucket boundary (and one tick either side), arms
+    /// behind the dispensing window, far-future arms up against
+    /// `u64::MAX`, and FIFO ties. Checked after every operation: head
+    /// expiry, head delta, length; on every pop: the exact
+    /// `(time, payload)` pair.
+    #[test]
+    fn wheel_matches_delta_queue_on_randomized_workloads() {
+        let mut rng = emeralds_sim::SimRng::seeded(0x71AE5);
+        for case in 0..24u64 {
+            let mut rng = rng.derive(case);
+            let mut q = TimerQueue::new();
+            let mut m = LegacyDeltaQueue::new();
+            let mut now = Time::ZERO;
+            let mut next_payload = 0u64;
+            for op in 0..400u32 {
+                let ctx = |now: Time| format!("case {case} op {op} now {}", now.as_ns());
+                let roll = rng.int_in(0, 99);
+                if roll < 55 {
+                    // Arm, drawing the expiry from an edge-heavy mix.
+                    let at = match rng.int_in(0, 9) {
+                        0..=2 => {
+                            Time::from_ns(now.as_ns().saturating_add(rng.int_in(0, 2 * BUCKET_NS)))
+                        }
+                        3..=4 => {
+                            // Exactly on a bucket boundary at or after
+                            // the dispensing window.
+                            let k = now.as_ns() / BUCKET_NS + rng.int_in(0, 3);
+                            Time::from_ns(k.saturating_mul(BUCKET_NS))
+                        }
+                        5 => {
+                            // One tick either side of a boundary.
+                            let k = (now.as_ns() / BUCKET_NS + rng.int_in(1, 3))
+                                .saturating_mul(BUCKET_NS);
+                            Time::from_ns(if rng.chance(0.5) {
+                                k - 1
+                            } else {
+                                k.saturating_add(1)
+                            })
+                        }
+                        6 => {
+                            // Behind `now` (overdue) and possibly
+                            // behind the dispensing window.
+                            Time::from_ns(now.as_ns().saturating_sub(rng.int_in(0, BUCKET_NS)))
+                        }
+                        7..=8 => Time::from_ns(
+                            now.as_ns()
+                                .saturating_add(rng.int_in(2 * BUCKET_NS, 60 * BUCKET_NS)),
+                        ),
+                        _ => {
+                            // Far-future overflow zone.
+                            Time::from_ns(u64::MAX - rng.int_in(0, 3 * BUCKET_NS))
+                        }
+                    };
+                    let p = next_payload;
+                    next_payload += 1;
+                    q.arm(at, p);
+                    m.arm(at, p);
+                    // FIFO ties are common: re-arm the same instant.
+                    if rng.chance(0.25) {
+                        let p = next_payload;
+                        next_payload += 1;
+                        q.arm(at, p);
+                        m.arm(at, p);
+                    }
+                } else if roll < 85 {
+                    // Advance time — sometimes exactly onto the next
+                    // head expiry or a bucket boundary — and drain.
+                    now = match rng.int_in(0, 3) {
+                        0 => Time::from_ns(
+                            (now.as_ns() / BUCKET_NS + rng.int_in(1, 4)).saturating_mul(BUCKET_NS),
+                        ),
+                        1 => m.next_expiry().unwrap_or(now).max(now),
+                        _ => {
+                            Time::from_ns(now.as_ns().saturating_add(rng.int_in(1, 8 * BUCKET_NS)))
+                        }
+                    };
+                    loop {
+                        let got = q.pop_due(now);
+                        let want = m.pop_due(now);
+                        assert_eq!(got, want, "pop diverged ({})", ctx(now));
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                } else if roll < 95 {
+                    // Cancel a pseudo-random payload class (sometimes
+                    // emptying the dispensing window entirely).
+                    let modulus = rng.int_in(2, 5);
+                    let class = rng.int_in(0, modulus - 1);
+                    let cancelled = q.cancel(|&v| v % modulus == class);
+                    assert_eq!(
+                        cancelled,
+                        m.cancel(|&v| v % modulus == class),
+                        "cancel count diverged ({})",
+                        ctx(now)
+                    );
+                } else {
+                    assert_eq!(
+                        q.head_delta(now),
+                        m.next_expiry().map(|at| at.saturating_since(now)),
+                        "head delta diverged ({})",
+                        ctx(now)
+                    );
+                }
+                assert_eq!(
+                    q.next_expiry(),
+                    m.next_expiry(),
+                    "head diverged ({})",
+                    ctx(now)
+                );
+                assert_eq!(q.len(), m.entries.len(), "length diverged ({})", ctx(now));
+                assert_eq!(q.is_empty(), m.entries.is_empty());
+            }
+            // Final drain at the end of time: every armed entry —
+            // including the `u64::MAX`-adjacent ones — pops, in exact
+            // reference order.
+            loop {
+                let got = q.pop_due(Time::MAX);
+                let want = m.pop_due(Time::MAX);
+                assert_eq!(got, want, "final drain diverged (case {case})");
+                if got.is_none() {
+                    break;
+                }
+            }
+            assert!(q.is_empty());
+        }
     }
 
     /// A synthetic wall section: JSON shape and gate behavior can be

@@ -336,177 +336,6 @@ mod tests {
         assert_eq!(q.head_delta(Time::from_us(50)), Some(Duration::ZERO));
     }
 
-    /// The legacy delta queue's observable behavior, as a reference
-    /// model: a plain list in exact (expiry, arm-order) order.
-    struct Reference {
-        entries: Vec<(Time, u64, u64)>,
-        seq: u64,
-    }
-
-    impl Reference {
-        fn new() -> Reference {
-            Reference {
-                entries: Vec::new(),
-                seq: 0,
-            }
-        }
-
-        fn arm(&mut self, at: Time, payload: u64) {
-            self.entries.push((at, self.seq, payload));
-            self.seq += 1;
-            self.entries.sort_by_key(|&(at, seq, _)| (at, seq));
-        }
-
-        fn pop_due(&mut self, now: Time) -> Option<(Time, u64)> {
-            if self.entries.first().is_some_and(|e| e.0 <= now) {
-                let (at, _, payload) = self.entries.remove(0);
-                Some((at, payload))
-            } else {
-                None
-            }
-        }
-
-        fn next_expiry(&self) -> Option<Time> {
-            self.entries.first().map(|e| e.0)
-        }
-
-        fn cancel(&mut self, pred: impl Fn(&u64) -> bool) -> usize {
-            let before = self.entries.len();
-            self.entries.retain(|e| !pred(&e.2));
-            before - self.entries.len()
-        }
-    }
-
-    /// Property test: the bucket wheel is observationally identical to
-    /// the legacy delta queue on randomized arm/pop/cancel workloads —
-    /// including arms landing *exactly* on a calendar-bucket boundary
-    /// (and one tick either side), arms behind the dispensing window,
-    /// far-future arms up against `u64::MAX`, and FIFO ties. Checked
-    /// after every operation: head expiry, head delta, length; on
-    /// every pop: the exact `(time, payload)` pair.
-    #[test]
-    fn wheel_matches_delta_queue_on_randomized_workloads() {
-        let mut rng = emeralds_sim::SimRng::seeded(0x71AE5);
-        for case in 0..24u64 {
-            let mut rng = rng.derive(case);
-            let mut q = TimerQueue::new();
-            let mut m = Reference::new();
-            let mut now = Time::ZERO;
-            let mut next_payload = 0u64;
-            for op in 0..400u32 {
-                let ctx = |now: Time| format!("case {case} op {op} now {}", now.as_ns());
-                let roll = rng.int_in(0, 99);
-                if roll < 55 {
-                    // Arm, drawing the expiry from an edge-heavy mix.
-                    let at = match rng.int_in(0, 9) {
-                        0..=2 => {
-                            Time::from_ns(now.as_ns().saturating_add(rng.int_in(0, 2 * BUCKET_NS)))
-                        }
-                        3..=4 => {
-                            // Exactly on a bucket boundary at or after
-                            // the dispensing window.
-                            let k = now.as_ns() / BUCKET_NS + rng.int_in(0, 3);
-                            Time::from_ns(k.saturating_mul(BUCKET_NS))
-                        }
-                        5 => {
-                            // One tick either side of a boundary.
-                            let k = (now.as_ns() / BUCKET_NS + rng.int_in(1, 3))
-                                .saturating_mul(BUCKET_NS);
-                            Time::from_ns(if rng.chance(0.5) {
-                                k - 1
-                            } else {
-                                k.saturating_add(1)
-                            })
-                        }
-                        6 => {
-                            // Behind `now` (overdue) and possibly
-                            // behind the dispensing window.
-                            Time::from_ns(now.as_ns().saturating_sub(rng.int_in(0, BUCKET_NS)))
-                        }
-                        7..=8 => Time::from_ns(
-                            now.as_ns()
-                                .saturating_add(rng.int_in(2 * BUCKET_NS, 60 * BUCKET_NS)),
-                        ),
-                        _ => {
-                            // Far-future overflow zone.
-                            Time::from_ns(u64::MAX - rng.int_in(0, 3 * BUCKET_NS))
-                        }
-                    };
-                    let p = next_payload;
-                    next_payload += 1;
-                    q.arm(at, p);
-                    m.arm(at, p);
-                    // FIFO ties are common: re-arm the same instant.
-                    if rng.chance(0.25) {
-                        let p = next_payload;
-                        next_payload += 1;
-                        q.arm(at, p);
-                        m.arm(at, p);
-                    }
-                } else if roll < 85 {
-                    // Advance time — sometimes exactly onto the next
-                    // head expiry or a bucket boundary — and drain.
-                    now = match rng.int_in(0, 3) {
-                        0 => Time::from_ns(
-                            (now.as_ns() / BUCKET_NS + rng.int_in(1, 4)).saturating_mul(BUCKET_NS),
-                        ),
-                        1 => m.next_expiry().unwrap_or(now).max(now),
-                        _ => {
-                            Time::from_ns(now.as_ns().saturating_add(rng.int_in(1, 8 * BUCKET_NS)))
-                        }
-                    };
-                    loop {
-                        let got = q.pop_due(now);
-                        let want = m.pop_due(now);
-                        assert_eq!(got, want, "pop diverged ({})", ctx(now));
-                        if got.is_none() {
-                            break;
-                        }
-                    }
-                } else if roll < 95 {
-                    // Cancel a pseudo-random payload class (sometimes
-                    // emptying the dispensing window entirely).
-                    let modulus = rng.int_in(2, 5);
-                    let class = rng.int_in(0, modulus - 1);
-                    let cancelled = q.cancel(|&v| v % modulus == class);
-                    assert_eq!(
-                        cancelled,
-                        m.cancel(|&v| v % modulus == class),
-                        "cancel count diverged ({})",
-                        ctx(now)
-                    );
-                } else {
-                    assert_eq!(
-                        q.head_delta(now),
-                        m.next_expiry().map(|at| at.saturating_since(now)),
-                        "head delta diverged ({})",
-                        ctx(now)
-                    );
-                }
-                assert_eq!(
-                    q.next_expiry(),
-                    m.next_expiry(),
-                    "head diverged ({})",
-                    ctx(now)
-                );
-                assert_eq!(q.len(), m.entries.len(), "length diverged ({})", ctx(now));
-                assert_eq!(q.is_empty(), m.entries.is_empty());
-            }
-            // Final drain at the end of time: every armed entry —
-            // including the `u64::MAX`-adjacent ones — pops, in exact
-            // reference order.
-            loop {
-                let got = q.pop_due(Time::MAX);
-                let want = m.pop_due(Time::MAX);
-                assert_eq!(got, want, "final drain diverged (case {case})");
-                if got.is_none() {
-                    break;
-                }
-            }
-            assert!(q.is_empty());
-        }
-    }
-
     /// Pinned boundary case: an arm landing exactly on the
     /// `dispensed_until` bucket boundary must file as a far entry (its
     /// bucket has not been dispensed) yet still pop before any

@@ -333,8 +333,7 @@ struct NodeFaults {
 ///
 /// All mutating queries ([`FaultClock::corrupt_next_grant`],
 /// [`FaultClock::babble_due`]) must be made from serial code (the
-/// epoch-barrier exchange, or the serial co-simulation loop); the
-/// immutable queries are safe anywhere.
+/// epoch-barrier exchange); the immutable queries are safe anywhere.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultClock {
     seed: u64,

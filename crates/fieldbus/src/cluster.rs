@@ -1,33 +1,32 @@
-//! The multi-node cluster executive: N kernels over one bus, advanced
-//! in parallel across host threads.
+//! The single-bus executive: N kernels over one bus, advanced in
+//! parallel across host threads.
 //!
-//! [`crate::Network`] co-simulates nodes serially — correct, but one
-//! host core drives every board, so a 64-node system runs 64× slower
-//! than one board. [`Cluster`] instead runs each [`Kernel`] on the
-//! deterministic conservative-lookahead engine of
+//! Driving every board serially from one host core would run a 64-node
+//! system 64× slower than one board, so [`Cluster`] runs each
+//! [`Kernel`] on the deterministic conservative-lookahead engine of
 //! [`emeralds_sim::run_epochs`]:
 //!
 //! - **Epoch**: every node with work before the epoch end
 //!   independently advances its local virtual clock by one lookahead
 //!   window *L* (default: one max-size bus-frame time — no frame can
 //!   cross the bus faster, so no node can miss an input by running
-//!   ahead). An idle node — no running thread, no staged frame — is
-//!   skipped until its next timer or device event, or until a frame
-//!   is staged for it; its clock catches up (idle time only) first.
+//!   ahead). An idle node — no running thread, no staged frame, an
+//!   empty TX mailbox — is skipped until its next timer or device
+//!   event, or until a frame is staged for it; its clock catches up
+//!   (idle time only) first.
 //! - **Barrier exchange** (serial, node order): deliver in-flight
 //!   frames whose wire time completed, harvest each node's TX mailbox
 //!   onto the arbitration queue, then grant the bus CAN-style (lowest
 //!   arbitration id first, FIFO within an id) for every transmission
 //!   that *starts* inside the next window.
 //!
-//! Timing model vs [`crate::Network`]: frames are timestamped at the
-//! harvesting barrier and delivered at the first barrier after their
-//! wire time completes, so end-to-end latency is quantized to at most
-//! one lookahead window (±*L* ≈ one frame time) instead of the serial
-//! executive's per-step resolution. *Intra-node* accounting — the
-//! paper's per-op cost model — is untouched: each kernel runs the
-//! exact same step loop either way. Results are bit-for-bit identical
-//! for any worker count; `tests/cluster_determinism.rs` pins this.
+//! Timing model: frames are timestamped at the harvesting barrier and
+//! delivered at the first barrier after their wire time completes, so
+//! end-to-end latency is quantized to at most one lookahead window
+//! (±*L* ≈ one frame time). *Intra-node* accounting — the paper's
+//! per-op cost model — is untouched: each kernel runs the same step
+//! loop as a standalone board. Results are bit-for-bit identical for
+//! any worker count; `tests/cluster_determinism.rs` pins this.
 
 use std::collections::VecDeque;
 
@@ -138,13 +137,6 @@ impl ClusterNode {
         }
     }
 
-    /// Installs (or clears) this node's fail-stop gate. The topology
-    /// executive uses this when splitting a global fault plan across
-    /// segments; [`Cluster::set_fault_plan`] sets its own directly.
-    pub(crate) fn set_gate(&mut self, gate: Option<FailStopGate>) {
-        self.gate = gate;
-    }
-
     /// Runs the kernel to `to` through the fail-stop gate, if any.
     fn drive(&mut self, to: Time) {
         match self.gate.as_mut() {
@@ -191,16 +183,23 @@ impl ClusterNode {
 }
 
 impl EpochNode for ClusterNode {
-    /// Now while the kernel runs a thread or the NIC holds staged
-    /// frames; otherwise the kernel's next timer or device event. An
-    /// idle kernel only wakes on one of those, so until then an advance
+    /// Now while the kernel runs a thread, the NIC holds staged frames,
+    /// or the TX mailbox holds messages; otherwise the kernel's next
+    /// timer or device event. The advance epilogue drains the TX
+    /// mailbox, so it is non-empty only at the start of a run, after
+    /// messages were pushed into it between runs. An idle kernel only
+    /// wakes on a timer or device event, so until then an advance
     /// would only add idle time. A fail-stop gate needs no entry: its
     /// stall only moves the clock and adds idle time too, and the gate
     /// applies it whenever the node next runs — at its wake, before a
     /// staged frame lands, or at the run-end catch-up — exactly as it
     /// would have at the window start (`FailStopGate::drive`).
     fn wake(&self) -> Time {
-        if !self.inbox.is_empty() || !self.staged_tx.is_empty() || self.kernel.current().is_some() {
+        if !self.inbox.is_empty()
+            || !self.staged_tx.is_empty()
+            || self.kernel.current().is_some()
+            || !self.kernel.mailbox(self.tx_mbox).is_empty()
+        {
             Time::ZERO
         } else {
             self.kernel.next_external_time().unwrap_or(Time::MAX)
@@ -338,10 +337,43 @@ impl BusState {
         self.seq += 1;
     }
 
-    /// Installs a compiled fault schedule (the topology executive's
-    /// per-segment split; [`Cluster::set_fault_plan`] sets its own).
-    pub(crate) fn set_faults(&mut self, fc: FaultClock) {
+    /// Installs a fault plan whose node indices are this bus's own:
+    /// fail-stop gates on the affected nodes plus the corruption and
+    /// babble schedule on the bus.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the plan references a node index out of range.
+    pub(crate) fn install_faults(&mut self, nodes: &mut [ClusterNode], plan: &FaultPlan) {
+        let fc = FaultClock::new(plan, nodes.len());
+        for (i, node) in nodes.iter_mut().enumerate() {
+            let windows = fc.down_windows(i);
+            node.gate = (!windows.is_empty()).then(|| FailStopGate::new(windows));
+        }
         self.faults = Some(fc);
+    }
+
+    /// Advances `nodes` from `origin` to `horizon` in epochs on
+    /// `workers` host threads, running [`BusState::exchange`] and the
+    /// next-barrier proposal at every barrier: the one epoch loop of a
+    /// single bus, shared by [`Cluster::run_until`] and each segment of
+    /// a [`crate::Topology`].
+    pub(crate) fn run_nodes(
+        &mut self,
+        nodes: &mut [ClusterNode],
+        set: &mut ActiveSet,
+        origin: Time,
+        horizon: Time,
+        workers: usize,
+    ) -> EpochStats {
+        let cfg = EpochConfig {
+            lookahead: self.lookahead,
+            workers,
+        };
+        run_epochs(nodes, set, origin, horizon, &cfg, &mut |nodes, b| {
+            self.exchange(nodes, b);
+            self.next_barrier_proposal(nodes, b.wake_min(), b.at, origin, horizon)
+        })
     }
 
     /// Re-reads which nodes are in bus-off, at the start of a run (node
@@ -619,7 +651,13 @@ impl BusState {
                     }
                     targets.push(local as usize);
                 }
-                None => targets.push(d.index()),
+                None if d.index() < nodes.len() => targets.push(d.index()),
+                None => {
+                    // No such node on this bus: the frame is lost.
+                    self.stats.frames_dropped += 1;
+                    self.stage_scratch = targets;
+                    return;
+                }
             },
             None => targets.extend((0..nodes.len()).filter(|&i| i != frame.src.index())),
         }
@@ -935,12 +973,7 @@ impl Cluster {
     ///
     /// Panics when the plan references a node index out of range.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        let fc = FaultClock::new(plan, self.nodes.len());
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            let windows = fc.down_windows(i);
-            node.gate = (!windows.is_empty()).then(|| FailStopGate::new(windows));
-        }
-        self.bus.faults = Some(fc);
+        self.bus.install_faults(&mut self.nodes, plan);
     }
 
     /// Registers a networked state-message route: the writer variable
@@ -1029,26 +1062,16 @@ impl Cluster {
         if horizon <= self.cursor {
             return;
         }
-        let cfg = EpochConfig {
-            lookahead: self.bus.lookahead,
-            workers: self.workers,
-        };
-        let origin = self.cursor;
         // Nodes are public between runs: re-read their wakes and
         // bus-off states once per call, never per barrier.
         self.set.refresh(&self.nodes);
         self.bus.refresh(&self.nodes);
-        let bus = &mut self.bus;
-        let stats = run_epochs(
+        let stats = self.bus.run_nodes(
             &mut self.nodes,
             &mut self.set,
-            origin,
+            self.cursor,
             horizon,
-            &cfg,
-            &mut |nodes, b| {
-                bus.exchange(nodes, b);
-                bus.next_barrier_proposal(nodes, b.wake_min(), b.at, origin, horizon)
-            },
+            self.workers,
         );
         self.exec_stats.merge(&stats);
         self.cursor = horizon;
@@ -1281,6 +1304,92 @@ mod tests {
         whole.run_until(Time::from_ms(40));
         assert_eq!(split.stats(), whole.stats());
         assert_eq!(split.metrics(), whole.metrics());
+    }
+
+    #[test]
+    fn frame_time_matches_bitrate() {
+        // 8 bytes = 64 bits + 47 framing = 111 bits at 1 Mbit/s.
+        assert_eq!(
+            Cluster::new(1_000_000).frame_time(8),
+            Duration::from_us(111)
+        );
+        assert_eq!(
+            Cluster::new(2_000_000).frame_time(8),
+            Duration::from_ns(55_500)
+        );
+    }
+
+    #[test]
+    fn node_accessors_and_len() {
+        let mut c = Cluster::new(1_000_000);
+        assert!(c.is_empty());
+        let (k, tx, rx) = make_node(50, 1, None);
+        let id = c.add_node("solo", k, tx, rx, NIC_IRQ, 3);
+        assert_eq!(c.len(), 1);
+        assert!(!c.is_empty());
+        assert_eq!(&*c.node(id).name, "solo");
+        assert_eq!(c.node(id).tx_prio, 3);
+        c.node_mut(id).tx_prio = 4;
+        assert_eq!(c.node(id).tx_prio, 4);
+    }
+
+    #[test]
+    fn frame_to_a_node_the_cluster_lacks_is_dropped() {
+        for workers in [1, 2] {
+            let mut c = Cluster::new(1_000_000).with_workers(workers);
+            let (k0, tx0, rx0) = make_node(10, 7, Some(NodeId(9)));
+            let (k1, tx1, rx1) = make_node(10, 9, Some(NodeId(0)));
+            c.add_node("stray", k0, tx0, rx0, NIC_IRQ, 10);
+            c.add_node("peer", k1, tx1, rx1, NIC_IRQ, 20);
+            c.run_until(Time::from_ms(25));
+            // Three rounds each: the stray node's frames are lost, the
+            // peer's land.
+            let s = c.stats();
+            assert_eq!(
+                (s.frames_sent, s.frames_delivered, s.frames_dropped),
+                (6, 3, 3),
+                "workers={workers}"
+            );
+            assert_eq!(s.frames_in_flight, 0);
+            assert_eq!(
+                c.node(NodeId(0))
+                    .kernel
+                    .tcb(emeralds_sim::ThreadId(1))
+                    .last_read,
+                9
+            );
+        }
+    }
+
+    #[test]
+    fn frames_pushed_into_an_idle_node_between_runs_are_sent() {
+        for workers in [1, 2] {
+            let mut c = Cluster::new(1_000_000).with_workers(workers);
+            for i in 0..2u32 {
+                let (k, tx, rx) = sparse_node(Duration::from_ms(5));
+                c.add_node(format!("n{i}"), k, tx, rx, NIC_IRQ, 1 + i);
+            }
+            c.run_until(Time::from_ms(1));
+            // Both kernels now idle until their next release at 5 ms.
+            let src = c.node_mut(NodeId(0));
+            for i in 0..3 {
+                let msg = emeralds_core::ipc::Message {
+                    bytes: 8,
+                    tag: addressed_tag(Some(NodeId(1)), i),
+                    sender: emeralds_sim::ThreadId(0),
+                };
+                assert!(src.kernel.external_mbox_push(src.tx_mbox, msg));
+            }
+            c.run_until(Time::from_us(1_800));
+            let s = c.stats();
+            assert_eq!(
+                (s.frames_sent, s.frames_delivered),
+                (3, 3),
+                "workers={workers}"
+            );
+            let driver = emeralds_sim::ThreadId(1);
+            assert_eq!(c.node(NodeId(1)).kernel.tcb(driver).last_read, 2);
+        }
     }
 
     // --- Active-set engine contract ---

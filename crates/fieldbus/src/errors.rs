@@ -198,10 +198,10 @@ impl FailStopGate {
         }
     }
 
-    /// Epoch-executive hook: advance the kernel to `horizon`, stalling
-    /// through any outage that begins before it. The kernel may
-    /// overshoot the horizon when an outage extends past it — the
-    /// conservative-lookahead engine already tolerates overshoot.
+    /// Advances the kernel to `horizon`, stalling through any outage
+    /// that begins before it. The kernel may overshoot the horizon when
+    /// an outage extends past it — the conservative-lookahead engine
+    /// already tolerates overshoot.
     pub fn drive(&mut self, kernel: &mut Kernel, horizon: Time) {
         loop {
             let Some(&(start, end)) = self.windows.get(self.next) else {
@@ -221,31 +221,6 @@ impl FailStopGate {
             }
             kernel.stall_for_fault(end);
             self.next += 1;
-        }
-    }
-
-    /// Serial-executive hook: if the node's next outage begins at or
-    /// before `limit`, run it to the outage start and stall through
-    /// the outage. Returns `true` when it moved the clock (the caller
-    /// should re-evaluate instead of stepping).
-    pub fn stall_pending(&mut self, kernel: &mut Kernel, limit: Time) -> bool {
-        loop {
-            let Some(&(start, end)) = self.windows.get(self.next) else {
-                return false;
-            };
-            if kernel.now() >= end {
-                self.next += 1;
-                continue;
-            }
-            if start > limit {
-                return false;
-            }
-            if kernel.now() < start {
-                kernel.advance_to(start);
-            }
-            kernel.stall_for_fault(end);
-            self.next += 1;
-            return true;
         }
     }
 }

@@ -13,18 +13,19 @@
 //!   posting to the node's TX mailbox (the "network device driver"
 //!   interface); the bus drains it, arbitrates, and delivers into the
 //!   destination's RX mailbox, raising the NIC interrupt;
-//! - deterministic co-simulation of the node kernels: the network
-//!   always advances the node whose local clock is furthest behind.
+//! - deterministic parallel simulation of the node kernels under
+//!   conservative lookahead: nodes advance independently between
+//!   epoch barriers, where the bus exchanges frames.
 //!
 //! Inter-node protocol design is out of scope here, exactly as it is
 //! in the paper ("inter-node networking issues ... are not covered in
 //! this paper").
 //!
-//! Two executives share this substrate: [`Network`] co-simulates the
-//! nodes serially on one thread with fine-grained (per-step) frame
-//! delivery, and [`Cluster`] advances the nodes **in parallel across
-//! host threads** under conservative lookahead, exchanging frames only
-//! at epoch barriers — the scale-out path for large fan-outs.
+//! Two executives share this substrate: [`Cluster`] runs one bus, and
+//! [`Topology`] joins several such buses by store-and-forward
+//! gateways. Both advance the nodes **in parallel across host
+//! threads** and give bit-for-bit identical results for any worker
+//! count.
 
 pub mod cluster;
 pub mod errors;
@@ -37,12 +38,8 @@ pub use topology::{
     SegmentId, TopoEvent, TopoEventKind, Topology, TopologyConfigError,
 };
 
-use std::collections::VecDeque;
-
 use emeralds_core::ipc::Message;
-use emeralds_core::Kernel;
-use emeralds_faults::{FaultClock, FaultPlan};
-use emeralds_sim::{Duration, IrqLine, MboxId, NodeId, StateId, Time};
+use emeralds_sim::{Duration, NodeId, StateId, Time};
 
 /// Payload of a networked state-message frame (§7): the sampled value
 /// plus the *original* writer's production stamp, which travels with
@@ -122,29 +119,9 @@ pub struct Frame {
     /// at the frame's *first* gateway capture and preserved across
     /// hops (unlike `src`, which is rewritten to the far-side bridge
     /// NIC at each injection), so multi-hop gateway drops charge the
-    /// source segment. `None` on single-bus executives and for frames
+    /// source segment. `None` on a [`Cluster`] and for frames
     /// that never left their home segment.
     pub origin_seg: Option<u32>,
-}
-
-/// One node: a kernel plus its NIC wiring.
-#[derive(Debug)]
-pub struct Node {
-    pub id: NodeId,
-    pub name: String,
-    pub kernel: Kernel,
-    /// Application → NIC mailbox.
-    pub tx_mbox: MboxId,
-    /// NIC → application mailbox.
-    pub rx_mbox: MboxId,
-    /// Interrupt raised on frame reception.
-    pub nic_irq: IrqLine,
-    /// Arbitration id for this node's transmissions.
-    pub tx_prio: u32,
-    /// NIC statistics and CAN error-confinement state.
-    pub stats: NodeStats,
-    tx_queue: VecDeque<Frame>,
-    gate: Option<FailStopGate>,
 }
 
 /// Bus-level statistics.
@@ -233,525 +210,6 @@ impl BusStats {
     }
 }
 
-/// Medium-access discipline of the bus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Arbitration {
-    /// CAN-style: when the bus idles, the lowest arbitration id among
-    /// queued frames wins (priority bus; automotive).
-    Priority,
-    /// TDMA: nodes own fixed round-robin slots of the given length;
-    /// a node transmits only in its slot (time-triggered; avionics).
-    Tdma { slot: Duration },
-}
-
-/// The shared bus and its nodes.
-#[derive(Debug)]
-pub struct Network {
-    nodes: Vec<Node>,
-    /// Bus bit rate (the paper's range: 1–2 Mbit/s).
-    pub bitrate_bps: u64,
-    /// Per-frame framing overhead in bits (arbitration, CRC, spacing);
-    /// 47 matches classic CAN.
-    pub framing_bits: u64,
-    /// Medium-access discipline.
-    pub arbitration: Arbitration,
-    /// The instant the bus becomes idle.
-    bus_free_at: Time,
-    /// Frames currently in transmission: `(delivery time, frame)`.
-    in_flight: Vec<(Time, Frame)>,
-    /// Networked state-message routes, harvested in registration
-    /// order.
-    links: Vec<StateLink>,
-    pub stats: BusStats,
-    /// Error-signalling parameters.
-    pub error_cfg: ErrorConfig,
-    /// Compiled fault schedule, when one is installed.
-    faults: Option<FaultClock>,
-}
-
-impl Network {
-    /// Creates an empty network at the given bit rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero bit rate.
-    pub fn new(bitrate_bps: u64) -> Network {
-        assert!(bitrate_bps > 0, "zero bit rate");
-        Network {
-            nodes: Vec::new(),
-            bitrate_bps,
-            framing_bits: 47,
-            arbitration: Arbitration::Priority,
-            bus_free_at: Time::ZERO,
-            in_flight: Vec::new(),
-            links: Vec::new(),
-            stats: BusStats::default(),
-            error_cfg: ErrorConfig::default(),
-            faults: None,
-        }
-    }
-
-    /// Creates a TDMA network: round-robin node slots of `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero bit rate or zero slot.
-    pub fn new_tdma(bitrate_bps: u64, slot: Duration) -> Network {
-        assert!(!slot.is_zero(), "zero TDMA slot");
-        let mut n = Network::new(bitrate_bps);
-        n.arbitration = Arbitration::Tdma { slot };
-        n
-    }
-
-    /// Attaches a node. The kernel must already own the two mailboxes
-    /// and have its NIC wired to `nic_irq`.
-    pub fn add_node(
-        &mut self,
-        name: impl Into<String>,
-        kernel: Kernel,
-        tx_mbox: MboxId,
-        rx_mbox: MboxId,
-        nic_irq: IrqLine,
-        tx_prio: u32,
-    ) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            id,
-            name: name.into(),
-            kernel,
-            tx_mbox,
-            rx_mbox,
-            nic_irq,
-            tx_prio,
-            stats: NodeStats::default(),
-            tx_queue: VecDeque::new(),
-            gate: None,
-        });
-        id
-    }
-
-    /// Installs a fault plan: fail-stop gates on the affected nodes
-    /// plus the corruption/babble schedule on the bus. Call before
-    /// [`Network::run_until`]. Corruption and babble apply to the
-    /// [`Arbitration::Priority`] discipline; TDMA slots stay fault-free
-    /// by design (the time-triggered bus is the containment mechanism).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan references a node index out of range.
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        let fc = FaultClock::new(plan, self.nodes.len());
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            let windows = fc.down_windows(i);
-            node.gate = (!windows.is_empty()).then(|| FailStopGate::new(windows));
-        }
-        self.faults = Some(fc);
-    }
-
-    /// Registers a networked state-message route: the writer variable
-    /// `src_var` on `src` is sampled at every harvest and changed
-    /// versions travel as state frames to the replica `dst_var` on
-    /// `dst`. Returns the link index (carried in the frame payload).
-    pub fn link_state(
-        &mut self,
-        src: NodeId,
-        src_var: StateId,
-        dst: NodeId,
-        dst_var: StateId,
-        prio: u32,
-        bytes: usize,
-    ) -> usize {
-        self.links
-            .push(StateLink::new(src, src_var, dst, dst_var, prio, bytes));
-        self.links.len() - 1
-    }
-
-    /// Per-node NIC statistics and error-confinement state.
-    pub fn node_stats(&self, id: NodeId) -> &NodeStats {
-        &self.nodes[id.index()].stats
-    }
-
-    /// Is `node` off the bus at `at` (fail-stop outage or bus-off)?
-    fn node_offline(&self, node: usize, at: Time) -> bool {
-        self.nodes[node].stats.is_bus_off()
-            || self.faults.as_ref().is_some_and(|f| f.is_down(node, at))
-    }
-
-    /// Node access.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
-    }
-
-    /// Mutable node access.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no nodes are attached.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Wire time of one frame.
-    pub fn frame_time(&self, bytes: usize) -> Duration {
-        let bits = bytes as u64 * 8 + self.framing_bits;
-        Duration::from_ns(bits * 1_000_000_000 / self.bitrate_bps)
-    }
-
-    /// Runs the whole distributed system until every node's clock
-    /// reaches `horizon`.
-    ///
-    /// Co-simulation invariant: the node with the minimum local clock
-    /// steps next, so no node receives a frame "from the past" by more
-    /// than one kernel step.
-    pub fn run_until(&mut self, horizon: Time) {
-        assert!(!self.nodes.is_empty(), "network has no nodes");
-        loop {
-            let (idx, now) = self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (i, n.kernel.now()))
-                .min_by_key(|&(_, t)| t)
-                .expect("nonempty");
-            if now >= horizon {
-                break;
-            }
-            self.harvest_tx(now);
-            self.arbitrate(now);
-            self.deliver_due(now);
-            // Step the laggard; bound the step so deliveries stay
-            // timely.
-            let mut next_bus_event = self
-                .in_flight
-                .iter()
-                .map(|&(t, _)| t)
-                .min()
-                .unwrap_or(Time::MAX);
-            // With frames still queued but nothing in flight (an error
-            // frame consumed the grant, or a TDMA frame awaits its
-            // slot), the bus itself is the next event: re-arbitrate as
-            // soon as it frees, not a whole kernel slice later.
-            if self.nodes.iter().any(|n| !n.tx_queue.is_empty()) {
-                next_bus_event = next_bus_event.min(self.bus_free_at);
-            }
-            let limit = horizon.min(next_bus_event.max(now + Duration::from_us(1)));
-            // Bound each node advance to a 1 ms slice so TX mailboxes
-            // are harvested often enough that senders never stall on a
-            // full mailbox between network iterations.
-            let slice = limit.min(now + Duration::from_ms(1));
-            let node = &mut self.nodes[idx];
-            if let Some(gate) = node.gate.as_mut() {
-                // A fail-stop outage due within this slice stalls the
-                // node's kernel through the outage (clock jumps ahead;
-                // the loop re-evaluates the new laggard).
-                if gate.stall_pending(&mut node.kernel, slice) {
-                    continue;
-                }
-            }
-            if !node.kernel.step(slice) && node.kernel.now() <= now {
-                // Fully idle node: jump it forward so others can run.
-                node.kernel
-                    .run_until(slice.max(now + Duration::from_us(10)));
-            }
-        }
-        // Final flush at the horizon, then snapshot what is still
-        // underway so `sent == delivered + dropped + in_flight` is
-        // exact at this instant (garbage frames never counted as
-        // sent, so they don't count here either).
-        self.harvest_tx(horizon);
-        self.arbitrate(horizon);
-        self.deliver_due(horizon);
-        self.stats.frames_in_flight = self.in_flight.len() as u64
-            + self
-                .nodes
-                .iter()
-                .flat_map(|n| &n.tx_queue)
-                .filter(|f| !f.garbage)
-                .count() as u64;
-    }
-
-    /// Moves application messages from TX mailboxes onto the bus
-    /// queues (the NIC "DMA"). Also the per-iteration fault hook:
-    /// completes due bus-off recoveries, drops the TX traffic of
-    /// offline nodes, and injects due babble frames.
-    fn harvest_tx(&mut self, now: Time) {
-        let recovery = self.error_cfg.recovery_time(self.bitrate_bps);
-        let mut sent = 0;
-        let mut lost = 0;
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].stats.try_recover(now, recovery) {
-                self.stats.bus_off_recoveries += 1;
-            }
-            let offline = self.node_offline(i, now);
-            let node = &mut self.nodes[i];
-            let tx = node.tx_mbox;
-            while let Some(msg) = node.kernel.external_mbox_pop(tx) {
-                sent += 1;
-                if offline {
-                    // The NIC is off the bus: the frame is lost, but
-                    // it still counts as sent so `sent == delivered +
-                    // dropped` stays an invariant.
-                    lost += 1;
-                    node.stats.tx_dropped += 1;
-                    continue;
-                }
-                let at = node.kernel.now().max(now);
-                node.tx_queue
-                    .push_back(frame_of(node.id, node.tx_prio, msg, at));
-            }
-            if offline {
-                // A dead NIC's buffered frames are gone too (garbage
-                // frames were never counted as sent, so they don't
-                // count as dropped).
-                let purged = node.tx_queue.iter().filter(|f| !f.garbage).count() as u64;
-                lost += purged;
-                node.stats.tx_dropped += purged;
-                node.tx_queue.clear();
-            }
-            // The babble cursor advances every iteration even while
-            // the babbler is offline, so a silenced babbler never
-            // saves up a burst for its recovery.
-            if let Some(f) = self.faults.as_mut() {
-                let due = f.babble_due(i, now);
-                if due > 0 && !offline {
-                    let node = &mut self.nodes[i];
-                    node.stats.babble_frames += due;
-                    self.stats.babble_frames += due;
-                    for _ in 0..due {
-                        node.tx_queue.push_front(garbage_frame(node.id, now));
-                    }
-                }
-            }
-        }
-        self.stats.frames_sent += sent;
-        self.stats.frames_dropped += lost;
-        self.stats.frames_lost_offline += lost;
-        // Networked state messages (§7): sample each link's writer
-        // variable; a changed version ships as a state frame. The NIC
-        // holds at most one un-granted frame per link — a newer sample
-        // *overwrites* its payload in place (keeping the frame's slot
-        // in the FIFO), never queueing history behind it. A dead NIC
-        // samples nothing; its already-queued frames were purged (and
-        // counted dropped) above.
-        for li in 0..self.links.len() {
-            let link = self.links[li];
-            let src = link.src.index();
-            if self.node_offline(src, now) {
-                continue;
-            }
-            let (value, stamp, seq) = self.nodes[src].kernel.statemsg(link.src_var).peek();
-            if seq == 0 || seq == link.last_seq {
-                continue;
-            }
-            self.links[li].last_seq = seq;
-            let payload = StatePayload {
-                link: li as u32,
-                value,
-                stamp,
-            };
-            let node = &mut self.nodes[src];
-            if let Some(pending) = node
-                .tx_queue
-                .iter_mut()
-                .find(|f| f.state.map(|s| s.link) == Some(li as u32))
-            {
-                pending.state = Some(payload);
-                self.stats.state_overwrites += 1;
-                continue;
-            }
-            let at = node.kernel.now().max(now);
-            node.tx_queue.push_back(Frame {
-                prio: link.prio,
-                src: link.src,
-                dst: Some(link.dst),
-                bytes: link.bytes.clamp(1, 8),
-                tag: 0,
-                queued_at: at,
-                garbage: false,
-                state: Some(payload),
-                origin_seg: None,
-            });
-            self.stats.frames_sent += 1;
-        }
-    }
-
-    /// Grants the bus according to the configured discipline.
-    fn arbitrate(&mut self, now: Time) {
-        match self.arbitration {
-            Arbitration::Priority => self.arbitrate_priority(now),
-            Arbitration::Tdma { slot } => self.arbitrate_tdma(now, slot),
-        }
-    }
-
-    /// CAN-style arbitration: when the bus is idle, the lowest
-    /// arbitration id among all queue heads wins. A corrupted grant
-    /// consumes the frame time plus an error frame, bumps the CAN
-    /// error counters, and requeues the frame at the head of its
-    /// node's queue (automatic retransmission preserves FIFO order).
-    fn arbitrate_priority(&mut self, now: Time) {
-        while self.bus_free_at <= now {
-            let winner = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter_map(|(i, n)| n.tx_queue.front().map(|f| (f.prio, i)))
-                .min();
-            let Some((_, idx)) = winner else { return };
-            let frame = self.nodes[idx].tx_queue.pop_front().expect("head exists");
-            let start = self.bus_free_at.max(now);
-            let done = start + self.frame_time(frame.bytes);
-            let corrupted =
-                frame.garbage || self.faults.as_mut().is_some_and(|f| f.corrupt_next_grant());
-            if !corrupted {
-                self.stats.busy += done.since(start);
-                self.bus_free_at = done;
-                self.nodes[idx].stats.on_tx_success();
-                self.in_flight.push((done, frame));
-                continue;
-            }
-            // Error frame on the wire: everyone observes it.
-            let err_done = done + self.error_cfg.error_time(self.bitrate_bps);
-            self.stats.busy += err_done.since(start);
-            self.bus_free_at = err_done;
-            self.stats.error_frames += 1;
-            let entered_busoff = self.nodes[idx].stats.on_tx_error(err_done);
-            for i in 0..self.nodes.len() {
-                if i != idx && !self.node_offline(i, now) {
-                    self.nodes[i].stats.on_rx_error();
-                }
-            }
-            if entered_busoff {
-                self.stats.bus_off_events += 1;
-                // Bus-off kills the controller: the failed frame and
-                // everything behind it are lost.
-                let node = &mut self.nodes[idx];
-                // Garbage frames never counted as sent, so they don't
-                // count as dropped either.
-                let purged = node.tx_queue.iter().filter(|f| !f.garbage).count() as u64
-                    + u64::from(!frame.garbage);
-                node.tx_queue.clear();
-                node.stats.tx_dropped += purged;
-                self.stats.frames_dropped += purged;
-                self.stats.frames_lost_offline += purged;
-            } else if !frame.garbage {
-                // Automatic retransmission: back to the queue head, so
-                // same-priority frames from one node never reorder.
-                self.nodes[idx].stats.retransmissions += 1;
-                self.stats.retransmissions += 1;
-                self.nodes[idx].tx_queue.push_front(frame);
-            }
-        }
-    }
-
-    /// TDMA: the slot owner (round-robin by node index) transmits its
-    /// head frame; empty slots idle the bus to the next boundary.
-    ///
-    /// Slots are processed *sequentially* from the bus cursor to `now`
-    /// — never skipped — so every owner sees all of its slots even
-    /// though the co-simulation advances in coarse steps. A frame can
-    /// therefore be placed into a slot up to one co-sim slice before
-    /// its harvest instant; the latency accounting clamps at zero.
-    fn arbitrate_tdma(&mut self, now: Time, slot: Duration) {
-        while self.bus_free_at <= now {
-            let start = self.bus_free_at;
-            let slot_idx = start.as_ns() / slot.as_ns();
-            let owner = (slot_idx % self.nodes.len() as u64) as usize;
-            let slot_end = Time::from_ns((slot_idx + 1) * slot.as_ns());
-            match self.nodes[owner].tx_queue.front().copied() {
-                Some(frame) if start + self.frame_time(frame.bytes) <= slot_end => {
-                    self.nodes[owner].tx_queue.pop_front();
-                    let done = start + self.frame_time(frame.bytes);
-                    self.stats.busy += done.since(start);
-                    self.bus_free_at = done;
-                    self.in_flight.push((done, frame));
-                }
-                _ => {
-                    // Nothing (that fits) to send: idle to the slot
-                    // boundary.
-                    self.bus_free_at = slot_end;
-                }
-            }
-        }
-    }
-
-    /// Delivers completed frames.
-    fn deliver_due(&mut self, now: Time) {
-        let mut pending = std::mem::take(&mut self.in_flight);
-        pending.retain(|&(done, frame)| {
-            if done > now {
-                return true;
-            }
-            self.deliver(frame, done);
-            false
-        });
-        self.in_flight = pending;
-    }
-
-    fn deliver(&mut self, frame: Frame, done: Time) {
-        let targets: Vec<usize> = match frame.dst {
-            Some(d) => vec![d.index()],
-            None => (0..self.nodes.len())
-                .filter(|&i| i != frame.src.index())
-                .collect(),
-        };
-        if frame.dst.is_none() {
-            // Broadcast fan-out resolves here: one sent frame becomes
-            // `listeners` delivery/drop outcomes, and the pair of
-            // counters keeps the conservation ledger exact.
-            self.stats.bcast_resolved += 1;
-            self.stats.bcast_fanout += targets.len() as u64;
-        }
-        for t in targets {
-            if self.node_offline(t, done) {
-                // A dead receiver hears nothing.
-                self.nodes[t].stats.rx_dropped += 1;
-                self.stats.frames_dropped += 1;
-                self.stats.frames_lost_offline += 1;
-                continue;
-            }
-            let node = &mut self.nodes[t];
-            if let Some(sp) = frame.state {
-                // State frame: DMA straight into the replica variable,
-                // carrying the original writer's stamp. No mailbox, no
-                // interrupt — the consumer polls (§7); and state
-                // semantics overwrite, so delivery cannot fail on
-                // capacity.
-                let dst_var = self.links[sp.link as usize].dst_var;
-                node.kernel
-                    .external_state_write(dst_var, sp.value, sp.stamp);
-                node.stats.on_rx_success();
-                self.stats.frames_delivered += 1;
-                self.stats.total_latency += done.since(frame.queued_at.min(done));
-                continue;
-            }
-            let rx = node.rx_mbox;
-            let ok = node.kernel.external_mbox_push(
-                rx,
-                Message {
-                    bytes: frame.bytes,
-                    tag: frame.tag,
-                    sender: emeralds_sim::ThreadId(u32::MAX - frame.src.0),
-                },
-            );
-            if ok {
-                node.kernel.raise_external_irq(node.nic_irq);
-                node.stats.on_rx_success();
-                self.stats.frames_delivered += 1;
-                self.stats.total_latency += done.since(frame.queued_at.min(done));
-            } else {
-                node.stats.rx_dropped += 1;
-                self.stats.frames_dropped += 1;
-            }
-        }
-    }
-}
-
 /// Builds a frame from an application message. The message tag's high
 /// byte selects a destination node (0xFF = broadcast); the low 24 bits
 /// travel as payload.
@@ -798,8 +256,8 @@ pub fn addressed_tag(dst: Option<NodeId>, payload: u32) -> u32 {
 
 /// Wide-addressing variant of [`addressed_tag`] for bridged topologies:
 /// the tag's high 16 bits select a *global* destination node (0xFFFF =
-/// segment-local broadcast), the low 16 bits travel as payload. Single
-/// -bus executives keep the classic 8-bit format; a [`Topology`] node
+/// segment-local broadcast), the low 16 bits travel as payload. A
+/// [`Cluster`] keeps the classic 8-bit format; a [`Topology`] node
 /// must use this one (node counts there exceed one byte).
 pub fn wide_tag(dst: Option<NodeId>, payload: u32) -> u32 {
     let d = dst.map_or(0xFFFFu32, |n| n.0);
@@ -830,127 +288,11 @@ pub(crate) fn frame_of_wide(src: NodeId, prio: u32, msg: Message, now: Time) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emeralds_core::kernel::{KernelBuilder, KernelConfig};
-    use emeralds_core::script::{Action, Script};
-    use emeralds_core::SchedPolicy;
-
-    fn ms(v: u64) -> Duration {
-        Duration::from_ms(v)
-    }
-
-    /// A node whose app periodically sends one frame to `dst` and
-    /// whose driver logs everything received.
-    fn make_node(
-        send_period_ms: u64,
-        payload: u32,
-        dst: Option<NodeId>,
-    ) -> (Kernel, MboxId, MboxId, IrqLine) {
-        let cfg = KernelConfig {
-            policy: SchedPolicy::RmQueue,
-            ..KernelConfig::default()
-        };
-        let mut b = KernelBuilder::new(cfg);
-        let p = b.add_process("node");
-        let tx = b.add_mailbox(8);
-        let rx = b.add_mailbox(8);
-        let line = IrqLine(2);
-        b.board_mut().add_nic("can", line);
-        b.add_periodic_task(
-            p,
-            "sender",
-            ms(send_period_ms),
-            Script::periodic(vec![
-                Action::Compute(Duration::from_us(100)),
-                Action::SendMbox {
-                    mbox: tx,
-                    bytes: 8,
-                    tag: addressed_tag(dst, payload),
-                },
-            ]),
-        );
-        b.add_driver_task(
-            p,
-            "rx-driver",
-            ms(1),
-            Script::looping(vec![
-                Action::RecvMbox(rx),
-                Action::Compute(Duration::from_us(50)),
-            ]),
-        );
-        (b.build(), tx, rx, line)
-    }
-
-    #[test]
-    fn frame_time_matches_bitrate() {
-        let net = Network::new(1_000_000);
-        // 8 bytes = 64 bits + 47 framing = 111 bits at 1 Mbit/s.
-        assert_eq!(net.frame_time(8), Duration::from_us(111));
-        let net2 = Network::new(2_000_000);
-        assert_eq!(net2.frame_time(8), Duration::from_ns(55_500));
-    }
 
     #[test]
     fn addressed_tag_round_trips() {
         assert_eq!(addressed_tag(Some(NodeId(3)), 0x1234), 0x0300_1234);
         assert_eq!(addressed_tag(None, 7) >> 24, 0xFF);
-    }
-
-    #[test]
-    fn two_nodes_exchange_frames() {
-        let mut net = Network::new(1_000_000);
-        let (k0, tx0, rx0, irq0) = make_node(10, 7, Some(NodeId(1)));
-        let (k1, tx1, rx1, irq1) = make_node(10, 9, Some(NodeId(0)));
-        let n0 = net.add_node("alpha", k0, tx0, rx0, irq0, 10);
-        let n1 = net.add_node("beta", k1, tx1, rx1, irq1, 20);
-        net.run_until(Time::from_ms(55));
-        assert!(net.stats.frames_sent >= 10, "stats {:?}", net.stats);
-        assert_eq!(net.stats.frames_dropped, 0);
-        assert!(net.stats.frames_delivered >= 8);
-        let rx_task = emeralds_sim::ThreadId(1);
-        assert_eq!(net.node(n0).kernel.tcb(rx_task).last_read, 9);
-        assert_eq!(net.node(n1).kernel.tcb(rx_task).last_read, 7);
-        assert!(net.stats.mean_latency().unwrap() >= net.frame_time(8));
-    }
-
-    #[test]
-    fn broadcast_reaches_all_other_nodes() {
-        let mut net = Network::new(2_000_000);
-        let (k0, tx0, rx0, irq0) = make_node(10, 42, None);
-        let (k1, tx1, rx1, irq1) = make_node(1000, 1, Some(NodeId(0)));
-        let (k2, tx2, rx2, irq2) = make_node(1000, 2, Some(NodeId(0)));
-        net.add_node("src", k0, tx0, rx0, irq0, 5);
-        let b = net.add_node("b", k1, tx1, rx1, irq1, 6);
-        let c = net.add_node("c", k2, tx2, rx2, irq2, 7);
-        net.run_until(Time::from_ms(30));
-        let rx_task = emeralds_sim::ThreadId(1);
-        assert_eq!(net.node(b).kernel.tcb(rx_task).last_read, 42);
-        assert_eq!(net.node(c).kernel.tcb(rx_task).last_read, 42);
-    }
-
-    #[test]
-    fn bus_utilization_accounts_busy_time() {
-        let mut net = Network::new(1_000_000);
-        let (k0, tx0, rx0, irq0) = make_node(5, 1, Some(NodeId(1)));
-        let (k1, tx1, rx1, irq1) = make_node(1000, 2, Some(NodeId(0)));
-        net.add_node("a", k0, tx0, rx0, irq0, 1);
-        net.add_node("b", k1, tx1, rx1, irq1, 2);
-        net.run_until(Time::from_ms(50));
-        let expected = net.frame_time(8) * net.stats.frames_sent;
-        assert_eq!(net.stats.busy, expected);
-    }
-
-    #[test]
-    fn node_accessors_and_len() {
-        let mut net = Network::new(1_000_000);
-        assert!(net.is_empty());
-        let (k0, tx0, rx0, irq0) = make_node(50, 1, None);
-        let id = net.add_node("solo", k0, tx0, rx0, irq0, 3);
-        assert_eq!(net.len(), 1);
-        assert!(!net.is_empty());
-        assert_eq!(net.node(id).name, "solo");
-        assert_eq!(net.node(id).tx_prio, 3);
-        net.node_mut(id).tx_prio = 4;
-        assert_eq!(net.node(id).tx_prio, 4);
     }
 
     #[test]
@@ -968,89 +310,5 @@ mod tests {
         assert_eq!(frame.bytes, 8);
         assert_eq!(frame.dst, Some(NodeId(1)));
         assert_eq!(frame.tag, 9);
-    }
-
-    #[test]
-    fn tdma_gives_every_node_its_slot() {
-        // Under priority arbitration, a babbling node with the lowest
-        // id could starve the other sender; under TDMA both make
-        // steady progress.
-        let slot = Duration::from_us(200);
-        let mut net = Network::new_tdma(1_000_000, slot);
-        // Babbler: sends every 2 ms at top priority.
-        let (k0, tx0, rx0, irq0) = make_node(2, 1, Some(NodeId(2)));
-        // Quiet node: sends every 10 ms at low priority.
-        let (k1, tx1, rx1, irq1) = make_node(10, 2, Some(NodeId(2)));
-        let (k2, tx2, rx2, irq2) = make_node(1000, 0, Some(NodeId(0)));
-        net.add_node("babbler", k0, tx0, rx0, irq0, 1);
-        net.add_node("quiet", k1, tx1, rx1, irq1, 99);
-        let sink = net.add_node("sink", k2, tx2, rx2, irq2, 50);
-        net.run_until(Time::from_ms(60));
-        assert_eq!(net.stats.frames_dropped, 0);
-        // The quiet node's payload (2) reached the sink repeatedly:
-        // its frames were interleaved despite the babbler.
-        let recvs = net
-            .node(sink)
-            .kernel
-            .mailbox(net.node(sink).rx_mbox)
-            .received;
-        assert!(net.stats.frames_delivered >= 30);
-        let _ = recvs;
-        // TDMA frames land on slot-aligned starts: latency includes
-        // the slot wait, so the mean exceeds the bare frame time.
-        assert!(net.stats.mean_latency().unwrap() > net.frame_time(8));
-    }
-
-    #[test]
-    fn tdma_empty_slots_idle_the_bus() {
-        let slot = Duration::from_us(500);
-        let mut net = Network::new_tdma(1_000_000, slot);
-        let (k0, tx0, rx0, irq0) = make_node(20, 7, Some(NodeId(1)));
-        let (k1, tx1, rx1, irq1) = make_node(1000, 1, Some(NodeId(0)));
-        let a = net.add_node("a", k0, tx0, rx0, irq0, 1);
-        net.add_node("b", k1, tx1, rx1, irq1, 2);
-        net.run_until(Time::from_ms(45));
-        // Node a sent ~3 frames (20 ms period, first at ~0.1 ms);
-        // deliveries happened even though half the slots (node b's)
-        // are empty.
-        assert!(net.stats.frames_delivered >= 2);
-        assert_eq!(net.stats.frames_dropped, 0);
-        let _ = a;
-    }
-
-    #[test]
-    fn overflowing_rx_mailbox_drops_frames() {
-        // The receiver node has no consumer task (driver ranked too
-        // slow and never scheduled? — instead: no driver at all), so
-        // its 8-slot RX mailbox overflows.
-        let cfg = KernelConfig {
-            policy: SchedPolicy::RmQueue,
-            ..KernelConfig::default()
-        };
-        let mut b = KernelBuilder::new(cfg);
-        let p = b.add_process("sink");
-        let tx = b.add_mailbox(8);
-        let rx = b.add_mailbox(2);
-        let line = IrqLine(2);
-        b.board_mut().add_nic("can", line);
-        // One idle periodic task keeps the kernel alive.
-        b.add_periodic_task(
-            p,
-            "idle",
-            ms(5),
-            Script::compute_only(Duration::from_us(10)),
-        );
-        let sink = b.build();
-
-        let (k0, tx0, rx0, irq0) = make_node(2, 3, Some(NodeId(1)));
-        let mut net = Network::new(1_000_000);
-        net.add_node("src", k0, tx0, rx0, irq0, 1);
-        net.add_node("sink", sink, tx, rx, line, 2);
-        net.run_until(Time::from_ms(40));
-        assert!(net.stats.frames_dropped > 0);
-        assert_eq!(
-            net.stats.frames_delivered + net.stats.frames_dropped + net.stats.frames_in_flight,
-            net.stats.frames_sent
-        );
     }
 }

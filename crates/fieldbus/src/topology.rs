@@ -104,14 +104,13 @@ use std::fmt;
 use emeralds_core::kernel::{ClusterMetrics, KernelBuilder, KernelConfig, NodeMetrics};
 use emeralds_core::script::{Action, Script};
 use emeralds_core::{Kernel, SchedPolicy};
-use emeralds_faults::{FaultClock, FaultEvent, FaultPlan, GatewayFaultClock};
+use emeralds_faults::{FaultEvent, FaultPlan, GatewayFaultClock};
 use emeralds_sim::{
-    run_epochs, run_two_level, ActiveSet, Duration, EpochConfig, EpochGroup, EpochStats, IrqLine,
-    MboxId, NodeId, Time, TwoLevelStats,
+    run_two_level, ActiveSet, Duration, EpochConfig, EpochGroup, EpochStats, IrqLine, MboxId,
+    NodeId, Time, TwoLevelStats,
 };
 
 use crate::cluster::{BusState, ClusterNode, SegmentRouting};
-use crate::errors::FailStopGate;
 use crate::{BusStats, Frame};
 
 /// Identifies one bus segment of a [`Topology`].
@@ -408,23 +407,9 @@ impl EpochGroup for Segment {
             self.cursor = self.cursor.max(horizon);
             return EpochStats::default();
         }
-        let cfg = EpochConfig {
-            lookahead: self.bus.lookahead,
-            workers: 1,
-        };
-        let origin = self.cursor;
-        let bus = &mut self.bus;
-        let stats = run_epochs(
-            &mut self.nodes,
-            &mut self.set,
-            origin,
-            horizon,
-            &cfg,
-            &mut |nodes, b| {
-                bus.exchange(nodes, b);
-                bus.next_barrier_proposal(nodes, b.wake_min(), b.at, origin, horizon)
-            },
-        );
+        let stats = self
+            .bus
+            .run_nodes(&mut self.nodes, &mut self.set, self.cursor, horizon, 1);
         self.cursor = horizon;
         stats
     }
@@ -775,13 +760,8 @@ impl Topology {
                 ..*ev
             });
         }
-        for (si, seg) in self.segments.iter_mut().enumerate() {
-            let fc = FaultClock::new(&per[si], seg.nodes.len());
-            for (i, node) in seg.nodes.iter_mut().enumerate() {
-                let windows = fc.down_windows(i);
-                node.set_gate((!windows.is_empty()).then(|| FailStopGate::new(windows)));
-            }
-            seg.bus.set_faults(fc);
+        for (seg, p) in self.segments.iter_mut().zip(&per) {
+            seg.bus.install_faults(&mut seg.nodes, p);
         }
         self.gw_faults = (!plan.gateway_events.is_empty()).then_some(gc);
         self.routes_dirty = true;

@@ -871,10 +871,13 @@ mod tests {
         }
     }
 
+    /// Each barrier's instant and the nodes advanced in its epoch.
+    type ActiveLog = Vec<(Time, Vec<usize>)>;
+
     /// Runs a busy probe, a sleeper waking at 350 µs and another busy
     /// probe to 450 µs in 100 µs epochs, returning the nodes, the
     /// active list of every barrier, and the set.
-    fn run_sleeper(workers: usize) -> (Vec<Probe>, Vec<(Time, Vec<usize>)>, ActiveSet) {
+    fn run_sleeper(workers: usize) -> (Vec<Probe>, ActiveLog, ActiveSet) {
         let mut nodes = vec![Probe::busy(), Probe::sleeper(us(350)), Probe::busy()];
         let mut set = ActiveSet::default();
         let mut seen = Vec::new();

@@ -5,9 +5,9 @@
 use emeralds::core::kernel::{IrqAction, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::{footprint, SchedPolicy, SemScheme};
-use emeralds::fieldbus::{addressed_tag, Network};
+use emeralds::fieldbus::{addressed_tag, Cluster};
 use emeralds::hal::{AccessKind, Perms};
-use emeralds::sim::{Duration, IrqLine, NodeId, ProcId, Time, TraceEvent};
+use emeralds::sim::{Duration, IrqLine, ProcId, Time, TraceEvent};
 
 fn ms(v: u64) -> Duration {
     Duration::from_ms(v)
@@ -190,7 +190,7 @@ fn mpu_region_semantics() {
 #[test]
 fn three_node_fieldbus_system() {
     let nic = IrqLine(2);
-    let sensor = {
+    let sensor = || {
         let mut b = KernelBuilder::new(KernelConfig {
             policy: SchedPolicy::Csd {
                 boundaries: vec![1],
@@ -240,33 +240,31 @@ fn three_node_fieldbus_system() {
         b.add_periodic_task(p, "main", ms(20), Script::compute_only(ms(2)));
         (b.build(), tx, rx)
     };
-    let mut net = Network::new(2_000_000);
-    let (k0, tx0, rx0) = sensor;
-    let (k1, tx1, rx1) = consumer(100);
-    let (k2, tx2, rx2) = consumer(200);
-    net.add_node("sensor", k0, tx0, rx0, nic, 1);
-    let c1 = net.add_node("c1", k1, tx1, rx1, nic, 5);
-    let c2 = net.add_node("c2", k2, tx2, rx2, nic, 6);
-    net.run_until(Time::from_ms(300));
-    assert_eq!(net.stats.frames_dropped, 0);
-    assert!(
-        net.stats.frames_sent >= 29,
-        "sent {}",
-        net.stats.frames_sent
-    );
-    // Broadcast to 2 consumers.
-    assert!(net.stats.frames_delivered >= 2 * (net.stats.frames_sent - 2));
-    for id in [c1, c2] {
-        let kern = &net.node(id).kernel;
-        assert_eq!(kern.total_deadline_misses(), 0);
-        assert_eq!(
-            kern.tcb(emeralds::sim::ThreadId(0)).last_read,
-            55,
-            "{}",
-            net.node(id).name
-        );
+    for workers in [1, 2] {
+        let mut net = Cluster::new(2_000_000).with_workers(workers);
+        let (k0, tx0, rx0) = sensor();
+        let (k1, tx1, rx1) = consumer(100);
+        let (k2, tx2, rx2) = consumer(200);
+        net.add_node("sensor", k0, tx0, rx0, nic, 1);
+        let c1 = net.add_node("c1", k1, tx1, rx1, nic, 5);
+        let c2 = net.add_node("c2", k2, tx2, rx2, nic, 6);
+        net.run_until(Time::from_ms(300));
+        let s = net.stats();
+        assert_eq!(s.frames_dropped, 0);
+        assert!(s.frames_sent >= 29, "sent {}", s.frames_sent);
+        // Broadcast to 2 consumers.
+        assert!(s.frames_delivered >= 2 * (s.frames_sent - 2));
+        for id in [c1, c2] {
+            let kern = &net.node(id).kernel;
+            assert_eq!(kern.total_deadline_misses(), 0);
+            assert_eq!(
+                kern.tcb(emeralds::sim::ThreadId(0)).last_read,
+                55,
+                "{} (workers={workers})",
+                net.node(id).name
+            );
+        }
     }
-    let _ = NodeId(0);
 }
 
 /// The footprint report reproduces the 13 KB claim and the pools

@@ -22,13 +22,13 @@ use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
-use emeralds::fieldbus::{addressed_tag, Cluster, Network};
+use emeralds::fieldbus::{addressed_tag, Cluster};
 use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, StateId, ThreadId, Time};
 
-/// The frame-conservation invariant, checked wherever a network is
+/// The frame-conservation invariant, checked wherever a cluster is
 /// observed at rest.
-fn assert_frames_conserved(net: &Network, ctx: &str) {
-    let s = &net.stats;
+fn assert_frames_conserved(net: &Cluster, ctx: &str) {
+    let s = net.stats();
     assert_eq!(
         s.frames_sent,
         s.frames_delivered + s.frames_dropped + s.frames_in_flight,
@@ -64,8 +64,8 @@ fn shell_node(tx_cap: usize, rx_cap: usize) -> (Kernel, MboxId, MboxId, IrqLine)
 /// Queues `n_frames` same-priority frames on one node under a
 /// corruption schedule and checks every frame arrives, in order.
 /// Returns (retransmissions, error_frames) for aggregate assertions.
-fn check_fifo_preserved(seed: u64, n_frames: u32, corruption: f64) -> (u64, u64) {
-    let mut net = Network::new(1_000_000);
+fn check_fifo_preserved(workers: usize, seed: u64, n_frames: u32, corruption: f64) -> (u64, u64) {
+    let mut net = Cluster::new(1_000_000).with_workers(workers);
     let (k0, tx0, rx0, irq0) = shell_node(64, 8);
     let (k1, tx1, rx1, irq1) = shell_node(8, 64);
     let src = net.add_node("src", k0, tx0, rx0, irq0, 10);
@@ -86,7 +86,8 @@ fn check_fifo_preserved(seed: u64, n_frames: u32, corruption: f64) -> (u64, u64)
     // The corruption rates used here cannot push TEC past 255, so no
     // frame may be lost; a loss here is itself a reordering bug.
     assert_eq!(
-        net.stats.bus_off_events, 0,
+        net.stats().bus_off_events,
+        0,
         "unexpected bus-off at corruption {corruption}"
     );
     for i in 0..n_frames {
@@ -106,23 +107,25 @@ fn check_fifo_preserved(seed: u64, n_frames: u32, corruption: f64) -> (u64, u64)
         "phantom extra frame delivered"
     );
     assert_frames_conserved(&net, &format!("fifo seed {seed:#x}"));
-    (net.stats.retransmissions, net.stats.error_frames)
+    (net.stats().retransmissions, net.stats().error_frames)
 }
 
 #[test]
 fn retransmission_preserves_same_priority_fifo() {
     // Pinned high-corruption case: this seed provably retransmits.
-    let (retrans, errors) = check_fifo_preserved(0xF1F0, 20, 0.35);
-    assert!(retrans > 0, "pinned case must exercise retransmission");
-    assert_eq!(retrans, errors, "every flagged frame was requeued");
+    for workers in [1, 2] {
+        let (retrans, errors) = check_fifo_preserved(workers, 0xF1F0, 20, 0.35);
+        assert!(retrans > 0, "pinned case must exercise retransmission");
+        assert_eq!(retrans, errors, "every flagged frame was requeued");
+    }
 
     let mut rng = SimRng::seeded(0xCA5E);
     let mut total_retrans = 0;
-    for _ in 0..CASES {
+    for case in 0..CASES {
         let n = rng.int_in(5, 30) as u32;
         let p = rng.int_in(5, 35) as f64 / 100.0;
         let seed = rng.int_in(1, u64::MAX - 1);
-        let (r, _) = check_fifo_preserved(seed, n, p);
+        let (r, _) = check_fifo_preserved(1 + case as usize % 2, seed, n, p);
         total_retrans += r;
     }
     assert!(total_retrans > 0, "no case exercised the error path");
@@ -131,8 +134,8 @@ fn retransmission_preserves_same_priority_fifo() {
 /// Drives one node to bus-off by babbling, then checks containment:
 /// while off, its frames vanish at the NIC and a clean peer still
 /// gets through; once the window ends, it recovers and rejoins.
-fn check_busoff_contains(babble_period_us: u64, babble_start_us: u64) {
-    let mut net = Network::new(1_000_000);
+fn check_busoff_contains(workers: usize, babble_period_us: u64, babble_start_us: u64) {
+    let mut net = Cluster::new(1_000_000).with_workers(workers);
     let (k0, tx0, rx0, irq0) = shell_node(8, 8);
     let (k1, tx1, rx1, irq1) = shell_node(8, 8);
     let (k2, tx2, rx2, irq2) = shell_node(8, 64);
@@ -157,8 +160,8 @@ fn check_busoff_contains(babble_period_us: u64, babble_start_us: u64) {
         );
         net.run_until(t);
     }
-    assert!(net.stats.bus_off_events >= 1);
-    assert!(net.stats.babble_frames > 0);
+    assert!(net.stats().bus_off_events >= 1);
+    assert!(net.stats().babble_frames > 0);
     let dropped_before = net.node_stats(babbler).tx_dropped;
 
     // Phase 2: both nodes post frames while the babbler is off the
@@ -206,7 +209,7 @@ fn check_busoff_contains(babble_period_us: u64, babble_start_us: u64) {
     // transmits again.
     net.run_until(Time::from_ms(60));
     assert!(!net.node_stats(babbler).is_bus_off(), "never recovered");
-    assert!(net.stats.bus_off_recoveries >= 1);
+    assert!(net.stats().bus_off_recoveries >= 1);
     assert!(net.node_mut(babbler).kernel.external_mbox_push(
         tx0,
         Message {
@@ -229,12 +232,14 @@ fn check_busoff_contains(babble_period_us: u64, babble_start_us: u64) {
 #[test]
 fn busoff_silences_babbler_until_recovery() {
     // Pinned case plus a seeded sweep over babble timing.
-    check_busoff_contains(60, 500);
+    for workers in [1, 2] {
+        check_busoff_contains(workers, 60, 500);
+    }
     let mut rng = SimRng::seeded(0xB0FF);
-    for _ in 0..8 {
+    for case in 0..8 {
         let period = rng.int_in(40, 120);
         let start = rng.int_in(200, 1500);
-        check_busoff_contains(period, start);
+        check_busoff_contains(1 + case % 2, period, start);
     }
 }
 
@@ -250,7 +255,7 @@ fn busoff_boundary_conserves_queued_and_inflight_frames() {
     for case in 0..8u64 {
         let babble_period = rng.int_in(40, 120);
         let babble_start = rng.int_in(200, 1500);
-        let mut net = Network::new(1_000_000);
+        let mut net = Cluster::new(1_000_000).with_workers(1 + case as usize % 2);
         let (k0, tx0, rx0, irq0) = shell_node(64, 8);
         let (k1, tx1, rx1, irq1) = shell_node(8, 64);
         let babbler = net.add_node("babbler", k0, tx0, rx0, irq0, 10);
@@ -282,20 +287,19 @@ fn busoff_boundary_conserves_queued_and_inflight_frames() {
             assert_frames_conserved(&net, &format!("case {case} at {t:?}"));
         }
         assert!(saw_busoff, "case {case} never reached bus-off");
-        assert!(net.stats.bus_off_recoveries >= 1, "case {case}");
+        assert!(net.stats().bus_off_recoveries >= 1, "case {case}");
         // The purge at the bus-off boundary charged the queued frames.
         assert!(
-            net.node_stats(babbler).tx_dropped > 0 || net.stats.frames_delivered >= 12,
+            net.node_stats(babbler).tx_dropped > 0 || net.stats().frames_delivered >= 12,
             "case {case}: queued frames neither dropped nor delivered: {:?}",
-            net.stats
+            net.stats()
         );
     }
 }
 
-/// The parallel cluster executive must uphold the same ledger across
-/// randomized fault schedules and staggered observation horizons —
-/// fail-stop outages purging pending frames, babble storms, bus-off
-/// recoveries — at any worker count.
+/// The ledger must also balance across randomized fault schedules and
+/// staggered observation horizons — fail-stop outages purging pending
+/// frames, babble storms, bus-off recoveries — at any worker count.
 #[test]
 fn parallel_executive_conserves_frames_across_fault_boundaries() {
     let mut rng = SimRng::seeded(0xC0A5E);
@@ -430,7 +434,7 @@ fn state_links_conserve_frames_under_corruption() {
         let p = rng.int_in(0, 30) as f64 / 100.0;
         let seed = rng.int_in(1, u64::MAX - 1);
         let wr_period = rng.int_in(2_000, 6_000);
-        let mut net = Network::new(1_000_000);
+        let mut net = Cluster::new(1_000_000).with_workers(1 + case % 2);
         let (k0, tx0, rx0, irq0, wvar) = state_writer_node(wr_period);
         let (k1, tx1, rx1, irq1, rvar) = state_reader_node(5_000);
         let src = net.add_node("writer", k0, tx0, rx0, irq0, 10);
@@ -441,7 +445,7 @@ fn state_links_conserve_frames_under_corruption() {
 
         assert_frames_conserved(&net, &format!("state case {case}, p {p}"));
         assert!(
-            net.stats.frames_delivered > 0,
+            net.stats().frames_delivered > 0,
             "no state frame arrived (case {case})"
         );
         let replica = net.node_mut(dst).kernel.statemsg(rvar);

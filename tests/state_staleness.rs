@@ -18,7 +18,7 @@ use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
-use emeralds::fieldbus::{Cluster, Network};
+use emeralds::fieldbus::Cluster;
 use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, StateId, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
@@ -75,13 +75,19 @@ fn reader_node(period_us: u64) -> (Kernel, MboxId, MboxId, StateId) {
     (b.build(), tx, rx, var)
 }
 
-/// Healthy serial bus: every recorded age obeys `age <= P + D`, where
-/// `P` is the writer period and `D` a small delivery slack (frame
-/// time + NIC sampling quantum), and the mean sits below `P`.
+/// Healthy bus: every recorded age obeys `age <= P + D`, where `P` is
+/// the writer period and `D` a small delivery slack (frame time + NIC
+/// sampling quantum), and the mean sits below `P`.
 #[test]
 fn healthy_bus_age_bounded_by_period_plus_delivery() {
+    for workers in [1, 2] {
+        check_healthy_age(workers);
+    }
+}
+
+fn check_healthy_age(workers: usize) {
     let period_us = 10_000;
-    let mut net = Network::new(1_000_000);
+    let mut net = Cluster::new(1_000_000).with_workers(workers);
     let (kw, txw, rxw, wvar) = writer_node(period_us);
     let (kr, txr, rxr, rvar) = reader_node(7_000);
     let src = net.add_node("writer", kw, txw, rxw, NIC_IRQ, 1);
@@ -89,7 +95,7 @@ fn healthy_bus_age_bounded_by_period_plus_delivery() {
     net.link_state(src, wvar, dst, rvar, 5, 8);
     net.run_until(Time::from_ms(200));
 
-    let s = &net.stats;
+    let s = net.stats();
     assert_eq!(
         s.frames_sent,
         s.frames_delivered + s.frames_dropped + s.frames_in_flight,
