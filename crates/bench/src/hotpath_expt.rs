@@ -40,7 +40,7 @@ use std::time::Instant;
 use emeralds_core::kernel::{KernelBuilder, KernelConfig};
 use emeralds_core::script::{Action, Operand, Script};
 use emeralds_core::timerq::TimerQueue;
-use emeralds_core::{Kernel, LockChoice, SchedPolicy};
+use emeralds_core::{Kernel, SchedPolicy, SemScheme};
 use emeralds_sim::profile::{self, SUBSYSTEM_COUNT};
 use emeralds_sim::{Duration, SimRng, StateId, Time, WallRow};
 
@@ -285,11 +285,11 @@ fn build_workload(seed: u64, dispatch_cache: bool) -> Kernel {
 ///   lock for 1.5 ms. PI answers with early inheritance and lock
 ///   hand-over; SRP never lets the collision start, deferring the
 ///   fast task's release at the ceiling.
-fn build_policy_scenario(scenario: &str, lock: LockChoice) -> Kernel {
+fn build_policy_scenario(scenario: &str, sem_scheme: SemScheme) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::RmQueue,
         record_trace: false,
-        lock,
+        sem_scheme,
         ..KernelConfig::default()
     });
     let p = b.add_process("policy-ab");
@@ -384,9 +384,9 @@ fn policy_side(k: &Kernel) -> PolicySide {
 
 /// Runs one scenario under both policies to the same horizon.
 fn policy_ab_row(scenario: &'static str, horizon: Time) -> PolicyAbRow {
-    let mut pi = build_policy_scenario(scenario, LockChoice::Pi);
+    let mut pi = build_policy_scenario(scenario, SemScheme::Emeralds);
     pi.run_until(horizon);
-    let mut srp = build_policy_scenario(scenario, LockChoice::Srp);
+    let mut srp = build_policy_scenario(scenario, SemScheme::Srp);
     srp.run_until(horizon);
     let stats = srp.srp_stats().expect("SRP kernel reports SRP stats");
     PolicyAbRow {

@@ -35,7 +35,7 @@ use crate::parser;
 use crate::proc::Process;
 use crate::sched::{SchedPolicy, SchedulerImpl};
 use crate::script::{Script, ScriptKind};
-use crate::sync::policy::{make_policy, LockChoice, LockPolicy};
+use crate::sync::policy::{make_policy, LockPolicy};
 use crate::sync::{CondVar, SemScheme, Semaphore, SrpStats};
 use crate::tcb::{QueueAssign, Tcb, TcbTable, Timing};
 use crate::timerq::TimerQueue;
@@ -45,13 +45,12 @@ use crate::timerq::TimerQueue;
 pub struct KernelConfig {
     /// Scheduler selection (§5).
     pub policy: SchedPolicy,
-    /// Semaphore implementation (§6) — the central ablation switch.
+    /// Locking implementation (§6) — the central ablation switch: the
+    /// two priority-inheritance schemes, or SRP/ceiling scheduling as
+    /// the classic rival. Under SRP the builder computes static
+    /// resource ceilings offline and rejects infeasible graphs (see
+    /// [`ConfigError`]).
     pub sem_scheme: SemScheme,
-    /// Locking policy: EMERALDS PI semaphores, or SRP/ceiling
-    /// scheduling as the classic rival. Under SRP the builder computes
-    /// static resource ceilings offline and rejects infeasible graphs
-    /// (see [`ConfigError`]).
-    pub lock: LockChoice,
     /// Per-primitive virtual-time prices.
     pub cost: CostModel,
     /// Record the full event trace (disable for long experiment runs).
@@ -78,7 +77,6 @@ impl Default for KernelConfig {
                 boundaries: vec![0],
             },
             sem_scheme: SemScheme::Emeralds,
-            lock: LockChoice::Pi,
             cost: CostModel::mc68040_25mhz(),
             record_trace: true,
             trace_ring: None,
@@ -234,14 +232,6 @@ impl Kernel {
         let r = f(p.as_mut(), self);
         self.lock_policy = Some(p);
         r
-    }
-
-    /// Which locking policy this kernel runs.
-    pub fn lock_choice(&self) -> LockChoice {
-        self.lock_policy
-            .as_ref()
-            .expect("policy present between calls")
-            .choice()
     }
 
     /// SRP runtime statistics (`None` under the PI policy).
@@ -444,15 +434,6 @@ impl KernelBuilder {
             next_region_base: 0x1_0000,
             hint_overrides: Vec::new(),
         }
-    }
-
-    /// Selects the locking policy (default [`LockChoice::Pi`]). Under
-    /// [`LockChoice::Srp`] the build computes static resource ceilings
-    /// from the task/resource graph and rejects infeasible
-    /// configurations — see [`ConfigError`].
-    pub fn lock_policy(&mut self, choice: LockChoice) -> &mut KernelBuilder {
-        self.cfg.lock = choice;
-        self
     }
 
     /// Overrides the §6.2.1 parser-computed `next_sem` hint for one
@@ -700,7 +681,7 @@ impl KernelBuilder {
     /// of panicking on an invalid configuration: CSD boundaries beyond
     /// the task count, scripts referencing unknown kernel objects,
     /// invalid `next_sem` hint overrides, and — under
-    /// [`LockChoice::Srp`] — infeasible or deadlock-prone resource
+    /// [`SemScheme::Srp`] — infeasible or deadlock-prone resource
     /// graphs.
     pub fn try_build(mut self) -> Result<Kernel, ConfigError> {
         let n = self.tasks.len();
@@ -724,9 +705,9 @@ impl KernelBuilder {
 
         // SRP: static resource ceilings from the task/resource graph,
         // with build-time rejection of infeasible shapes.
-        let ceilings = match self.cfg.lock {
-            LockChoice::Pi => vec![None; self.sems.len()],
-            LockChoice::Srp => self.srp_ceiling_table(&rm_prio)?,
+        let ceilings = match self.cfg.sem_scheme {
+            SemScheme::Standard | SemScheme::Emeralds => vec![None; self.sems.len()],
+            SemScheme::Srp => self.srp_ceiling_table(&rm_prio)?,
         };
 
         let mut pools = PoolSet::small_memory_defaults();
@@ -837,7 +818,7 @@ impl KernelBuilder {
         }
 
         let pending_send = vec![None; n];
-        let lock_policy = Some(make_policy(self.cfg.lock, ceilings));
+        let lock_policy = Some(make_policy(self.cfg.sem_scheme, ceilings));
         let mut kernel = Kernel {
             cfg: self.cfg,
             clock: Clock::new(),

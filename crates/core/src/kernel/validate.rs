@@ -6,7 +6,7 @@
 //! error; [`KernelBuilder::build`] panics with its rendering for
 //! callers that treat misconfiguration as a program bug.
 //!
-//! Under [`LockChoice::Srp`] the checks extend to the task/resource
+//! Under [`SemScheme::Srp`] the checks extend to the task/resource
 //! graph: resource ceilings only exist for graphs where critical
 //! sections are properly nested, never span a blocking call or a job
 //! boundary, and the lock order is acyclic. The graph analysis itself
@@ -20,7 +20,7 @@ use emeralds_sim::{CvId, SemId, ThreadId};
 use crate::kernel::KernelBuilder;
 use crate::parser;
 use crate::script::Action;
-use crate::sync::policy::LockChoice;
+use crate::sync::SemScheme;
 
 /// A configuration the builder refuses to turn into a kernel.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -145,7 +145,7 @@ impl KernelBuilder {
     /// actually added, and — under SRP — against the primitives the
     /// ceiling analysis can model.
     pub(super) fn validate_scripts(&self) -> Result<(), ConfigError> {
-        let srp = self.cfg.lock == LockChoice::Srp;
+        let srp = self.cfg.sem_scheme == SemScheme::Srp;
         for (i, spec) in self.tasks.iter().enumerate() {
             let task = ThreadId(i as u32);
             for (action, a) in spec.script.actions.iter().enumerate() {

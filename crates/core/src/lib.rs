@@ -93,4 +93,4 @@ pub use kernel::{ConfigError, IrqAction, Kernel, KernelBuilder, KernelConfig};
 pub use sched::SchedPolicy;
 pub use script::{Action, Operand, Script};
 pub use stats::{KernelReport, TaskReport};
-pub use sync::{LockChoice, SemScheme, SrpStats};
+pub use sync::{SemScheme, SrpStats};

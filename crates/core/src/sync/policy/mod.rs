@@ -19,30 +19,22 @@
 //!   admission test — so a task only starts when every lock it may
 //!   touch is free, and `acquire_sem()` never blocks.
 //!
-//! The policy is selected at build time via
-//! [`crate::kernel::KernelBuilder::lock_policy`]; infeasible resource
-//! graphs under SRP are rejected with a typed
+//! The policy is selected at build time by
+//! [`crate::kernel::KernelConfig::sem_scheme`]: `Standard` and
+//! `Emeralds` run [`PiPolicy`], `Srp` runs [`SrpPolicy`]. Infeasible
+//! resource graphs under SRP are rejected with a typed
 //! [`crate::kernel::ConfigError`] before a kernel exists.
 
 use emeralds_sim::{SemId, ThreadId};
 
 use crate::kernel::Kernel;
+use crate::sync::SemScheme;
 
 mod pi;
 mod srp;
 
 pub use pi::PiPolicy;
 pub use srp::{SrpPolicy, SrpStats};
-
-/// Which locking policy a kernel runs (build-time selection).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LockChoice {
-    /// EMERALDS priority-inheritance semaphores (§6.2/§6.3).
-    #[default]
-    Pi,
-    /// Stack Resource Policy: static ceilings + admission at dispatch.
-    Srp,
-}
 
 /// The policy-specific body of the semaphore system calls.
 ///
@@ -53,9 +45,6 @@ pub enum LockChoice {
 /// charge, reschedule-if-woke); `acquire` owns its branches end to end
 /// because blocking branches must not advance the pc.
 pub trait LockPolicy: std::fmt::Debug + Send {
-    /// Which [`LockChoice`] this policy implements.
-    fn choice(&self) -> LockChoice;
-
     /// Body of `acquire_sem()` after the envelope.
     fn acquire(&mut self, k: &mut Kernel, tid: ThreadId, s: SemId);
 
@@ -75,11 +64,11 @@ pub trait LockPolicy: std::fmt::Debug + Send {
     }
 }
 
-/// Constructs the boxed policy for a [`LockChoice`]. `ceilings` is the
+/// Constructs the boxed policy for a [`SemScheme`]. `ceilings` is the
 /// per-semaphore resource ceiling table (SRP only; PI ignores it).
-pub(crate) fn make_policy(choice: LockChoice, ceilings: Vec<Option<u32>>) -> Box<dyn LockPolicy> {
-    match choice {
-        LockChoice::Pi => Box::new(PiPolicy),
-        LockChoice::Srp => Box::new(SrpPolicy::new(ceilings)),
+pub(crate) fn make_policy(scheme: SemScheme, ceilings: Vec<Option<u32>>) -> Box<dyn LockPolicy> {
+    match scheme {
+        SemScheme::Standard | SemScheme::Emeralds => Box::new(PiPolicy),
+        SemScheme::Srp => Box::new(SrpPolicy::new(ceilings)),
     }
 }

@@ -4,9 +4,10 @@
 //! [`LockPolicy`], unchanged: inheritance happens early (at the
 //! preceding blocking call, driven by the §6.2.1 parser hints), FP
 //! repositioning is the O(1) placeholder swap, and the §6.3.1 pre-lock
-//! queue turns "case B" into "case A". The `Standard` ablation
-//! (inheritance inside `acquire`, full queue walks) is selected by
-//! [`SemScheme`], orthogonally to the policy.
+//! queue turns "case B" into "case A". It serves both
+//! priority-inheritance values of [`SemScheme`]: `Emeralds` as above,
+//! and the `Standard` ablation (inheritance inside `acquire`, full
+//! queue walks).
 //!
 //! Every charge, trace record, and scheduler invocation is exactly
 //! where it was before the policy split, so a PI kernel's virtual-time
@@ -16,7 +17,7 @@
 use emeralds_sim::{OverheadKind, SemId, ThreadId, TraceEvent};
 
 use crate::kernel::Kernel;
-use crate::sync::policy::{LockChoice, LockPolicy};
+use crate::sync::policy::LockPolicy;
 use crate::sync::SemScheme;
 use crate::tcb::{BlockReason, QueueAssign, ThreadState};
 
@@ -27,10 +28,6 @@ use crate::tcb::{BlockReason, QueueAssign, ThreadState};
 pub struct PiPolicy;
 
 impl LockPolicy for PiPolicy {
-    fn choice(&self) -> LockChoice {
-        LockChoice::Pi
-    }
-
     fn acquire(&mut self, k: &mut Kernel, tid: ThreadId, s: SemId) {
         k.pi_acquire_body(tid, s);
     }

@@ -29,7 +29,7 @@
 use emeralds_sim::{OverheadKind, SemId, ThreadId, TraceEvent};
 
 use crate::kernel::Kernel;
-use crate::sync::policy::{LockChoice, LockPolicy};
+use crate::sync::policy::LockPolicy;
 use crate::tcb::BlockReason;
 
 /// Runtime counters of the SRP machinery (deterministic; virtual-time
@@ -142,10 +142,6 @@ impl SrpPolicy {
 }
 
 impl LockPolicy for SrpPolicy {
-    fn choice(&self) -> LockChoice {
-        LockChoice::Srp
-    }
-
     fn acquire(&mut self, k: &mut Kernel, tid: ThreadId, s: SemId) {
         debug_assert!(
             k.sems[s.index()].is_mutex(),

@@ -26,7 +26,10 @@
 
 use emeralds_sim::{SemId, ThreadId};
 
-/// Which semaphore implementation a kernel uses (ablation switch).
+/// Which locking implementation a kernel runs — the §6 ablation
+/// switch. `Standard` and `Emeralds` are the two priority-inheritance
+/// schemes of [`crate::sync::PiPolicy`]; `Srp` swaps the whole policy
+/// for [`crate::sync::SrpPolicy`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SemScheme {
     /// Textbook PI semaphore: inheritance on `acquire`, full queue
@@ -35,6 +38,11 @@ pub enum SemScheme {
     Standard,
     /// The EMERALDS scheme described above.
     Emeralds,
+    /// Stack Resource Policy: static resource ceilings computed at
+    /// build time and admission at wake, so `acquire` never blocks.
+    /// The build rejects resource graphs the ceiling analysis cannot
+    /// vouch for (see [`crate::kernel::ConfigError`]).
+    Srp,
 }
 
 /// A kernel semaphore (binary mutex or counting).

@@ -283,31 +283,17 @@ impl GatewayFaultClock {
         self.gateways.is_empty()
     }
 
-    /// Is `gateway` inside a fail-stop outage at `at`?
+    /// Is `gateway` inside a fail-stop outage at `at`? A gateway added
+    /// after the plan was compiled has no scheduled outage.
     pub fn is_down(&self, gateway: usize, at: Time) -> bool {
-        self.gateways[gateway]
-            .iter()
-            .any(|&(s, e)| s <= at && at < e)
+        self.gateways
+            .get(gateway)
+            .is_some_and(|wins| wins.iter().any(|&(s, e)| s <= at && at < e))
     }
 
     /// The gateway's outage windows, sorted and disjoint.
     pub fn windows(&self, gateway: usize) -> &[(Time, Time)] {
         &self.gateways[gateway]
-    }
-
-    /// The earliest outage boundary (start or end) of *any* gateway
-    /// strictly after `after`. Aliveness is judged at outer barriers,
-    /// so an adaptive outer stretch must place a barrier at the first
-    /// outer grid point at-or-after each boundary — the same rule
-    /// [`FaultClock::next_outage_boundary_after`] imposes on the inner
-    /// engines.
-    pub fn next_boundary_after(&self, after: Time) -> Option<Time> {
-        self.gateways
-            .iter()
-            .flat_map(|wins| wins.iter())
-            .flat_map(|&(s, e)| [s, e])
-            .filter(|&t| t > after)
-            .min()
     }
 }
 
@@ -399,12 +385,12 @@ impl FaultClock {
         self.nodes.is_empty()
     }
 
-    /// Is `node` inside a fail-stop outage at `at`?
+    /// Is `node` inside a fail-stop outage at `at`? A node added to
+    /// the bus after the plan was compiled has no scheduled outage.
     pub fn is_down(&self, node: usize, at: Time) -> bool {
-        self.nodes[node]
-            .down
-            .iter()
-            .any(|&(s, e)| s <= at && at < e)
+        self.nodes
+            .get(node)
+            .is_some_and(|nf| nf.down.iter().any(|&(s, e)| s <= at && at < e))
     }
 
     /// The node's outage windows, sorted and disjoint.
@@ -480,10 +466,14 @@ impl FaultClock {
     /// by `until`. Advances the injection cursor, so call this exactly
     /// once per node per barrier — including while the node is offline
     /// (discard the count then): a silenced babbler must not save up a
-    /// burst for its recovery.
+    /// burst for its recovery. A node added after the plan was compiled
+    /// never babbles.
     pub fn babble_due(&mut self, node: usize, until: Time) -> u64 {
+        let Some(nf) = self.nodes.get_mut(node) else {
+            return 0;
+        };
         let mut due = 0;
-        for w in &mut self.nodes[node].babble {
+        for w in &mut nf.babble {
             let end = w.until.min(until);
             while w.cursor < end {
                 due += 1;
@@ -531,6 +521,8 @@ mod tests {
         assert!(fc.is_down(0, Time::from_ms(15)));
         assert!(!fc.is_down(0, Time::from_ms(22))); // end-exclusive
         assert!(!fc.is_down(1, Time::from_ms(15)));
+        // A node beyond the compiled range has no outage.
+        assert!(!fc.is_down(2, Time::from_ms(15)));
         assert_eq!(fc.downtime(0, Time::from_ms(41)), ms(13));
     }
 
@@ -566,6 +558,7 @@ mod tests {
         assert_eq!(fc.babble_due(0, Time::from_ms(11)), 0); // cursor advanced
         assert_eq!(fc.babble_due(0, Time::from_ms(30)), 2); // 11.0, 11.5
         assert_eq!(fc.babble_due(0, Time::from_ms(30)), 0); // window exhausted
+        assert_eq!(fc.babble_due(1, Time::from_ms(30)), 0); // beyond the range
     }
 
     #[test]
@@ -610,17 +603,8 @@ mod tests {
         assert!(gc.is_down(1, Time::from_ms(15)));
         assert!(!gc.is_down(1, Time::from_ms(22))); // end-exclusive
         assert!(!gc.is_down(2, Time::from_ms(15)));
-        // Boundaries across *all* gateways, in order.
-        assert_eq!(gc.next_boundary_after(Time::ZERO), Some(Time::from_ms(10)));
-        assert_eq!(
-            gc.next_boundary_after(Time::from_ms(10)),
-            Some(Time::from_ms(22))
-        );
-        assert_eq!(
-            gc.next_boundary_after(Time::from_ms(22)),
-            Some(Time::from_ms(40))
-        );
-        assert_eq!(gc.next_boundary_after(Time::from_ms(42)), None);
+        // A gateway beyond the compiled range has no outage.
+        assert!(!gc.is_down(3, Time::from_ms(15)));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! - **Epoch**: every node with work before the epoch end
 //!   independently advances its local virtual clock by one lookahead
-//!   window *L* (default: one max-size bus-frame time — no frame can
+//!   window *L* (one max-size bus-frame time — no frame can
 //!   cross the bus faster, so no node can miss an input by running
 //!   ahead). An idle node — no running thread, no staged frame, an
 //!   empty TX mailbox — is skipped until its next timer or device
@@ -38,7 +38,7 @@ use emeralds_sim::{
     StateId, Time,
 };
 
-use crate::errors::{ErrorConfig, FailStopGate, NodeStats};
+use crate::errors::{error_time, recovery_time, FailStopGate, NodeStats};
 use crate::{frame_of, frame_of_wide, garbage_frame, BusStats, Frame, StateLink, StatePayload};
 pub use emeralds_sim::EpochStats;
 
@@ -261,12 +261,10 @@ pub(crate) struct BusState {
     /// count).
     links: Vec<StateLink>,
     pub(crate) stats: BusStats,
-    pub(crate) lookahead: Duration,
+    lookahead: Duration,
     /// Stretch epochs across provably-quiet bus time (see
     /// [`BusState::next_barrier_proposal`]).
-    pub(crate) adaptive: bool,
-    /// Error-signalling parameters.
-    error_cfg: ErrorConfig,
+    adaptive: bool,
     /// Compiled fault schedule, when one is installed.
     faults: Option<FaultClock>,
     /// Bridged-topology routing, when this bus is one segment of a
@@ -290,9 +288,8 @@ pub(crate) struct BusState {
 }
 
 impl BusState {
-    /// A fresh idle bus at the given bit rate, with the lookahead
-    /// defaulting to one max-size frame time and adaptive stretching
-    /// on.
+    /// A fresh idle bus at the given bit rate, with a lookahead of one
+    /// max-size frame time and adaptive stretching on.
     ///
     /// # Panics
     ///
@@ -310,7 +307,6 @@ impl BusState {
             stats: BusStats::default(),
             lookahead: Duration::ZERO,
             adaptive: true,
-            error_cfg: ErrorConfig::default(),
             faults: None,
             routing: None,
             remote_out: Vec::new(),
@@ -438,7 +434,7 @@ impl BusState {
 
         // 0b. Complete due bus-off recoveries before anything else
         //     this barrier: a recovered node sends and receives again.
-        let recovery = self.error_cfg.recovery_time(self.bitrate_bps);
+        let recovery = recovery_time(self.bitrate_bps);
         let mut recovered = 0;
         self.bus_off.retain(|&i| {
             let done = nodes[i].stats.try_recover(now, recovery);
@@ -597,7 +593,7 @@ impl BusState {
                 continue;
             }
             // Error frame on the wire: everyone observes it.
-            let err_done = done + self.error_cfg.error_time(self.bitrate_bps);
+            let err_done = done + error_time(self.bitrate_bps);
             self.stats.busy += err_done.since(start);
             self.bus_free_at = err_done;
             self.stats.error_frames += 1;
@@ -744,6 +740,13 @@ impl BusState {
     /// Hence fixed and adaptive runs produce bit-identical results,
     /// with or without an active fault plan; only the barrier count
     /// differs. `tests/cluster_determinism.rs` pins both.
+    ///
+    /// `wake_min` is the minimum of the engine's wake array
+    /// ([`Barrier::wake_min`]): a busy node reports `Time::ZERO`, an
+    /// idle one its kernel's next timer or device event, so the node
+    /// bound costs no pass over the nodes. A wake before `now` — a
+    /// busy node, or a timer a fail-stop stall left overdue — vetoes
+    /// the stretch.
     pub(crate) fn next_barrier_proposal(
         &self,
         nodes: &[ClusterNode],
@@ -752,10 +755,34 @@ impl BusState {
         origin: Time,
         horizon: Time,
     ) -> Option<Time> {
-        if !self.adaptive {
+        if !self.adaptive || !self.pending.is_empty() || wake_min < now {
             return None;
         }
-        let (strict, at_or) = self.quiet_classes(nodes, wake_min, now)?;
+        let mut strict: Option<Time> = (wake_min != Time::MAX).then_some(wake_min);
+        let mut at_or: Option<Time> = None;
+        let fold = |slot: &mut Option<Time>, t: Time| {
+            *slot = Some(slot.map_or(t, |m| m.min(t)));
+        };
+        let recovery = recovery_time(self.bitrate_bps);
+        for &i in &self.bus_off {
+            if let Some(since) = nodes[i].stats.bus_off_since {
+                fold(&mut at_or, since + recovery);
+            }
+        }
+        if let Some(f) = self.faults.as_ref() {
+            if let Some(t) = f.next_babble_instant() {
+                fold(&mut strict, t);
+            }
+            if let Some(t) = f.next_outage_boundary_after(now) {
+                fold(&mut at_or, t);
+            }
+        }
+        // `in_flight` is completion-ordered, so the front frame is
+        // the earliest staging obligation; the barrier it binds
+        // re-evaluates everything behind it.
+        if let Some(&(done, _)) = self.in_flight.front() {
+            fold(&mut at_or, done);
+        }
         let l = self.lookahead.as_ns();
         let grid = |k: u64| k.checked_mul(l).map(|ns| origin + Duration::from_ns(ns));
         // No bound at all: nothing will ever happen again, run
@@ -780,58 +807,6 @@ impl BusState {
             return None;
         }
         Some(target)
-    }
-
-    /// The quietness test shared by both adaptive rules (the inner
-    /// grid rule above and the topology's outer-cadence rule): `None`
-    /// when the bus cannot prove the next window empty — frames
-    /// pending arbitration, or a node with work now (running, or handed
-    /// input at this barrier). Otherwise the earliest instant of each
-    /// barrier-placement class — `(strict, at_or)`, with the class
-    /// semantics of [`BusState::next_barrier_proposal`] — at which
-    /// anything on this bus can act again (`None` entries = never).
-    ///
-    /// `wake_min` is the minimum of the engine's wake array
-    /// ([`Barrier::wake_min`] / [`ActiveSet::wake_min`]): a busy node
-    /// reports `Time::ZERO`, an idle one its kernel's next timer or
-    /// device event, so the node bound costs no pass over the nodes. A
-    /// wake before `now` — a busy node, or a timer a fail-stop stall
-    /// left overdue — vetoes the stretch.
-    pub(crate) fn quiet_classes(
-        &self,
-        nodes: &[ClusterNode],
-        wake_min: Time,
-        now: Time,
-    ) -> Option<(Option<Time>, Option<Time>)> {
-        if !self.pending.is_empty() || wake_min < now {
-            return None;
-        }
-        let mut strict: Option<Time> = (wake_min != Time::MAX).then_some(wake_min);
-        let mut at_or: Option<Time> = None;
-        let fold = |slot: &mut Option<Time>, t: Time| {
-            *slot = Some(slot.map_or(t, |m| m.min(t)));
-        };
-        let recovery = self.error_cfg.recovery_time(self.bitrate_bps);
-        for &i in &self.bus_off {
-            if let Some(since) = nodes[i].stats.bus_off_since {
-                fold(&mut at_or, since + recovery);
-            }
-        }
-        if let Some(f) = self.faults.as_ref() {
-            if let Some(t) = f.next_babble_instant() {
-                fold(&mut strict, t);
-            }
-            if let Some(t) = f.next_outage_boundary_after(now) {
-                fold(&mut at_or, t);
-            }
-        }
-        // `in_flight` is completion-ordered, so the front frame is
-        // the earliest staging obligation; the barrier it binds
-        // re-evaluates everything behind it.
-        if let Some(&(done, _)) = self.in_flight.front() {
-            fold(&mut at_or, done);
-        }
-        Some((strict, at_or))
     }
 
     /// End-of-run flush, shared by [`Cluster::run_until`] and the
@@ -860,7 +835,7 @@ pub struct Cluster {
     nodes: Vec<ClusterNode>,
     bus: BusState,
     /// Host worker threads (clamped to `1..=nodes` at run time).
-    pub workers: usize,
+    workers: usize,
     /// How far the executive has driven the cluster.
     cursor: Time,
     /// Accumulated engine cost accounting across `run_until` calls.
@@ -871,9 +846,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Creates an empty cluster at the given bus bit rate, with the
-    /// lookahead window defaulting to one max-size frame time and one
-    /// worker.
+    /// Creates an empty cluster at the given bus bit rate, with a
+    /// lookahead window of one max-size frame time and one worker.
     ///
     /// # Panics
     ///
@@ -898,18 +872,6 @@ impl Cluster {
     /// The lookahead window (epoch length).
     pub fn lookahead(&self) -> Duration {
         self.bus.lookahead
-    }
-
-    /// Overrides the lookahead window. Larger windows cut barrier
-    /// overhead but coarsen frame-delivery timing; windows below one
-    /// frame time buy nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window.
-    pub fn set_lookahead(&mut self, window: Duration) {
-        assert!(!window.is_zero(), "zero lookahead");
-        self.bus.lookahead = window;
     }
 
     /// Enables or disables adaptive lookahead (on by default).
@@ -1294,14 +1256,13 @@ mod tests {
     fn run_until_resumes_from_previous_horizon() {
         // Epoch boundaries are relative to the run start, so a split
         // run matches a whole run when the split lands on a boundary:
-        // pin the lookahead to a divisor of the split horizon.
+        // split on a multiple of the lookahead.
         let mut split = two_node_cluster(1);
-        split.set_lookahead(Duration::from_ms(1));
-        split.run_until(Time::from_ms(20));
-        split.run_until(Time::from_ms(40));
+        let l = split.lookahead();
+        split.run_until(Time::ZERO + l * 180);
+        split.run_until(Time::ZERO + l * 360);
         let mut whole = two_node_cluster(1);
-        whole.set_lookahead(Duration::from_ms(1));
-        whole.run_until(Time::from_ms(40));
+        whole.run_until(Time::ZERO + l * 360);
         assert_eq!(split.stats(), whole.stats());
         assert_eq!(split.metrics(), whole.metrics());
     }
@@ -1389,6 +1350,30 @@ mod tests {
             );
             let driver = emeralds_sim::ThreadId(1);
             assert_eq!(c.node(NodeId(1)).kernel.tcb(driver).last_read, 2);
+        }
+    }
+
+    #[test]
+    fn node_added_after_the_fault_plan_has_no_scheduled_fault() {
+        for workers in [1, 2] {
+            let mut c = Cluster::new(1_000_000).with_workers(workers);
+            let (k0, tx0, rx0) = make_node(10, 7, Some(NodeId(1)));
+            c.add_node("alpha", k0, tx0, rx0, NIC_IRQ, 10);
+            c.set_fault_plan(&FaultPlan::new(3).with_corruption(0.2));
+            // The plan was compiled for one node: the late node has no
+            // schedule of its own, but its frames share the bus-wide
+            // corruption stream.
+            let (k1, tx1, rx1) = make_node(10, 9, Some(NodeId(0)));
+            c.add_node("beta", k1, tx1, rx1, NIC_IRQ, 20);
+            c.run_until(Time::from_ms(40));
+            let s = c.stats();
+            assert!(s.error_frames > 0, "workers={workers}: {s:?}");
+            assert!(c.node_stats(NodeId(1)).tx_frames > 0, "workers={workers}");
+            assert_eq!(
+                s.frames_sent,
+                s.frames_delivered + s.frames_dropped + s.frames_in_flight,
+                "workers={workers}: {s:?}"
+            );
         }
     }
 

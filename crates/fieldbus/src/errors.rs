@@ -16,36 +16,22 @@ use emeralds_core::kernel::NodeFaultSummary;
 use emeralds_core::Kernel;
 use emeralds_sim::{Duration, DurationHistogram, Time};
 
-/// Error-signalling parameters of the bus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ErrorConfig {
-    /// Bits an error frame (flag + delimiter + intermission) occupies
-    /// on the wire; CAN's worst case is about 31, typical ~20.
-    pub error_frame_bits: u64,
-    /// Idle bits a bus-off controller must observe before rejoining:
-    /// CAN mandates 128 occurrences of 11 recessive bits.
-    pub busoff_recovery_bits: u64,
+/// Bits an error frame (flag + delimiter + intermission) occupies on
+/// the wire; CAN's worst case is about 31, typical ~20.
+const ERROR_FRAME_BITS: u64 = 20;
+
+/// Idle bits a bus-off controller must observe before rejoining: CAN
+/// mandates 128 occurrences of 11 recessive bits.
+const BUSOFF_RECOVERY_BITS: u64 = 128 * 11;
+
+/// Wire time one error frame consumes at the given bit rate.
+pub(crate) fn error_time(bitrate_bps: u64) -> Duration {
+    Duration::from_ns(ERROR_FRAME_BITS * 1_000_000_000 / bitrate_bps)
 }
 
-impl Default for ErrorConfig {
-    fn default() -> Self {
-        ErrorConfig {
-            error_frame_bits: 20,
-            busoff_recovery_bits: 128 * 11,
-        }
-    }
-}
-
-impl ErrorConfig {
-    /// Wire time one error frame consumes.
-    pub fn error_time(&self, bitrate_bps: u64) -> Duration {
-        Duration::from_ns(self.error_frame_bits * 1_000_000_000 / bitrate_bps)
-    }
-
-    /// Bus-off recovery latency at the given bit rate.
-    pub fn recovery_time(&self, bitrate_bps: u64) -> Duration {
-        Duration::from_ns(self.busoff_recovery_bits * 1_000_000_000 / bitrate_bps)
-    }
+/// Bus-off recovery latency at the given bit rate.
+pub(crate) fn recovery_time(bitrate_bps: u64) -> Duration {
+    Duration::from_ns(BUSOFF_RECOVERY_BITS * 1_000_000_000 / bitrate_bps)
 }
 
 /// CAN controller fault-confinement state.
@@ -278,9 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn error_config_times_match_bitrate() {
-        let cfg = ErrorConfig::default();
-        assert_eq!(cfg.recovery_time(1_000_000), Duration::from_us(1408));
-        assert_eq!(cfg.error_time(1_000_000), Duration::from_us(20));
+    fn error_times_match_bitrate() {
+        assert_eq!(recovery_time(1_000_000), Duration::from_us(1408));
+        assert_eq!(error_time(1_000_000), Duration::from_us(20));
     }
 }

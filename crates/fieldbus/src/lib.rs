@@ -32,10 +32,10 @@ pub mod errors;
 pub mod topology;
 
 pub use cluster::{Cluster, ClusterNode};
-pub use errors::{CanErrorState, ErrorConfig, FailStopGate, NodeStats};
+pub use errors::{CanErrorState, FailStopGate, NodeStats};
 pub use topology::{
-    ClassSplit, ConservationReport, GatewayConfig, GatewayId, GatewayPolicy, GatewayStats,
-    SegmentId, TopoEvent, TopoEventKind, Topology, TopologyConfigError,
+    ConservationReport, GatewayConfig, GatewayId, GatewayPolicy, GatewayStats, SegmentId,
+    TopoEvent, TopoEventKind, Topology, TopologyConfigError,
 };
 
 use emeralds_core::ipc::Message;

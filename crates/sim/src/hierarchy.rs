@@ -27,22 +27,11 @@
 //! points through its own bus's adaptive next-barrier proposals and
 //! advances only its nodes with work.
 //!
-//! The outer exchange may return next-barrier proposals of its own —
-//! the same contract as [`crate::run_epochs`]: `Some(t)` schedules the
-//! next *inter-group* barrier at `t` (clamped to the horizon) instead of
-//! one fixed lookahead out, letting a topology executive batch outer
-//! barriers across windows where every group is provably idle and no
-//! inter-group transfer comes due. Soundness is the caller's burden,
-//! exactly as at the inner level: a proposal asserts that no group
-//! needs an exchange before `t`. In a gateway topology that means the
-//! proposal must never overshoot the earliest instant any forwarding
-//! buffer releases a frame — equivalently, the outer cadence (fixed
-//! or stretched) must respect the cheapest *surviving* forwarding
-//! path, since a re-route can only shift traffic onto paths at least
-//! as cheap as the global latency minimum the cadence is derived
-//! from. Proposals change which barrier instants exist, not what any
-//! group computes between them, so determinism across outer worker
-//! counts is preserved verbatim.
+//! The outer cadence is fixed: one barrier every `cfg.lookahead`. In a
+//! gateway topology that lookahead must not exceed the cheapest
+//! *surviving* forwarding path, which holds when it is the latency
+//! minimum over every gateway, since a re-route can only shift traffic
+//! onto paths at least that slow.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -104,12 +93,11 @@ impl InnerTally {
 /// inner epoch loop in parallel between outer barriers and invoking
 /// `exchange` serially at every barrier with in-order access to all
 /// groups. Every group advances in every outer epoch; the inner loops
-/// skip idle nodes. The exchange may return a next-barrier proposal
-/// exactly as in [`crate::run_epochs`].
+/// skip idle nodes.
 ///
 /// # Panics
 ///
-/// Panics on a zero outer lookahead or a non-advancing proposal.
+/// Panics on a zero outer lookahead.
 pub fn run_two_level<G, X>(
     groups: &mut [G],
     from: Time,
@@ -119,7 +107,7 @@ pub fn run_two_level<G, X>(
 ) -> TwoLevelStats
 where
     G: EpochGroup,
-    X: FnMut(&mut [G], Time) -> Option<Time>,
+    X: FnMut(&mut [G], Time),
 {
     let inner = InnerTally::default();
     let mut set = ActiveSet::all_busy(groups.len());
@@ -134,7 +122,10 @@ where
         horizon,
         cfg,
         &step,
-        &mut |groups, b| exchange(groups, b.at),
+        &mut |groups, b| {
+            exchange(groups, b.at);
+            None
+        },
     );
     TwoLevelStats {
         outer,
@@ -193,7 +184,6 @@ mod tests {
                 for g in groups.iter_mut() {
                     g.inbox += at.as_ns() + round;
                 }
-                None
             },
         );
         assert_eq!(stats.outer.barriers, 5);
@@ -224,61 +214,6 @@ mod tests {
         let base = run(1, 5);
         for workers in [2, 4] {
             assert_eq!(run(workers, 5), base, "workers={workers}");
-        }
-    }
-
-    /// Runs with an exchange that stretches the early outer epochs,
-    /// returning each group's inner boundaries plus the barrier count.
-    fn run_stretched(workers: usize) -> (Vec<Vec<Time>>, u64) {
-        let mut groups: Vec<Probe> = (0..3)
-            .map(|i| Probe {
-                cursor: Time::ZERO,
-                step: Duration::from_us(10 + i as u64),
-                boundaries: Vec::new(),
-                inbox: 0,
-            })
-            .collect();
-        let cfg = EpochConfig {
-            lookahead: Duration::from_us(100),
-            workers,
-        };
-        let stats = run_two_level(
-            &mut groups,
-            Time::ZERO,
-            Time::from_us(1000),
-            &cfg,
-            &mut |groups, at| {
-                for g in groups.iter_mut() {
-                    g.inbox += 1;
-                }
-                // "Quiet" until 400 µs: the first exchange proposes
-                // the barrier covering that window; later ones keep
-                // the fixed cadence.
-                (at < Time::from_us(300)).then(|| Time::from_us(400))
-            },
-        );
-        (
-            groups.into_iter().map(|g| g.boundaries).collect(),
-            stats.outer.barriers,
-        )
-    }
-
-    #[test]
-    fn exchange_proposals_stretch_outer_epochs() {
-        let (bounds, barriers) = run_stretched(1);
-        // Fixed cadence would cross 10 outer barriers; the stretch
-        // from 100 µs straight to 400 µs removes two of them.
-        assert_eq!(barriers, 8);
-        // Group 1 (11 µs steps) truncates its inner loop at every
-        // outer barrier: 400 µs is a boundary, the skipped barriers
-        // at 200/300 µs are not.
-        assert!(bounds[1].contains(&Time::from_us(400)));
-        assert!(!bounds[1].contains(&Time::from_us(200)));
-        assert!(!bounds[1].contains(&Time::from_us(300)));
-        assert_eq!(*bounds[1].last().unwrap(), Time::from_us(1000));
-        // Stretched outer proposals stay worker-count invariant.
-        for workers in [2, 4] {
-            assert_eq!(run_stretched(workers), (bounds.clone(), barriers));
         }
     }
 }

@@ -605,15 +605,14 @@ fn tx_at_stretched_boundary_is_delivered_identically() {
 #[test]
 fn epoch_split_run_matches_single_call() {
     // Same cluster, horizon reached in one call vs many small calls
-    // whose boundaries land on the (1 ms) lookahead grid.
+    // whose boundaries land on the lookahead grid.
     let mut whole = ring_cluster(2);
-    whole.set_lookahead(Duration::from_ms(1));
-    whole.run_until(Time::from_ms(48));
+    let l = whole.lookahead();
+    whole.run_until(Time::ZERO + l * 432);
 
     let mut split = ring_cluster(2);
-    split.set_lookahead(Duration::from_ms(1));
     for step in 1..=4 {
-        split.run_until(Time::from_ms(step * 12));
+        split.run_until(Time::ZERO + l * (step * 108));
     }
     assert_eq!(whole.metrics(), split.metrics());
     assert_eq!(whole.stats(), split.stats());

@@ -8,7 +8,7 @@
 
 use emeralds::core::kernel::{ConfigError, Kernel, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Script};
-use emeralds::core::{LockChoice, SchedPolicy, SemScheme};
+use emeralds::core::{SchedPolicy, SemScheme};
 use emeralds::sched::SrpGraphError;
 use emeralds::sim::{Duration, SemId, SimRng, ThreadId, Time, TraceEvent};
 
@@ -20,11 +20,10 @@ fn us(v: u64) -> Duration {
     Duration::from_us(v)
 }
 
-fn cfg(lock: LockChoice) -> KernelConfig {
+fn cfg(sem_scheme: SemScheme) -> KernelConfig {
     KernelConfig {
         policy: SchedPolicy::RmQueue,
-        sem_scheme: SemScheme::Emeralds,
-        lock,
+        sem_scheme,
         ..KernelConfig::default()
     }
 }
@@ -34,13 +33,13 @@ fn cfg(lock: LockChoice) -> KernelConfig {
 /// Returns the kernel, the tasks, each task's critical-section length,
 /// and each task's mutex.
 fn shared_lock_workload(
-    lock: LockChoice,
+    scheme: SemScheme,
     n: usize,
     num_sems: usize,
     seed: u64,
 ) -> (Kernel, Vec<ThreadId>, Vec<Duration>, Vec<SemId>) {
     let mut rng = SimRng::seeded(seed);
-    let mut b = KernelBuilder::new(cfg(lock));
+    let mut b = KernelBuilder::new(cfg(scheme));
     let p = b.add_process("app");
     let sems: Vec<SemId> = (0..num_sems).map(|_| b.add_mutex()).collect();
     let mut tasks = Vec::new();
@@ -70,9 +69,9 @@ fn shared_lock_workload(
 }
 
 /// A contention-free workload: every task has a private mutex.
-fn disjoint_lock_workload(lock: LockChoice, n: usize, seed: u64) -> (Kernel, Vec<ThreadId>) {
+fn disjoint_lock_workload(scheme: SemScheme, n: usize, seed: u64) -> (Kernel, Vec<ThreadId>) {
     let mut rng = SimRng::seeded(seed);
-    let mut b = KernelBuilder::new(cfg(lock));
+    let mut b = KernelBuilder::new(cfg(scheme));
     let p = b.add_process("app");
     let mut tasks = Vec::new();
     for i in 0..n {
@@ -105,7 +104,7 @@ fn srp_blocking_bound_holds_across_random_workloads() {
     for seed in 0..12u64 {
         let n = 4 + (seed as usize % 3);
         let (mut k, tasks, cs_len, task_sem) =
-            shared_lock_workload(LockChoice::Srp, n, 2, 0x5150 + seed);
+            shared_lock_workload(SemScheme::Srp, n, 2, 0x5150 + seed);
         k.run_until(Time::from_ms(250));
         let stats = k.srp_stats().expect("SRP kernel reports stats");
         assert_eq!(
@@ -160,8 +159,8 @@ fn srp_blocking_bound_holds_across_random_workloads() {
 #[test]
 fn pi_and_srp_agree_on_contention_free_workloads() {
     for seed in [21u64, 22, 23] {
-        let (mut pi, tasks) = disjoint_lock_workload(LockChoice::Pi, 5, seed);
-        let (mut srp, _) = disjoint_lock_workload(LockChoice::Srp, 5, seed);
+        let (mut pi, tasks) = disjoint_lock_workload(SemScheme::Emeralds, 5, seed);
+        let (mut srp, _) = disjoint_lock_workload(SemScheme::Srp, 5, seed);
         pi.run_until(Time::from_ms(400));
         srp.run_until(Time::from_ms(400));
         for &t in &tasks {
@@ -198,7 +197,7 @@ fn pi_and_srp_agree_on_contention_free_workloads() {
 #[test]
 fn srp_preserves_mutual_exclusion() {
     for seed in [31u64, 32, 33] {
-        let (mut k, _, _, sems) = shared_lock_workload(LockChoice::Srp, 6, 2, seed);
+        let (mut k, _, _, sems) = shared_lock_workload(SemScheme::Srp, 6, 2, seed);
         k.run_until(Time::from_ms(300));
         for &s in &sems {
             let mut holder: Option<ThreadId> = None;
@@ -223,7 +222,7 @@ fn srp_preserves_mutual_exclusion() {
 
 #[test]
 fn unknown_semaphore_in_script_is_rejected() {
-    let mut b = KernelBuilder::new(cfg(LockChoice::Pi));
+    let mut b = KernelBuilder::new(cfg(SemScheme::Emeralds));
     let p = b.add_process("app");
     b.add_periodic_task(
         p,
@@ -265,7 +264,7 @@ fn csd_boundary_beyond_task_count_is_a_typed_error() {
 
 #[test]
 fn counting_semaphore_under_srp_is_rejected() {
-    let mut b = KernelBuilder::new(cfg(LockChoice::Srp));
+    let mut b = KernelBuilder::new(cfg(SemScheme::Srp));
     let p = b.add_process("app");
     let c = b.add_counting_sem(2);
     b.add_periodic_task(
@@ -282,7 +281,7 @@ fn counting_semaphore_under_srp_is_rejected() {
 
 #[test]
 fn condvar_under_srp_is_rejected() {
-    let mut b = KernelBuilder::new(cfg(LockChoice::Srp));
+    let mut b = KernelBuilder::new(cfg(SemScheme::Srp));
     let p = b.add_process("app");
     let m = b.add_mutex();
     let cv = b.add_condvar();
@@ -301,7 +300,7 @@ fn condvar_under_srp_is_rejected() {
 
 #[test]
 fn srp_lock_order_cycle_is_rejected_at_build_time() {
-    let mut b = KernelBuilder::new(cfg(LockChoice::Srp));
+    let mut b = KernelBuilder::new(cfg(SemScheme::Srp));
     let p = b.add_process("app");
     let a = b.add_mutex();
     let c = b.add_mutex();
@@ -338,7 +337,7 @@ fn srp_lock_order_cycle_is_rejected_at_build_time() {
 
 #[test]
 fn srp_blocking_inside_critical_section_is_rejected() {
-    let mut b = KernelBuilder::new(cfg(LockChoice::Srp));
+    let mut b = KernelBuilder::new(cfg(SemScheme::Srp));
     let p = b.add_process("app");
     let m = b.add_mutex();
     let e = b.add_event();
@@ -362,7 +361,7 @@ fn srp_blocking_inside_critical_section_is_rejected() {
 
 #[test]
 fn srp_section_left_open_at_job_end_is_rejected() {
-    let mut b = KernelBuilder::new(cfg(LockChoice::Srp));
+    let mut b = KernelBuilder::new(cfg(SemScheme::Srp));
     let p = b.add_process("app");
     let m = b.add_mutex();
     b.add_periodic_task(
@@ -382,8 +381,8 @@ fn same_config_builds_fine_under_pi_but_not_srp() {
     // The SRP rejection is about the *policy*, not the workload: the
     // identical builder input is accepted under PI (where blocking
     // inside a section is legal, if inadvisable).
-    let build = |lock: LockChoice| {
-        let mut b = KernelBuilder::new(cfg(lock));
+    let build = |scheme: SemScheme| {
+        let mut b = KernelBuilder::new(cfg(scheme));
         let p = b.add_process("app");
         let m = b.add_mutex();
         let e = b.add_event();
@@ -405,15 +404,15 @@ fn same_config_builds_fine_under_pi_but_not_srp() {
         );
         b.try_build()
     };
-    assert!(build(LockChoice::Pi).is_ok());
-    assert!(build(LockChoice::Srp).is_err());
+    assert!(build(SemScheme::Emeralds).is_ok());
+    assert!(build(SemScheme::Srp).is_err());
 }
 
 // --- next_sem hint overrides ------------------------------------------
 
 /// A task whose hint would fire: WaitEvent directly before an acquire.
 fn hinted_builder() -> (KernelBuilder, ThreadId, SemId, SemId) {
-    let mut b = KernelBuilder::new(cfg(LockChoice::Pi));
+    let mut b = KernelBuilder::new(cfg(SemScheme::Emeralds));
     let p = b.add_process("app");
     let m0 = b.add_mutex();
     let m1 = b.add_mutex();

@@ -286,11 +286,10 @@ fn early_inheritance_event_order() {
 /// Builds the fixed ceiling-vs-PI pin scenario: a high-priority task
 /// woken into a lock held by a low-priority task, with a waker in
 /// between. Identical builder input for both policies.
-fn policy_pin_scenario(lock: emeralds::core::LockChoice) -> Kernel {
+fn policy_pin_scenario(sem_scheme: SemScheme) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::RmQueue,
-        sem_scheme: SemScheme::Emeralds,
-        lock,
+        sem_scheme,
         ..KernelConfig::default()
     });
     let p = b.add_process("app");
@@ -371,8 +370,8 @@ fn locking_events(k: &Kernel) -> Vec<String> {
 /// free. One scenario, two protocols, both pinned.
 #[test]
 fn ceiling_vs_pi_scenario_pins() {
-    let mut pi = policy_pin_scenario(emeralds::core::LockChoice::Pi);
-    let mut srp = policy_pin_scenario(emeralds::core::LockChoice::Srp);
+    let mut pi = policy_pin_scenario(SemScheme::Emeralds);
+    let mut srp = policy_pin_scenario(SemScheme::Srp);
     pi.run_until(Time::from_ms(10));
     srp.run_until(Time::from_ms(10));
     assert_eq!(

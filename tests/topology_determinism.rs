@@ -202,13 +202,12 @@ fn conservation_holds_at_staggered_horizons() {
 #[test]
 fn split_runs_match_single_run() {
     let mut whole = line_topology(2);
-    whole.set_inter_lookahead(Duration::from_ms(1));
-    whole.run_until(Time::from_ms(48));
+    let l = whole.inter_lookahead();
+    whole.run_until(Time::ZERO + l * 240);
 
     let mut split = line_topology(2);
-    split.set_inter_lookahead(Duration::from_ms(1));
     for step in 1..=4u64 {
-        split.run_until(Time::from_ms(step * 12));
+        split.run_until(Time::ZERO + l * (step * 60));
     }
     assert_eq!(whole.metrics(), split.metrics());
     assert_eq!(whole.total_stats(), split.total_stats());
