@@ -18,13 +18,15 @@
 //!                              # multi-node cluster scaling → BENCH_scale.json
 //! expts faults [--quick] [--nodes 8,16,...] [--out FILE] [--gate]
 //!                              # fault injection + recovery → BENCH_faults.json
-//! expts hotpath [--quick] [--out FILE] [--baseline FILE] [--gate]
-//!                              # kernel hot-path work counters + wall-clock
-//!                              # self-profile → BENCH_hotpath.json
+//! expts hotpath [--quick] [--out FILE] [--gate]
+//!                              # kernel hot-path work counters → BENCH_hotpath.json
 //! expts topo [--quick] [--out FILE] [--gate]
 //!                              # bridged multi-segment topologies → BENCH_topology.json
 //! expts all [--workloads N]    # everything above
 //! ```
+//!
+//! A flag the subcommand does not take, or a stray argument, exits 2
+//! before anything runs, printing the subcommand's flags.
 
 use emeralds_bench::{
     breakdown_figs, csdx_expt, cyclic_expt, faults_expt, fig2, hotpath_expt, scale_expt,
@@ -32,22 +34,108 @@ use emeralds_bench::{
 };
 use emeralds_core::footprint;
 
+/// Every subcommand with the flags it takes: `(name, switches, value
+/// flags)`. A value flag consumes the next argument.
+const COMMANDS: &[(&str, &[&str], &[&str])] = &[
+    ("table1", &[], &[]),
+    ("fig2", &[], &[]),
+    ("fig3", &["--exhaustive"], &["--workloads"]),
+    ("fig4", &["--exhaustive"], &["--workloads"]),
+    ("fig5", &["--exhaustive"], &["--workloads"]),
+    ("table3", &[], &[]),
+    ("fig11", &[], &[]),
+    ("fig12", &[], &[]),
+    ("statemsg", &[], &[]),
+    ("footprint", &[], &[]),
+    ("searchcost", &[], &[]),
+    ("cyclic", &[], &[]),
+    ("syscalls", &[], &[]),
+    ("csdx", &[], &["--workloads"]),
+    ("scale", &["--quick"], &["--nodes", "--out", "--baseline"]),
+    ("faults", &["--quick", "--gate"], &["--nodes", "--out"]),
+    ("hotpath", &["--quick", "--gate"], &["--out"]),
+    ("topo", &["--quick", "--gate"], &["--out"]),
+    ("all", &[], &["--workloads"]),
+];
+
+/// The flags one invocation gave: switches, and value flags with their
+/// values.
+#[derive(Debug, Default)]
+struct Flags {
+    switches: Vec<&'static str>,
+    values: Vec<(&'static str, String)>,
+}
+
+impl Flags {
+    fn has(&self, name: &str) -> bool {
+        self.switches.contains(&name)
+    }
+
+    fn get(&self, name: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// Parses the command line (subcommand first, default `all`) against
+/// [`COMMANDS`]. Rejects an unknown subcommand, a flag the subcommand
+/// does not take, a stray argument, and a value flag with no value;
+/// the error text ends with the subcommand's flags.
+fn parse(args: &[String]) -> Result<(&'static str, Flags), String> {
+    let cmd = args.first().map_or("all", String::as_str);
+    let Some(&(name, switches, valued)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        let known: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        return Err(format!(
+            "unknown experiment '{cmd}'\nknown: {}",
+            known.join(" ")
+        ));
+    };
+    let usage = || {
+        let mut u = format!("usage: expts {name}");
+        for s in switches {
+            u.push_str(&format!(" [{s}]"));
+        }
+        for v in valued {
+            u.push_str(&format!(" [{v} VALUE]"));
+        }
+        u
+    };
+    let mut flags = Flags::default();
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if let Some(&s) = switches.iter().find(|&&s| s == arg) {
+            flags.switches.push(s);
+        } else if let Some(&v) = valued.iter().find(|&&v| v == arg) {
+            let Some(value) = rest.next() else {
+                return Err(format!("expts {name}: {v} needs a value\n{}", usage()));
+            };
+            flags.values.push((v, value.clone()));
+        } else {
+            let what = if arg.starts_with('-') {
+                "unknown flag"
+            } else {
+                "unexpected argument"
+            };
+            return Err(format!("expts {name}: {what} '{arg}'\n{}", usage()));
+        }
+    }
+    Ok((name, flags))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
+    let (cmd, flags) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
     };
-    let svalue = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let flag = |name: &str| flags.has(name);
+    let value = |name: &str| -> Option<usize> { flags.get(name).and_then(|v| v.parse().ok()) };
+    let svalue = |name: &str| flags.get(name).map(str::to_owned);
 
     let run_breakdown = |divisor: u64| {
         let mut params = breakdown_figs::FigParams::figure(divisor);
@@ -187,24 +275,10 @@ fn main() {
             } else {
                 hotpath_expt::HotpathParams::full()
             };
-            // The wall-clock half: `--baseline BENCH_scale.json` names
-            // the committed pre-optimization throughput as the A arm.
-            let baseline = svalue("--baseline").map(|p| match std::fs::read_to_string(&p) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read baseline {p}: {e}");
-                    std::process::exit(1);
-                }
-            });
-            // Wall measurement first: the throughput run wants the
-            // leanest process state the binary ever has — the counter
-            // report below grows the heap and never shrinks it.
-            let wall = hotpath_expt::wall_profile(&params, baseline.as_deref());
             let report = hotpath_expt::run(&params);
             print!("{}", hotpath_expt::render(&report));
-            print!("{}", hotpath_expt::render_wall(&wall));
             let out = svalue("--out").unwrap_or_else(|| "BENCH_hotpath.json".into());
-            let json = hotpath_expt::to_json(&params, &report, Some(&wall));
+            let json = hotpath_expt::to_json(&params, &report);
             match std::fs::write(&out, &json) {
                 Ok(()) => println!("wrote {out}"),
                 Err(e) => {
@@ -213,13 +287,11 @@ fn main() {
                 }
             }
             if flag("--gate") {
-                let (mut lines, failed) = hotpath_expt::gate(&report);
-                let (wall_lines, wall_failed) = hotpath_expt::wall_gate(&wall);
-                lines.extend(wall_lines);
+                let (lines, failed) = hotpath_expt::gate(&report);
                 for l in &lines {
                     println!("{l}");
                 }
-                if failed || wall_failed {
+                if failed {
                     eprintln!("hotpath experiment gate failed");
                     std::process::exit(1);
                 }
@@ -290,11 +362,7 @@ fn main() {
             let pts = csdx_expt::sweep(40, 6, w, 0xC5D);
             print!("{}", csdx_expt::render(&pts));
         }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!("known: table1 fig2 fig3 fig4 fig5 table3 fig11 fig12 statemsg footprint searchcost cyclic syscalls csdx scale faults hotpath topo all");
-            std::process::exit(2);
-        }
+        other => unreachable!("`parse` admits only the commands in COMMANDS, not {other}"),
     }
 }
 
@@ -347,4 +415,79 @@ fn banner(title: &str) {
     println!("\n{}", "=".repeat(72));
     println!("{title}");
     println!("{}\n", "=".repeat(72));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_take_are_rejected() {
+        for words in [
+            &["topo", "--quick", "--help"][..],
+            &["hotpath", "--baseline", "BENCH_scale.json"],
+            &["hotpath", "--quick", "--gat"],
+            &["table1", "--quick"],
+            &["faults", "--gate", "extra"],
+            &["scale", "--out"],
+            &["--quick"],
+        ] {
+            let err = parse(&argv(words)).expect_err(&format!("{words:?} was accepted"));
+            assert!(
+                err.contains("usage: expts") || err.contains("known:"),
+                "{words:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn value_flags_consume_their_argument() {
+        let (cmd, flags) = parse(&argv(&["scale", "--nodes", "8,16", "--out", "x.json"])).unwrap();
+        assert_eq!(cmd, "scale");
+        assert_eq!(flags.get("--nodes"), Some("8,16"));
+        assert_eq!(flags.get("--out"), Some("x.json"));
+        assert!(!flags.has("--quick"));
+        // A value that looks like a flag is still the flag's value.
+        let (_, flags) = parse(&argv(&["topo", "--out", "--gate"])).unwrap();
+        assert_eq!(flags.get("--out"), Some("--gate"));
+        assert!(!flags.has("--gate"));
+        assert_eq!(parse(&[]).unwrap().0, "all");
+    }
+
+    /// Every invocation in the usage block at the top of this file
+    /// parses, with its placeholders (`N`, `FILE`, ...) as the values,
+    /// and the block names every subcommand.
+    #[test]
+    fn every_flag_in_the_usage_block_is_accepted() {
+        let mut named = Vec::new();
+        for line in include_str!("expts.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! expts "))
+        {
+            let words: Vec<&str> = line
+                .split('#')
+                .next()
+                .unwrap_or_default()
+                .split_whitespace()
+                .map(|w| w.trim_matches(|c| c == '[' || c == ']'))
+                .collect();
+            let flags_at = words
+                .iter()
+                .position(|w| w.starts_with("--"))
+                .unwrap_or(words.len());
+            // `fig4 / fig5` names two subcommands on one line.
+            for &cmd in words[..flags_at].iter().filter(|&&w| w != "/") {
+                let mut args = vec![cmd];
+                args.extend(&words[flags_at..]);
+                assert!(parse(&argv(&args)).is_ok(), "usage line rejected: {args:?}");
+                named.push(cmd);
+            }
+        }
+        let all: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        assert_eq!(named, all, "usage block and COMMANDS disagree");
+    }
 }

@@ -12,10 +12,12 @@
 //! is bit-for-bit reproducible on any host and can gate CI without
 //! timing noise:
 //!
-//! - **Scheduler pick** — the same workload runs with the dispatch
-//!   cache off ("before": every `reschedule` walks the ready queues)
-//!   and on ("after": only invalidated picks re-evaluate), and the
-//!   two runs' `KernelMetrics` must be identical.
+//! - **Scheduler pick** — every `reschedule` is one selection call
+//!   ("before": a walk of the ready queues each time), against the
+//!   full queue evaluations the dispatch memo leaves ("after": only
+//!   invalidated picks re-evaluate). The memo's bit-for-bit guarantee
+//!   is checked elsewhere: debug builds re-select on every cached hit
+//!   and assert the memo agrees (DESIGN.md §12).
 //! - **Timer queue** — an identical arm/pop trace drives a local
 //!   reimplementation of the original delta queue (O(n) insert walk)
 //!   and the current calendar queue, comparing ordering work.
@@ -25,26 +27,14 @@
 //!   buffer sizing the retry count is structurally zero, i.e. read
 //!   work is exactly one snapshot+copy per read.
 //!
-//! The one deliberately host-dependent addition is the `wall_profile`
-//! section ([`WallSection`]): an *armed* run of the feature-gated
-//! self-profiler ranks subsystems by host nanoseconds (and, under the
-//! `alloc-count` allocator, heap allocations), and a separate
-//! *disarmed* serial run measures shipped throughput in sim-ms per
-//! wall-ms against the committed `BENCH_scale.json` reference. Span
-//! hit counts are deterministic — span entries are a function of the
-//! workload — so the gate can require every subsystem to be sampled;
-//! only the nanosecond and wall-ms columns move between hosts.
-
-use std::time::Instant;
+//! Host time per layer is measured from outside the crates, by the
+//! repository benchmark's `--trace 1` run.
 
 use emeralds_core::kernel::{KernelBuilder, KernelConfig};
 use emeralds_core::script::{Action, Operand, Script};
 use emeralds_core::timerq::TimerQueue;
 use emeralds_core::{Kernel, SchedPolicy, SemScheme};
-use emeralds_sim::profile::{self, SUBSYSTEM_COUNT};
-use emeralds_sim::{Duration, SimRng, StateId, Time, WallRow};
-
-use crate::scale_expt;
+use emeralds_sim::{Duration, SimRng, StateId, Time};
 
 /// Experiment shape.
 #[derive(Clone, Debug)]
@@ -57,14 +47,6 @@ pub struct HotpathParams {
     pub timer_span: Time,
     /// Workload seed.
     pub seed: u64,
-    /// Cluster size of the wall-clock profile/throughput runs (serial,
-    /// 1 worker — the shape the zero-allocation pass targets).
-    pub wall_nodes: usize,
-    /// Simulated horizon of the wall-clock runs.
-    pub wall_horizon: Time,
-    /// Seed of the wall-clock cluster; matches the scale experiment so
-    /// the committed `BENCH_scale.json` line is an honest "A" arm.
-    pub wall_seed: u64,
 }
 
 impl HotpathParams {
@@ -75,9 +57,6 @@ impl HotpathParams {
             timer_tasks: 48,
             timer_span: Time::from_ms(300),
             seed: 0x407,
-            wall_nodes: 64,
-            wall_horizon: Time::from_ms(300),
-            wall_seed: 0x5CA1E,
         }
     }
 
@@ -89,9 +68,6 @@ impl HotpathParams {
             timer_tasks: 16,
             timer_span: Time::from_ms(60),
             seed: 0x407,
-            wall_nodes: 16,
-            wall_horizon: Time::from_ms(60),
-            wall_seed: 0x5CA1E,
         }
     }
 }
@@ -101,16 +77,11 @@ impl HotpathParams {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HotpathReport {
     // Scheduler pick.
+    /// `reschedule` calls (the "before": one queue walk each).
     pub select_calls: u64,
-    /// Full queue evaluations with the dispatch cache disabled
-    /// (the "before": equals `select_calls` by construction).
-    pub select_evals_uncached: u64,
-    /// Full queue evaluations with the cache enabled (the "after":
+    /// Full queue evaluations behind the dispatch memo (the "after":
     /// only invalidated picks re-evaluate).
     pub select_evals_cached: u64,
-    /// The two runs produced identical `KernelMetrics` — the
-    /// bit-for-bit guarantee the cache must uphold.
-    pub dispatch_metrics_match: bool,
 
     // Timer queue.
     pub timer_arms: u64,
@@ -180,14 +151,13 @@ pub struct PolicyAbRow {
 /// many periodic releases (timer + scheduler pressure), a
 /// mostly-uncontended mutex, one genuinely contended mutex, and a
 /// state-message producer/consumer pair.
-fn build_workload(seed: u64, dispatch_cache: bool) -> Kernel {
+fn build_workload(seed: u64) -> Kernel {
     let mut rng = SimRng::seeded(seed);
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![2],
         },
         record_trace: false,
-        dispatch_cache,
         ..KernelConfig::default()
     });
     let p = b.add_process("hotpath");
@@ -496,32 +466,20 @@ fn timer_shootout(params: &HotpathParams) -> (u64, u64, u64, bool) {
     )
 }
 
-/// Runs the full measurement: the dispatch-cache A/B kernel runs, the
-/// timer shootout, and the semaphore / state-message counters (taken
-/// from the cache-enabled run — the configuration the kernel ships
-/// with).
+/// Runs the full measurement: the kernel workload (scheduler,
+/// semaphore and state-message counters), the timer shootout, and the
+/// locking-policy A/B scenarios.
 pub fn run(params: &HotpathParams) -> HotpathReport {
-    let mut before = build_workload(params.seed, false);
-    before.run_until(params.horizon);
-    let mut after = build_workload(params.seed, true);
-    after.run_until(params.horizon);
-
-    let (calls_b, evals_b) = before.dispatch_cache_stats();
-    let (calls_a, evals_a) = after.dispatch_cache_stats();
-    assert_eq!(
-        calls_b, calls_a,
-        "dispatch cache changed how often the scheduler runs"
-    );
-    let metrics_match = before.metrics() == after.metrics();
+    let mut k = build_workload(params.seed);
+    k.run_until(params.horizon);
+    let (select_calls, select_evals_cached) = k.dispatch_cache_stats();
 
     let (timer_arms, walks_legacy, walks_calendar, timer_order_match) = timer_shootout(params);
 
-    let c = after.counters();
+    let c = k.counters();
     HotpathReport {
-        select_calls: calls_a,
-        select_evals_uncached: evals_b,
-        select_evals_cached: evals_a,
-        dispatch_metrics_match: metrics_match,
+        select_calls,
+        select_evals_cached,
         timer_arms,
         timer_walks_legacy: walks_legacy,
         timer_walks_calendar: walks_calendar,
@@ -529,7 +487,7 @@ pub fn run(params: &HotpathParams) -> HotpathReport {
         sem_acquired: c.sem_acquired,
         sem_contended: c.sem_contended,
         sem_early_inherits: c.early_inherits,
-        sem_fast_acquires: after.sem_fast_acquires(),
+        sem_fast_acquires: k.sem_fast_acquires(),
         statemsg_reads: c.statemsg_reads,
         statemsg_retries: c.statemsg_retries,
         policy_ab: ["uncontended", "contended", "longblock"]
@@ -537,180 +495,6 @@ pub fn run(params: &HotpathParams) -> HotpathReport {
             .map(|s| policy_ab_row(s, params.horizon))
             .collect(),
     }
-}
-
-/// The wall-clock half of the experiment — the one deliberately
-/// host-dependent section, kept outside [`HotpathReport`] so the
-/// deterministic counters stay a pure function of the params.
-#[derive(Clone, Debug)]
-pub struct WallSection {
-    /// `available_parallelism()` of the measuring host, recorded so a
-    /// committed profile is honest about where it was taken.
-    pub host_parallelism: usize,
-    /// Cluster size of both wall runs (serial, 1 worker).
-    pub nodes: usize,
-    /// Simulated horizon of both wall runs.
-    pub sim_ms: f64,
-    /// Wall-clock of the armed (instrumented) profile run — not the
-    /// number to compare against baselines.
-    pub profile_wall_ms: f64,
-    /// Wall-clock of the disarmed throughput run (best of five
-    /// back-to-back runs), the configuration the executive ships with.
-    pub wall_ms: f64,
-    /// Simulated milliseconds replayed per host millisecond, disarmed.
-    pub sim_ms_per_wall_ms: f64,
-    /// The committed pre-optimization reference (`BENCH_scale.json`
-    /// busy workload, same node count, 1 worker), when a baseline
-    /// file was given.
-    pub baseline_sim_ms_per_wall_ms: Option<f64>,
-    /// `sim_ms_per_wall_ms / baseline`.
-    pub speedup_vs_baseline: Option<f64>,
-    /// One `(subsystem, row)` per `Subsystem::ALL` entry from the
-    /// armed run. Spans are *inclusive*: a nested span (e.g. trace
-    /// recording inside a dispatch) counts toward both rows, so the
-    /// nanos column ranks subsystems but does not sum to the run.
-    pub rows: Vec<(&'static str, WallRow)>,
-}
-
-/// Runs the wall-clock measurement: one armed profile run (the scale
-/// experiment's busy cluster for the dispatch/timer/trace/IRQ/
-/// exchange spans, a short 2-worker stretch of the same cluster for
-/// the barrier span — the serial path has no barrier to sample — and
-/// the semaphore-heavy kernel workload above for the `sem_op` spans),
-/// then disarmed serial throughput runs of the same cluster.
-pub fn wall_profile(params: &HotpathParams, baseline_json: Option<&str>) -> WallSection {
-    // Disarmed throughput first, on the leanest process state the
-    // binary will see (the armed runs below grow the heap with
-    // instrumented clusters and never shrink it back). Every span
-    // collapses to one relaxed load; this is the number baselines
-    // compare against. Best of five back-to-back runs — the minimum
-    // is the standard least-interference estimator on a shared host
-    // (the first run also pays the page-cache/branch-predictor
-    // warm-up), and the virtual result of every run is identical.
-    let mut wall_ms = f64::MAX;
-    for _ in 0..5 {
-        let mut c = scale_expt::build_cluster(params.wall_nodes, params.wall_seed, 1);
-        let t0 = Instant::now();
-        c.run_until(params.wall_horizon);
-        wall_ms = wall_ms.min(t0.elapsed().as_secs_f64() * 1_000.0);
-    }
-
-    profile::arm();
-    let t0 = Instant::now();
-    let mut c = scale_expt::build_cluster(params.wall_nodes, params.wall_seed, 1);
-    c.run_until(params.wall_horizon);
-    // The serial epoch path fuses the barrier away entirely, so the
-    // barrier subsystem only exists under >= 2 workers: sample it on a
-    // short parallel stretch (deterministic — same workload, and the
-    // epoch engine is bit-identical at any worker count).
-    let mut c = scale_expt::build_cluster(params.wall_nodes, params.wall_seed, 2);
-    c.run_until(Time::from_ms(
-        (params.wall_horizon.as_ms_f64() as u64 / 5).max(1),
-    ));
-    let mut k = build_workload(params.seed, true);
-    k.run_until(params.horizon);
-    let profile_wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
-    profile::disarm();
-    let prof = profile::snapshot();
-
-    let sim_ms = params.wall_horizon.as_ms_f64();
-    let sim_per_wall = if wall_ms > 0.0 { sim_ms / wall_ms } else { 0.0 };
-    let baseline = baseline_json.and_then(|j| baseline_sim_per_wall(j, params.wall_nodes));
-    WallSection {
-        host_parallelism: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        nodes: params.wall_nodes,
-        sim_ms,
-        profile_wall_ms,
-        wall_ms,
-        sim_ms_per_wall_ms: sim_per_wall,
-        baseline_sim_ms_per_wall_ms: baseline,
-        speedup_vs_baseline: baseline.filter(|&b| b > 0.0).map(|b| sim_per_wall / b),
-        rows: prof.iter().map(|(s, r)| (s.name(), *r)).collect(),
-    }
-}
-
-/// The committed "A" arm: serial busy-cluster throughput at `nodes`
-/// from a `BENCH_scale.json`, in sim-ms per wall-ms.
-fn baseline_sim_per_wall(json: &str, nodes: usize) -> Option<f64> {
-    json.lines().find_map(|l| {
-        if !l.contains("\"workload\": \"busy\"") {
-            return None;
-        }
-        if scale_expt::field_f64(l, "nodes")? as usize != nodes
-            || scale_expt::field_f64(l, "workers")? as usize != 1
-        {
-            return None;
-        }
-        let wall = scale_expt::field_f64(l, "wall_ms")?;
-        let sim = scale_expt::field_f64(l, "sim_ms")?;
-        (wall > 0.0).then(|| sim / wall)
-    })
-}
-
-/// Renders the wall section: per-subsystem profile plus the throughput
-/// A/B line.
-pub fn render_wall(w: &WallSection) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "wall profile (busy cluster n{} + kernel workload, host_parallelism {}):\n",
-        w.nodes, w.host_parallelism
-    ));
-    s.push_str("subsystem          hits            ns   ns/hit   allocs\n");
-    for (name, r) in &w.rows {
-        let per = if r.hits > 0 {
-            r.nanos as f64 / r.hits as f64
-        } else {
-            0.0
-        };
-        s.push_str(&format!(
-            "{name:<14} {:>9} {:>13} {:>8.0} {:>8}\n",
-            r.hits, r.nanos, per, r.allocs
-        ));
-    }
-    s.push_str(&format!(
-        "throughput (disarmed, 1 worker, best of 5): {:.1} sim-ms / {:.2} wall-ms = {:.2} sim-ms per wall-ms\n",
-        w.sim_ms, w.wall_ms, w.sim_ms_per_wall_ms
-    ));
-    match (w.baseline_sim_ms_per_wall_ms, w.speedup_vs_baseline) {
-        (Some(b), Some(sp)) => s.push_str(&format!(
-            "vs committed baseline {b:.2} sim-ms per wall-ms: {sp:.2}x\n"
-        )),
-        _ => s.push_str("no scale baseline matched: speedup not computed\n"),
-    }
-    s
-}
-
-/// Wall-section gate. Span *hit counts* are deterministic (a function
-/// of the workload), so every subsystem must have been sampled; the
-/// nanosecond and wall-ms columns are host noise and are only required
-/// to be positive — never thresholded.
-pub fn wall_gate(w: &WallSection) -> (Vec<String>, bool) {
-    let mut lines = Vec::new();
-    let mut failed = false;
-    let mut check = |ok: bool, line: String| {
-        failed |= !ok;
-        lines.push(format!("{} {line}", if ok { "ok  " } else { "FAIL" }));
-    };
-    check(
-        w.rows.len() == SUBSYSTEM_COUNT,
-        format!(
-            "wall profile has one row per subsystem ({} of {SUBSYSTEM_COUNT})",
-            w.rows.len()
-        ),
-    );
-    for (name, r) in &w.rows {
-        check(r.hits > 0, format!("{name} sampled ({} hits)", r.hits));
-    }
-    check(
-        w.wall_ms > 0.0 && w.sim_ms_per_wall_ms > 0.0,
-        format!(
-            "throughput run completed ({:.2} sim-ms per wall-ms)",
-            w.sim_ms_per_wall_ms
-        ),
-    );
-    (lines, failed)
 }
 
 /// Renders the report as a before/after table.
@@ -725,12 +509,7 @@ pub fn render(r: &HotpathReport) -> String {
         };
         s.push_str(&format!("{label:<18} {before:>14} {after:>14}   {cut}\n"));
     };
-    row(
-        &mut s,
-        "sched evals",
-        r.select_evals_uncached,
-        r.select_evals_cached,
-    );
+    row(&mut s, "sched evals", r.select_calls, r.select_evals_cached);
     row(
         &mut s,
         "timer walk steps",
@@ -761,12 +540,7 @@ pub fn render(r: &HotpathReport) -> String {
         r.statemsg_retries,
     ));
     s.push_str(&format!(
-        "virtual-time parity: metrics {} | timer order {}\n",
-        if r.dispatch_metrics_match {
-            "identical"
-        } else {
-            "DIVERGED"
-        },
+        "virtual-time parity: timer order {}\n",
         if r.timer_order_match {
             "identical"
         } else {
@@ -804,20 +578,15 @@ pub fn render(r: &HotpathReport) -> String {
 }
 
 /// Serializes the report as `BENCH_hotpath.json`. Every counter is
-/// deterministic and regenerates byte-identically on any host; the
-/// optional `wall_profile` section is the file's one host-dependent
-/// block (its `hits` columns are still deterministic — see
-/// [`WallSection`]).
-pub fn to_json(params: &HotpathParams, r: &HotpathReport, wall: Option<&WallSection>) -> String {
+/// deterministic and regenerates byte-identically on any host.
+pub fn to_json(params: &HotpathParams, r: &HotpathReport) -> String {
     let mut s = format!(
         "{{\n\
          \"experiment\": \"hotpath\",\n\
          \"horizon_ms\": {},\n\
          \"seed\": {},\n\
          \"select_calls\": {},\n\
-         \"select_evals_uncached\": {},\n\
          \"select_evals_cached\": {},\n\
-         \"dispatch_metrics_match\": {},\n\
          \"timer_arms\": {},\n\
          \"timer_walks_legacy\": {},\n\
          \"timer_walks_calendar\": {},\n\
@@ -832,9 +601,7 @@ pub fn to_json(params: &HotpathParams, r: &HotpathReport, wall: Option<&WallSect
         params.horizon.as_ms_f64(),
         params.seed,
         r.select_calls,
-        r.select_evals_uncached,
         r.select_evals_cached,
-        r.dispatch_metrics_match,
         r.timer_arms,
         r.timer_walks_legacy,
         r.timer_walks_calendar,
@@ -876,43 +643,13 @@ pub fn to_json(params: &HotpathParams, r: &HotpathReport, wall: Option<&WallSect
             row.srp_unexpected_blocks,
         ));
     }
-    s.push_str("\n]");
-    if let Some(w) = wall {
-        s.push_str(",\n\"wall_profile\": {\n");
-        s.push_str(&format!(
-            "\"host_parallelism\": {},\n\"nodes\": {},\n\"sim_ms\": {:.1},\n\
-             \"profile_wall_ms\": {:.3},\n\"wall_ms\": {:.3},\n\"sim_ms_per_wall_ms\": {:.3},\n",
-            w.host_parallelism,
-            w.nodes,
-            w.sim_ms,
-            w.profile_wall_ms,
-            w.wall_ms,
-            w.sim_ms_per_wall_ms,
-        ));
-        if let (Some(b), Some(sp)) = (w.baseline_sim_ms_per_wall_ms, w.speedup_vs_baseline) {
-            s.push_str(&format!(
-                "\"baseline_sim_ms_per_wall_ms\": {b:.3},\n\"speedup_vs_baseline\": {sp:.3},\n"
-            ));
-        }
-        s.push_str("\"rows\": [\n");
-        for (i, (name, r)) in w.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "{{\"subsystem\": \"{name}\", \"hits\": {}, \"nanos\": {}, \"allocs\": {}}}{}\n",
-                r.hits,
-                r.nanos,
-                r.allocs,
-                if i + 1 < w.rows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("]\n}");
-    }
-    s.push_str("\n}\n");
+    s.push_str("\n]\n}\n");
     s
 }
 
-/// Deterministic CI gate: each cut must actually cut, and neither may
-/// perturb virtual time. Returns the verdict lines and whether any
-/// check failed.
+/// Deterministic CI gate: each cut must actually cut, and the calendar
+/// queue must dispense the legacy order. Returns the verdict lines and
+/// whether any check failed.
 pub fn gate(r: &HotpathReport) -> (Vec<String>, bool) {
     let mut lines = Vec::new();
     let mut failed = false;
@@ -921,14 +658,10 @@ pub fn gate(r: &HotpathReport) -> (Vec<String>, bool) {
         lines.push(format!("{} {line}", if ok { "ok  " } else { "FAIL" }));
     };
     check(
-        r.dispatch_metrics_match,
-        "dispatch cache leaves KernelMetrics bit-identical".into(),
-    );
-    check(
-        r.select_evals_cached < r.select_evals_uncached,
+        r.select_evals_cached < r.select_calls,
         format!(
             "dispatch cache skips queue evaluations ({} -> {})",
-            r.select_evals_uncached, r.select_evals_cached
+            r.select_calls, r.select_evals_cached
         ),
     );
     check(
@@ -1194,40 +927,11 @@ mod tests {
         }
     }
 
-    /// A synthetic wall section: JSON shape and gate behavior can be
-    /// pinned without paying for a real cluster run in unit tests (the
-    /// CI bench smoke runs the real thing through `expts hotpath`).
-    fn fake_wall() -> WallSection {
-        WallSection {
-            host_parallelism: 1,
-            nodes: 16,
-            sim_ms: 60.0,
-            profile_wall_ms: 2.0,
-            wall_ms: 1.5,
-            sim_ms_per_wall_ms: 40.0,
-            baseline_sim_ms_per_wall_ms: Some(4.0),
-            speedup_vs_baseline: Some(10.0),
-            rows: emeralds_sim::Subsystem::ALL
-                .iter()
-                .map(|s| {
-                    (
-                        s.name(),
-                        WallRow {
-                            hits: 3,
-                            nanos: 120,
-                            allocs: 0,
-                        },
-                    )
-                })
-                .collect(),
-        }
-    }
-
     #[test]
     fn json_contains_every_counter() {
         let params = HotpathParams::quick();
         let r = run(&params);
-        let json = to_json(&params, &r, Some(&fake_wall()));
+        let json = to_json(&params, &r);
         for key in [
             "select_evals_cached",
             "timer_walks_legacy",
@@ -1236,50 +940,9 @@ mod tests {
             "policy_ab",
             "srp_ceiling_pushes",
             "ceiling_defers",
-            "wall_profile",
-            "sim_ms_per_wall_ms",
-            "speedup_vs_baseline",
-            "\"subsystem\": \"dispatch\"",
-            "\"subsystem\": \"barrier\"",
         ] {
             assert!(json.contains(key), "missing {key}");
         }
-        // Without a wall section the deterministic file has no
-        // host-dependent key at all.
-        let bare = to_json(&params, &r, None);
-        assert!(!bare.contains("wall_profile"));
-    }
-
-    #[test]
-    fn wall_gate_requires_every_subsystem_sampled() {
-        let good = fake_wall();
-        let (lines, failed) = wall_gate(&good);
-        assert!(!failed, "{lines:?}");
-
-        let mut unsampled = fake_wall();
-        unsampled.rows[2].1.hits = 0;
-        let (lines, failed) = wall_gate(&unsampled);
-        assert!(failed, "{lines:?}");
-
-        let mut short = fake_wall();
-        short.rows.pop();
-        assert!(wall_gate(&short).1);
-    }
-
-    #[test]
-    fn scale_baseline_line_yields_the_a_arm() {
-        let json = "{\n\"runs\": [\n\
-            {\"workload\": \"busy\", \"nodes\": 64, \"workers\": 1, \"wall_ms\": 75.0, \"sim_ms\": 300.0},\n\
-            {\"workload\": \"busy\", \"nodes\": 64, \"workers\": 4, \"wall_ms\": 30.0, \"sim_ms\": 300.0},\n\
-            {\"workload\": \"quiet\", \"nodes\": 16, \"workers\": 1, \"wall_ms\": 1.0, \"sim_ms\": 300.0}\n\
-            ]\n}\n";
-        assert_eq!(baseline_sim_per_wall(json, 64), Some(4.0));
-        assert_eq!(
-            baseline_sim_per_wall(json, 16),
-            None,
-            "quiet lines are not the A arm"
-        );
-        assert_eq!(baseline_sim_per_wall(json, 128), None);
     }
 
     /// The A/B rows must show each policy fighting contention with its

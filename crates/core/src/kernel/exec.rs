@@ -6,7 +6,7 @@
 //! block/unblock invokes the scheduler exactly as §5.1 models it
 //! (`t_b`, `t_u`, and a selection per transition).
 
-use emeralds_sim::{HotSpot, OverheadKind, Subsystem, ThreadId, Time, TraceEvent};
+use emeralds_sim::{OverheadKind, ThreadId, Time, TraceEvent};
 
 use crate::kernel::{Kernel, TimerEvent};
 use crate::sched::SchedulerImpl;
@@ -104,7 +104,6 @@ impl Kernel {
                 // skip the board entirely: an undue board can raise no
                 // line, and every external raise (bus delivery, test
                 // harness) services its interrupt at the raise site.
-                let _span = HotSpot::enter(Subsystem::IrqBoard);
                 let mut raised = std::mem::take(&mut self.irq_scratch);
                 self.board.advance_to(now, &mut raised);
                 for &line in &raised {
@@ -114,18 +113,15 @@ impl Kernel {
                 self.irq_scratch = raised;
                 self.service_pending_irqs();
             }
-            {
-                // Kernel timer expiries: every pop due at this instant
-                // is drained in one batch; the external-occurrence
-                // minimum is only re-derived once the batch is empty.
-                let _span = HotSpot::enter(Subsystem::TimerQueue);
-                while let Some((_, ev)) = self.timers.pop_due(self.clock.now()) {
-                    self.charge(OverheadKind::Timer, self.cfg.cost.timer_expiry);
-                    match ev {
-                        TimerEvent::Release(tid) => self.release_job(tid),
-                        TimerEvent::Wake(tid) => self.complete_blocking_call(tid),
-                        TimerEvent::DeadlineCheck(tid, job) => self.check_deadline(tid, job),
-                    }
+            // Kernel timer expiries: every pop due at this instant is
+            // drained in one batch; the external-occurrence minimum is
+            // only re-derived once the batch is empty.
+            while let Some((_, ev)) = self.timers.pop_due(self.clock.now()) {
+                self.charge(OverheadKind::Timer, self.cfg.cost.timer_expiry);
+                match ev {
+                    TimerEvent::Release(tid) => self.release_job(tid),
+                    TimerEvent::Wake(tid) => self.complete_blocking_call(tid),
+                    TimerEvent::DeadlineCheck(tid, job) => self.check_deadline(tid, job),
                 }
             }
         }
@@ -393,23 +389,19 @@ impl Kernel {
     /// whole test suite doubles as a validity proof of the
     /// invalidation rules.
     pub(crate) fn reschedule(&mut self) {
-        let _span = HotSpot::enter(Subsystem::Dispatch);
         self.select_calls += 1;
-        let (next, c) = match self.dispatch_memo {
-            Some(memo) if self.cfg.dispatch_cache => {
-                debug_assert_eq!(
-                    memo,
-                    self.sched.select(&self.tcbs, &self.cfg.cost),
-                    "stale dispatch memo survived an invalidating mutation"
-                );
-                memo
-            }
-            _ => {
-                self.select_evals += 1;
-                let fresh = self.sched.select(&self.tcbs, &self.cfg.cost);
-                self.dispatch_memo = Some(fresh);
-                fresh
-            }
+        let (next, c) = if let Some(memo) = self.dispatch_memo {
+            debug_assert_eq!(
+                memo,
+                self.sched.select(&self.tcbs, &self.cfg.cost),
+                "stale dispatch memo survived an invalidating mutation"
+            );
+            memo
+        } else {
+            self.select_evals += 1;
+            let fresh = self.sched.select(&self.tcbs, &self.cfg.cost);
+            self.dispatch_memo = Some(fresh);
+            fresh
         };
         self.charge(OverheadKind::SchedSelect, c);
         if next != self.current {

@@ -2,8 +2,7 @@
 
 use emeralds_hal::AccessKind;
 use emeralds_sim::{
-    Duration, EventId, HotSpot, IrqLine, MboxId, OverheadKind, StateId, Subsystem, ThreadId,
-    TraceEvent,
+    Duration, EventId, IrqLine, MboxId, OverheadKind, StateId, ThreadId, TraceEvent,
 };
 
 use crate::ipc::Message;
@@ -340,7 +339,6 @@ impl Kernel {
     /// Externally raises an interrupt line (fieldbus frame arrival);
     /// serviced immediately, as the controller would preempt.
     pub fn raise_external_irq(&mut self, line: IrqLine) {
-        let _span = HotSpot::enter(Subsystem::IrqBoard);
         self.board.intc.raise(line);
         self.record(TraceEvent::IrqRaised { line });
         self.service_pending_irqs();

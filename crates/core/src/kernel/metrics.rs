@@ -851,4 +851,37 @@ mod tests {
         assert!(json.contains("\"node_count\": 0"));
         assert!(json.contains("\"state_age\": {\"count\": 0, \"mean_ns\": 0"));
     }
+
+    /// The kernel report ends with one row per task under its `tasks:`
+    /// header, whatever counter lines precede it.
+    #[test]
+    fn kernel_render_has_one_row_per_task() {
+        use crate::kernel::{KernelBuilder, KernelConfig};
+        use crate::script::Script;
+        let mut b = KernelBuilder::new(KernelConfig::default());
+        let p = b.add_process("app");
+        for (name, period_ms, wcet_ms) in [("fast", 5, 1), ("slow", 50, 10)] {
+            b.add_periodic_task(
+                p,
+                name,
+                Duration::from_ms(period_ms),
+                Script::compute_only(Duration::from_ms(wcet_ms)),
+            );
+        }
+        let mut k = b.build();
+        k.run_until(Time::from_ms(20));
+        let m = k.metrics();
+        let text = m.render();
+        let rows: Vec<&str> = text
+            .lines()
+            .skip_while(|l| *l != "tasks:")
+            .skip(1)
+            .collect();
+        assert_eq!(m.tasks.len(), 2);
+        assert_eq!(rows.len(), m.tasks.len(), "{text}");
+        assert!(
+            rows[0].contains("fast") && rows[1].contains("slow"),
+            "{text}"
+        );
+    }
 }

@@ -25,8 +25,8 @@ pub use validate::ConfigError;
 
 use emeralds_hal::{Board, BoardConfig, Clock, CostModel, Perms};
 use emeralds_sim::{
-    Accounting, CvId, Duration, EventId, HotSpot, IrqLine, MboxId, OverheadKind, ProcId, SemId,
-    StateId, Subsystem, ThreadId, Time, Trace, TraceEvent,
+    Accounting, CvId, Duration, EventId, IrqLine, MboxId, OverheadKind, ProcId, SemId, StateId,
+    ThreadId, Time, Trace, TraceEvent,
 };
 
 use crate::alloc::PoolSet;
@@ -61,13 +61,6 @@ pub struct KernelConfig {
     pub trace_ring: Option<usize>,
     /// How many trailing trace events a deadline-miss report captures.
     pub miss_window: usize,
-    /// Memoize the scheduler's dispatch decision between invocations:
-    /// when no release/block/unblock/inheritance change occurred since
-    /// the last selection, `reschedule` reuses the cached pick (and
-    /// still charges the identical virtual selection cost, so results
-    /// are bit-for-bit the same with the cache off — only host work
-    /// changes). The switch exists for that comparison.
-    pub dispatch_cache: bool,
 }
 
 impl Default for KernelConfig {
@@ -81,7 +74,6 @@ impl Default for KernelConfig {
             record_trace: true,
             trace_ring: None,
             miss_window: 32,
-            dispatch_cache: true,
         }
     }
 }
@@ -193,9 +185,8 @@ impl Kernel {
     }
 
     /// Dispatch-cache effectiveness: `(scheduler invocations, full
-    /// queue evaluations)`. With the cache enabled the second number
-    /// counts misses; with it disabled the two are equal. Both are
-    /// deterministic (driven purely by virtual events).
+    /// queue evaluations)`. The second number counts memo misses. Both
+    /// are deterministic (driven purely by virtual events).
     pub fn dispatch_cache_stats(&self) -> (u64, u64) {
         (self.select_calls, self.select_evals)
     }
@@ -345,7 +336,6 @@ impl Kernel {
     /// Records a trace event at the current instant. The live service
     /// counters observe every event, even when the trace stores none.
     pub(crate) fn record(&mut self, ev: TraceEvent) {
-        let _span = HotSpot::enter(Subsystem::TraceRecord);
         self.counters.observe(&ev);
         self.trace.push(self.clock.now(), ev);
     }

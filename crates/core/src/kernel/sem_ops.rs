@@ -14,7 +14,7 @@
 //! their guard with inheritance); SRP configurations reject them at
 //! build time, so the cond ops never run under a ceiling policy.
 
-use emeralds_sim::{CvId, HotSpot, OverheadKind, SemId, Subsystem, ThreadId, TraceEvent};
+use emeralds_sim::{CvId, OverheadKind, SemId, ThreadId, TraceEvent};
 
 use crate::kernel::Kernel;
 use crate::tcb::{BlockReason, ThreadState};
@@ -22,7 +22,6 @@ use crate::tcb::{BlockReason, ThreadState};
 impl Kernel {
     /// `acquire_sem()` system call.
     pub(crate) fn sys_acquire_sem(&mut self, tid: ThreadId, s: SemId) {
-        let _span = HotSpot::enter(Subsystem::SemOp);
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,
@@ -39,7 +38,6 @@ impl Kernel {
     /// Panics if a mutex is released by a non-holder (a program bug on
     /// the real system too).
     pub(crate) fn sys_release_sem(&mut self, tid: ThreadId, s: SemId) {
-        let _span = HotSpot::enter(Subsystem::SemOp);
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,

@@ -84,7 +84,6 @@ pub mod parser;
 pub mod proc;
 pub mod sched;
 pub mod script;
-pub mod stats;
 pub mod sync;
 pub mod tcb;
 pub mod timerq;
@@ -92,5 +91,4 @@ pub mod timerq;
 pub use kernel::{ConfigError, IrqAction, Kernel, KernelBuilder, KernelConfig};
 pub use sched::SchedPolicy;
 pub use script::{Action, Operand, Script};
-pub use stats::{KernelReport, TaskReport};
 pub use sync::{SemScheme, SrpStats};

@@ -54,7 +54,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use crate::profile::{HotSpot, Subsystem};
 use crate::time::{Duration, Time};
 
 /// A hybrid sense-reversing barrier: spin briefly, then park.
@@ -549,7 +548,6 @@ impl<N: Send, F: Fn(&mut N, Time, Time) -> Time> Phases<N> for Leader<'_, '_, N,
         st.barrier.leader_release();
         // SAFETY: the phase is open and the leader owns stride 0.
         unsafe { st.advance_stride(0, from, to, self.step) };
-        let _span = HotSpot::enter(Subsystem::Barrier);
         st.barrier.leader_collect(); // every follower advanced
     }
 }
@@ -721,12 +719,9 @@ fn epoch_loop<N, P, X>(
             wake_min,
             woken: &mut lists.woken,
         };
-        {
-            let _span = HotSpot::enter(Subsystem::Exchange);
-            let t_ex = Instant::now();
-            hint = exchange(nodes, &mut barrier);
-            stats.serial_ns += t_ex.elapsed().as_nanos() as u64;
-        }
+        let t_ex = Instant::now();
+        hint = exchange(nodes, &mut barrier);
+        stats.serial_ns += t_ex.elapsed().as_nanos() as u64;
         lists.wake_min = barrier.wake_min();
         for &i in &lists.woken {
             wakes[i] = Time::ZERO;

@@ -14,19 +14,13 @@
 //! static ALLOC: emeralds_sim::CountingAlloc = emeralds_sim::CountingAlloc;
 //! ```
 //!
-//! Process counters are relaxed atomics. The gate tests read the
-//! per-thread count instead ([`thread_alloc_count`]): each window they
-//! measure runs on the test's own thread, and the test harness runs
-//! the gate tests concurrently, so another test's set-up would
-//! otherwise land in the window.
+//! The count is per thread ([`thread_alloc_count`]): each window a
+//! gate test measures runs on the test's own thread, and the test
+//! harness runs the gate tests concurrently, so a process-wide count
+//! would pick up another test's set-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // Const-initialised and free of `Drop`, so touching it from inside
@@ -34,9 +28,7 @@ thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_alloc(bytes: usize) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+fn count_alloc() {
     let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
@@ -44,49 +36,31 @@ fn count_alloc(bytes: usize) {
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the only
-// addition is relaxed counter traffic and a const thread-local counter
-// that never allocates.
+// addition is a const thread-local counter that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growth that moves is an allocation for gate purposes: the
         // hot loop must not trigger it either.
-        count_alloc(new_size);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
+        count_alloc();
         System.alloc_zeroed(layout)
     }
-}
-
-/// Heap allocations since process start (0 if the allocator is not
-/// installed as `#[global_allocator]`).
-pub fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
 }
 
 /// Heap allocations made by the calling thread since it started.
 pub fn thread_alloc_count() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
-}
-
-/// Heap deallocations since process start.
-pub fn dealloc_count() -> u64 {
-    DEALLOCS.load(Ordering::Relaxed)
-}
-
-/// Total bytes requested across all allocations.
-pub fn alloc_bytes() -> u64 {
-    ALLOC_BYTES.load(Ordering::Relaxed)
 }

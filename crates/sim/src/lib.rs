@@ -22,12 +22,10 @@
 //!   barrier only the nodes with work (the cluster executive's generic
 //!   half).
 //!
-//! Everything here is deterministic: no wall-clock reads, no global
-//! state, and the RNG helpers require explicit seeds. The one
-//! deliberate exception is the feature-gated [`profile`] module: a
-//! wall-clock self-profiler that attributes *host* nanoseconds to
-//! kernel subsystems. It can observe but never influence the
-//! simulation — virtual time has no path to it.
+//! Everything here is deterministic: no global state, and the RNG
+//! helpers require explicit seeds. The only host-clock reads are the
+//! [`EpochStats`] timers of the epoch engines, which report where the
+//! host time of a run went and never feed back into virtual time.
 
 pub mod account;
 pub mod cluster;
@@ -37,7 +35,6 @@ pub mod event;
 pub mod hierarchy;
 pub mod histogram;
 pub mod ids;
-pub mod profile;
 pub mod rng;
 pub mod time;
 pub mod trace;
@@ -52,7 +49,6 @@ pub use histogram::DurationHistogram;
 pub use ids::{
     CvId, DevId, EventId, IrqLine, MboxId, NodeId, ProcId, RegionId, SemId, StateId, ThreadId,
 };
-pub use profile::{HotSpot, Subsystem, WallProfile, WallRow};
 pub use rng::SimRng;
 pub use time::{Duration, Time};
 pub use trace::{Trace, TraceEvent};

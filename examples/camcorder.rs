@@ -23,7 +23,7 @@
 
 use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Operand, Script};
-use emeralds::core::{KernelReport, SchedPolicy};
+use emeralds::core::SchedPolicy;
 use emeralds::sim::{Duration, Time};
 
 fn ms(v: u64) -> Duration {
@@ -91,12 +91,12 @@ fn main() {
     for (name, policy) in [("RM", SchedPolicy::RmQueue), ("DM", SchedPolicy::DmQueue)] {
         let (mut k, estimator) = build(policy);
         k.run_until(Time::from_ms(500));
-        let report = KernelReport::collect(&k);
+        let metrics = k.metrics();
         println!(
             "--- {name} (fixed priorities by {}) ---",
             if name == "RM" { "period" } else { "deadline" }
         );
-        print!("{}", report.render());
+        print!("{}", metrics.render());
         let est = k.tcb(estimator);
         println!(
             "motion-est: worst response {} against its 8 ms deadline, {} misses\n",
@@ -107,7 +107,7 @@ fn main() {
                 est.deadline_misses > 0,
                 "RM should miss the constrained deadline (gyro outranks the estimator)"
             ),
-            _ => assert_eq!(report.total_misses, 0, "DM must hold every deadline"),
+            _ => assert_eq!(metrics.deadline_misses, 0, "DM must hold every deadline"),
         }
     }
     println!("deadline-monotonic priorities rescue the constrained 8 ms deadline");

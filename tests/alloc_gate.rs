@@ -35,7 +35,8 @@ const NIC_IRQ: IrqLine = IrqLine(2);
 
 /// A busy single-node workload: dense periodic releases (timer and
 /// scheduler pressure) plus a lone-holder mutex, so the measured
-/// window crosses every kernel hot path the profiler instruments.
+/// window crosses dispatch, the timer queue, trace recording and the
+/// semaphore path.
 fn busy_kernel() -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
