@@ -14,7 +14,7 @@
 //! expts cyclic                 # cyclic-executive baseline (§5 motivation)
 //! expts syscalls               # optimized-syscall ablation (§3)
 //! expts csdx [--workloads N]   # CSD queue-count sweep (§5.6)
-//! expts scale [--quick] [--nodes 8,16,...] [--out FILE] [--baseline FILE]
+//! expts scale [--nodes 8,16,...] [--out FILE]
 //!                              # multi-node cluster scaling → BENCH_scale.json
 //! expts faults [--quick] [--nodes 8,16,...] [--out FILE] [--gate]
 //!                              # fault injection + recovery → BENCH_faults.json
@@ -25,8 +25,10 @@
 //! expts all [--workloads N]    # everything above
 //! ```
 //!
-//! A flag the subcommand does not take, or a stray argument, exits 2
-//! before anything runs, printing the subcommand's flags.
+//! A flag the subcommand does not take, a stray argument, or a
+//! malformed value (`--nodes` takes a comma list of even node counts
+//! of at least 2, `--workloads` a positive integer) exits 2 before
+//! anything runs, printing the subcommand's flags.
 
 use emeralds_bench::{
     breakdown_figs, csdx_expt, cyclic_expt, faults_expt, fig2, hotpath_expt, scale_expt,
@@ -51,7 +53,7 @@ const COMMANDS: &[(&str, &[&str], &[&str])] = &[
     ("cyclic", &[], &[]),
     ("syscalls", &[], &[]),
     ("csdx", &[], &["--workloads"]),
-    ("scale", &["--quick"], &["--nodes", "--out", "--baseline"]),
+    ("scale", &[], &["--nodes", "--out"]),
     ("faults", &["--quick", "--gate"], &["--nodes", "--out"]),
     ("hotpath", &["--quick", "--gate"], &["--out"]),
     ("topo", &["--quick", "--gate"], &["--out"]),
@@ -79,10 +81,38 @@ impl Flags {
     }
 }
 
+/// A `--nodes` value: a comma list of even node counts >= 2.
+fn node_list(value: &str) -> Option<Vec<usize>> {
+    value
+        .split(',')
+        .map(|v| {
+            v.trim()
+                .parse()
+                .ok()
+                .filter(|&n: &usize| n >= 2 && n.is_multiple_of(2))
+        })
+        .collect()
+}
+
+/// A `--workloads` value: a positive count.
+fn workload_count(value: &str) -> Option<usize> {
+    value.parse().ok().filter(|&w| w > 0)
+}
+
+/// What a value flag takes, when `value` is not that.
+fn bad_value(flag: &str, value: &str) -> Option<&'static str> {
+    match flag {
+        "--nodes" if node_list(value).is_none() => Some("a comma list of even node counts >= 2"),
+        "--workloads" if workload_count(value).is_none() => Some("a positive integer"),
+        _ => None,
+    }
+}
+
 /// Parses the command line (subcommand first, default `all`) against
 /// [`COMMANDS`]. Rejects an unknown subcommand, a flag the subcommand
-/// does not take, a stray argument, and a value flag with no value;
-/// the error text ends with the subcommand's flags.
+/// does not take, a stray argument, a value flag with no value, and a
+/// malformed `--nodes` or `--workloads` value; the error text ends
+/// with the subcommand's flags.
 fn parse(args: &[String]) -> Result<(&'static str, Flags), String> {
     let cmd = args.first().map_or("all", String::as_str);
     let Some(&(name, switches, valued)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
@@ -111,6 +141,12 @@ fn parse(args: &[String]) -> Result<(&'static str, Flags), String> {
             let Some(value) = rest.next() else {
                 return Err(format!("expts {name}: {v} needs a value\n{}", usage()));
             };
+            if let Some(takes) = bad_value(v, value) {
+                return Err(format!(
+                    "expts {name}: {v} takes {takes}, not '{value}'\n{}",
+                    usage()
+                ));
+            }
             flags.values.push((v, value.clone()));
         } else {
             let what = if arg.starts_with('-') {
@@ -134,12 +170,13 @@ fn main() {
         }
     };
     let flag = |name: &str| flags.has(name);
-    let value = |name: &str| -> Option<usize> { flags.get(name).and_then(|v| v.parse().ok()) };
+    let workloads = || flags.get("--workloads").and_then(workload_count);
+    let nodes = || flags.get("--nodes").and_then(node_list);
     let svalue = |name: &str| flags.get(name).map(str::to_owned);
 
     let run_breakdown = |divisor: u64| {
         let mut params = breakdown_figs::FigParams::figure(divisor);
-        if let Some(w) = value("--workloads") {
+        if let Some(w) = workloads() {
             params.workloads = w;
         }
         params.exhaustive = flag("--exhaustive");
@@ -180,23 +217,15 @@ fn main() {
         }
         "cyclic" => print!("{}", cyclic_expt::render(&cyclic_expt::compute())),
         "csdx" => {
-            let w = value("--workloads").unwrap_or(20);
+            let w = workloads().unwrap_or(20);
             let pts = csdx_expt::sweep(40, 6, w, 0xC5D);
             print!("{}", csdx_expt::render(&pts));
         }
         "syscalls" => print!("{}", syscall_expt::render(&syscall_expt::compute())),
         "scale" => {
-            let mut params = if flag("--quick") {
-                scale_expt::ScaleParams::quick()
-            } else {
-                scale_expt::ScaleParams::full()
-            };
-            if let Some(list) = svalue("--nodes") {
-                params.nodes = list
-                    .split(',')
-                    .filter_map(|v| v.trim().parse().ok())
-                    .collect();
-                assert!(!params.nodes.is_empty(), "--nodes parsed to nothing");
+            let mut params = scale_expt::ScaleParams::full();
+            if let Some(list) = nodes() {
+                params.nodes = list;
             }
             let runs = scale_expt::run(&params);
             print!("{}", scale_expt::render(&runs));
@@ -209,30 +238,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            if let Some(baseline) = svalue("--baseline") {
-                match std::fs::read_to_string(&baseline) {
-                    Ok(text) => {
-                        let (status, dead_gate) = scale_expt::gate_status(&text);
-                        println!("{status}");
-                        let (lines, regressed) = scale_expt::check_baseline(&runs, &text, 2.0);
-                        for l in &lines {
-                            println!("{l}");
-                        }
-                        if dead_gate {
-                            eprintln!("scale wall-clock gate is dead vs {baseline}: {status}");
-                            std::process::exit(1);
-                        }
-                        if regressed {
-                            eprintln!("scale experiment regressed vs {baseline}");
-                            std::process::exit(1);
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("cannot read baseline {baseline}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
         }
         "faults" => {
             let mut params = if flag("--quick") {
@@ -240,12 +245,8 @@ fn main() {
             } else {
                 faults_expt::FaultParams::full()
             };
-            if let Some(list) = svalue("--nodes") {
-                params.nodes = list
-                    .split(',')
-                    .filter_map(|v| v.trim().parse().ok())
-                    .collect();
-                assert!(!params.nodes.is_empty(), "--nodes parsed to nothing");
+            if let Some(list) = nodes() {
+                params.nodes = list;
             }
             let runs = faults_expt::run(&params);
             print!("{}", faults_expt::render(&runs));
@@ -358,7 +359,7 @@ fn main() {
             banner("SY  optimized syscalls ablation (§3)");
             print!("{}", syscall_expt::render(&syscall_expt::compute()));
             banner("CX  CSD queue-count sweep (§5.6)");
-            let w = value("--workloads").unwrap_or(20).min(50);
+            let w = workloads().unwrap_or(20).min(50);
             let pts = csdx_expt::sweep(40, 6, w, 0xC5D);
             print!("{}", csdx_expt::render(&pts));
         }
@@ -434,7 +435,11 @@ mod tests {
             &["table1", "--quick"],
             &["faults", "--gate", "extra"],
             &["scale", "--out"],
+            &["scale", "--quick"],
             &["--quick"],
+            &["faults", "--quick", "--nodes", "8,x"],
+            &["csdx", "--workloads", "2O"],
+            &["faults", "--quick", "--nodes", "7"],
         ] {
             let err = parse(&argv(words)).expect_err(&format!("{words:?} was accepted"));
             assert!(
@@ -459,8 +464,8 @@ mod tests {
     }
 
     /// Every invocation in the usage block at the top of this file
-    /// parses, with its placeholders (`N`, `FILE`, ...) as the values,
-    /// and the block names every subcommand.
+    /// parses, with well-formed stand-ins for its placeholders (`N`,
+    /// `8,16,...`, `FILE`), and the block names every subcommand.
     #[test]
     fn every_flag_in_the_usage_block_is_accepted() {
         let mut named = Vec::new();
@@ -474,6 +479,14 @@ mod tests {
                 .unwrap_or_default()
                 .split_whitespace()
                 .map(|w| w.trim_matches(|c| c == '[' || c == ']'))
+                // Placeholders stand for well-formed values.
+                .map(|w| {
+                    if w == "N" {
+                        "20"
+                    } else {
+                        w.trim_end_matches(",...")
+                    }
+                })
                 .collect();
             let flags_at = words
                 .iter()

@@ -217,18 +217,19 @@ fn state_consumer_node(i: usize, rng: &mut SimRng) -> (Kernel, MboxId, MboxId, S
 /// (sensor *i* → consumer *n/2+i*), plus one `link_state` channel per
 /// pair carrying the sensor's state-message versions. State frames
 /// arbitrate below all mailbox traffic (ids `n+1..`), so fault-induced
-/// bus congestion shows up directly as data age.
+/// bus congestion shows up directly as data age. `_workers` is
+/// ignored: a single bus runs on the calling thread.
 ///
 /// # Panics
 ///
 /// Panics when `n < 2` or `n` is odd.
-pub fn build_state_cluster(n: usize, seed: u64, workers: usize) -> Cluster {
+pub fn build_state_cluster(n: usize, seed: u64, _workers: usize) -> Cluster {
     assert!(
         n >= 2 && n.is_multiple_of(2),
         "node count must be even and >= 2"
     );
     let mut rng = SimRng::seeded(seed);
-    let mut c = Cluster::new(1_000_000).with_workers(workers);
+    let mut c = Cluster::new(1_000_000);
     let half = n / 2;
     let mut sensor_vars = Vec::with_capacity(half);
     for i in 0..half {
@@ -332,9 +333,7 @@ pub fn plan_for(params: &FaultParams, nodes: usize, level: &FaultLevel) -> Fault
     )
 }
 
-/// Runs the sweep. Single worker: fault results are worker-invisible
-/// (pinned by `tests/cluster_determinism.rs`), so there is nothing to
-/// compare across thread counts here.
+/// Runs the sweep.
 pub fn run(params: &FaultParams) -> Vec<FaultRun> {
     let mut out = Vec::new();
     for &n in &params.nodes {

@@ -1,6 +1,6 @@
-//! `expts` refuses a flag its subcommand does not take before it runs
-//! anything, so a typo or `--help` cannot overwrite a committed
-//! `BENCH_*.json`.
+//! `expts` refuses a flag its subcommand does not take, or a malformed
+//! flag value, before it runs anything, so a typo or `--help` cannot
+//! overwrite a committed `BENCH_*.json`.
 
 use std::path::Path;
 use std::process::Command;
@@ -13,6 +13,9 @@ fn rejected_flags_exit_2_and_write_nothing() {
     for args in [
         &["topo", "--quick", "--help"][..],
         &["hotpath", "--baseline", "BENCH_scale.json"],
+        &["faults", "--quick", "--nodes", "8,x"],
+        &["csdx", "--workloads", "2O"],
+        &["faults", "--quick", "--nodes", "7"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_expts"))
             .args(args)

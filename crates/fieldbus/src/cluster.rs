@@ -1,10 +1,8 @@
 //! The single-bus executive: N kernels over one bus, advanced in
-//! parallel across host threads.
+//! lockstep epochs on the calling thread.
 //!
-//! Driving every board serially from one host core would run a 64-node
-//! system 64× slower than one board, so [`Cluster`] runs each
-//! [`Kernel`] on the deterministic conservative-lookahead engine of
-//! [`emeralds_sim::run_epochs`]:
+//! [`Cluster`] runs each [`Kernel`] on the deterministic
+//! conservative-lookahead engine of [`emeralds_sim::run_epochs`]:
 //!
 //! - **Epoch**: every node with work before the epoch end
 //!   independently advances its local virtual clock by one lookahead
@@ -25,8 +23,13 @@
 //! end-to-end latency is quantized to at most one lookahead window
 //! (±*L* ≈ one frame time). *Intra-node* accounting — the paper's
 //! per-op cost model — is untouched: each kernel runs the same step
-//! loop as a standalone board. Results are bit-for-bit identical for
-//! any worker count; `tests/cluster_determinism.rs` pins this.
+//! loop as a standalone board.
+//!
+//! One bus runs on one host thread. A 64-node epoch carries a few
+//! microseconds of kernel work per node, and on a two-core host a
+//! cross-core barrier per epoch cost more than the second core gave
+//! back (DESIGN.md §9). Host threads run one level up instead, between
+//! the segments of a [`crate::Topology`].
 
 use std::collections::VecDeque;
 
@@ -34,8 +37,7 @@ use emeralds_core::kernel::{ClusterMetrics, NodeMetrics};
 use emeralds_core::Kernel;
 use emeralds_faults::{FaultClock, FaultPlan};
 use emeralds_sim::{
-    run_epochs, ActiveSet, Barrier, Duration, EpochConfig, EpochNode, IrqLine, MboxId, NodeId,
-    StateId, Time,
+    run_epochs, ActiveSet, Barrier, Duration, EpochNode, IrqLine, MboxId, NodeId, StateId, Time,
 };
 
 use crate::errors::{error_time, recovery_time, FailStopGate, NodeStats};
@@ -43,12 +45,11 @@ use crate::{frame_of, frame_of_wide, garbage_frame, BusStats, Frame, StateLink, 
 pub use emeralds_sim::EpochStats;
 
 /// A frame reception staged at a barrier and applied by the receiving
-/// node itself at the top of its next advance — the parallel half of
+/// node itself at the top of its next advance — the node-local half of
 /// the decomposed exchange. The receiver's virtual clock equals the
 /// staging barrier when it applies the inbox, and neither a mailbox
 /// push, an IRQ latch, nor a replica DMA advances the clock, so the
-/// kernel observes the exact same instant as a serial in-barrier
-/// delivery.
+/// kernel observes the exact same instant as an in-barrier delivery.
 #[derive(Debug)]
 pub(crate) enum StagedRx {
     /// State frame: DMA into the replica variable (§7).
@@ -65,10 +66,10 @@ pub(crate) enum StagedRx {
     },
 }
 
-/// Node-local delivery tallies accumulated during the parallel
+/// Node-local delivery tallies accumulated during the node's own
 /// advance and folded into the global [`BusStats`] at the next
-/// barrier. All fields are order-independent sums, so the serial
-/// rollup order cannot influence the totals.
+/// barrier. All fields are order-independent sums, so the rollup order
+/// cannot influence the totals.
 #[derive(Debug, Default)]
 pub(crate) struct RxOutcome {
     delivered: u64,
@@ -100,11 +101,11 @@ pub struct ClusterNode {
     /// Delivery tallies owed to the global bus stats.
     outcome: RxOutcome,
     /// TX messages drained from this node's NIC mailbox at the end of
-    /// its own advance — the sharded half of the TX harvest. Pops run
-    /// node-local with the kernel clock already at the barrier
-    /// instant, so only the bus-global decisions (frame construction
-    /// order, fault judgement, arbitration) remain serial; the
-    /// exchange consumes this buffer in node order.
+    /// its own advance — the node-local half of the TX harvest. Pops
+    /// run with the kernel clock already at the barrier instant, so
+    /// only the bus-global decisions (frame construction order, fault
+    /// judgement, arbitration) remain in the exchange, which consumes
+    /// this buffer in node order.
     staged_tx: Vec<emeralds_core::ipc::Message>,
 }
 
@@ -146,9 +147,8 @@ impl ClusterNode {
     }
 
     /// Applies every staged reception. Runs inside the node's own
-    /// advance (or its run-end catch-up): it touches only this node's
-    /// kernel and stats, so it is data-race-free and deterministic
-    /// regardless of worker count.
+    /// advance (or its run-end catch-up) and touches only this node's
+    /// kernel and stats.
     fn apply_inbox(&mut self) {
         for rx in self.inbox.drain(..) {
             match rx {
@@ -211,21 +211,23 @@ impl EpochNode for ClusterNode {
             // A node skipped since an earlier barrier first catches up
             // to the staging barrier (idle time only), so the kernel
             // observes the same instant an every-epoch advance would.
-            // NIC delivery DMA then runs here, in parallel, not under
-            // the serial exchange.
+            // NIC delivery DMA then runs here, inside the node's own
+            // advance, not in the exchange.
             self.drive(from);
             self.apply_inbox();
         }
         // The gate consults only this node's own clock and its static
-        // outage windows, so running it inside the parallel per-node
-        // advance cannot perturb determinism.
+        // outage windows, so it runs inside the per-node advance.
         self.drive(to);
-        // Sharded TX harvest: pop the NIC mailbox here, on this
-        // node's own worker, instead of under the serial exchange.
-        // The kernel clock sits exactly at the upcoming barrier, so a
-        // pop — and any parked sender it unblocks — observes the same
-        // instant a serial in-barrier harvest would, and pop order
-        // (hence frame order) is the kernel's own FIFO either way.
+        // Node-local TX harvest: pop the NIC mailbox here, at the end
+        // of this node's advance, instead of in the exchange. The
+        // kernel clock sits exactly at the upcoming barrier, so a pop
+        // — and any parked sender it unblocks — observes the same
+        // instant an in-barrier harvest would, and pop order (hence
+        // frame order) is the kernel's own FIFO either way. The
+        // active set relies on this: a skipped node's clock lags the
+        // barrier, so the exchange must never pop its mailbox, and
+        // only advanced nodes hold TX.
         let tx = self.tx_mbox;
         while let Some(msg) = self.kernel.external_mbox_pop(tx) {
             self.staged_tx.push(msg);
@@ -257,8 +259,7 @@ pub(crate) struct BusState {
     /// Granted transmissions awaiting delivery, in completion order.
     pub(crate) in_flight: VecDeque<(Time, Frame)>,
     /// Networked state-message routes, harvested in registration
-    /// order at each barrier (serial, so deterministic for any worker
-    /// count).
+    /// order at each barrier.
     links: Vec<StateLink>,
     pub(crate) stats: BusStats,
     lookahead: Duration,
@@ -349,24 +350,20 @@ impl BusState {
         self.faults = Some(fc);
     }
 
-    /// Advances `nodes` from `origin` to `horizon` in epochs on
-    /// `workers` host threads, running [`BusState::exchange`] and the
-    /// next-barrier proposal at every barrier: the one epoch loop of a
-    /// single bus, shared by [`Cluster::run_until`] and each segment of
-    /// a [`crate::Topology`].
+    /// Advances `nodes` from `origin` to `horizon` in epochs, running
+    /// [`BusState::exchange`] and the next-barrier proposal at every
+    /// barrier: the one epoch loop of a single bus, shared by
+    /// [`Cluster::run_until`] and each segment of a
+    /// [`crate::Topology`].
     pub(crate) fn run_nodes(
         &mut self,
         nodes: &mut [ClusterNode],
         set: &mut ActiveSet,
         origin: Time,
         horizon: Time,
-        workers: usize,
     ) -> EpochStats {
-        let cfg = EpochConfig {
-            lookahead: self.lookahead,
-            workers,
-        };
-        run_epochs(nodes, set, origin, horizon, &cfg, &mut |nodes, b| {
+        let lookahead = self.lookahead;
+        run_epochs(nodes, set, origin, horizon, lookahead, &mut |nodes, b| {
             self.exchange(nodes, b);
             self.next_barrier_proposal(nodes, b.wake_min(), b.at, origin, horizon)
         })
@@ -403,15 +400,14 @@ impl BusState {
         self.stats.frames_lost_offline += purged;
     }
 
-    /// The serial barrier step: roll up, recover, stage deliveries,
-    /// consume the sharded TX harvest, babble, arbitrate. Runs in
-    /// node order on one thread, so every fault decision here is
-    /// deterministic for any worker count. Per-node kernel work is
-    /// *not* done here — receptions (mailbox push, replica DMA, IRQ
-    /// latch) are staged into node inboxes and applied by each node's
-    /// own worker at the top of the next advance, and TX-mailbox pops
-    /// already ran in each node's advance epilogue — keeping the
-    /// serial section down to frame arbitration and routing.
+    /// The barrier step: roll up, recover, stage deliveries, consume
+    /// the node-local TX harvest, babble, arbitrate. Runs in node
+    /// order, so every fault decision here is deterministic. Per-node
+    /// kernel work is *not* done here — receptions (mailbox push,
+    /// replica DMA, IRQ latch) are staged into node inboxes and applied
+    /// by each node at the top of its next advance, and TX-mailbox pops
+    /// already ran in each node's advance epilogue — so a node the
+    /// epoch skipped costs the exchange nothing.
     ///
     /// Only the nodes that can have changed are visited: those the
     /// epoch advanced (`b.active`), receivers of staged frames, bus-off
@@ -423,8 +419,8 @@ impl BusState {
         let now = b.at;
         // 0. Fold the previous epoch's node-local delivery tallies
         //    into the global stats. Only an advance applies an inbox,
-        //    and the fields are order-independent sums, so totals are
-        //    identical to the old serial scheme.
+        //    and the fields are order-independent sums, so totals do
+        //    not depend on when each node's tally is folded in.
         for &i in b.active {
             let o = std::mem::take(&mut nodes[i].outcome);
             self.stats.frames_delivered += o.delivered;
@@ -445,8 +441,8 @@ impl BusState {
 
         // 1. Stage frames whose wire time has completed. `in_flight`
         //    is in completion order (the bus is serial). Receiver
-        //    liveness is judged *here*, serially, at the completion
-        //    instant — only the mechanical application is deferred.
+        //    liveness is judged *here*, at the completion instant —
+        //    only the mechanical application is deferred.
         while let Some(&(done, frame)) = self.in_flight.front() {
             if done > now {
                 break;
@@ -456,7 +452,7 @@ impl BusState {
         }
 
         // 2. Consume the TX messages each node's own advance drained
-        //    from its NIC mailbox (the sharded harvest), in node
+        //    from its NIC mailbox (the node-local harvest), in node
         //    order. Frames posted during the elapsed epoch are
         //    stamped at this barrier — the conservative end of the
         //    window. An offline node's posts (and its already-pending
@@ -626,8 +622,8 @@ impl BusState {
     /// Stages a completed frame into its receivers' inboxes and marks
     /// them woken, so each advances in the next epoch. Offline
     /// receivers are judged here (they need the global fault clock);
-    /// everything else — mailbox push, replica DMA, IRQ — happens on
-    /// the receiver's own worker at the top of the next advance.
+    /// everything else — mailbox push, replica DMA, IRQ — happens in
+    /// the receiver's own next advance.
     ///
     /// Under a [`crate::Topology`], an addressed frame whose (global)
     /// destination is not on this segment is parked in `remote_out`
@@ -829,13 +825,11 @@ impl BusState {
 }
 
 /// N independent kernels over one priority-arbitrated bus, advanced in
-/// parallel. See the module docs for the epoch/lookahead model.
+/// lockstep epochs. See the module docs for the epoch/lookahead model.
 #[derive(Debug)]
 pub struct Cluster {
     nodes: Vec<ClusterNode>,
     bus: BusState,
-    /// Host worker threads (clamped to `1..=nodes` at run time).
-    workers: usize,
     /// How far the executive has driven the cluster.
     cursor: Time,
     /// Accumulated engine cost accounting across `run_until` calls.
@@ -847,7 +841,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// Creates an empty cluster at the given bus bit rate, with a
-    /// lookahead window of one max-size frame time and one worker.
+    /// lookahead window of one max-size frame time.
     ///
     /// # Panics
     ///
@@ -856,17 +850,10 @@ impl Cluster {
         Cluster {
             nodes: Vec::new(),
             bus: BusState::new(bitrate_bps),
-            workers: 1,
             cursor: Time::ZERO,
             exec_stats: EpochStats::default(),
             set: ActiveSet::default(),
         }
-    }
-
-    /// Sets the worker-thread count (builder style).
-    pub fn with_workers(mut self, workers: usize) -> Cluster {
-        self.workers = workers.max(1);
-        self
     }
 
     /// The lookahead window (epoch length).
@@ -888,7 +875,7 @@ impl Cluster {
     }
 
     /// Engine cost accounting accumulated across every `run_until` so
-    /// far: barrier crossings plus serial/total wall nanoseconds.
+    /// far: barrier crossings plus exchange/total wall nanoseconds.
     /// Host-side measurement only — never feeds back into the
     /// simulation.
     pub fn exec_stats(&self) -> &EpochStats {
@@ -1011,7 +998,7 @@ impl Cluster {
         }
     }
 
-    /// Advances every node to `horizon` in parallel epochs, each epoch
+    /// Advances every node to `horizon` in epochs, each epoch
     /// advancing only the nodes with work before its end; every node's
     /// clock sits at (or past) `horizon` on return. Callable
     /// repeatedly; each call resumes from the previous horizon.
@@ -1028,13 +1015,9 @@ impl Cluster {
         // bus-off states once per call, never per barrier.
         self.set.refresh(&self.nodes);
         self.bus.refresh(&self.nodes);
-        let stats = self.bus.run_nodes(
-            &mut self.nodes,
-            &mut self.set,
-            self.cursor,
-            horizon,
-            self.workers,
-        );
+        let stats = self
+            .bus
+            .run_nodes(&mut self.nodes, &mut self.set, self.cursor, horizon);
         self.exec_stats.merge(&stats);
         self.cursor = horizon;
         self.set.catch_up(&mut self.nodes, horizon);
@@ -1109,8 +1092,8 @@ mod tests {
         (b.build(), tx, rx)
     }
 
-    fn two_node_cluster(workers: usize) -> Cluster {
-        let mut c = Cluster::new(1_000_000).with_workers(workers);
+    fn two_node_cluster() -> Cluster {
+        let mut c = Cluster::new(1_000_000);
         let (k0, tx0, rx0) = make_node(10, 7, Some(NodeId(1)));
         let (k1, tx1, rx1) = make_node(10, 9, Some(NodeId(0)));
         c.add_node("alpha", k0, tx0, rx0, NIC_IRQ, 10);
@@ -1120,7 +1103,7 @@ mod tests {
 
     #[test]
     fn two_nodes_exchange_frames() {
-        let mut c = two_node_cluster(1);
+        let mut c = two_node_cluster();
         c.run_until(Time::from_ms(55));
         let s = c.stats();
         assert!(s.frames_sent >= 10, "stats {s:?}");
@@ -1136,29 +1119,8 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_is_invisible() {
-        let horizon = Time::from_ms(40);
-        let mut base = two_node_cluster(1);
-        base.run_until(horizon);
-        for workers in [2, 4] {
-            let mut c = two_node_cluster(workers);
-            c.run_until(horizon);
-            assert_eq!(c.stats(), base.stats(), "workers={workers}");
-            assert_eq!(c.metrics(), base.metrics(), "workers={workers}");
-            for (a, b) in base.nodes().iter().zip(c.nodes()) {
-                assert_eq!(
-                    a.kernel.trace().to_jsonl(),
-                    b.kernel.trace().to_jsonl(),
-                    "workers={workers} node={}",
-                    a.name
-                );
-            }
-        }
-    }
-
-    #[test]
     fn broadcast_reaches_all_other_nodes() {
-        let mut c = Cluster::new(2_000_000).with_workers(2);
+        let mut c = Cluster::new(2_000_000);
         let (k0, tx0, rx0) = make_node(10, 42, None);
         let (k1, tx1, rx1) = make_node(1000, 1, Some(NodeId(0)));
         let (k2, tx2, rx2) = make_node(1000, 2, Some(NodeId(0)));
@@ -1194,7 +1156,7 @@ mod tests {
 
     #[test]
     fn bus_busy_time_accounts_every_sent_frame() {
-        let mut c = two_node_cluster(2);
+        let mut c = two_node_cluster();
         c.run_until(Time::from_ms(50));
         let expected = c.frame_time(8) * c.stats().frames_sent;
         assert_eq!(c.stats().busy, expected);
@@ -1236,7 +1198,7 @@ mod tests {
 
     #[test]
     fn metrics_roll_up_across_nodes() {
-        let mut c = two_node_cluster(1);
+        let mut c = two_node_cluster();
         c.run_until(Time::from_ms(30));
         let m = c.metrics();
         assert_eq!(m.node_count(), 2);
@@ -1257,11 +1219,11 @@ mod tests {
         // Epoch boundaries are relative to the run start, so a split
         // run matches a whole run when the split lands on a boundary:
         // split on a multiple of the lookahead.
-        let mut split = two_node_cluster(1);
+        let mut split = two_node_cluster();
         let l = split.lookahead();
         split.run_until(Time::ZERO + l * 180);
         split.run_until(Time::ZERO + l * 360);
-        let mut whole = two_node_cluster(1);
+        let mut whole = two_node_cluster();
         whole.run_until(Time::ZERO + l * 360);
         assert_eq!(split.stats(), whole.stats());
         assert_eq!(split.metrics(), whole.metrics());
@@ -1296,85 +1258,74 @@ mod tests {
 
     #[test]
     fn frame_to_a_node_the_cluster_lacks_is_dropped() {
-        for workers in [1, 2] {
-            let mut c = Cluster::new(1_000_000).with_workers(workers);
-            let (k0, tx0, rx0) = make_node(10, 7, Some(NodeId(9)));
-            let (k1, tx1, rx1) = make_node(10, 9, Some(NodeId(0)));
-            c.add_node("stray", k0, tx0, rx0, NIC_IRQ, 10);
-            c.add_node("peer", k1, tx1, rx1, NIC_IRQ, 20);
-            c.run_until(Time::from_ms(25));
-            // Three rounds each: the stray node's frames are lost, the
-            // peer's land.
-            let s = c.stats();
-            assert_eq!(
-                (s.frames_sent, s.frames_delivered, s.frames_dropped),
-                (6, 3, 3),
-                "workers={workers}"
-            );
-            assert_eq!(s.frames_in_flight, 0);
-            assert_eq!(
-                c.node(NodeId(0))
-                    .kernel
-                    .tcb(emeralds_sim::ThreadId(1))
-                    .last_read,
-                9
-            );
-        }
+        let mut c = Cluster::new(1_000_000);
+        let (k0, tx0, rx0) = make_node(10, 7, Some(NodeId(9)));
+        let (k1, tx1, rx1) = make_node(10, 9, Some(NodeId(0)));
+        c.add_node("stray", k0, tx0, rx0, NIC_IRQ, 10);
+        c.add_node("peer", k1, tx1, rx1, NIC_IRQ, 20);
+        c.run_until(Time::from_ms(25));
+        // Three rounds each: the stray node's frames are lost, the
+        // peer's land.
+        let s = c.stats();
+        assert_eq!(
+            (s.frames_sent, s.frames_delivered, s.frames_dropped),
+            (6, 3, 3)
+        );
+        assert_eq!(s.frames_in_flight, 0);
+        assert_eq!(
+            c.node(NodeId(0))
+                .kernel
+                .tcb(emeralds_sim::ThreadId(1))
+                .last_read,
+            9
+        );
     }
 
     #[test]
     fn frames_pushed_into_an_idle_node_between_runs_are_sent() {
-        for workers in [1, 2] {
-            let mut c = Cluster::new(1_000_000).with_workers(workers);
-            for i in 0..2u32 {
-                let (k, tx, rx) = sparse_node(Duration::from_ms(5));
-                c.add_node(format!("n{i}"), k, tx, rx, NIC_IRQ, 1 + i);
-            }
-            c.run_until(Time::from_ms(1));
-            // Both kernels now idle until their next release at 5 ms.
-            let src = c.node_mut(NodeId(0));
-            for i in 0..3 {
-                let msg = emeralds_core::ipc::Message {
-                    bytes: 8,
-                    tag: addressed_tag(Some(NodeId(1)), i),
-                    sender: emeralds_sim::ThreadId(0),
-                };
-                assert!(src.kernel.external_mbox_push(src.tx_mbox, msg));
-            }
-            c.run_until(Time::from_us(1_800));
-            let s = c.stats();
-            assert_eq!(
-                (s.frames_sent, s.frames_delivered),
-                (3, 3),
-                "workers={workers}"
-            );
-            let driver = emeralds_sim::ThreadId(1);
-            assert_eq!(c.node(NodeId(1)).kernel.tcb(driver).last_read, 2);
+        let mut c = Cluster::new(1_000_000);
+        for i in 0..2u32 {
+            let (k, tx, rx) = sparse_node(Duration::from_ms(5));
+            c.add_node(format!("n{i}"), k, tx, rx, NIC_IRQ, 1 + i);
         }
+        c.run_until(Time::from_ms(1));
+        // Both kernels now idle until their next release at 5 ms.
+        let src = c.node_mut(NodeId(0));
+        for i in 0..3 {
+            let msg = emeralds_core::ipc::Message {
+                bytes: 8,
+                tag: addressed_tag(Some(NodeId(1)), i),
+                sender: emeralds_sim::ThreadId(0),
+            };
+            assert!(src.kernel.external_mbox_push(src.tx_mbox, msg));
+        }
+        c.run_until(Time::from_us(1_800));
+        let s = c.stats();
+        assert_eq!((s.frames_sent, s.frames_delivered), (3, 3));
+        let driver = emeralds_sim::ThreadId(1);
+        assert_eq!(c.node(NodeId(1)).kernel.tcb(driver).last_read, 2);
     }
 
     #[test]
     fn node_added_after_the_fault_plan_has_no_scheduled_fault() {
-        for workers in [1, 2] {
-            let mut c = Cluster::new(1_000_000).with_workers(workers);
-            let (k0, tx0, rx0) = make_node(10, 7, Some(NodeId(1)));
-            c.add_node("alpha", k0, tx0, rx0, NIC_IRQ, 10);
-            c.set_fault_plan(&FaultPlan::new(3).with_corruption(0.2));
-            // The plan was compiled for one node: the late node has no
-            // schedule of its own, but its frames share the bus-wide
-            // corruption stream.
-            let (k1, tx1, rx1) = make_node(10, 9, Some(NodeId(0)));
-            c.add_node("beta", k1, tx1, rx1, NIC_IRQ, 20);
-            c.run_until(Time::from_ms(40));
-            let s = c.stats();
-            assert!(s.error_frames > 0, "workers={workers}: {s:?}");
-            assert!(c.node_stats(NodeId(1)).tx_frames > 0, "workers={workers}");
-            assert_eq!(
-                s.frames_sent,
-                s.frames_delivered + s.frames_dropped + s.frames_in_flight,
-                "workers={workers}: {s:?}"
-            );
-        }
+        let mut c = Cluster::new(1_000_000);
+        let (k0, tx0, rx0) = make_node(10, 7, Some(NodeId(1)));
+        c.add_node("alpha", k0, tx0, rx0, NIC_IRQ, 10);
+        c.set_fault_plan(&FaultPlan::new(3).with_corruption(0.2));
+        // The plan was compiled for one node: the late node has no
+        // schedule of its own, but its frames share the bus-wide
+        // corruption stream.
+        let (k1, tx1, rx1) = make_node(10, 9, Some(NodeId(0)));
+        c.add_node("beta", k1, tx1, rx1, NIC_IRQ, 20);
+        c.run_until(Time::from_ms(40));
+        let s = c.stats();
+        assert!(s.error_frames > 0, "{s:?}");
+        assert!(c.node_stats(NodeId(1)).tx_frames > 0);
+        assert_eq!(
+            s.frames_sent,
+            s.frames_delivered + s.frames_dropped + s.frames_in_flight,
+            "{s:?}"
+        );
     }
 
     // --- Active-set engine contract ---
@@ -1449,76 +1400,64 @@ mod tests {
 
     #[test]
     fn idle_receiver_logs_irq_at_the_staging_barrier() {
-        for workers in [1, 2, 4] {
-            let mut c = Cluster::new(1_000_000).with_workers(workers);
-            c.set_adaptive(false); // a barrier at every grid point
-            let (k0, tx0, rx0) = one_shot_sender(Duration::from_ms(20), Some(NodeId(1)), 5);
-            let (k1, tx1, rx1) = listener();
-            let s = c.add_node("sender", k0, tx0, rx0, NIC_IRQ, 1);
-            let r = c.add_node("idle", k1, tx1, rx1, NIC_IRQ, 2);
-            c.run_until(Time::from_ms(30));
-            // The post, the barrier that harvests it (the first grid
-            // point after it), and the barrier that stages the frame
-            // once its wire time (one lookahead) has passed.
-            let l = c.lookahead().as_ns();
-            let posted = c
-                .node(s)
-                .kernel
-                .trace()
-                .iter()
-                .find(|(_, e)| matches!(e, emeralds_sim::TraceEvent::MboxSend { .. }))
-                .map(|&(t, _)| t.as_ns())
-                .expect("the sender posted");
-            let staged = Time::from_ns((posted / l + 1) * l + l);
-            assert!(
-                staged.as_ns() / l > 100,
-                "receiver idle for over 100 barriers"
-            );
-            // The lagging kernel caught up to exactly that barrier,
-            // copied the frame into its RX mailbox, then raised the line.
-            let copy = KernelConfig::default().cost.mbox_copy(8);
-            let rx = &c.node(r).kernel;
-            assert_eq!(irq_instants(rx), vec![staged + copy], "workers={workers}");
-            assert_eq!(rx.tcb(emeralds_sim::ThreadId(0)).last_read, 5);
-            // The receiver sat those barriers out.
-            assert!(
-                c.node_advances() + 100 <= 2 * c.exec_stats().barriers,
-                "advances {} over {} barriers",
-                c.node_advances(),
-                c.exec_stats().barriers
-            );
-        }
+        let mut c = Cluster::new(1_000_000);
+        c.set_adaptive(false); // a barrier at every grid point
+        let (k0, tx0, rx0) = one_shot_sender(Duration::from_ms(20), Some(NodeId(1)), 5);
+        let (k1, tx1, rx1) = listener();
+        let s = c.add_node("sender", k0, tx0, rx0, NIC_IRQ, 1);
+        let r = c.add_node("idle", k1, tx1, rx1, NIC_IRQ, 2);
+        c.run_until(Time::from_ms(30));
+        // The post, the barrier that harvests it (the first grid
+        // point after it), and the barrier that stages the frame
+        // once its wire time (one lookahead) has passed.
+        let l = c.lookahead().as_ns();
+        let posted = c
+            .node(s)
+            .kernel
+            .trace()
+            .iter()
+            .find(|(_, e)| matches!(e, emeralds_sim::TraceEvent::MboxSend { .. }))
+            .map(|&(t, _)| t.as_ns())
+            .expect("the sender posted");
+        let staged = Time::from_ns((posted / l + 1) * l + l);
+        assert!(
+            staged.as_ns() / l > 100,
+            "receiver idle for over 100 barriers"
+        );
+        // The lagging kernel caught up to exactly that barrier,
+        // copied the frame into its RX mailbox, then raised the line.
+        let copy = KernelConfig::default().cost.mbox_copy(8);
+        let rx = &c.node(r).kernel;
+        assert_eq!(irq_instants(rx), vec![staged + copy]);
+        assert_eq!(rx.tcb(emeralds_sim::ThreadId(0)).last_read, 5);
+        // The receiver sat those barriers out.
+        assert!(
+            c.node_advances() + 100 <= 2 * c.exec_stats().barriers,
+            "advances {} over {} barriers",
+            c.node_advances(),
+            c.exec_stats().barriers
+        );
     }
 
     #[test]
     fn broadcast_reaches_lagging_listeners() {
-        let run = |workers: usize| {
-            let mut c = Cluster::new(1_000_000).with_workers(workers);
-            let (k, tx, rx) = one_shot_sender(Duration::from_ms(15), None, 42);
-            c.add_node("caster", k, tx, rx, NIC_IRQ, 1);
-            for i in 0..4u32 {
-                let (k, tx, rx) = listener();
-                c.add_node(format!("l{i}"), k, tx, rx, NIC_IRQ, 2 + i);
-            }
-            c.run_until(Time::from_ms(25));
-            c
-        };
-        let base = run(1);
-        let first = irq_instants(&base.nodes()[1].kernel);
+        let mut c = Cluster::new(1_000_000);
+        let (k, tx, rx) = one_shot_sender(Duration::from_ms(15), None, 42);
+        c.add_node("caster", k, tx, rx, NIC_IRQ, 1);
+        for i in 0..4u32 {
+            let (k, tx, rx) = listener();
+            c.add_node(format!("l{i}"), k, tx, rx, NIC_IRQ, 2 + i);
+        }
+        c.run_until(Time::from_ms(25));
+        let first = irq_instants(&c.nodes()[1].kernel);
         assert_eq!(first.len(), 1);
-        for n in &base.nodes()[1..] {
+        for n in &c.nodes()[1..] {
             assert_eq!(irq_instants(&n.kernel), first, "{}", n.name);
             assert_eq!(n.kernel.tcb(emeralds_sim::ThreadId(0)).last_read, 42);
         }
-        let s = base.stats();
+        let s = c.stats();
         assert_eq!((s.frames_sent, s.frames_delivered), (1, 4));
         assert_eq!((s.bcast_resolved, s.bcast_fanout), (1, 4));
-        for workers in [2, 4] {
-            let c = run(workers);
-            assert_eq!(c.stats(), base.stats(), "workers={workers}");
-            assert_eq!(c.metrics(), base.metrics(), "workers={workers}");
-            assert_eq!(c.node_advances(), base.node_advances());
-        }
     }
 
     /// A board with one sparse periodic task and its NIC driver.
@@ -1559,66 +1498,56 @@ mod tests {
         // through its gate, as an engine without skipping would.
         let (mut reference, ..) = sparse_node(Duration::from_ms(7));
         let mut gate = FailStopGate::new(&[(window.0, window.0 + window.1)]);
-        for workers in [1, 2, 4] {
-            let mut c = Cluster::new(1_000_000).with_workers(workers);
-            let (k, tx, rx) = sparse_node(Duration::from_ms(7));
-            c.add_node("victim", k, tx, rx, NIC_IRQ, 1);
-            c.set_fault_plan(&plan);
-            // Stop inside the outage: the catch-up applies the stall.
-            c.run_until(Time::from_ms(12));
-            assert_eq!(
-                c.nodes()[0].kernel.now(),
-                Time::from_ms(15),
-                "workers={workers}"
-            );
-            c.run_until(Time::from_ms(30));
-            assert!(
-                c.node_advances() < c.exec_stats().barriers,
-                "the victim was skipped"
-            );
-            if workers == 1 {
-                let l = c.lookahead();
-                let mut t = Time::ZERO;
-                while t < Time::from_ms(30) {
-                    t = Time::from_ms(30).min(t + l);
-                    gate.drive(&mut reference, t);
-                }
-            }
-            let victim = &c.nodes()[0].kernel;
-            assert_eq!(victim.metrics(), reference.metrics(), "workers={workers}");
-            assert_eq!(victim.trace().to_jsonl(), reference.trace().to_jsonl());
+        let mut c = Cluster::new(1_000_000);
+        let (k, tx, rx) = sparse_node(Duration::from_ms(7));
+        c.add_node("victim", k, tx, rx, NIC_IRQ, 1);
+        c.set_fault_plan(&plan);
+        // Stop inside the outage: the catch-up applies the stall.
+        c.run_until(Time::from_ms(12));
+        assert_eq!(c.nodes()[0].kernel.now(), Time::from_ms(15));
+        c.run_until(Time::from_ms(30));
+        assert!(
+            c.node_advances() < c.exec_stats().barriers,
+            "the victim was skipped"
+        );
+        let l = c.lookahead();
+        let mut t = Time::ZERO;
+        while t < Time::from_ms(30) {
+            t = Time::from_ms(30).min(t + l);
+            gate.drive(&mut reference, t);
         }
+        let victim = &c.nodes()[0].kernel;
+        assert_eq!(victim.metrics(), reference.metrics());
+        assert_eq!(victim.trace().to_jsonl(), reference.trace().to_jsonl());
     }
 
     #[test]
     fn every_clock_sits_at_the_horizon_with_balanced_time() {
-        for workers in [1, 2, 4] {
-            let mut c = Cluster::new(1_000_000).with_workers(workers);
-            let (k, tx, rx) = make_node(3, 1, Some(NodeId(1)));
-            c.add_node("busy", k, tx, rx, NIC_IRQ, 1);
-            let (k, tx, rx) = sparse_node(Duration::from_ms(9));
-            c.add_node("sparse", k, tx, rx, NIC_IRQ, 2);
-            let (k, tx, rx) = listener();
-            c.add_node("idle", k, tx, rx, NIC_IRQ, 3);
-            c.set_fault_plan(&FaultPlan::new(9).fail_stop(
-                NodeId(1),
-                Time::from_us(12_345),
-                Duration::from_ms(4),
-            ));
-            for ms in [1u64, 7, 13, 14, 29, 40] {
-                let horizon = Time::from_ms(ms);
-                c.run_until(horizon);
-                for n in c.nodes() {
-                    let m = n.kernel.metrics();
-                    let now = n.kernel.now();
-                    assert!(now >= horizon, "{} at {now:?} < {horizon:?}", n.name);
-                    assert_eq!(
-                        now,
-                        Time::ZERO + m.app_time + m.idle_time + m.total_overhead,
-                        "{} at {ms} ms, workers={workers}",
-                        n.name
-                    );
-                }
+        let mut c = Cluster::new(1_000_000);
+        let (k, tx, rx) = make_node(3, 1, Some(NodeId(1)));
+        c.add_node("busy", k, tx, rx, NIC_IRQ, 1);
+        let (k, tx, rx) = sparse_node(Duration::from_ms(9));
+        c.add_node("sparse", k, tx, rx, NIC_IRQ, 2);
+        let (k, tx, rx) = listener();
+        c.add_node("idle", k, tx, rx, NIC_IRQ, 3);
+        c.set_fault_plan(&FaultPlan::new(9).fail_stop(
+            NodeId(1),
+            Time::from_us(12_345),
+            Duration::from_ms(4),
+        ));
+        for ms in [1u64, 7, 13, 14, 29, 40] {
+            let horizon = Time::from_ms(ms);
+            c.run_until(horizon);
+            for n in c.nodes() {
+                let m = n.kernel.metrics();
+                let now = n.kernel.now();
+                assert!(now >= horizon, "{} at {now:?} < {horizon:?}", n.name);
+                assert_eq!(
+                    now,
+                    Time::ZERO + m.app_time + m.idle_time + m.total_overhead,
+                    "{} at {ms} ms",
+                    n.name
+                );
             }
         }
     }

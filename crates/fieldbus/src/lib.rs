@@ -13,19 +13,19 @@
 //!   posting to the node's TX mailbox (the "network device driver"
 //!   interface); the bus drains it, arbitrates, and delivers into the
 //!   destination's RX mailbox, raising the NIC interrupt;
-//! - deterministic parallel simulation of the node kernels under
-//!   conservative lookahead: nodes advance independently between
-//!   epoch barriers, where the bus exchanges frames.
+//! - deterministic simulation of the node kernels under conservative
+//!   lookahead: nodes advance independently between epoch barriers,
+//!   where the bus exchanges frames.
 //!
 //! Inter-node protocol design is out of scope here, exactly as it is
 //! in the paper ("inter-node networking issues ... are not covered in
 //! this paper").
 //!
-//! Two executives share this substrate: [`Cluster`] runs one bus, and
-//! [`Topology`] joins several such buses by store-and-forward
-//! gateways. Both advance the nodes **in parallel across host
-//! threads** and give bit-for-bit identical results for any worker
-//! count.
+//! Two executives share this substrate: [`Cluster`] runs one bus on the
+//! calling thread, and [`Topology`] joins several such buses by
+//! store-and-forward gateways. A topology may advance its segments in
+//! parallel across host threads, and gives bit-for-bit identical
+//! results for any worker count.
 
 pub mod cluster;
 pub mod errors;

@@ -12,8 +12,10 @@
 //! delay (the *inter*-segment horizon). [`Topology`] therefore runs
 //! each segment as an [`EpochGroup`] under [`run_two_level`]: between
 //! inter-segment barriers every segment's sub-executive runs its own
-//! fine-grained epoch loop in parallel; at each barrier a serial
-//! exchange moves frames segment → gateway queue → segment.
+//! fine-grained epoch loop, in parallel across host threads when the
+//! topology has more than one worker ([`Topology::with_workers`]); at
+//! each barrier a serial exchange moves frames segment → gateway queue
+//! → segment.
 //!
 //! **Routing** runs over an arbitrary gateway *graph* — any number of
 //! gateways may join any segment pair, including parallel and
@@ -99,8 +101,8 @@ use emeralds_core::script::{Action, Script};
 use emeralds_core::{Kernel, SchedPolicy};
 use emeralds_faults::{FaultEvent, FaultPlan, GatewayFaultClock};
 use emeralds_sim::{
-    run_two_level, ActiveSet, Duration, EpochConfig, EpochGroup, EpochStats, IrqLine, MboxId,
-    NodeId, Time, TwoLevelStats,
+    run_two_level, ActiveSet, Duration, EpochGroup, EpochStats, IrqLine, MboxId, NodeId, Time,
+    TwoLevelStats,
 };
 
 use crate::cluster::{BusState, ClusterNode, SegmentRouting};
@@ -342,7 +344,7 @@ impl EpochGroup for Segment {
         }
         let stats = self
             .bus
-            .run_nodes(&mut self.nodes, &mut self.set, self.cursor, horizon, 1);
+            .run_nodes(&mut self.nodes, &mut self.set, self.cursor, horizon);
         self.cursor = horizon;
         stats
     }
@@ -832,10 +834,7 @@ impl Topology {
             seg.bus.refresh(&seg.nodes);
         }
         self.ensure_routes();
-        let cfg = EpochConfig {
-            lookahead: self.inter_lookahead(),
-            workers: self.workers,
-        };
+        let lookahead = self.inter_lookahead();
         let n = self.segments.len();
         let gateways = &mut self.gateways;
         let node_seg = &self.node_seg;
@@ -850,7 +849,8 @@ impl Topology {
             &mut self.segments,
             self.cursor,
             horizon,
-            &cfg,
+            lookahead,
+            self.workers,
             &mut |segs, at| {
                 judge_gateways(segs, gateways, clock, at, events, routes_dirty);
                 if *routes_dirty {

@@ -17,10 +17,14 @@
 //! - Shared id vocabulary ([`ThreadId`], [`SemId`], …) used by the rest
 //!   of the workspace.
 //! - [`run_epochs`]: a deterministic conservative-lookahead engine that
-//!   advances many independent nodes in parallel across host threads,
-//!   exchanging state only at epoch barriers and advancing at each
-//!   barrier only the nodes with work (the cluster executive's generic
-//!   half).
+//!   advances many independent nodes on the calling thread, exchanging
+//!   state only at epoch barriers and advancing at each barrier only
+//!   the nodes with work (the single-bus executive's generic half).
+//! - [`run_two_level`]: a fixed-cadence outer loop over groups of
+//!   nodes (the segments of a bridged topology), each running its own
+//!   [`run_epochs`] loop. Its groups may advance in parallel across
+//!   host threads between outer barriers; this is the only place the
+//!   workspace runs threads.
 //!
 //! Everything here is deterministic: no global state, and the RNG
 //! helpers require explicit seeds. The only host-clock reads are the
@@ -40,7 +44,7 @@ pub mod time;
 pub mod trace;
 
 pub use account::{Accounting, OverheadKind};
-pub use cluster::{run_epochs, ActiveSet, Barrier, EpochConfig, EpochNode, EpochStats};
+pub use cluster::{run_epochs, ActiveSet, Barrier, EpochNode, EpochStats};
 #[cfg(feature = "alloc-count")]
 pub use count_alloc::CountingAlloc;
 pub use event::EventQueue;

@@ -2,7 +2,7 @@
 //! distributed configuration (§2: "5–10 nodes interconnected by a
 //! low-speed (1–2 Mbit/s) fieldbus network (such as automotive and
 //! avionics control systems)") scaled out to a 64-board airframe on
-//! the parallel cluster executive.
+//! the single-bus cluster executive.
 //!
 //! Five core avionics nodes, each an EMERALDS kernel:
 //!
@@ -18,9 +18,9 @@
 //! plus 59 remote terminals (smart actuators / sensor concentrators)
 //! that each run a local control loop and pass an addressed status
 //! frame around a ring every ~25 ms. All 64 kernels advance in
-//! parallel host threads under the conservative-lookahead epoch model
-//! of [`emeralds::fieldbus::Cluster`]; the run is bit-for-bit
-//! deterministic for any worker count.
+//! lockstep under the conservative-lookahead epoch model of
+//! [`emeralds::fieldbus::Cluster`]; the run is bit-for-bit
+//! deterministic.
 //!
 //! ```sh
 //! cargo run --release --example avionics_bus
@@ -159,8 +159,8 @@ fn terminal_node(i: usize, ring_dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxI
 
 /// Builds the 64-board airframe; node ids 0–4 are the core avionics
 /// nodes in declaration order, 5.. are the remote terminals.
-fn build_cluster(workers: usize) -> Cluster {
-    let mut cluster = Cluster::new(1_000_000).with_workers(workers); // 1 Mbit/s
+fn build_cluster() -> Cluster {
+    let mut cluster = Cluster::new(1_000_000); // 1 Mbit/s
 
     let (ahrs, ahrs_tx, ahrs_rx, ahrs_var) = sensor_node("ahrs", ms(10), 45); // pitch
     let (adc, adc_tx, adc_rx, adc_var) = sensor_node("adc", ms(20), 320); // airspeed (kt)
@@ -194,18 +194,14 @@ fn build_cluster(workers: usize) -> Cluster {
 }
 
 fn main() {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4);
-    let mut cluster = build_cluster(workers);
+    let mut cluster = build_cluster();
     let [n_ahrs, n_adc, n_fcc, n_disp, n_dfdr] = [0u32, 1, 2, 3, 4].map(NodeId);
 
     cluster.run_until(Time::from_ms(HORIZON_MS));
 
     let s = *cluster.stats();
     println!(
-        "=== avionics bus, {} nodes, {HORIZON_MS} ms at 1 Mbit/s, {workers} worker(s) ===\n",
+        "=== avionics bus, {} nodes, {HORIZON_MS} ms at 1 Mbit/s ===\n",
         cluster.len()
     );
     println!(
@@ -289,7 +285,7 @@ fn main() {
         .babble(babbler, Time::from_ms(100), ms(60), us(80))
         .fail_stop(halted, Time::from_ms(200), ms(40));
 
-    let mut faulted = build_cluster(workers);
+    let mut faulted = build_cluster();
     faulted.set_fault_plan(&plan);
     faulted.run_until(Time::from_ms(HORIZON_MS));
 

@@ -89,7 +89,7 @@ fn steady_state_kernel_window_allocates_nothing() {
 /// driver each, no frames ever sent — the epoch executive's pure
 /// barrier/lookahead path.
 fn quiet_cluster() -> Cluster {
-    let mut c = Cluster::new(1_000_000).with_workers(1);
+    let mut c = Cluster::new(1_000_000);
     for i in 0..4usize {
         let mut b = KernelBuilder::new(KernelConfig {
             policy: SchedPolicy::Csd {
@@ -145,7 +145,7 @@ fn quiet_cluster_stretch_allocates_nothing() {
 /// them, and every frame lands on a node whose clock lags.
 fn sparse_traffic_cluster() -> Cluster {
     const N: usize = 16;
-    let mut c = Cluster::new(1_000_000).with_workers(1);
+    let mut c = Cluster::new(1_000_000);
     for i in 0..N {
         let mut b = KernelBuilder::new(KernelConfig {
             policy: SchedPolicy::RmQueue,

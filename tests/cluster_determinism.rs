@@ -1,28 +1,22 @@
-//! Determinism pins for the parallel cluster executive.
+//! Determinism pins for the single-bus cluster executive.
 //!
-//! The conservative-lookahead engine promises that host threading is
-//! *invisible*: the same cluster advanced with 1, 4, or
-//! `available_parallelism` workers produces bit-for-bit identical
+//! The conservative-lookahead engine promises that how a run is cut
+//! into epochs is *invisible*: adaptive and fixed cadence, one call or
+//! several split on epoch boundaries, produce bit-for-bit identical
 //! per-node event traces and identical rolled-up metrics. These tests
 //! pin that promise, plus the degenerate end of it: a single-node
 //! cluster (epoch-split execution) must match a plain
 //! `Kernel::run_until` over the same horizon.
-//!
-//! The comparison set defaults to 4 and `available_parallelism`
-//! workers (against a 1-worker base) and can be extended through the
-//! `EMERALDS_WORKERS` environment variable — a comma-separated list of
-//! extra counts — which CI's determinism matrix uses to pin parity at
-//! the counts its runners actually have.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig};
-use emeralds::core::script::{Action, Operand, Script};
+use emeralds::core::script::{Action, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
 use emeralds::fieldbus::{addressed_tag, Cluster};
-use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, StateId, Time};
+use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 
@@ -30,27 +24,6 @@ fn hash_of(s: &str) -> u64 {
     let mut h = DefaultHasher::new();
     s.hash(&mut h);
     h.finish()
-}
-
-/// Worker counts to compare against the 1-worker base: 4 and the
-/// host's parallelism, plus anything listed in `EMERALDS_WORKERS`
-/// (comma-separated).
-fn worker_counts() -> Vec<usize> {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut counts = vec![4, host];
-    if let Ok(extra) = std::env::var("EMERALDS_WORKERS") {
-        counts.extend(
-            extra
-                .split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok()),
-        );
-    }
-    counts.retain(|&w| w >= 1);
-    counts.sort_unstable();
-    counts.dedup();
-    counts
 }
 
 /// A traced node that sends an addressed frame on a jittered period,
@@ -99,10 +72,10 @@ fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, Mbox
 }
 
 /// A 6-node ring cluster with tracing on.
-fn ring_cluster(workers: usize) -> Cluster {
+fn ring_cluster() -> Cluster {
     const N: usize = 6;
     let mut rng = SimRng::seeded(0xD37);
-    let mut c = Cluster::new(1_000_000).with_workers(workers);
+    let mut c = Cluster::new(1_000_000);
     for i in 0..N {
         let mut nrng = rng.derive(i as u64);
         let dst = NodeId(((i + 1) % N) as u32);
@@ -110,219 +83,6 @@ fn ring_cluster(workers: usize) -> Cluster {
         c.add_node(format!("node{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
     }
     c
-}
-
-#[test]
-fn traces_and_metrics_identical_across_worker_counts() {
-    let horizon = Time::from_ms(80);
-    let mut base = ring_cluster(1);
-    base.run_until(horizon);
-    let base_hashes: Vec<u64> = base
-        .nodes()
-        .iter()
-        .map(|n| hash_of(&n.kernel.trace().to_jsonl()))
-        .collect();
-    // Real traffic flowed, so the hashes pin something nontrivial.
-    assert!(base.stats().frames_delivered > 20, "{:?}", base.stats());
-    assert!(base.metrics().jobs_completed > 100);
-
-    for workers in worker_counts() {
-        let mut c = ring_cluster(workers);
-        c.run_until(horizon);
-        let hashes: Vec<u64> = c
-            .nodes()
-            .iter()
-            .map(|n| hash_of(&n.kernel.trace().to_jsonl()))
-            .collect();
-        assert_eq!(
-            hashes, base_hashes,
-            "trace hashes diverged at workers={workers}"
-        );
-        assert_eq!(
-            c.metrics(),
-            base.metrics(),
-            "metrics diverged at workers={workers}"
-        );
-        assert_eq!(
-            c.stats(),
-            base.stats(),
-            "bus stats diverged at workers={workers}"
-        );
-    }
-}
-
-/// Fault injection must not weaken the invisibility promise: the same
-/// fault seed drives the same corrupted grants, outages, and babble
-/// bursts at every worker count, so traces, metrics, bus stats, and
-/// per-node NIC stats stay bit-for-bit identical.
-#[test]
-fn faulted_runs_identical_across_worker_counts() {
-    let horizon = Time::from_ms(80);
-    for fault_seed in [0xFA11u64, 0x0DDB] {
-        let plan = FaultPlan::random(fault_seed, 6, horizon, 0.05, 0.5, 0.5);
-        assert!(!plan.is_empty(), "seed {fault_seed:#x} injected nothing");
-
-        let run = |workers: usize| {
-            let mut c = ring_cluster(workers);
-            c.set_fault_plan(&plan);
-            c.run_until(horizon);
-            let hashes: Vec<u64> = c
-                .nodes()
-                .iter()
-                .map(|n| hash_of(&n.kernel.trace().to_jsonl()))
-                .collect();
-            let node_stats: Vec<_> = c.nodes().iter().map(|n| n.stats.clone()).collect();
-            (hashes, c.metrics(), *c.stats(), node_stats)
-        };
-
-        let base = run(1);
-        // The plan actually bit: the error machinery left evidence.
-        assert!(
-            base.2.error_frames > 0 || base.2.frames_lost_offline > 0,
-            "seed {fault_seed:#x} left no fault signal: {:?}",
-            base.2
-        );
-        for workers in worker_counts() {
-            let other = run(workers);
-            assert_eq!(
-                other.0, base.0,
-                "trace hashes diverged at workers={workers}, seed {fault_seed:#x}"
-            );
-            assert_eq!(
-                other.1, base.1,
-                "metrics diverged at workers={workers}, seed {fault_seed:#x}"
-            );
-            assert_eq!(
-                other.2, base.2,
-                "bus stats diverged at workers={workers}, seed {fault_seed:#x}"
-            );
-            assert_eq!(
-                other.3, base.3,
-                "node stats diverged at workers={workers}, seed {fault_seed:#x}"
-            );
-        }
-    }
-}
-
-/// A traced node that both publishes a state-message variable (shipped
-/// to its ring successor over a `link_state` channel) and polls the
-/// replica its predecessor feeds, recording data age on every read.
-fn state_traced_node(i: usize, rng: &mut SimRng) -> (Kernel, MboxId, MboxId, StateId, StateId) {
-    let mut b = KernelBuilder::new(KernelConfig {
-        policy: SchedPolicy::Csd {
-            boundaries: vec![1],
-        },
-        record_trace: true,
-        ..KernelConfig::default()
-    });
-    let p = b.add_process(format!("node{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
-    let tid = b.add_periodic_task(
-        p,
-        "pub",
-        Duration::from_us(rng.int_in(4_000, 7_000)),
-        Script::periodic(vec![
-            Action::Compute(Duration::from_us(rng.int_in(100, 300))),
-            Action::StateWrite {
-                var: StateId(0),
-                value: Operand::Const(i as u32),
-            },
-        ]),
-    );
-    let wvar = b.add_state_msg(tid, 8, 3, &[]);
-    assert_eq!(wvar, StateId(0));
-    let rvar = b.add_state_replica(p, 8, 3, &[]);
-    b.add_periodic_task(
-        p,
-        "law",
-        Duration::from_us(rng.int_in(8_000, 12_000)),
-        Script::periodic(vec![
-            Action::StateRead(rvar),
-            Action::Compute(Duration::from_us(rng.int_in(200, 500))),
-        ]),
-    );
-    b.add_periodic_task(
-        p,
-        "filler",
-        Duration::from_us(rng.int_in(900, 1_500)),
-        Script::compute_only(Duration::from_us(rng.int_in(30, 80))),
-    );
-    (b.build(), tx, rx, wvar, rvar)
-}
-
-/// A 6-node state-linked ring with tracing on.
-fn state_ring_cluster(workers: usize) -> Cluster {
-    const N: usize = 6;
-    let mut rng = SimRng::seeded(0x57A13);
-    let mut c = Cluster::new(1_000_000).with_workers(workers);
-    let mut vars = Vec::new();
-    for i in 0..N {
-        let mut nrng = rng.derive(i as u64);
-        let (k, tx, rx, wvar, rvar) = state_traced_node(i, &mut nrng);
-        c.add_node(format!("node{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
-        vars.push((wvar, rvar));
-    }
-    for i in 0..N {
-        let dst = (i + 1) % N;
-        c.link_state(
-            NodeId(i as u32),
-            vars[i].0,
-            NodeId(dst as u32),
-            vars[dst].1,
-            (10 + i) as u32,
-            8,
-        );
-    }
-    c
-}
-
-/// The staleness instrumentation must be worker-invisible too: the
-/// same faulted, state-linked ring produces bit-for-bit identical data
-/// age histograms, state-frame stats (overwrites, in-flight), and
-/// traces at 1, 4, and `available_parallelism` workers.
-#[test]
-fn staleness_metrics_identical_across_worker_counts() {
-    let horizon = Time::from_ms(80);
-    let plan = FaultPlan::random(0xA6E, 6, horizon, 0.04, 0.3, 0.3);
-    assert!(!plan.is_empty());
-
-    let run = |workers: usize| {
-        let mut c = state_ring_cluster(workers);
-        c.set_fault_plan(&plan);
-        c.run_until(horizon);
-        let hashes: Vec<u64> = c
-            .nodes()
-            .iter()
-            .map(|n| hash_of(&n.kernel.trace().to_jsonl()))
-            .collect();
-        (hashes, c.metrics(), *c.stats())
-    };
-
-    let base = run(1);
-    // The pin is nontrivial: ages were recorded and state frames flowed.
-    assert!(base.1.state_age.count() > 0, "no data age recorded");
-    assert!(base.2.frames_delivered > 0, "no state frames delivered");
-    assert_eq!(
-        base.2.frames_sent,
-        base.2.frames_delivered + base.2.frames_dropped + base.2.frames_in_flight,
-        "frame accounting leak: {:?}",
-        base.2
-    );
-
-    for workers in worker_counts() {
-        let other = run(workers);
-        assert_eq!(
-            other.0, base.0,
-            "trace hashes diverged at workers={workers}"
-        );
-        assert_eq!(
-            other.1, base.1,
-            "metrics (incl. staleness) diverged at workers={workers}"
-        );
-        assert_eq!(other.2, base.2, "bus stats diverged at workers={workers}");
-    }
 }
 
 /// A kernel with no bus traffic, traced, for the N=1 parity check. Bus
@@ -393,7 +153,7 @@ fn single_node_cluster_matches_plain_kernel() {
 fn adaptive_and_fixed_cadence_runs_bit_identical() {
     let horizon = Time::from_ms(80);
     let run = |adaptive: bool| {
-        let mut c = ring_cluster(2);
+        let mut c = ring_cluster();
         c.set_adaptive(adaptive);
         c.run_until(horizon);
         let hashes: Vec<u64> = c
@@ -432,7 +192,7 @@ fn adaptive_and_fixed_cadence_agree_under_faults() {
         let plan = FaultPlan::random(fault_seed, 6, horizon, 0.05, 0.5, 0.5);
         assert!(!plan.is_empty(), "seed {fault_seed:#x} injected nothing");
         let run = |adaptive: bool| {
-            let mut c = ring_cluster(2);
+            let mut c = ring_cluster();
             c.set_fault_plan(&plan);
             c.set_adaptive(adaptive);
             c.run_until(horizon);
@@ -572,7 +332,7 @@ fn sparse_tx_node(i: usize, dst: NodeId) -> (Kernel, MboxId, MboxId) {
 fn tx_at_stretched_boundary_is_delivered_identically() {
     let horizon = Time::from_ms(60);
     let run = |adaptive: bool| {
-        let mut c = Cluster::new(1_000_000).with_workers(2);
+        let mut c = Cluster::new(1_000_000);
         c.set_adaptive(adaptive);
         for i in 0..2usize {
             let dst = NodeId(((i + 1) % 2) as u32);
@@ -606,11 +366,11 @@ fn tx_at_stretched_boundary_is_delivered_identically() {
 fn epoch_split_run_matches_single_call() {
     // Same cluster, horizon reached in one call vs many small calls
     // whose boundaries land on the lookahead grid.
-    let mut whole = ring_cluster(2);
+    let mut whole = ring_cluster();
     let l = whole.lookahead();
     whole.run_until(Time::ZERO + l * 432);
 
-    let mut split = ring_cluster(2);
+    let mut split = ring_cluster();
     for step in 1..=4 {
         split.run_until(Time::ZERO + l * (step * 108));
     }

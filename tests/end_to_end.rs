@@ -240,30 +240,28 @@ fn three_node_fieldbus_system() {
         b.add_periodic_task(p, "main", ms(20), Script::compute_only(ms(2)));
         (b.build(), tx, rx)
     };
-    for workers in [1, 2] {
-        let mut net = Cluster::new(2_000_000).with_workers(workers);
-        let (k0, tx0, rx0) = sensor();
-        let (k1, tx1, rx1) = consumer(100);
-        let (k2, tx2, rx2) = consumer(200);
-        net.add_node("sensor", k0, tx0, rx0, nic, 1);
-        let c1 = net.add_node("c1", k1, tx1, rx1, nic, 5);
-        let c2 = net.add_node("c2", k2, tx2, rx2, nic, 6);
-        net.run_until(Time::from_ms(300));
-        let s = net.stats();
-        assert_eq!(s.frames_dropped, 0);
-        assert!(s.frames_sent >= 29, "sent {}", s.frames_sent);
-        // Broadcast to 2 consumers.
-        assert!(s.frames_delivered >= 2 * (s.frames_sent - 2));
-        for id in [c1, c2] {
-            let kern = &net.node(id).kernel;
-            assert_eq!(kern.total_deadline_misses(), 0);
-            assert_eq!(
-                kern.tcb(emeralds::sim::ThreadId(0)).last_read,
-                55,
-                "{} (workers={workers})",
-                net.node(id).name
-            );
-        }
+    let mut net = Cluster::new(2_000_000);
+    let (k0, tx0, rx0) = sensor();
+    let (k1, tx1, rx1) = consumer(100);
+    let (k2, tx2, rx2) = consumer(200);
+    net.add_node("sensor", k0, tx0, rx0, nic, 1);
+    let c1 = net.add_node("c1", k1, tx1, rx1, nic, 5);
+    let c2 = net.add_node("c2", k2, tx2, rx2, nic, 6);
+    net.run_until(Time::from_ms(300));
+    let s = net.stats();
+    assert_eq!(s.frames_dropped, 0);
+    assert!(s.frames_sent >= 29, "sent {}", s.frames_sent);
+    // Broadcast to 2 consumers.
+    assert!(s.frames_delivered >= 2 * (s.frames_sent - 2));
+    for id in [c1, c2] {
+        let kern = &net.node(id).kernel;
+        assert_eq!(kern.total_deadline_misses(), 0);
+        assert_eq!(
+            kern.tcb(emeralds::sim::ThreadId(0)).last_read,
+            55,
+            "{}",
+            net.node(id).name
+        );
     }
 }
 

@@ -64,8 +64,8 @@ fn shell_node(tx_cap: usize, rx_cap: usize) -> (Kernel, MboxId, MboxId, IrqLine)
 /// Queues `n_frames` same-priority frames on one node under a
 /// corruption schedule and checks every frame arrives, in order.
 /// Returns (retransmissions, error_frames) for aggregate assertions.
-fn check_fifo_preserved(workers: usize, seed: u64, n_frames: u32, corruption: f64) -> (u64, u64) {
-    let mut net = Cluster::new(1_000_000).with_workers(workers);
+fn check_fifo_preserved(seed: u64, n_frames: u32, corruption: f64) -> (u64, u64) {
+    let mut net = Cluster::new(1_000_000);
     let (k0, tx0, rx0, irq0) = shell_node(64, 8);
     let (k1, tx1, rx1, irq1) = shell_node(8, 64);
     let src = net.add_node("src", k0, tx0, rx0, irq0, 10);
@@ -113,19 +113,17 @@ fn check_fifo_preserved(workers: usize, seed: u64, n_frames: u32, corruption: f6
 #[test]
 fn retransmission_preserves_same_priority_fifo() {
     // Pinned high-corruption case: this seed provably retransmits.
-    for workers in [1, 2] {
-        let (retrans, errors) = check_fifo_preserved(workers, 0xF1F0, 20, 0.35);
-        assert!(retrans > 0, "pinned case must exercise retransmission");
-        assert_eq!(retrans, errors, "every flagged frame was requeued");
-    }
+    let (retrans, errors) = check_fifo_preserved(0xF1F0, 20, 0.35);
+    assert!(retrans > 0, "pinned case must exercise retransmission");
+    assert_eq!(retrans, errors, "every flagged frame was requeued");
 
     let mut rng = SimRng::seeded(0xCA5E);
     let mut total_retrans = 0;
-    for case in 0..CASES {
+    for _ in 0..CASES {
         let n = rng.int_in(5, 30) as u32;
         let p = rng.int_in(5, 35) as f64 / 100.0;
         let seed = rng.int_in(1, u64::MAX - 1);
-        let (r, _) = check_fifo_preserved(1 + case as usize % 2, seed, n, p);
+        let (r, _) = check_fifo_preserved(seed, n, p);
         total_retrans += r;
     }
     assert!(total_retrans > 0, "no case exercised the error path");
@@ -134,8 +132,8 @@ fn retransmission_preserves_same_priority_fifo() {
 /// Drives one node to bus-off by babbling, then checks containment:
 /// while off, its frames vanish at the NIC and a clean peer still
 /// gets through; once the window ends, it recovers and rejoins.
-fn check_busoff_contains(workers: usize, babble_period_us: u64, babble_start_us: u64) {
-    let mut net = Cluster::new(1_000_000).with_workers(workers);
+fn check_busoff_contains(babble_period_us: u64, babble_start_us: u64) {
+    let mut net = Cluster::new(1_000_000);
     let (k0, tx0, rx0, irq0) = shell_node(8, 8);
     let (k1, tx1, rx1, irq1) = shell_node(8, 8);
     let (k2, tx2, rx2, irq2) = shell_node(8, 64);
@@ -232,14 +230,12 @@ fn check_busoff_contains(workers: usize, babble_period_us: u64, babble_start_us:
 #[test]
 fn busoff_silences_babbler_until_recovery() {
     // Pinned case plus a seeded sweep over babble timing.
-    for workers in [1, 2] {
-        check_busoff_contains(workers, 60, 500);
-    }
+    check_busoff_contains(60, 500);
     let mut rng = SimRng::seeded(0xB0FF);
-    for case in 0..8 {
+    for _ in 0..8 {
         let period = rng.int_in(40, 120);
         let start = rng.int_in(200, 1500);
-        check_busoff_contains(1 + case % 2, period, start);
+        check_busoff_contains(period, start);
     }
 }
 
@@ -255,7 +251,7 @@ fn busoff_boundary_conserves_queued_and_inflight_frames() {
     for case in 0..8u64 {
         let babble_period = rng.int_in(40, 120);
         let babble_start = rng.int_in(200, 1500);
-        let mut net = Cluster::new(1_000_000).with_workers(1 + case as usize % 2);
+        let mut net = Cluster::new(1_000_000);
         let (k0, tx0, rx0, irq0) = shell_node(64, 8);
         let (k1, tx1, rx1, irq1) = shell_node(8, 64);
         let babbler = net.add_node("babbler", k0, tx0, rx0, irq0, 10);
@@ -299,16 +295,15 @@ fn busoff_boundary_conserves_queued_and_inflight_frames() {
 
 /// The ledger must also balance across randomized fault schedules and
 /// staggered observation horizons — fail-stop outages purging pending
-/// frames, babble storms, bus-off recoveries — at any worker count.
+/// frames, babble storms, bus-off recoveries.
 #[test]
 fn parallel_executive_conserves_frames_across_fault_boundaries() {
     let mut rng = SimRng::seeded(0xC0A5E);
     for case in 0..8u64 {
         let seed = rng.int_in(1, u64::MAX - 1);
-        let workers = *[1usize, 2, 4].get(case as usize % 3).unwrap();
         let horizon = Time::from_ms(60);
         let plan = FaultPlan::random(seed, 4, horizon, 0.05, 0.6, 0.6);
-        let mut c = Cluster::new(1_000_000).with_workers(workers);
+        let mut c = Cluster::new(1_000_000);
         for i in 0..4u32 {
             let (k, tx, rx, irq) = traffic_node(i, NodeId((i + 1) % 4));
             c.add_node(format!("n{i}"), k, tx, rx, irq, i + 1);
@@ -322,7 +317,7 @@ fn parallel_executive_conserves_frames_across_fault_boundaries() {
             assert_eq!(
                 s.frames_sent,
                 s.frames_delivered + s.frames_dropped + s.frames_in_flight,
-                "cluster leak (case {case}, workers {workers}, {step} ms): {s:?}"
+                "cluster leak (case {case}, {step} ms): {s:?}"
             );
         }
     }
@@ -434,7 +429,7 @@ fn state_links_conserve_frames_under_corruption() {
         let p = rng.int_in(0, 30) as f64 / 100.0;
         let seed = rng.int_in(1, u64::MAX - 1);
         let wr_period = rng.int_in(2_000, 6_000);
-        let mut net = Cluster::new(1_000_000).with_workers(1 + case % 2);
+        let mut net = Cluster::new(1_000_000);
         let (k0, tx0, rx0, irq0, wvar) = state_writer_node(wr_period);
         let (k1, tx1, rx1, irq1, rvar) = state_reader_node(5_000);
         let src = net.add_node("writer", k0, tx0, rx0, irq0, 10);

@@ -2,8 +2,9 @@
 //! full `ClusterMetrics` for representative SC/FT/TOPO quick
 //! workloads.
 //!
-//! The worker-parity tests in `cluster_determinism.rs` prove that host
-//! threading is invisible *within one build*; this suite pins the
+//! The parity tests in `cluster_determinism.rs` and
+//! `topology_determinism.rs` prove that epoch cadence and outer host
+//! threading are invisible *within one build*; this suite pins the
 //! virtual behavior itself across builds. The fixtures under
 //! `tests/fixtures/golden/` were recorded before the host-side
 //! zero-allocation pass landed, so any future perf work that silently

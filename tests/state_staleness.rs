@@ -80,14 +80,8 @@ fn reader_node(period_us: u64) -> (Kernel, MboxId, MboxId, StateId) {
 /// sampling quantum), and the mean sits below `P`.
 #[test]
 fn healthy_bus_age_bounded_by_period_plus_delivery() {
-    for workers in [1, 2] {
-        check_healthy_age(workers);
-    }
-}
-
-fn check_healthy_age(workers: usize) {
     let period_us = 10_000;
-    let mut net = Cluster::new(1_000_000).with_workers(workers);
+    let mut net = Cluster::new(1_000_000);
     let (kw, txw, rxw, wvar) = writer_node(period_us);
     let (kr, txr, rxr, rvar) = reader_node(7_000);
     let src = net.add_node("writer", kw, txw, rxw, NIC_IRQ, 1);
@@ -120,8 +114,8 @@ fn check_healthy_age(workers: usize) {
 }
 
 /// Builds a 2-pair state-linked cluster for the storm test.
-fn storm_cluster(workers: usize) -> Cluster {
-    let mut c = Cluster::new(1_000_000).with_workers(workers);
+fn storm_cluster() -> Cluster {
+    let mut c = Cluster::new(1_000_000);
     let mut wvars = Vec::new();
     for i in 0..2usize {
         let (k, tx, rx, var) = writer_node(8_000 + 2_000 * i as u64);
@@ -154,7 +148,7 @@ fn storm_bounds_age_spikes_and_conserves_frames() {
     assert!(!plan.is_empty());
 
     let run = || {
-        let mut c = storm_cluster(1);
+        let mut c = storm_cluster();
         c.set_fault_plan(&plan);
         c.run_until(horizon);
         let stats = *c.stats();

@@ -1,12 +1,19 @@
 //! Determinism and conservation pins for the bridged multi-segment
 //! topology executive.
 //!
-//! The two-level engine promises the same invisibility the flat
-//! cluster does, one level up: the same topology advanced with 1, 4,
-//! or `available_parallelism` *outer* workers produces bit-for-bit
-//! identical per-node traces, metrics, bus stats, and gateway stats —
-//! and the cross-segment frame ledger balances at every rest point,
-//! with gateway-buffered frames as the only carry term.
+//! The two-level engine is the only executive that runs host threads,
+//! and it promises that they are *invisible*: the same topology
+//! advanced with 1, 4, or `available_parallelism` *outer* workers
+//! produces bit-for-bit identical per-node traces, metrics, bus stats,
+//! NIC stats and gateway stats, with and without node or gateway
+//! faults — and the cross-segment frame ledger balances at every rest
+//! point, with gateway-buffered frames as the only carry term.
+//!
+//! The comparison set defaults to 4 and `available_parallelism` outer
+//! workers (against a 1-worker base) and can be extended through the
+//! `EMERALDS_WORKERS` environment variable — a comma-separated list of
+//! extra counts — which CI's determinism matrix uses to pin parity at
+//! the counts its runners actually have.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -360,5 +367,48 @@ fn gateway_fail_stop_partition_is_counted_and_deterministic() {
         assert_eq!(t.metrics(), base.metrics(), "workers={workers}");
         assert_eq!(t.partitioned_pairs(), 0);
         assert!(t.conservation().holds());
+    }
+}
+
+/// Node faults — corrupted grants, fail-stop outages and babbling
+/// idiots, split per segment — are as invisible to the outer worker
+/// count as a gateway outage: the same plan gives bit-identical
+/// traces, gateway stats, metrics, bus stats and per-node NIC stats.
+#[test]
+fn node_faults_identical_across_outer_worker_counts() {
+    let horizon = Time::from_ms(80);
+    let node_stats = |t: &Topology| -> Vec<_> {
+        (0..t.node_count() as u32)
+            .map(|i| t.node(NodeId(i)).stats.clone())
+            .collect()
+    };
+    for fault_seed in [0xFA11u64, 0x0DDB] {
+        let run = |workers: usize| {
+            let mut t = line_topology(workers);
+            let plan = FaultPlan::random(fault_seed, t.node_count(), horizon, 0.05, 0.5, 0.5);
+            t.set_fault_plan(&plan);
+            t.run_until(horizon);
+            t
+        };
+        let base = run(1);
+        // The plan actually bit: the error machinery left evidence.
+        let total = base.total_stats();
+        assert!(
+            total.error_frames > 0 || total.frames_lost_offline > 0,
+            "seed {fault_seed:#x} left no fault signal: {total:?}"
+        );
+        let report = base.conservation();
+        assert!(report.holds(), "seed {fault_seed:#x}: ledger {report:?}");
+        let base_obs = observe(&base);
+        let base_nodes = node_stats(&base);
+
+        for workers in worker_counts() {
+            let t = run(workers);
+            let at = format!("workers={workers}, seed {fault_seed:#x}");
+            assert_eq!(observe(&t), base_obs, "{at}");
+            assert_eq!(t.metrics(), base.metrics(), "{at}");
+            assert_eq!(t.total_stats(), total, "{at}");
+            assert_eq!(node_stats(&t), base_nodes, "{at}");
+        }
     }
 }
