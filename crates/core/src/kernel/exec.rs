@@ -35,6 +35,25 @@ impl Kernel {
         self.run_until(horizon);
     }
 
+    /// Moves an idle kernel's clock to `to`, adding the span to idle
+    /// time: exactly what [`Kernel::advance_to`] does when no thread is
+    /// current and no timer or device event falls before `to`. A no-op
+    /// when the clock is already at or past `to`. Cluster executives
+    /// that already hold that idleness proof use this instead of paying
+    /// for `advance_to` to re-derive it. Debug builds assert the
+    /// precondition.
+    pub fn idle_to(&mut self, to: Time) {
+        debug_assert!(
+            self.current.is_none() && self.next_external_time().is_none_or(|t| t >= to),
+            "idle_to({to:?}) on a kernel with work before it"
+        );
+        let now = self.clock.now();
+        if to > now {
+            self.acct.idle += to.since(now);
+            self.clock.advance_to(to);
+        }
+    }
+
     /// Runs until `horizon` or the first deadline miss; returns true
     /// if a miss occurred.
     pub fn run_until_miss(&mut self, horizon: Time) -> bool {

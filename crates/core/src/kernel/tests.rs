@@ -647,6 +647,51 @@ fn accounting_ledger_balances() {
     assert_eq!(total.as_ns(), k.now().as_ns());
 }
 
+/// `idle_to` is `advance_to` on a kernel that is idle up to the target:
+/// the same clock, ledger and trace, and the same run afterwards.
+#[test]
+fn idle_to_matches_advance_to_on_an_idle_kernel() {
+    let build = || {
+        let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
+        let p = b.add_process("app");
+        let line = IrqLine(4);
+        let dev = b.board_mut().add_sensor("rpm", Some(line));
+        b.board_mut()
+            .schedule_periodic_samples(dev, Time::from_ms(15), ms(5), 3, |k| k as u32);
+        b.add_periodic_task(p, "ctl", ms(10), Script::compute_only(us(300)));
+        b.add_driver_task(
+            p,
+            "drv",
+            ms(2),
+            Script::looping(vec![Action::WaitIrq(line), Action::DevRead(dev)]),
+        );
+        let mut k = b.build();
+        k.run_until(Time::from_ms(2));
+        k
+    };
+    let (mut idled, mut advanced) = (build(), build());
+    // Idle from the first job's end to the next release at 10 ms.
+    assert_eq!(idled.current(), None);
+    assert_eq!(idled.next_external_time(), Some(Time::from_ms(10)));
+    for t in [Time::from_us(6_500), Time::from_ms(10), Time::from_ms(4)] {
+        idled.idle_to(t);
+        advanced.advance_to(t);
+        assert_eq!(idled.now(), advanced.now(), "at {t:?}");
+        assert_eq!(idled.metrics(), advanced.metrics(), "at {t:?}");
+        assert_eq!(idled.trace().to_jsonl(), advanced.trace().to_jsonl());
+    }
+    assert_eq!(idled.now(), Time::from_ms(10));
+    for k in [&mut idled, &mut advanced] {
+        k.advance_to(Time::from_ms(40));
+    }
+    assert_eq!(idled.metrics(), advanced.metrics());
+    assert_eq!(idled.trace().to_jsonl(), advanced.trace().to_jsonl());
+    assert_eq!(
+        idled.accounting().grand_total().as_ns(),
+        idled.now().as_ns()
+    );
+}
+
 /// Event latching: a signal with no waiter is consumed by the next
 /// wait.
 #[test]

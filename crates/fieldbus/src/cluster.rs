@@ -70,7 +70,7 @@ pub(crate) enum StagedRx {
 /// advance and folded into the global [`BusStats`] at the next
 /// barrier. All fields are order-independent sums, so the rollup order
 /// cannot influence the totals.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct RxOutcome {
     delivered: u64,
     dropped: u64,
@@ -234,6 +234,20 @@ impl EpochNode for ClusterNode {
         }
         self.wake()
     }
+
+    /// The fail-stop gate, when the node has one, applies exactly as
+    /// `drive(to)` would; otherwise the kernel's clock moves without
+    /// re-deriving that it is idle.
+    fn idle_to(&mut self, to: Time) {
+        debug_assert!(
+            self.inbox.is_empty() && self.wake() >= to,
+            "idle_to({to:?}) on a node with work or input before it"
+        );
+        match self.gate.as_mut() {
+            Some(gate) => gate.drive(&mut self.kernel, to),
+            None => self.kernel.idle_to(to),
+        }
+    }
 }
 
 /// Maps global node ids onto one segment of a bridged topology.
@@ -369,12 +383,29 @@ impl BusState {
         })
     }
 
-    /// Re-reads which nodes are in bus-off, at the start of a run (node
-    /// stats are public and may have changed between runs).
-    pub(crate) fn refresh(&mut self, nodes: &[ClusterNode]) {
+    /// Re-reads every node's wake and which nodes are in bus-off. Both
+    /// stay exact across runs (the engine records every wake it changes
+    /// and the exchange keeps the bus-off list), so callers run this
+    /// only when a node was added or handed out mutably since the last
+    /// run: node stats and kernels are public.
+    pub(crate) fn refresh(&mut self, nodes: &[ClusterNode], set: &mut ActiveSet) {
+        set.refresh(nodes);
         self.bus_off.clear();
         self.bus_off
             .extend((0..nodes.len()).filter(|&i| nodes[i].stats.is_bus_off()));
+    }
+
+    /// Folds the delivery tallies of `advanced` nodes into the global
+    /// stats. Only an advance applies an inbox, and the fields are
+    /// order-independent sums, so totals do not depend on when each
+    /// node's tally is folded in.
+    fn fold_tallies(&mut self, nodes: &mut [ClusterNode], advanced: &[usize]) {
+        for &i in advanced {
+            let o = std::mem::take(&mut nodes[i].outcome);
+            self.stats.frames_delivered += o.delivered;
+            self.stats.frames_dropped += o.dropped;
+            self.stats.total_latency += o.latency;
+        }
     }
 
     /// Is `node` off the bus at `at` (fail-stop outage or bus-off)?
@@ -417,16 +448,8 @@ impl BusState {
     /// every node.
     pub(crate) fn exchange(&mut self, nodes: &mut [ClusterNode], b: &mut Barrier<'_>) {
         let now = b.at;
-        // 0. Fold the previous epoch's node-local delivery tallies
-        //    into the global stats. Only an advance applies an inbox,
-        //    and the fields are order-independent sums, so totals do
-        //    not depend on when each node's tally is folded in.
-        for &i in b.active {
-            let o = std::mem::take(&mut nodes[i].outcome);
-            self.stats.frames_delivered += o.delivered;
-            self.stats.frames_dropped += o.dropped;
-            self.stats.total_latency += o.latency;
-        }
+        // 0. Fold the elapsed epoch's node-local delivery tallies.
+        self.fold_tallies(nodes, b.active);
 
         // 0b. Complete due bus-off recoveries before anything else
         //     this barrier: a recovered node sends and receives again.
@@ -808,17 +831,18 @@ impl BusState {
     /// End-of-run flush, shared by [`Cluster::run_until`] and the
     /// topology executive, after [`ActiveSet::catch_up`] brought every
     /// node to the horizon and applied the inboxes staged at the final
-    /// barrier: fold the remaining tallies in, and snapshot what is
-    /// still underway so the ledger `sent == delivered + dropped +
-    /// in_flight` is exact at this horizon (garbage frames never
-    /// counted as sent, so they don't count here).
-    pub(crate) fn flush_run_end(&mut self, nodes: &mut [ClusterNode]) {
-        for node in nodes.iter_mut() {
-            let o = std::mem::take(&mut node.outcome);
-            self.stats.frames_delivered += o.delivered;
-            self.stats.frames_dropped += o.dropped;
-            self.stats.total_latency += o.latency;
-        }
+    /// barrier: fold the tallies of the nodes it advanced (`caught_up`),
+    /// and snapshot what is still underway so the ledger `sent ==
+    /// delivered + dropped + in_flight` is exact at this horizon
+    /// (garbage frames never counted as sent, so they don't count
+    /// here). Every other node's last advance ran in an epoch, whose
+    /// exchange already folded its tally.
+    pub(crate) fn flush_run_end(&mut self, nodes: &mut [ClusterNode], caught_up: &[usize]) {
+        self.fold_tallies(nodes, caught_up);
+        debug_assert!(
+            nodes.iter().all(|n| n.outcome == RxOutcome::default()),
+            "a node the catch-up idled holds delivery tallies"
+        );
         self.stats.frames_in_flight = self.in_flight.len() as u64
             + self.pending.iter().filter(|(_, _, f)| !f.garbage).count() as u64;
     }
@@ -837,6 +861,9 @@ pub struct Cluster {
     /// The engine's wake array and index lists, persisted so a warmed
     /// `run_until` allocates nothing.
     set: ActiveSet,
+    /// A node was added or handed out mutably since the last run, so
+    /// the wake array and the bus-off list may be out of date.
+    stale: bool,
 }
 
 impl Cluster {
@@ -853,6 +880,7 @@ impl Cluster {
             cursor: Time::ZERO,
             exec_stats: EpochStats::default(),
             set: ActiveSet::default(),
+            stale: true,
         }
     }
 
@@ -902,6 +930,7 @@ impl Cluster {
         tx_prio: u32,
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        self.stale = true;
         self.nodes.push(ClusterNode::new(
             id,
             name.into(),
@@ -954,8 +983,11 @@ impl Cluster {
         &self.nodes[id.index()]
     }
 
-    /// Mutable node access.
+    /// Mutable node access. The next [`Cluster::run_until`] re-reads
+    /// every node's wake and bus-off state, so any change made here
+    /// (a message pushed into the TX mailbox, a stats edit) is seen.
     pub fn node_mut(&mut self, id: NodeId) -> &mut ClusterNode {
+        self.stale = true;
         &mut self.nodes[id.index()]
     }
 
@@ -1003,6 +1035,11 @@ impl Cluster {
     /// clock sits at (or past) `horizon` on return. Callable
     /// repeatedly; each call resumes from the previous horizon.
     ///
+    /// The call touches every node only to bump the clocks of idle
+    /// ones at the end; a full advance runs only for nodes due before
+    /// the horizon. Wakes and bus-off states are re-read from every
+    /// node only after [`Cluster::add_node`] or [`Cluster::node_mut`].
+    ///
     /// # Panics
     ///
     /// Panics when the cluster has no nodes.
@@ -1011,17 +1048,17 @@ impl Cluster {
         if horizon <= self.cursor {
             return;
         }
-        // Nodes are public between runs: re-read their wakes and
-        // bus-off states once per call, never per barrier.
-        self.set.refresh(&self.nodes);
-        self.bus.refresh(&self.nodes);
+        if std::mem::take(&mut self.stale) {
+            self.bus.refresh(&self.nodes, &mut self.set);
+        }
         let stats = self
             .bus
             .run_nodes(&mut self.nodes, &mut self.set, self.cursor, horizon);
         self.exec_stats.merge(&stats);
         self.cursor = horizon;
         self.set.catch_up(&mut self.nodes, horizon);
-        self.bus.flush_run_end(&mut self.nodes);
+        self.bus
+            .flush_run_end(&mut self.nodes, self.set.caught_up());
     }
 
     /// Rolls every node's kernel metrics into a [`ClusterMetrics`].

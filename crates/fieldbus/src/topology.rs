@@ -333,6 +333,9 @@ struct Segment {
     /// The inner engine's wake array, kept across outer epochs: skipped
     /// nodes lag until a frame lands on them or the public run ends.
     set: ActiveSet,
+    /// A node was added or handed out mutably since the last run, so
+    /// the wake array and the bus-off list may be out of date.
+    stale: bool,
     cursor: Time,
 }
 
@@ -383,6 +386,12 @@ impl ConservationReport {
 
 /// Interrupt line gateway NICs use (matches the examples' convention).
 const GW_NIC_IRQ: IrqLine = IrqLine(2);
+
+/// Trace events each gateway bridge NIC keeps. A bridge NIC hears every
+/// broadcast on its segment, so an unbounded trace would grow for the
+/// whole run; the ring keeps the recent forensic window, and counters
+/// and `Trace::dropped` stay exact.
+const GATEWAY_TRACE_RING: usize = 1024;
 
 /// The first-hop and path-cost tables, rebuilt together.
 type RouteTables = (Vec<Vec<Option<u32>>>, Vec<Vec<Option<u64>>>);
@@ -467,6 +476,7 @@ impl Topology {
             nodes: Vec::new(),
             globals: Vec::new(),
             set: ActiveSet::default(),
+            stale: true,
             cursor: self.cursor,
         });
         self.routes_dirty = true;
@@ -539,6 +549,7 @@ impl Topology {
             tx_prio,
         ));
         self.segments[si].globals.push(global);
+        self.segments[si].stale = true;
         self.node_seg.push(si as u32);
         self.node_local.push(local);
         self.node_gateway.push(gateway);
@@ -691,9 +702,12 @@ impl Topology {
         &seg.nodes[self.node_local[id.index()] as usize]
     }
 
-    /// Mutable node access by global id.
+    /// Mutable node access by global id. The next
+    /// [`Topology::run_until`] re-reads every wake and bus-off state on
+    /// the node's segment, so any change made here is seen.
     pub fn node_mut(&mut self, id: NodeId) -> &mut ClusterNode {
         let seg = &mut self.segments[self.node_seg[id.index()] as usize];
+        seg.stale = true;
         &mut seg.nodes[self.node_local[id.index()] as usize]
     }
 
@@ -801,7 +815,15 @@ impl Topology {
 
     /// Advances every segment to `horizon` under two-level epochs.
     /// Callable repeatedly; each call resumes from the previous
-    /// horizon.
+    /// horizon. Every node's clock sits at (or past) `horizon` on
+    /// return.
+    ///
+    /// The call touches every node only to bump the clocks of idle
+    /// ones at the end; a full advance runs only for nodes due before
+    /// the horizon. A segment's wakes and bus-off states are re-read
+    /// from its nodes only after [`Topology::add_node`],
+    /// [`Topology::try_add_gateway`] or [`Topology::node_mut`] touched
+    /// it.
     ///
     /// # Panics
     ///
@@ -827,11 +849,10 @@ impl Topology {
             &mut self.events,
             &mut self.routes_dirty,
         );
-        // Nodes are public between runs: re-read their wakes and
-        // bus-off states once per call, never per barrier.
         for seg in &mut self.segments {
-            seg.set.refresh(&seg.nodes);
-            seg.bus.refresh(&seg.nodes);
+            if std::mem::take(&mut seg.stale) {
+                seg.bus.refresh(&seg.nodes, &mut seg.set);
+            }
         }
         self.ensure_routes();
         let lookahead = self.inter_lookahead();
@@ -885,7 +906,7 @@ impl Topology {
                 "outer exchange must drain remote_out"
             );
             seg.set.catch_up(&mut seg.nodes, horizon);
-            seg.bus.flush_run_end(&mut seg.nodes);
+            seg.bus.flush_run_end(&mut seg.nodes, seg.set.caught_up());
         }
         for gw in &mut self.gateways {
             gw.stats.buffered = gw.queues.iter().map(|q| q.buf.len() as u64).sum();
@@ -1060,8 +1081,8 @@ fn route_frames(
     at: Time,
 ) {
     for si in 0..segs.len() {
-        let out = std::mem::take(&mut segs[si].bus.remote_out);
-        for (done, mut frame) in out {
+        let mut out = std::mem::take(&mut segs[si].bus.remote_out);
+        for (done, mut frame) in out.drain(..) {
             // The origin segment is stamped at the *first* capture and
             // survives multi-hop forwarding; every drop downstream is
             // charged there, where the frame was counted `sent`.
@@ -1092,6 +1113,7 @@ fn route_frames(
             q.buf.push_back((done, seq, frame));
             gw.stats.peak_depth = gw.stats.peak_depth.max(q.buf.len() as u64);
         }
+        segs[si].bus.remote_out = out; // hand the capacity back
     }
     for gw in gateways.iter_mut() {
         if !gw.up {
@@ -1124,9 +1146,11 @@ fn route_frames(
 /// heartbeat, and an rx-drain driver (a bridge NIC is a broadcast
 /// listener like any other node, so its mailbox must not silt up);
 /// the store-and-forward logic itself runs in the topology executive.
+/// Its trace is a ring of [`GATEWAY_TRACE_RING`] events.
 fn gateway_kernel() -> (Kernel, MboxId, MboxId) {
     let cfg = KernelConfig {
         policy: SchedPolicy::RmQueue,
+        trace_ring: Some(GATEWAY_TRACE_RING),
         ..KernelConfig::default()
     };
     let mut b = KernelBuilder::new(cfg);
@@ -1405,6 +1429,90 @@ mod tests {
         whole.run_until(Time::ZERO + l * 200);
         assert_eq!(split.total_stats(), whole.total_stats());
         assert_eq!(split.metrics(), whole.metrics());
+    }
+
+    /// A board with one sparse compute-only task and its NIC driver: it
+    /// never sends on its own.
+    fn sparse_node(period: Duration) -> (Kernel, MboxId, MboxId) {
+        let mut b = KernelBuilder::new(KernelConfig {
+            policy: SchedPolicy::RmQueue,
+            ..KernelConfig::default()
+        });
+        let p = b.add_process("sparse");
+        let tx = b.add_mailbox(4);
+        let rx = b.add_mailbox(4);
+        b.board_mut().add_nic("can", NIC_IRQ);
+        b.add_periodic_task(
+            p,
+            "law",
+            period,
+            Script::compute_only(Duration::from_us(150)),
+        );
+        b.add_driver_task(
+            p,
+            "rx-driver",
+            Duration::from_ms(1),
+            Script::looping(vec![
+                Action::RecvMbox(rx),
+                Action::Compute(Duration::from_us(30)),
+            ]),
+        );
+        (b.build(), tx, rx)
+    }
+
+    #[test]
+    fn frames_pushed_into_an_idle_node_between_runs_are_sent() {
+        let mut t = Topology::new();
+        let sa = t.add_segment(1_000_000);
+        let sb = t.add_segment(1_000_000);
+        let mut add = |seg, name, prio| {
+            let (k, tx, rx) = sparse_node(Duration::from_ms(5));
+            t.add_node(seg, name, k, tx, rx, NIC_IRQ, prio)
+        };
+        let src = add(sa, "src", 1);
+        let local = add(sa, "local", 2);
+        let remote = add(sb, "remote", 3);
+        t.add_gateway(sa, sb, GatewayConfig::default());
+        t.run_until(Time::from_ms(1));
+        // Every kernel now idles until its next release at 5 ms.
+        let node = t.node_mut(src);
+        for (i, dst) in [local, remote, local].into_iter().enumerate() {
+            let msg = emeralds_core::ipc::Message {
+                bytes: 8,
+                tag: wide_tag(Some(dst), i as u32),
+                sender: emeralds_sim::ThreadId(0),
+            };
+            assert!(node.kernel.external_mbox_push(node.tx_mbox, msg));
+        }
+        t.run_until(Time::from_ms(4));
+        let s = t.total_stats();
+        assert_eq!((s.frames_sent, s.frames_delivered), (3, 3), "{s:?}");
+        assert_eq!(t.gateway_stats(GatewayId(0)).forwarded, 1);
+        let driver = emeralds_sim::ThreadId(1);
+        assert_eq!(t.node(local).kernel.tcb(driver).last_read, 2);
+        assert_eq!(t.node(remote).kernel.tcb(driver).last_read, 1);
+    }
+
+    #[test]
+    fn bridge_nic_traces_stay_within_their_ring() {
+        // A broadcaster on each side: every broadcast lands on that
+        // side's bridge NIC, long enough to wrap its ring many times.
+        let mut t = Topology::new();
+        let sa = t.add_segment(1_000_000);
+        let sb = t.add_segment(1_000_000);
+        add_app_node(&mut t, sa, "caster-a", 1, 1, None, 10);
+        add_app_node(&mut t, sb, "caster-b", 1, 2, None, 11);
+        t.add_gateway(sa, sb, GatewayConfig::default());
+        t.run_until(Time::from_ms(400));
+        // The bridge NICs follow the two app nodes in registration order.
+        for id in [NodeId(2), NodeId(3)] {
+            assert!(t.node(id).name.starts_with("gw0."));
+            let trace = t.node(id).kernel.trace();
+            assert_eq!(trace.ring_capacity(), Some(GATEWAY_TRACE_RING));
+            assert_eq!(trace.len(), GATEWAY_TRACE_RING);
+            assert!(trace.dropped() > 0, "the ring wrapped");
+        }
+        assert!(t.conservation().holds(), "{:?}", t.conservation());
     }
 
     #[test]

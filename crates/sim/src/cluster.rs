@@ -32,10 +32,18 @@
 //! idle spans sum to the same value, so it is caught up on demand —
 //! by its own next advance, which first brings it to the epoch start
 //! before applying input staged there, or by [`ActiveSet::catch_up`]
-//! before a caller's public run returns. The exchange reports the
-//! nodes it handed input to ([`Barrier::wake`]); they advance in the
-//! next epoch. The set of barriers does not depend on which nodes were
-//! skipped, so results are bit-identical to advancing every node.
+//! before a caller's public run returns. The catch-up gives a full
+//! advance only to the nodes whose recorded wake falls before the
+//! horizon; every other node gets a bare clock bump
+//! ([`EpochNode::idle_to`]). The exchange reports the nodes it handed
+//! input to ([`Barrier::wake`]); they advance in the next epoch. The
+//! set of barriers does not depend on which nodes were skipped, so
+//! results are bit-identical to advancing every node.
+//!
+//! Only the engine changes a node inside a run, and it records every
+//! wake it changes, so the wake array is exact when a run ends and
+//! stays exact until a caller changes a node from outside. Callers
+//! re-read it ([`ActiveSet::refresh`]) only after such a change.
 //!
 //! Host threads live one level up, between the segments of a bridged
 //! topology ([`crate::run_two_level`]). A single bus's epochs carry a
@@ -67,6 +75,14 @@ pub trait EpochNode {
     /// catches its clock up to `from` (idle time only) before applying
     /// any input staged at `from`. `advance(t, t)` is a pure catch-up.
     fn advance(&mut self, from: Time, to: Time) -> Time;
+
+    /// Moves an idle node's clock to `to`: the same post-state as
+    /// `advance(to, to)`, without re-deriving that the node is idle.
+    /// The caller guarantees the precondition: the node's wake is at or
+    /// after `to` and it holds no staged input. By the wake contract
+    /// such an advance only moves the clock and adds idle time, so the
+    /// wake does not change.
+    fn idle_to(&mut self, to: Time);
 }
 
 /// Host-side cost accounting for one `run_epochs` call.
@@ -106,6 +122,8 @@ pub struct ActiveSet {
     active: Vec<usize>,
     /// Nodes the current exchange handed input to.
     woken: Vec<usize>,
+    /// Nodes the last catch-up advanced, ascending.
+    caught_up: Vec<usize>,
     /// Minimum of `wakes` as of the last barrier.
     wake_min: Time,
     /// Node advances so far, catch-ups excluded.
@@ -113,25 +131,53 @@ pub struct ActiveSet {
 }
 
 impl ActiveSet {
-    /// Re-reads every node's wake. Call before a run whenever nodes may
-    /// have changed outside the engine (added, or mutated between
-    /// runs); [`run_epochs`] does so itself when the node count changed.
+    /// Re-reads every node's wake. The engine keeps the array exact
+    /// across runs on its own, so call this only after nodes changed
+    /// outside the engine (added, or mutated between runs);
+    /// [`run_epochs`] and [`ActiveSet::catch_up`] do so themselves when
+    /// the node count changed.
     pub fn refresh<N: EpochNode>(&mut self, nodes: &[N]) {
         self.wakes.clear();
         self.wakes.extend(nodes.iter().map(N::wake));
         self.wake_min = self.wakes.iter().copied().min().unwrap_or(Time::MAX);
     }
 
-    /// Brings every node to `horizon` with `advance(horizon, horizon)`:
-    /// skipped nodes catch up, and input staged at the final barrier is
-    /// applied. Callers run this before a public run returns so every
-    /// node's clock sits at (or, after an overshoot, past) the horizon.
-    /// Catch-ups are not counted in [`ActiveSet::advances`].
+    /// Brings every node to `horizon` in one pass over the wake array.
+    /// A node whose recorded wake is at or after the horizon is idle
+    /// through it and holds no staged input (staging sets its wake to
+    /// `Time::ZERO`), so [`EpochNode::idle_to`] only moves its clock
+    /// and its wake stands. Every other node — due before the horizon,
+    /// or handed input at the final barrier — gets
+    /// `advance(horizon, horizon)`, its returned wake is recorded, and
+    /// its index joins [`ActiveSet::caught_up`]. Callers run this
+    /// before a public run returns so every node's clock sits at (or,
+    /// after an overshoot, past) the horizon. Catch-ups are not counted
+    /// in [`ActiveSet::advances`].
     pub fn catch_up<N: EpochNode>(&mut self, nodes: &mut [N], horizon: Time) {
-        self.wakes.clear();
-        self.wakes
-            .extend(nodes.iter_mut().map(|n| n.advance(horizon, horizon)));
-        self.wake_min = self.wakes.iter().copied().min().unwrap_or(Time::MAX);
+        if self.wakes.len() != nodes.len() {
+            self.refresh(nodes);
+        }
+        self.caught_up.clear();
+        // At most every node: sized once, so later catch-ups never grow it.
+        self.caught_up.reserve(nodes.len());
+        let mut wake_min = Time::MAX;
+        for (i, (node, wake)) in nodes.iter_mut().zip(&mut self.wakes).enumerate() {
+            if *wake >= horizon {
+                node.idle_to(horizon);
+            } else {
+                *wake = node.advance(horizon, horizon);
+                self.caught_up.push(i);
+            }
+            wake_min = wake_min.min(*wake);
+        }
+        self.wake_min = wake_min;
+    }
+
+    /// The nodes the last [`ActiveSet::catch_up`] advanced, ascending:
+    /// the only ones that can have applied input since the final
+    /// barrier.
+    pub fn caught_up(&self) -> &[usize] {
+        &self.caught_up
     }
 
     /// Node advances made by every run so far (deterministic; run-end
@@ -195,7 +241,8 @@ impl Barrier<'_> {
 /// The final epoch is truncated at `horizon`, and `exchange` runs one
 /// last time at the horizon itself, so callers can flush in-flight
 /// state. Skipped nodes may still lag when this returns; callers bring
-/// them to the horizon with [`ActiveSet::catch_up`].
+/// them to the horizon with [`ActiveSet::catch_up`]. The wake array is
+/// re-read only when the node count changed since the last call.
 ///
 /// Returns per-call [`EpochStats`] (barrier count and exchange/total
 /// wall nanoseconds).
@@ -279,14 +326,15 @@ where
 mod tests {
     use super::*;
 
-    /// A toy node: logs every `(from, to)` advance and sums values it
-    /// is handed at exchanges. A busy probe must advance every epoch;
-    /// a sleeper reports a fixed wake and goes quiet for good once an
-    /// advance passes it.
+    /// A toy node: logs every `(from, to)` advance and every `idle_to`
+    /// target, and sums values it is handed at exchanges. A busy probe
+    /// must advance every epoch; a sleeper reports a fixed wake and goes
+    /// quiet for good once an advance passes it.
     struct Probe {
         busy: bool,
         wake: Time,
         log: Vec<(Time, Time)>,
+        idled: Vec<Time>,
         clock: Time,
         inbox: u64,
     }
@@ -297,6 +345,7 @@ mod tests {
                 busy: true,
                 wake: Time::ZERO,
                 log: Vec::new(),
+                idled: Vec::new(),
                 clock: Time::ZERO,
                 inbox: 0,
             }
@@ -331,6 +380,12 @@ mod tests {
                 self.wake = Time::MAX;
             }
             self.wake()
+        }
+
+        fn idle_to(&mut self, to: Time) {
+            assert!(self.wake() >= to, "idle_to past the probe's wake");
+            self.idled.push(to);
+            self.clock = self.clock.max(to);
         }
     }
 
@@ -407,11 +462,59 @@ mod tests {
         assert_eq!(nodes[1].clock, us(400));
         assert_eq!(set.advances(), 2 * 5 + 1);
         set.catch_up(&mut nodes, us(450));
+        // Quiet for good since its advance: a clock bump, no advance.
         assert_eq!(nodes[1].clock, us(450));
-        assert_eq!(nodes[1].log.last(), Some(&(us(450), us(450))));
+        assert_eq!(nodes[1].log, vec![(us(300), us(400))]);
+        assert_eq!(nodes[1].idled, vec![us(450)]);
         assert!(nodes.iter().all(|n| n.clock == us(450)));
         // Catch-ups are not advances.
         assert_eq!(set.advances(), 2 * 5 + 1);
+    }
+
+    #[test]
+    fn catch_up_advances_only_nodes_due_before_the_horizon() {
+        // 0 busy, 1 quiet past the horizon, 2 waking exactly at it,
+        // 3 handed input at the final barrier, 4 quiet for good.
+        let mut nodes = vec![
+            Probe::busy(),
+            Probe::sleeper(us(800)),
+            Probe::sleeper(us(450)),
+            Probe::sleeper(Time::MAX),
+            Probe::sleeper(Time::MAX),
+        ];
+        let mut set = ActiveSet::default();
+        run_epochs(&mut nodes, &mut set, Time::ZERO, us(450), L, &mut |_, b| {
+            if b.at == us(450) {
+                b.wake(3);
+            }
+            None
+        });
+        set.catch_up(&mut nodes, us(450));
+        assert_eq!(set.caught_up(), &[0, 3]);
+        for i in [0, 3] {
+            assert_eq!(nodes[i].log.last(), Some(&(us(450), us(450))), "{i}");
+            assert!(nodes[i].idled.is_empty(), "{i}");
+        }
+        for i in [1, 2, 4] {
+            assert!(nodes[i].log.is_empty(), "{i}");
+            assert_eq!(nodes[i].idled, vec![us(450)], "{i}");
+        }
+        assert!(nodes.iter().all(|n| n.clock == us(450)));
+        // The idled nodes' recorded wakes stand without a refresh: the
+        // next run advances node 2 in its first epoch and node 1 only
+        // in the epoch holding 800 µs.
+        let mut seen = Vec::new();
+        run_epochs(&mut nodes, &mut set, us(450), us(900), L, &mut |_, b| {
+            seen.push((b.at, b.active.to_vec()));
+            None
+        });
+        assert_eq!(seen[0], (us(550), vec![0, 2]));
+        let node1: Vec<Time> = seen
+            .iter()
+            .filter(|(_, active)| active.contains(&1))
+            .map(|&(at, _)| at)
+            .collect();
+        assert_eq!(node1, vec![us(850)]);
     }
 
     #[test]

@@ -180,7 +180,8 @@ impl Trace {
 
     /// Creates a bounded trace that keeps only the `capacity` most
     /// recent events (counters stay exact). Memory use is
-    /// `capacity × sizeof(event)` regardless of run length.
+    /// `capacity × sizeof(event)` regardless of run length, allocated
+    /// here, so recording never allocates.
     ///
     /// # Panics
     ///
@@ -188,6 +189,7 @@ impl Trace {
     pub fn ring(capacity: usize) -> Self {
         assert!(capacity >= 1, "ring trace needs capacity >= 1");
         Trace {
+            events: Vec::with_capacity(capacity),
             ring_capacity: Some(capacity),
             ..Trace::new()
         }

@@ -13,18 +13,25 @@
 //!   idleness and crosses barriers without staging a frame;
 //! - a sparse-traffic cluster window, where the active-set engine
 //!   skips most nodes at most barriers and frames land on nodes whose
-//!   clocks lag.
+//!   clocks lag;
+//! - a bridged-topology window on one outer worker, driven in 1 ms
+//!   slices as a hardware-in-the-loop rig drives it: cross-segment
+//!   frames through gateway queues, broadcasts onto bridge NICs, and a
+//!   run-end catch-up every slice.
 //!
 //! Any new allocation on these paths (a `clone` in the dispatch loop,
 //! a fresh `Vec` per epoch, a far-bucket promotion that outgrows the
-//! timer queue's spare pool) fails the gate with an exact count.
+//! timer queue's spare pool, a buffer dropped at every outer barrier)
+//! fails the gate with an exact count.
 
 #![cfg(feature = "alloc-count")]
 
 use emeralds::core::kernel::{KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Script};
 use emeralds::core::{Kernel, SchedPolicy};
-use emeralds::fieldbus::{addressed_tag, Cluster};
+use emeralds::fieldbus::{
+    addressed_tag, wide_tag, Cluster, GatewayConfig, GatewayId, SegmentId, Topology,
+};
 use emeralds::sim::count_alloc;
 use emeralds::sim::{Duration, IrqLine, NodeId, Time};
 
@@ -215,4 +222,107 @@ fn sparse_traffic_window_allocates_nothing() {
         advanced * 4 < 16 * barriers,
         "{advanced} advances over {barriers} barriers"
     );
+}
+
+/// A line of three segments, four app nodes each, bridged by two
+/// gateways. On every segment one node sends into the next segment,
+/// one broadcasts, one sends to its local neighbour, and one mostly
+/// listens (a local report every 97 ms); periods are spread so sends
+/// drift apart.
+fn bridged_line() -> Topology {
+    const SEGS: usize = 3;
+    const PER: usize = 4;
+    let mut t = Topology::new();
+    let segs: Vec<SegmentId> = (0..SEGS).map(|_| t.add_segment(1_000_000)).collect();
+    for (s, &seg) in segs.iter().enumerate() {
+        for j in 0..PER {
+            let i = s * PER + j;
+            let mut b = KernelBuilder::new(KernelConfig {
+                policy: SchedPolicy::RmQueue,
+                record_trace: false,
+                ..KernelConfig::default()
+            });
+            let p = b.add_process(format!("t{i}"));
+            let tx = b.add_mailbox(4);
+            let rx = b.add_mailbox(8);
+            b.board_mut().add_nic("can", NIC_IRQ);
+            let dst = match j {
+                0 => Some(NodeId((((s + 1) % SEGS) * PER) as u32)),
+                1 => None,
+                2 => Some(NodeId((s * PER + 3) as u32)),
+                _ => Some(NodeId((s * PER) as u32)),
+            };
+            let period = Duration::from_us(if j == 3 {
+                97_000
+            } else {
+                3_100 + 270 * i as u64
+            });
+            b.add_periodic_task(
+                p,
+                "report",
+                period,
+                Script::periodic(vec![
+                    Action::Compute(Duration::from_us(60)),
+                    Action::SendMbox {
+                        mbox: tx,
+                        bytes: 8,
+                        tag: wide_tag(dst, i as u32),
+                    },
+                ]),
+            );
+            b.add_driver_task(
+                p,
+                "nicdrv",
+                Duration::from_ms(2),
+                Script::looping(vec![
+                    Action::WaitIrq(NIC_IRQ),
+                    Action::RecvMbox(rx),
+                    Action::Compute(Duration::from_us(20)),
+                ]),
+            );
+            t.add_node(
+                seg,
+                format!("t{i}"),
+                b.build(),
+                tx,
+                rx,
+                NIC_IRQ,
+                (j + 1) as u32,
+            );
+        }
+    }
+    t.add_gateway(segs[0], segs[1], GatewayConfig::default());
+    t.add_gateway(segs[1], segs[2], GatewayConfig::default());
+    t
+}
+
+#[test]
+fn bridged_topology_slices_allocate_nothing() {
+    let mut t = bridged_line();
+    let forwarded = |t: &Topology| -> u64 {
+        (0..t.gateway_count() as u32)
+            .map(|g| t.gateway_stats(GatewayId(g)).forwarded)
+            .sum()
+    };
+    // Warm-up: gateway queues, segment queues, inboxes and the
+    // engines' lists reach their steady capacity.
+    t.run_until(Time::from_ms(200));
+    let (fwd, bcast) = (forwarded(&t), t.total_stats().bcast_resolved);
+    let before = count_alloc::thread_alloc_count();
+    for slice in 1..=200u64 {
+        t.run_until(Time::from_ms(200 + slice));
+    }
+    let delta = count_alloc::thread_alloc_count() - before;
+    assert_eq!(
+        delta, 0,
+        "bridged-topology slices made {delta} heap allocations"
+    );
+    // Frames crossed gateways and broadcasts resolved in the window.
+    assert!(
+        forwarded(&t) - fwd >= 100,
+        "forwarded {}",
+        forwarded(&t) - fwd
+    );
+    assert!(t.total_stats().bcast_resolved - bcast >= 100);
+    assert!(t.conservation().holds(), "{:?}", t.conservation());
 }

@@ -22,7 +22,9 @@ use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
-use emeralds::fieldbus::{wide_tag, GatewayConfig, GatewayId, SegmentId, TopoEventKind, Topology};
+use emeralds::fieldbus::{
+    wide_tag, GatewayConfig, GatewayId, NodeStats, SegmentId, TopoEventKind, Topology,
+};
 use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
@@ -55,9 +57,9 @@ fn worker_counts() -> Vec<usize> {
     counts
 }
 
-/// A traced node sending wide-addressed frames to a (global) peer on
-/// a jittered period, draining its RX mailbox.
-fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
+/// A traced node sending wide-addressed frames to a (global) peer, or
+/// broadcasting them, on a jittered period, draining its RX mailbox.
+fn traced_node(i: usize, dst: Option<NodeId>, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -78,7 +80,7 @@ fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, Mbox
             Action::SendMbox {
                 mbox: tx,
                 bytes: 8,
-                tag: wide_tag(Some(dst), i as u32),
+                tag: wide_tag(dst, i as u32),
             },
         ]),
     );
@@ -115,13 +117,32 @@ fn line_topology(workers: usize) -> Topology {
             } else {
                 NodeId((s * PER + (j + 1) % PER) as u32)
             };
-            let (k, tx, rx) = traced_node(i, dst, &mut nrng);
+            let (k, tx, rx) = traced_node(i, Some(dst), &mut nrng);
             t.add_node(seg, format!("node{i}"), k, tx, rx, NIC_IRQ, (j + 1) as u32);
         }
     }
     t.add_gateway(segs[0], segs[1], GatewayConfig::default());
     t.add_gateway(segs[1], segs[2], GatewayConfig::default());
     t
+}
+
+/// `line_topology` plus a broadcaster on the middle segment, under a
+/// random node fault plan: every broadcast lands on each node of that
+/// segment, bridge NICs included, and fail-stop gates stall some nodes
+/// while the engine skips them.
+fn faulted_broadcast_line(workers: usize) -> Topology {
+    let mut t = line_topology(workers);
+    let (k, tx, rx) = traced_node(9, None, &mut SimRng::seeded(0xB0CA));
+    t.add_node(SegmentId(1), "caster", k, tx, rx, NIC_IRQ, 9);
+    let plan = FaultPlan::random(0xFA11, t.node_count(), Time::from_ms(80), 0.05, 0.5, 0.5);
+    t.set_fault_plan(&plan);
+    t
+}
+
+fn node_stats(t: &Topology) -> Vec<NodeStats> {
+    (0..t.node_count() as u32)
+        .map(|i| t.node(NodeId(i)).stats.clone())
+        .collect()
 }
 
 fn observe(t: &Topology) -> (Vec<u64>, Vec<u64>) {
@@ -205,20 +226,54 @@ fn conservation_holds_at_staggered_horizons() {
 
 /// Split advancement across many `run_until` calls matches one
 /// uninterrupted run when the boundaries land on the outer barrier
-/// grid.
+/// grid: the clean line split four times, and the faulted broadcast
+/// line split at every outer barrier, so the run-end catch-up idles,
+/// gates and advances hundreds of times. After every call each
+/// kernel's clock sits at or past the horizon and equals its app +
+/// idle + overhead time.
 #[test]
 fn split_runs_match_single_run() {
-    let mut whole = line_topology(2);
-    let l = whole.inter_lookahead();
-    whole.run_until(Time::ZERO + l * 240);
+    type Build = fn(usize) -> Topology;
+    // (input, outer barriers per call, outer barriers in all)
+    let inputs: [(Build, u64, u64); 2] =
+        [(line_topology, 60, 240), (faulted_broadcast_line, 1, 400)];
+    for (build, stride, barriers) in inputs {
+        let mut whole = build(2);
+        let l = whole.inter_lookahead();
+        whole.run_until(Time::ZERO + l * barriers);
 
-    let mut split = line_topology(2);
-    for step in 1..=4u64 {
-        split.run_until(Time::ZERO + l * (step * 60));
+        let mut split = build(2);
+        for k in (stride..=barriers).step_by(stride as usize) {
+            let horizon = Time::ZERO + l * k;
+            split.run_until(horizon);
+            for i in 0..split.node_count() as u32 {
+                let kernel = &split.node(NodeId(i)).kernel;
+                let m = kernel.metrics();
+                let now = kernel.now();
+                assert!(now >= horizon, "node {i} at {now:?} < {horizon:?}");
+                assert_eq!(
+                    now,
+                    Time::ZERO + m.app_time + m.idle_time + m.total_overhead,
+                    "node {i} at {horizon:?}"
+                );
+            }
+        }
+        assert_eq!(whole.metrics(), split.metrics());
+        assert_eq!(whole.total_stats(), split.total_stats());
+        assert_eq!(node_stats(&whole), node_stats(&split));
+        assert_eq!(observe(&whole), observe(&split));
+        assert!(split.conservation().holds(), "{:?}", split.conservation());
     }
-    assert_eq!(whole.metrics(), split.metrics());
-    assert_eq!(whole.total_stats(), split.total_stats());
-    assert_eq!(observe(&whole), observe(&split));
+    // The faulted input is nontrivial: broadcasts resolved, and the
+    // fault plan left evidence.
+    let mut t = faulted_broadcast_line(1);
+    t.run_until(Time::from_ms(80));
+    let total = t.total_stats();
+    assert!(total.bcast_resolved > 0, "{total:?}");
+    assert!(
+        total.error_frames > 0 && total.frames_lost_offline > 0,
+        "{total:?}"
+    );
 }
 
 /// Brute-force min-cost reference for the route table: collapse
@@ -377,11 +432,6 @@ fn gateway_fail_stop_partition_is_counted_and_deterministic() {
 #[test]
 fn node_faults_identical_across_outer_worker_counts() {
     let horizon = Time::from_ms(80);
-    let node_stats = |t: &Topology| -> Vec<_> {
-        (0..t.node_count() as u32)
-            .map(|i| t.node(NodeId(i)).stats.clone())
-            .collect()
-    };
     for fault_seed in [0xFA11u64, 0x0DDB] {
         let run = |workers: usize| {
             let mut t = line_topology(workers);
