@@ -12,10 +12,11 @@
 //! delay (the *inter*-segment horizon). [`Topology`] therefore runs
 //! each segment as an [`EpochGroup`] under [`run_two_level`]: between
 //! inter-segment barriers every segment's sub-executive runs its own
-//! fine-grained epoch loop, in parallel across host threads when the
-//! topology has more than one worker ([`Topology::with_workers`]); at
-//! each barrier a serial exchange moves frames segment → gateway queue
-//! → segment.
+//! fine-grained epoch loop; with `w > 1` workers
+//! ([`Topology::with_workers`]) the segments split into at most `w`
+//! contiguous chunks that advance on scoped host threads. At each
+//! barrier a serial exchange on the calling thread moves frames
+//! segment → gateway queue → segment.
 //!
 //! **Routing** runs over an arbitrary gateway *graph* — any number of
 //! gateways may join any segment pair, including parallel and
@@ -78,8 +79,7 @@
 //! outer barriers, and the judge/route/capture/inject exchange walks
 //! segments and gateways in registration order on one thread — so
 //! results are bit-for-bit identical for any outer worker count
-//! (`tests/topology_determinism.rs` pins 1/4/host plus any counts
-//! named in `EMERALDS_WORKERS`).
+//! (`tests/topology_determinism.rs` pins 1/2/3/4/8/host).
 //!
 //! Each segment's inner loop reuses the single-bus adaptive grid rule
 //! unchanged — including batching across in-flight-only grid points —
@@ -416,8 +416,9 @@ pub struct Topology {
     /// to `routes` (`Some(0)` on the diagonal).
     route_costs: Vec<Vec<Option<u64>>>,
     routes_dirty: bool,
-    /// Host worker threads for the *outer* engine (inner loops are
-    /// serial per segment).
+    /// Host threads for the *outer* engine: at most this many
+    /// segment chunks advance at once (inner loops are serial per
+    /// segment).
     workers: usize,
     /// Captures dropped for lack of any route to the destination.
     no_route: u64,

@@ -293,7 +293,7 @@ fn edf_band_test(
         if w > limits.horizon {
             // The busy period did not converge within the horizon
             // (typically U → 1). Claiming schedulability after a
-            // truncated check would be unsafe.
+            // truncated check would be unsound.
             return TestOutcome::Undecided;
         }
         let next: Duration = own.iter().chain(higher.iter()).map(|t| rbf(t, w)).sum();

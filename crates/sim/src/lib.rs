@@ -22,9 +22,9 @@
 //!   the nodes with work (the single-bus executive's generic half).
 //! - [`run_two_level`]: a fixed-cadence outer loop over groups of
 //!   nodes (the segments of a bridged topology), each running its own
-//!   [`run_epochs`] loop. Its groups may advance in parallel across
-//!   host threads between outer barriers; this is the only place the
-//!   workspace runs threads.
+//!   [`run_epochs`] loop. Its groups may advance in parallel on
+//!   scoped host threads ([`std::thread::scope`]) between outer
+//!   barriers; this is the only place the workspace runs threads.
 //!
 //! Everything here is deterministic: no global state, and the RNG
 //! helpers require explicit seeds. The only host-clock reads are the

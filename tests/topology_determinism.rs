@@ -3,17 +3,12 @@
 //!
 //! The two-level engine is the only executive that runs host threads,
 //! and it promises that they are *invisible*: the same topology
-//! advanced with 1, 4, or `available_parallelism` *outer* workers
-//! produces bit-for-bit identical per-node traces, metrics, bus stats,
-//! NIC stats and gateway stats, with and without node or gateway
-//! faults — and the cross-segment frame ledger balances at every rest
-//! point, with gateway-buffered frames as the only carry term.
-//!
-//! The comparison set defaults to 4 and `available_parallelism` outer
-//! workers (against a 1-worker base) and can be extended through the
-//! `EMERALDS_WORKERS` environment variable — a comma-separated list of
-//! extra counts — which CI's determinism matrix uses to pin parity at
-//! the counts its runners actually have.
+//! advanced with 1, 2, 3, 4, 8 or `available_parallelism` *outer*
+//! workers produces bit-for-bit identical per-node traces, metrics,
+//! bus stats, NIC stats and gateway stats, with and without node or
+//! gateway faults — and the cross-segment frame ledger balances at
+//! every rest point, with gateway-buffered frames as the only carry
+//! term.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -35,23 +30,15 @@ fn hash_of(s: &str) -> u64 {
     h.finish()
 }
 
-/// Outer worker counts to compare against the 1-worker base: 4 and
-/// the host's parallelism, plus anything listed in `EMERALDS_WORKERS`
-/// (comma-separated) — CI's determinism matrix sets that to pin
-/// parity at the counts its runners actually have.
+/// Outer worker counts to compare against the 1-worker base on the
+/// three-segment line: 2 splits it unevenly (2 + 1), 3 gives each
+/// segment its own thread, 4 and 8 clamp to 3; plus the host's own
+/// parallelism.
 fn worker_counts() -> Vec<usize> {
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut counts = vec![4, host];
-    if let Ok(extra) = std::env::var("EMERALDS_WORKERS") {
-        counts.extend(
-            extra
-                .split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok()),
-        );
-    }
-    counts.retain(|&w| w >= 1);
+    let mut counts = vec![2, 3, 4, 8, host];
     counts.sort_unstable();
     counts.dedup();
     counts
