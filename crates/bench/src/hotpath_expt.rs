@@ -1,26 +1,15 @@
 //! Experiment HP — kernel hot-path work counters.
 //!
-//! The scale experiment's profile pointed at three kernel hot paths:
-//! the scheduler pick re-evaluated on every dispatch, the timer
-//! queue's O(n) insert walk, and the fully general `sem_acquire`
-//! path taken even when a semaphore is free and uncontended. Each got
-//! a host-side cut (dispatch memoization, a bucketed calendar
-//! front-end, an uncontended fast path) that must not move *virtual*
-//! time by a nanosecond. This experiment measures the cuts in
-//! **work units, not wall-clock** — queue evaluations, ordering
-//! steps, slow-path entries — so the committed `BENCH_hotpath.json`
-//! is bit-for-bit reproducible on any host and can gate CI without
-//! timing noise:
+//! Counts the work on the kernel's hot paths in **work units, not
+//! wall-clock**, so the committed `BENCH_hotpath.json` is bit-for-bit
+//! reproducible on any host and can gate CI without timing noise:
 //!
-//! - **Scheduler pick** — every `reschedule` is one selection call
-//!   ("before": a walk of the ready queues each time), against the
-//!   full queue evaluations the dispatch memo leaves ("after": only
-//!   invalidated picks re-evaluate). The memo's bit-for-bit guarantee
-//!   is checked elsewhere: debug builds re-select on every cached hit
-//!   and assert the memo agrees (DESIGN.md §12).
+//! - **Scheduler pick** — every `reschedule` is one selection call,
+//!   each a walk of the ready queues.
 //! - **Timer queue** — an identical arm/pop trace drives a local
 //!   reimplementation of the original delta queue (O(n) insert walk)
-//!   and the current calendar queue, comparing ordering work.
+//!   and the kernel's binary heap, which must dispense the same
+//!   order.
 //! - **`sem_acquire`** — the workload counts how many acquisitions
 //!   took the uncontended fast path vs entering the general path.
 //! - **`StateMsgVar::read`** — reads and torn-read retries; with §7
@@ -77,20 +66,11 @@ impl HotpathParams {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HotpathReport {
     // Scheduler pick.
-    /// `reschedule` calls (the "before": one queue walk each).
+    /// `reschedule` calls, one queue walk each.
     pub select_calls: u64,
-    /// Full queue evaluations behind the dispatch memo (the "after":
-    /// only invalidated picks re-evaluate).
-    pub select_evals_cached: u64,
 
     // Timer queue.
     pub timer_arms: u64,
-    /// Ordering steps of the original delta queue on the synthetic
-    /// trace (each insert walks to its position).
-    pub timer_walks_legacy: u64,
-    /// Ordering work of the calendar queue on the identical trace
-    /// (bucket appends + dispense sorts + window probes).
-    pub timer_walks_calendar: u64,
     /// Both queues popped the identical expiry sequence.
     pub timer_order_match: bool,
 
@@ -369,41 +349,28 @@ fn policy_ab_row(scenario: &'static str, horizon: Time) -> PolicyAbRow {
     }
 }
 
-/// The original timer structure, reimplemented for an honest
-/// "before": a list ordered by expiry, each insert walking from the
-/// head to its position (the O(n) cost the calendar queue removes).
-/// Ties keep arm order, matching the real queue's FIFO guarantee. It
-/// is also the reference model the calendar queue's property test
-/// checks against.
+/// The original timer structure, the reference model for the
+/// kernel's heap: a list sorted by expiry, each arm inserted after
+/// every entry due at or before it, so ties keep arm order.
 struct LegacyDeltaQueue<E> {
-    entries: Vec<(Time, u64, E)>,
-    seq: u64,
-    insert_walks: u64,
+    entries: Vec<(Time, E)>,
 }
 
 impl<E> LegacyDeltaQueue<E> {
     fn new() -> Self {
         LegacyDeltaQueue {
             entries: Vec::new(),
-            seq: 0,
-            insert_walks: 0,
         }
     }
 
     fn arm(&mut self, at: Time, payload: E) {
-        let mut pos = 0;
-        while pos < self.entries.len() && self.entries[pos].0 <= at {
-            pos += 1;
-            self.insert_walks += 1;
-        }
-        self.entries.insert(pos, (at, self.seq, payload));
-        self.seq += 1;
+        let pos = self.entries.partition_point(|e| e.0 <= at);
+        self.entries.insert(pos, (at, payload));
     }
 
     fn pop_due(&mut self, now: Time) -> Option<(Time, E)> {
-        if self.entries.first().map(|e| e.0 <= now) == Some(true) {
-            let (at, _, payload) = self.entries.remove(0);
-            Some((at, payload))
+        if self.entries.first().is_some_and(|e| e.0 <= now) {
+            Some(self.entries.remove(0))
         } else {
             None
         }
@@ -413,57 +380,43 @@ impl<E> LegacyDeltaQueue<E> {
     fn next_expiry(&self) -> Option<Time> {
         self.entries.first().map(|e| e.0)
     }
-
-    /// Removes every entry whose payload matches; returns how many.
-    #[cfg(test)]
-    fn cancel(&mut self, pred: impl Fn(&E) -> bool) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| !pred(&e.2));
-        before - self.entries.len()
-    }
 }
 
 /// Replays the same periodic re-arm trace through both timer queues:
 /// `timer_tasks` tasks with jittered periods, each re-arming one
 /// period ahead when its timer pops — exactly the kernel's release
-/// pattern. Returns `(arms, legacy walks, calendar walks, orders
-/// matched)`.
-fn timer_shootout(params: &HotpathParams) -> (u64, u64, u64, bool) {
+/// pattern. Returns `(arms, orders matched)`.
+fn timer_shootout(params: &HotpathParams) -> (u64, bool) {
     let mut rng = SimRng::seeded(params.seed ^ 0x7133);
     let periods: Vec<Duration> = (0..params.timer_tasks)
         .map(|_| Duration::from_us(rng.int_in(500, 10_000)))
         .collect();
 
     let mut legacy = LegacyDeltaQueue::new();
-    let mut calendar: TimerQueue<usize> = TimerQueue::new();
+    let mut heap: TimerQueue<usize> = TimerQueue::default();
     let mut arms = 0u64;
     for (i, p) in periods.iter().enumerate() {
         legacy.arm(Time::ZERO + *p, i);
-        calendar.arm(Time::ZERO + *p, i);
+        heap.arm(Time::ZERO + *p, i);
         arms += 1;
     }
     let mut order_match = true;
     // Pop in expiry order, re-arming each task one period ahead; the
     // two queues must dispense identical (time, task) sequences.
-    while let Some(at) = calendar.next_expiry() {
+    while let Some(at) = heap.next_expiry() {
         if at > params.timer_span {
             break;
         }
-        let c = calendar.pop_due(at).expect("head is due");
+        let h = heap.pop_due(at).expect("head is due");
         let l = legacy.pop_due(at);
-        order_match &= l.as_ref() == Some(&c);
-        let (_, task) = c;
+        order_match &= l.as_ref() == Some(&h);
+        let (_, task) = h;
         let next = at + periods[task];
         legacy.arm(next, task);
-        calendar.arm(next, task);
+        heap.arm(next, task);
         arms += 1;
     }
-    (
-        arms,
-        legacy.insert_walks,
-        calendar.insert_walks,
-        order_match,
-    )
+    (arms, order_match)
 }
 
 /// Runs the full measurement: the kernel workload (scheduler,
@@ -472,17 +425,12 @@ fn timer_shootout(params: &HotpathParams) -> (u64, u64, u64, bool) {
 pub fn run(params: &HotpathParams) -> HotpathReport {
     let mut k = build_workload(params.seed);
     k.run_until(params.horizon);
-    let (select_calls, select_evals_cached) = k.dispatch_cache_stats();
-
-    let (timer_arms, walks_legacy, walks_calendar, timer_order_match) = timer_shootout(params);
+    let (timer_arms, timer_order_match) = timer_shootout(params);
 
     let c = k.counters();
     HotpathReport {
-        select_calls,
-        select_evals_cached,
+        select_calls: k.dispatch_cache_stats().0,
         timer_arms,
-        timer_walks_legacy: walks_legacy,
-        timer_walks_calendar: walks_calendar,
         timer_order_match,
         sem_acquired: c.sem_acquired,
         sem_contended: c.sem_contended,
@@ -509,13 +457,6 @@ pub fn render(r: &HotpathReport) -> String {
         };
         s.push_str(&format!("{label:<18} {before:>14} {after:>14}   {cut}\n"));
     };
-    row(&mut s, "sched evals", r.select_calls, r.select_evals_cached);
-    row(
-        &mut s,
-        "timer walk steps",
-        r.timer_walks_legacy,
-        r.timer_walks_calendar,
-    );
     row(
         &mut s,
         "sem slow entries",
@@ -586,10 +527,7 @@ pub fn to_json(params: &HotpathParams, r: &HotpathReport) -> String {
          \"horizon_ms\": {},\n\
          \"seed\": {},\n\
          \"select_calls\": {},\n\
-         \"select_evals_cached\": {},\n\
          \"timer_arms\": {},\n\
-         \"timer_walks_legacy\": {},\n\
-         \"timer_walks_calendar\": {},\n\
          \"timer_order_match\": {},\n\
          \"sem_acquired\": {},\n\
          \"sem_contended\": {},\n\
@@ -601,10 +539,7 @@ pub fn to_json(params: &HotpathParams, r: &HotpathReport) -> String {
         params.horizon.as_ms_f64(),
         params.seed,
         r.select_calls,
-        r.select_evals_cached,
         r.timer_arms,
-        r.timer_walks_legacy,
-        r.timer_walks_calendar,
         r.timer_order_match,
         r.sem_acquired,
         r.sem_contended,
@@ -647,9 +582,10 @@ pub fn to_json(params: &HotpathParams, r: &HotpathReport) -> String {
     s
 }
 
-/// Deterministic CI gate: each cut must actually cut, and the calendar
-/// queue must dispense the legacy order. Returns the verdict lines and
-/// whether any check failed.
+/// Deterministic CI gate: the timer heap must dispense the legacy
+/// order, the semaphore fast path must cover uncontended acquisitions,
+/// and the policy A/B rows must show each mechanism engaged. Returns
+/// the verdict lines and whether any check failed.
 pub fn gate(r: &HotpathReport) -> (Vec<String>, bool) {
     let mut lines = Vec::new();
     let mut failed = false;
@@ -658,22 +594,8 @@ pub fn gate(r: &HotpathReport) -> (Vec<String>, bool) {
         lines.push(format!("{} {line}", if ok { "ok  " } else { "FAIL" }));
     };
     check(
-        r.select_evals_cached < r.select_calls,
-        format!(
-            "dispatch cache skips queue evaluations ({} -> {})",
-            r.select_calls, r.select_evals_cached
-        ),
-    );
-    check(
         r.timer_order_match,
-        "calendar queue dispenses the legacy expiry order".into(),
-    );
-    check(
-        r.timer_walks_calendar * 2 <= r.timer_walks_legacy,
-        format!(
-            "calendar queue halves timer ordering work ({} -> {})",
-            r.timer_walks_legacy, r.timer_walks_calendar
-        ),
+        "timer heap dispenses the legacy expiry order".into(),
     );
     check(
         r.sem_fast_acquires > 0 && r.sem_fast_acquires <= r.sem_acquired,
@@ -772,7 +694,6 @@ pub fn gate(r: &HotpathReport) -> (Vec<String>, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emeralds_core::timerq::BUCKET_NS;
 
     #[test]
     fn quick_report_is_deterministic_and_passes_gate() {
@@ -785,38 +706,34 @@ mod tests {
     }
 
     #[test]
-    fn timer_shootout_orders_match_and_calendar_wins() {
+    fn timer_shootout_orders_match() {
         let params = HotpathParams::quick();
-        let (arms, legacy, calendar, ordered) = timer_shootout(&params);
+        let (arms, ordered) = timer_shootout(&params);
         assert!(ordered);
         assert!(arms > params.timer_tasks as u64);
-        assert!(
-            calendar * 2 <= legacy,
-            "calendar {calendar} vs legacy {legacy}"
-        );
     }
 
-    /// Property test: the kernel's bucket wheel is observationally
-    /// identical to the legacy delta queue on randomized
-    /// arm/pop/cancel workloads — including arms landing *exactly* on
-    /// a calendar-bucket boundary (and one tick either side), arms
-    /// behind the dispensing window, far-future arms up against
-    /// `u64::MAX`, and FIFO ties. Checked after every operation: head
-    /// expiry, head delta, length; on every pop: the exact
+    /// Property test: the kernel's timer heap is observationally
+    /// identical to the legacy delta queue on randomized arm/pop
+    /// workloads — including arms landing *exactly* on a 2^16 ns
+    /// boundary (the bucket width of the calendar queue the heap
+    /// replaced) and one tick either side, overdue arms, far-future
+    /// arms up against `u64::MAX`, and FIFO ties. Checked after every
+    /// operation: head expiry and length; on every pop: the exact
     /// `(time, payload)` pair.
     #[test]
-    fn wheel_matches_delta_queue_on_randomized_workloads() {
+    fn heap_matches_delta_queue_on_randomized_workloads() {
+        const BUCKET_NS: u64 = 1 << 16;
         let mut rng = emeralds_sim::SimRng::seeded(0x71AE5);
         for case in 0..24u64 {
             let mut rng = rng.derive(case);
-            let mut q = TimerQueue::new();
+            let mut q = TimerQueue::default();
             let mut m = LegacyDeltaQueue::new();
             let mut now = Time::ZERO;
             let mut next_payload = 0u64;
             for op in 0..400u32 {
                 let ctx = |now: Time| format!("case {case} op {op} now {}", now.as_ns());
-                let roll = rng.int_in(0, 99);
-                if roll < 55 {
+                if rng.int_in(0, 84) < 55 {
                     // Arm, drawing the expiry from an edge-heavy mix.
                     let at = match rng.int_in(0, 9) {
                         0..=2 => {
@@ -824,7 +741,7 @@ mod tests {
                         }
                         3..=4 => {
                             // Exactly on a bucket boundary at or after
-                            // the dispensing window.
+                            // `now`.
                             let k = now.as_ns() / BUCKET_NS + rng.int_in(0, 3);
                             Time::from_ns(k.saturating_mul(BUCKET_NS))
                         }
@@ -839,8 +756,7 @@ mod tests {
                             })
                         }
                         6 => {
-                            // Behind `now` (overdue) and possibly
-                            // behind the dispensing window.
+                            // Behind `now` (overdue).
                             Time::from_ns(now.as_ns().saturating_sub(rng.int_in(0, BUCKET_NS)))
                         }
                         7..=8 => Time::from_ns(
@@ -863,7 +779,7 @@ mod tests {
                         q.arm(at, p);
                         m.arm(at, p);
                     }
-                } else if roll < 85 {
+                } else {
                     // Advance time — sometimes exactly onto the next
                     // head expiry or a bucket boundary — and drain.
                     now = match rng.int_in(0, 3) {
@@ -883,25 +799,6 @@ mod tests {
                             break;
                         }
                     }
-                } else if roll < 95 {
-                    // Cancel a pseudo-random payload class (sometimes
-                    // emptying the dispensing window entirely).
-                    let modulus = rng.int_in(2, 5);
-                    let class = rng.int_in(0, modulus - 1);
-                    let cancelled = q.cancel(|&v| v % modulus == class);
-                    assert_eq!(
-                        cancelled,
-                        m.cancel(|&v| v % modulus == class),
-                        "cancel count diverged ({})",
-                        ctx(now)
-                    );
-                } else {
-                    assert_eq!(
-                        q.head_delta(now),
-                        m.next_expiry().map(|at| at.saturating_since(now)),
-                        "head delta diverged ({})",
-                        ctx(now)
-                    );
                 }
                 assert_eq!(
                     q.next_expiry(),
@@ -933,8 +830,6 @@ mod tests {
         let r = run(&params);
         let json = to_json(&params, &r);
         for key in [
-            "select_evals_cached",
-            "timer_walks_legacy",
             "sem_fast_acquires",
             "statemsg_retries",
             "policy_ab",

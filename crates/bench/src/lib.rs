@@ -37,12 +37,3 @@ pub mod syscall_expt;
 pub mod table1;
 pub mod table3;
 pub mod topo_expt;
-
-/// Renders one row of numbers with a label, for the harness output.
-pub fn render_row(label: &str, values: &[f64], width: usize, prec: usize) -> String {
-    let mut s = format!("{label:<10}");
-    for v in values {
-        s.push_str(&format!(" {v:>width$.prec$}"));
-    }
-    s
-}

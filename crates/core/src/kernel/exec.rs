@@ -9,9 +9,8 @@
 use emeralds_sim::{OverheadKind, ThreadId, Time, TraceEvent};
 
 use crate::kernel::{Kernel, TimerEvent};
-use crate::sched::SchedulerImpl;
 use crate::script::{Action, Operand, ScriptKind};
-use crate::tcb::{BlockReason, QueueAssign, ThreadState, Timing};
+use crate::tcb::{BlockReason, ThreadState, Timing};
 
 impl Kernel {
     /// Runs until virtual time reaches `horizon` (or nothing remains
@@ -347,7 +346,6 @@ impl Kernel {
     /// Marks a thread blocked and accounts the scheduler's `t_b`.
     pub(crate) fn block_thread(&mut self, tid: ThreadId, reason: BlockReason) {
         debug_assert!(self.tcbs.get(tid).is_ready(), "double block of {tid}");
-        self.invalidate_dispatch();
         self.tcbs.get_mut(tid).state = ThreadState::Blocked(reason);
         let c = self.sched.on_block(tid, &mut self.tcbs, &self.cfg.cost);
         self.charge(OverheadKind::SchedBlock, c);
@@ -357,29 +355,6 @@ impl Kernel {
     /// Marks a thread ready and accounts the scheduler's `t_u`.
     pub(crate) fn make_ready(&mut self, tid: ThreadId) {
         debug_assert!(!self.tcbs.get(tid).is_ready(), "double unblock of {tid}");
-        // A wake can only change the memoized dispatch decision when a
-        // fresh queue parse would reach the waking task. Under CSD the
-        // parse stops at the memoized pick's DP queue (§5.3), so a
-        // task waking into a strictly *later* queue leaves both the
-        // pick and the selection charge untouched: earlier queues stay
-        // ready-empty, the pick's queue is not a member of the waker,
-        // and `EdfQueue::select` reads only its own members. Every
-        // other shape — same or earlier queue, FP pick, no memoized
-        // pick, non-CSD policy — invalidates. `reschedule` re-checks
-        // every cached hit against a fresh select in debug builds.
-        let memo_survives = match (&self.sched, self.dispatch_memo) {
-            (SchedulerImpl::Csd(_), Some((Some(pick), _))) => {
-                match (self.tcbs.get(pick).queue, self.tcbs.get(tid).queue) {
-                    (QueueAssign::Dp(p), QueueAssign::Dp(w)) => w > p,
-                    (QueueAssign::Dp(_), QueueAssign::Fp) => true,
-                    (QueueAssign::Fp, _) => false,
-                }
-            }
-            _ => false,
-        };
-        if !memo_survives {
-            self.invalidate_dispatch();
-        }
         // Sporadic tasks take an EDF deadline of one inter-arrival
         // time from the waking event.
         if let Timing::EventDriven { rank } = self.tcbs.get(tid).timing {
@@ -394,34 +369,9 @@ impl Kernel {
 
     /// Invokes the scheduler (`t_s`) and dispatches, charging a
     /// context switch when the pick changes.
-    ///
-    /// The dispatch decision is memoized: when nothing that can change
-    /// the selection happened since the last call (blocks, inheritance
-    /// adjustments, and wakes a fresh parse would reach all call
-    /// [`Kernel::invalidate_dispatch`]; a CSD wake into a queue
-    /// *behind* the memoized pick provably cannot — see
-    /// [`Kernel::make_ready`]), the cached pick is reused and the
-    /// *identical* virtual selection cost is still charged, so the
-    /// simulation result is bit-for-bit independent of the cache. Only
-    /// the host-side queue walk is skipped. Debug builds re-run the
-    /// real selection on every cached hit and assert equality, so the
-    /// whole test suite doubles as a validity proof of the
-    /// invalidation rules.
     pub(crate) fn reschedule(&mut self) {
         self.select_calls += 1;
-        let (next, c) = if let Some(memo) = self.dispatch_memo {
-            debug_assert_eq!(
-                memo,
-                self.sched.select(&self.tcbs, &self.cfg.cost),
-                "stale dispatch memo survived an invalidating mutation"
-            );
-            memo
-        } else {
-            self.select_evals += 1;
-            let fresh = self.sched.select(&self.tcbs, &self.cfg.cost);
-            self.dispatch_memo = Some(fresh);
-            fresh
-        };
+        let (next, c) = self.sched.select(&self.tcbs, &self.cfg.cost);
         self.charge(OverheadKind::SchedSelect, c);
         if next != self.current {
             self.charge(OverheadKind::ContextSwitch, self.cfg.cost.context_switch);

@@ -23,7 +23,7 @@ pub use metrics::{
 };
 pub use validate::ConfigError;
 
-use emeralds_hal::{Board, BoardConfig, Clock, CostModel, Perms};
+use emeralds_hal::{Board, Clock, CostModel, Perms};
 use emeralds_sim::{
     Accounting, CvId, Duration, EventId, IrqLine, MboxId, OverheadKind, ProcId, SemId, StateId,
     ThreadId, Time, Trace, TraceEvent,
@@ -144,16 +144,8 @@ pub struct Kernel {
     /// `(cause, until)` instead of by CPU state. Installed by fault
     /// executives around outages.
     pub(crate) miss_cause_hint: Option<(MissCause, Time)>,
-    /// Memoized scheduler decision `(pick, selection cost)`, valid
-    /// until any event that can change the selection (block, unblock,
-    /// priority inheritance/restore) invalidates it. Host-side
-    /// optimization only: the cached virtual cost is still charged on
-    /// every hit.
-    pub(crate) dispatch_memo: Option<(Option<ThreadId>, Duration)>,
     /// Scheduler invocations (`reschedule` calls).
     pub(crate) select_calls: u64,
-    /// Full queue evaluations actually performed (cache misses).
-    pub(crate) select_evals: u64,
     /// `sem_acquire` calls that took the uncontended fast path (free
     /// permit, no waiters, no pre-lock members, no early grant).
     pub(crate) sem_fast_acquires: u64,
@@ -184,11 +176,12 @@ impl Kernel {
         self.current
     }
 
-    /// Dispatch-cache effectiveness: `(scheduler invocations, full
-    /// queue evaluations)`. The second number counts memo misses. Both
-    /// are deterministic (driven purely by virtual events).
+    /// `(scheduler invocations, full queue evaluations)`. Every
+    /// invocation evaluates the queues, so both numbers are the
+    /// `reschedule` count; the pair keeps the shape the repository
+    /// benchmark reads.
     pub fn dispatch_cache_stats(&self) -> (u64, u64) {
-        (self.select_calls, self.select_evals)
+        (self.select_calls, self.select_calls)
     }
 
     /// `sem_acquire` calls that skipped the general-path queue scans
@@ -199,8 +192,9 @@ impl Kernel {
         self.sem_fast_acquires
     }
 
-    /// Timer-queue work counters: `(inserts, ordering work units,
-    /// expirations)` — see [`crate::timerq::TimerQueue::insert_walks`].
+    /// Timer-queue work counters: `(inserts, bound on insert
+    /// comparisons, expirations)` — see
+    /// [`crate::timerq::TimerQueue::insert_walks`].
     pub fn timer_stats(&self) -> (u64, u64, u64) {
         (
             self.timers.inserts,
@@ -231,13 +225,6 @@ impl Kernel {
             .as_ref()
             .expect("policy present between calls")
             .srp_stats()
-    }
-
-    /// Drops the memoized dispatch decision. Must be called by every
-    /// mutation that can change what `select` returns: ready-state
-    /// transitions and priority-inheritance adjustments.
-    pub(crate) fn invalidate_dispatch(&mut self) {
-        self.dispatch_memo = None;
     }
 
     /// TCB inspection (read-only).
@@ -285,11 +272,6 @@ impl Kernel {
         &self.procs[id.index()]
     }
 
-    /// Number of processes.
-    pub fn process_count(&self) -> usize {
-        self.procs.len()
-    }
-
     /// Total deadline misses across all tasks.
     pub fn total_deadline_misses(&self) -> u64 {
         self.trace.deadline_miss_count()
@@ -301,11 +283,6 @@ impl Kernel {
     /// to scheduling.
     pub fn set_miss_cause_hint(&mut self, cause: MissCause, until: Time) {
         self.miss_cause_hint = Some((cause, until));
-    }
-
-    /// Removes any active miss-cause hint.
-    pub fn clear_miss_cause_hint(&mut self) {
-        self.miss_cause_hint = None;
     }
 
     /// Fail-stop outage: the node executes nothing until `until`. The
@@ -411,7 +388,7 @@ impl KernelBuilder {
     pub fn new(cfg: KernelConfig) -> KernelBuilder {
         KernelBuilder {
             cfg,
-            board: Board::new(BoardConfig::default()),
+            board: Board::new(),
             procs: Vec::new(),
             tasks: Vec::new(),
             sems: Vec::new(),
@@ -703,7 +680,7 @@ impl KernelBuilder {
         let mut pools = PoolSet::small_memory_defaults();
         let mut tcbs = TcbTable::new();
         let mut sched = SchedulerImpl::new(&self.cfg.policy);
-        let mut timers = TimerQueue::new();
+        let mut timers = TimerQueue::default();
         let trace = match (self.cfg.record_trace, self.cfg.trace_ring) {
             (false, _) => Trace::disabled(),
             (true, Some(cap)) => Trace::ring(cap),
@@ -834,9 +811,7 @@ impl KernelBuilder {
             miss_reports: Vec::new(),
             pending_send,
             miss_cause_hint: None,
-            dispatch_memo: None,
             select_calls: 0,
-            select_evals: 0,
             sem_fast_acquires: 0,
             lock_policy,
         };

@@ -895,24 +895,6 @@ fn disabled_trace_keeps_counters() {
     assert!(k.total_deadline_misses() > 0);
 }
 
-/// The dispatch memo's reference check is live: debug builds re-run
-/// the real selection on every cached hit, so a memo that disagrees
-/// with a fresh pick panics instead of silently steering dispatch.
-#[cfg(debug_assertions)]
-#[test]
-#[should_panic(expected = "stale dispatch memo")]
-fn stale_dispatch_memo_is_caught_by_the_debug_reselection() {
-    let mut k = table2_builder(SchedPolicy::Edf).build();
-    k.run_until(Time::from_ms(1));
-    let (pick, charge) = k.sched.select(&k.tcbs, &k.cfg.cost);
-    let wrong = match pick {
-        Some(_) => None,
-        None => Some(ThreadId(0)),
-    };
-    k.dispatch_memo = Some((wrong, charge));
-    k.reschedule();
-}
-
 /// `run_until` is idempotent at the horizon: calling it again does not
 /// advance time or charge anything.
 #[test]

@@ -170,12 +170,6 @@ impl SchedulerImpl {
             _ => cost.pi_dp_fixed,
         }
     }
-
-    /// True if both tasks live in an FP queue (the placeholder trick
-    /// applies only there).
-    pub fn both_fp(&self, a: ThreadId, b: ThreadId, tcbs: &TcbTable) -> bool {
-        tcbs.get(a).queue == QueueAssign::Fp && tcbs.get(b).queue == QueueAssign::Fp
-    }
 }
 
 #[cfg(test)]

@@ -294,10 +294,6 @@ impl Kernel {
 
     /// One inheritance step on one semaphore.
     fn apply_inheritance(&mut self, s: SemId, holder: ThreadId, donor: ThreadId) {
-        // Every branch below can reorder the ready queues or (DP) bump
-        // an effective deadline without a block/unblock, so the
-        // memoized dispatch decision must go.
-        self.invalidate_dispatch();
         let holder_q = self.tcbs.get(holder).queue;
         let donor_q = self.tcbs.get(donor).queue;
         match (holder_q, donor_q) {
@@ -371,8 +367,6 @@ impl Kernel {
             return;
         }
         self.sems[s.index()].inherited = false;
-        // Restores mutate queue order / effective deadlines directly.
-        self.invalidate_dispatch();
         match self.tcbs.get(holder).queue {
             QueueAssign::Fp => {
                 if let Some(ph) = self.sems[s.index()].placeholder.take() {

@@ -692,11 +692,6 @@ impl Topology {
         self.node_seg.len()
     }
 
-    /// The segment hosting a (global) node id.
-    pub fn segment_of(&self, id: NodeId) -> SegmentId {
-        SegmentId(self.node_seg[id.index()])
-    }
-
     /// Node access by global id.
     pub fn node(&self, id: NodeId) -> &ClusterNode {
         let seg = &self.segments[self.node_seg[id.index()] as usize];
@@ -744,15 +739,7 @@ impl Topology {
     /// gateway graph is partitioned.
     pub fn partitioned_pairs(&mut self) -> u64 {
         self.ensure_routes();
-        let mut n = 0;
-        for (s, row) in self.routes.iter().enumerate() {
-            for (d, hop) in row.iter().enumerate() {
-                if s != d && hop.is_none() {
-                    n += 1;
-                }
-            }
-        }
-        n
+        unreachable_pairs(&self.routes)
     }
 
     /// First-hop gateway of the chosen route (`None` = unreachable).
@@ -881,19 +868,11 @@ impl Topology {
                     *route_costs = c;
                     *routes_dirty = false;
                     *reroutes += 1;
-                    let unreachable_pairs = routes
-                        .iter()
-                        .enumerate()
-                        .map(|(s, row)| {
-                            row.iter()
-                                .enumerate()
-                                .filter(|&(d, hop)| d != s && hop.is_none())
-                                .count() as u64
-                        })
-                        .sum();
                     events.push(TopoEvent {
                         at,
-                        kind: TopoEventKind::Reroute { unreachable_pairs },
+                        kind: TopoEventKind::Reroute {
+                            unreachable_pairs: unreachable_pairs(routes),
+                        },
                     });
                 }
                 route_frames(segs, gateways, node_seg, routes, no_route, at);
@@ -1014,6 +993,20 @@ fn build_routes(n: usize, gateways: &[Gateway]) -> RouteTables {
         }
     }
     (routes, costs)
+}
+
+/// Ordered segment pairs `(s, d)`, `s != d`, with no first hop in
+/// `routes`.
+fn unreachable_pairs(routes: &[Vec<Option<u32>>]) -> u64 {
+    let mut n = 0;
+    for (s, row) in routes.iter().enumerate() {
+        for (d, hop) in row.iter().enumerate() {
+            if s != d && hop.is_none() {
+                n += 1;
+            }
+        }
+    }
+    n
 }
 
 /// Applies the gateway fault clock at one barrier: gateways whose

@@ -1,4 +1,4 @@
-//! The simulated board: devices + interrupt controller + timer + MPU.
+//! The simulated board: devices + interrupt controller + MPU.
 //!
 //! A [`Board`] bundles everything outside the CPU core. The kernel asks
 //! it for the next externally scheduled occurrence (a sensor sample, a
@@ -11,28 +11,11 @@ use emeralds_sim::{DevId, EventQueue, IrqLine, Time};
 use crate::device::{Actuator, Device, DeviceEvent, DeviceKind, Sensor, Uart};
 use crate::irq::InterruptController;
 use crate::mpu::Mpu;
-use crate::timer::ProgrammableTimer;
-
-/// Static configuration of a board.
-#[derive(Clone, Debug)]
-pub struct BoardConfig {
-    /// Hardware timer input clock (default: the paper's 5 MHz).
-    pub timer_hz: u64,
-}
-
-impl Default for BoardConfig {
-    fn default() -> Self {
-        BoardConfig {
-            timer_hz: 5_000_000,
-        }
-    }
-}
 
 /// The board: peripheral state shared by kernel and devices.
 #[derive(Debug)]
 pub struct Board {
     pub intc: InterruptController,
-    pub timer: ProgrammableTimer,
     pub mpu: Mpu,
     devices: Vec<Device>,
     schedule: EventQueue<DeviceEvent>,
@@ -40,10 +23,9 @@ pub struct Board {
 
 impl Board {
     /// Creates a board with no devices.
-    pub fn new(cfg: BoardConfig) -> Self {
+    pub fn new() -> Self {
         Board {
             intc: InterruptController::new(),
-            timer: ProgrammableTimer::new(cfg.timer_hz),
             mpu: Mpu::new(),
             devices: Vec::new(),
             schedule: EventQueue::new(),
@@ -175,7 +157,7 @@ impl Board {
 
 impl Default for Board {
     fn default() -> Self {
-        Board::new(BoardConfig::default())
+        Board::new()
     }
 }
 

@@ -56,11 +56,6 @@ impl InterruptController {
         self.masked = masked;
     }
 
-    /// True if the global mask is raised.
-    pub fn is_masked(&self) -> bool {
-        self.masked
-    }
-
     /// The highest-priority deliverable interrupt, if any (lowest line
     /// number wins, matching 68k autovector priorities).
     pub fn pending_highest(&self) -> Option<IrqLine> {

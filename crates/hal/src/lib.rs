@@ -9,8 +9,6 @@
 //! - [`CostModel`]: per-primitive virtual-time charges calibrated from
 //!   the paper's measured formulas (Table 1 and the §5.7/§6.4 anchors).
 //! - [`Clock`]: the CPU's virtual clock.
-//! - [`ProgrammableTimer`]: a one-shot hardware timer with configurable
-//!   resolution, as used for task releases and timeouts.
 //! - [`InterruptController`]: prioritized interrupt lines with masking.
 //! - [`Mpu`]: a region-based memory protection unit (EMERALDS provides
 //!   "full memory protection for threads", §3).
@@ -29,12 +27,10 @@ pub mod cost;
 pub mod device;
 pub mod irq;
 pub mod mpu;
-pub mod timer;
 
-pub use board::{Board, BoardConfig};
+pub use board::Board;
 pub use clock::Clock;
 pub use cost::CostModel;
 pub use device::{Actuator, Device, DeviceEvent, DeviceKind, Sensor, Uart};
 pub use irq::InterruptController;
 pub use mpu::{AccessKind, Mpu, MpuFault, Perms, Region};
-pub use timer::ProgrammableTimer;

@@ -57,13 +57,6 @@ pub enum TestOutcome {
     Undecided,
 }
 
-impl TestOutcome {
-    /// True only for a positive proof.
-    pub fn is_schedulable(self) -> bool {
-        self == TestOutcome::Schedulable
-    }
-}
-
 /// One CSD priority band.
 #[derive(Clone, Debug)]
 pub struct Band<'a> {

@@ -20,8 +20,8 @@
 //!   run-end catch-up every slice.
 //!
 //! Any new allocation on these paths (a `clone` in the dispatch loop,
-//! a fresh `Vec` per epoch, a far-bucket promotion that outgrows the
-//! timer queue's spare pool, a buffer dropped at every outer barrier)
+//! a fresh `Vec` per epoch, a timer heap that outgrows its warmed
+//! capacity, a buffer dropped at every outer barrier)
 //! fails the gate with an exact count.
 
 #![cfg(feature = "alloc-count")]
