@@ -18,8 +18,6 @@
 //!                              # multi-node cluster scaling → BENCH_scale.json
 //! expts faults [--quick] [--nodes 8,16,...] [--out FILE] [--gate]
 //!                              # fault injection + recovery → BENCH_faults.json
-//! expts hotpath [--quick] [--out FILE] [--gate]
-//!                              # kernel hot-path work counters → BENCH_hotpath.json
 //! expts topo [--quick] [--out FILE] [--gate]
 //!                              # bridged multi-segment topologies → BENCH_topology.json
 //! expts all [--workloads N]    # everything above
@@ -31,8 +29,8 @@
 //! anything runs, printing the subcommand's flags.
 
 use emeralds_bench::{
-    breakdown_figs, csdx_expt, cyclic_expt, faults_expt, fig2, hotpath_expt, scale_expt,
-    searchcost, semfig, statemsg_expt, syscall_expt, table1, table3, topo_expt,
+    breakdown_figs, csdx_expt, cyclic_expt, faults_expt, fig2, scale_expt, searchcost, semfig,
+    statemsg_expt, syscall_expt, table1, table3, topo_expt,
 };
 use emeralds_core::footprint;
 
@@ -55,7 +53,6 @@ const COMMANDS: &[(&str, &[&str], &[&str])] = &[
     ("csdx", &[], &["--workloads"]),
     ("scale", &[], &["--nodes", "--out"]),
     ("faults", &["--quick", "--gate"], &["--nodes", "--out"]),
-    ("hotpath", &["--quick", "--gate"], &["--out"]),
     ("topo", &["--quick", "--gate"], &["--out"]),
     ("all", &[], &["--workloads"]),
 ];
@@ -270,34 +267,6 @@ fn main() {
                 }
             }
         }
-        "hotpath" => {
-            let params = if flag("--quick") {
-                hotpath_expt::HotpathParams::quick()
-            } else {
-                hotpath_expt::HotpathParams::full()
-            };
-            let report = hotpath_expt::run(&params);
-            print!("{}", hotpath_expt::render(&report));
-            let out = svalue("--out").unwrap_or_else(|| "BENCH_hotpath.json".into());
-            let json = hotpath_expt::to_json(&params, &report);
-            match std::fs::write(&out, &json) {
-                Ok(()) => println!("wrote {out}"),
-                Err(e) => {
-                    eprintln!("cannot write {out}: {e}");
-                    std::process::exit(1);
-                }
-            }
-            if flag("--gate") {
-                let (lines, failed) = hotpath_expt::gate(&report);
-                for l in &lines {
-                    println!("{l}");
-                }
-                if failed {
-                    eprintln!("hotpath experiment gate failed");
-                    std::process::exit(1);
-                }
-            }
-        }
         "topo" => {
             let params = if flag("--quick") {
                 topo_expt::TopoParams::quick()
@@ -430,8 +399,9 @@ mod tests {
     fn flags_a_subcommand_does_not_take_are_rejected() {
         for words in [
             &["topo", "--quick", "--help"][..],
-            &["hotpath", "--baseline", "BENCH_scale.json"],
-            &["hotpath", "--quick", "--gat"],
+            &["topo", "--baseline", "BENCH_scale.json"],
+            &["faults", "--quick", "--gat"],
+            &["hotpath"],
             &["table1", "--quick"],
             &["faults", "--gate", "extra"],
             &["scale", "--out"],

@@ -19,7 +19,6 @@
 //! | CX | CSD queue-count sweep (§5.6) | [`csdx_expt`] |
 //! | SC | multi-node cluster scaling (not a paper figure) | [`scale_expt`] |
 //! | FT | fault injection + recovery forensics (not a paper figure) | [`faults_expt`] |
-//! | HP | kernel hot-path work counters (not a paper figure) | [`hotpath_expt`] |
 //! | TOPO | bridged multi-segment topologies (not a paper figure) | [`topo_expt`] |
 
 pub mod breakdown_figs;
@@ -27,7 +26,6 @@ pub mod csdx_expt;
 pub mod cyclic_expt;
 pub mod faults_expt;
 pub mod fig2;
-pub mod hotpath_expt;
 pub mod microbench;
 pub mod scale_expt;
 pub mod searchcost;

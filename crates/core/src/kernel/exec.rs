@@ -66,7 +66,7 @@ impl Kernel {
     /// only wakes on a timer or device event, so with no current
     /// thread the pre-state stays inert until then.
     pub fn next_external_time(&self) -> Option<Time> {
-        match (self.timers.next_expiry(), self.board.next_event_time()) {
+        match (self.timers.peek_time(), self.board.next_event_time()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -135,6 +135,7 @@ impl Kernel {
             // drained in one batch; the external-occurrence minimum is
             // only re-derived once the batch is empty.
             while let Some((_, ev)) = self.timers.pop_due(self.clock.now()) {
+                self.timer_expirations += 1;
                 self.charge(OverheadKind::Timer, self.cfg.cost.timer_expiry);
                 match ev {
                     TimerEvent::Release(tid) => self.release_job(tid),
@@ -297,8 +298,7 @@ impl Kernel {
             t.next_release += period;
         }
         let next = self.tcbs.get(tid).next_release;
-        self.timers.arm(next, TimerEvent::Release(tid));
-        self.charge(OverheadKind::Timer, self.cfg.cost.timer_program);
+        self.arm_timer(next, TimerEvent::Release(tid));
 
         if !self.tcbs.get(tid).job_done {
             // Previous job still incomplete at this release. For
@@ -332,8 +332,7 @@ impl Kernel {
         let dl = self.tcbs.get(tid).abs_deadline;
         if deadline < period {
             // Constrained deadline: schedule an explicit check.
-            self.timers.arm(dl, TimerEvent::DeadlineCheck(tid, job));
-            self.charge(OverheadKind::Timer, self.cfg.cost.timer_program);
+            self.arm_timer(dl, TimerEvent::DeadlineCheck(tid, job));
         }
         self.record(TraceEvent::JobRelease {
             tid,

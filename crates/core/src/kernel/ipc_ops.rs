@@ -2,7 +2,7 @@
 
 use emeralds_hal::AccessKind;
 use emeralds_sim::{
-    Duration, EventId, IrqLine, MboxId, OverheadKind, StateId, ThreadId, TraceEvent,
+    Duration, EventId, IrqLine, MboxId, OverheadKind, StateId, ThreadId, Time, TraceEvent,
 };
 
 use crate::ipc::Message;
@@ -264,13 +264,24 @@ impl Kernel {
         }
     }
 
+    /// Arms a kernel timer at `at`: pushes it, counts the arm and the
+    /// heap's height after it, and charges `timer_program`. Inlined:
+    /// every periodic release arms one, and the out-of-line call cost
+    /// `kernel_solo` about 2 % of its simulated rate.
+    #[inline]
+    pub(crate) fn arm_timer(&mut self, at: Time, ev: TimerEvent) {
+        self.timers.push(at, ev);
+        self.timer_arms += 1;
+        self.timer_heights += u64::from(self.timers.len().ilog2());
+        self.charge(OverheadKind::Timer, self.cfg.cost.timer_program);
+    }
+
     /// `sleep_for()`: one-shot timer wakeup.
     pub(crate) fn sys_sleep(&mut self, tid: ThreadId, d: Duration) {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall { tid, name: "sleep" });
         let wake = self.clock.now() + d;
-        self.timers.arm(wake, TimerEvent::Wake(tid));
-        self.charge(OverheadKind::Timer, self.cfg.cost.timer_program);
+        self.arm_timer(wake, TimerEvent::Wake(tid));
         self.tcbs.get_mut(tid).in_syscall = true;
         self.block_thread(tid, BlockReason::Sleep);
         self.reschedule();

@@ -25,8 +25,8 @@ pub use validate::ConfigError;
 
 use emeralds_hal::{Board, Clock, CostModel, Perms};
 use emeralds_sim::{
-    Accounting, CvId, Duration, EventId, IrqLine, MboxId, OverheadKind, ProcId, SemId, StateId,
-    ThreadId, Time, Trace, TraceEvent,
+    Accounting, CvId, Duration, EventId, EventQueue, IrqLine, MboxId, OverheadKind, ProcId, SemId,
+    StateId, ThreadId, Time, Trace, TraceEvent,
 };
 
 use crate::alloc::PoolSet;
@@ -38,7 +38,6 @@ use crate::script::{Script, ScriptKind};
 use crate::sync::policy::{make_policy, LockPolicy};
 use crate::sync::{CondVar, SemScheme, Semaphore, SrpStats};
 use crate::tcb::{QueueAssign, Tcb, TcbTable, Timing};
-use crate::timerq::TimerQueue;
 
 /// Kernel-wide configuration.
 #[derive(Clone, Debug)]
@@ -128,7 +127,17 @@ pub struct Kernel {
     pub(crate) events: Vec<EventObj>,
     pub(crate) irq_waiters: Vec<Vec<ThreadId>>,
     pub(crate) irq_actions: Vec<IrqAction>,
-    pub(crate) timers: TimerQueue<TimerEvent>,
+    /// The software timer queue (Figure 1: "Timers / Clock services").
+    /// `arm_timer` charges a flat `timer_program` per arm, so the
+    /// host-side structure cannot move virtual time (DESIGN.md §12).
+    pub(crate) timers: EventQueue<TimerEvent>,
+    /// Timers armed, build-time releases included.
+    pub(crate) timer_arms: u64,
+    /// Sum of the timer heap's height after each arm: the upper bound
+    /// on the comparisons the pushes made.
+    pub(crate) timer_heights: u64,
+    /// Timers expired.
+    pub(crate) timer_expirations: u64,
     /// Reused buffer for the IRQ lines `Board::advance_to` raises —
     /// the steady-state execution loop must not allocate.
     pub(crate) irq_scratch: Vec<IrqLine>,
@@ -192,15 +201,11 @@ impl Kernel {
         self.sem_fast_acquires
     }
 
-    /// Timer-queue work counters: `(inserts, bound on insert
-    /// comparisons, expirations)` — see
-    /// [`crate::timerq::TimerQueue::insert_walks`].
+    /// Timer-queue work counters: `(arms, sum of the heap's height
+    /// after each arm, expirations)`. The height sum bounds the
+    /// comparisons the arms made.
     pub fn timer_stats(&self) -> (u64, u64, u64) {
-        (
-            self.timers.inserts,
-            self.timers.insert_walks,
-            self.timers.expirations,
-        )
+        (self.timer_arms, self.timer_heights, self.timer_expirations)
     }
 
     /// Runs a closure with the locking policy and the kernel borrowed
@@ -680,7 +685,8 @@ impl KernelBuilder {
         let mut pools = PoolSet::small_memory_defaults();
         let mut tcbs = TcbTable::new();
         let mut sched = SchedulerImpl::new(&self.cfg.policy);
-        let mut timers = TimerQueue::default();
+        let mut timers = EventQueue::new();
+        let mut timer_heights = 0;
         let trace = match (self.cfg.record_trace, self.cfg.trace_ring) {
             (false, _) => Trace::disabled(),
             (true, Some(cap)) => Trace::ring(cap),
@@ -708,7 +714,9 @@ impl KernelBuilder {
             match timing {
                 Timing::Periodic { phase, .. } => {
                     tcb.next_release = Time::ZERO + phase;
-                    timers.arm(tcb.next_release, TimerEvent::Release(tid));
+                    // Boot-time programming: counted, not charged.
+                    timers.push(tcb.next_release, TimerEvent::Release(tid));
+                    timer_heights += u64::from(timers.len().ilog2());
                     pools.timers.alloc();
                 }
                 Timing::EventDriven { rank } => {
@@ -801,7 +809,10 @@ impl KernelBuilder {
             events: (0..self.event_count).map(|_| EventObj::default()).collect(),
             irq_waiters: vec![Vec::new(); emeralds_hal::irq::MAX_IRQ_LINES],
             irq_actions: self.irq_actions,
+            timer_arms: timers.len() as u64,
             timers,
+            timer_heights,
+            timer_expirations: 0,
             irq_scratch: Vec::new(),
             pools,
             current: None,

@@ -86,7 +86,6 @@ pub mod sched;
 pub mod script;
 pub mod sync;
 pub mod tcb;
-pub mod timerq;
 
 pub use kernel::{ConfigError, IrqAction, Kernel, KernelBuilder, KernelConfig};
 pub use sched::SchedPolicy;

@@ -8,7 +8,7 @@
 
 use emeralds_sim::{DevId, EventQueue, IrqLine, Time};
 
-use crate::device::{Actuator, Device, DeviceEvent, DeviceKind, Sensor, Uart};
+use crate::device::{Actuator, Device, DeviceEvent, DeviceKind, Sensor};
 use crate::irq::InterruptController;
 use crate::mpu::Mpu;
 
@@ -40,11 +40,6 @@ impl Board {
     /// Adds an actuator (no interrupt). Returns its device id.
     pub fn add_actuator(&mut self, name: &'static str) -> DevId {
         self.add_device(name, DeviceKind::Actuator(Actuator::default()), None)
-    }
-
-    /// Adds a UART console. Returns its device id.
-    pub fn add_uart(&mut self, name: &'static str) -> DevId {
-        self.add_device(name, DeviceKind::Uart(Uart::default()), None)
     }
 
     /// Adds a network interface wired to `irq`. Returns its device id.
@@ -82,12 +77,6 @@ impl Board {
             self.schedule_sample(at, dev, value_fn(k));
             at += period;
         }
-    }
-
-    /// Externally raises an interrupt line (used by the fieldbus to
-    /// signal frame arrival).
-    pub fn raise_irq(&mut self, line: IrqLine) {
-        self.intc.raise(line);
     }
 
     /// Time of the next scheduled device occurrence, if any.
@@ -137,18 +126,6 @@ impl Board {
         }
     }
 
-    /// Convenience: the UART output of `dev`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dev` is not a UART.
-    pub fn uart_output(&self, dev: DevId) -> &[u8] {
-        match &self.device(dev).kind {
-            DeviceKind::Uart(u) => &u.output,
-            _ => panic!("{dev} is not a UART"),
-        }
-    }
-
     /// Number of devices on the board.
     pub fn device_count(&self) -> usize {
         self.devices.len()
@@ -195,14 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn actuator_and_uart_helpers() {
+    fn actuator_helpers() {
         let mut b = Board::default();
         let act = b.add_actuator("valve");
-        let uart = b.add_uart("console");
         b.device_mut(act).write_register(Time::from_ms(3), 7);
-        b.device_mut(uart).write_register(Time::ZERO, b'!' as u32);
         assert_eq!(b.actuator_log(act), &[(Time::from_ms(3), 7)]);
-        assert_eq!(b.uart_output(uart), b"!");
     }
 
     #[test]
@@ -211,7 +185,7 @@ mod tests {
         let nic = b.add_nic("canbus", IrqLine(2));
         assert_eq!(b.device(nic).irq, Some(IrqLine(2)));
         assert_eq!(b.device_count(), 1);
-        b.raise_irq(IrqLine(2));
+        b.intc.raise(IrqLine(2));
         assert_eq!(b.intc.pending_highest(), Some(IrqLine(2)));
     }
 }

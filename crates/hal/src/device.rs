@@ -1,8 +1,8 @@
 //! Simulated peripheral devices.
 //!
 //! The paper's application domain is embedded control: sensors feeding
-//! periodic control tasks, actuators consuming their output, a UART
-//! console, and a fieldbus network interface. Each device is a small
+//! periodic control tasks, actuators consuming their output, and a
+//! fieldbus network interface. Each device is a small
 //! behavioural model: sensors post samples on a schedule and can raise
 //! an interrupt; actuators log the commands they receive; the NIC is
 //! modelled in `emeralds-fieldbus` on top of [`DeviceKind::Nic`]'s
@@ -15,7 +15,6 @@ use emeralds_sim::{DevId, IrqLine, Time};
 pub enum DeviceKind {
     Sensor(Sensor),
     Actuator(Actuator),
-    Uart(Uart),
     /// Network interface; frame queues are managed by the fieldbus
     /// crate, the HAL only provides the identity and interrupt wiring.
     Nic,
@@ -56,13 +55,6 @@ pub struct Actuator {
     pub log: Vec<(Time, u32)>,
 }
 
-/// A console output device.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct Uart {
-    /// Bytes written since boot.
-    pub output: Vec<u8>,
-}
-
 /// A device instance on the board.
 #[derive(Clone, Debug)]
 pub struct Device {
@@ -91,7 +83,6 @@ impl Device {
         match &mut self.kind {
             DeviceKind::Sensor(s) => s.read(),
             DeviceKind::Actuator(a) => a.log.last().map_or(0, |&(_, v)| v),
-            DeviceKind::Uart(u) => u.output.len() as u32,
             DeviceKind::Nic => 0,
         }
     }
@@ -100,7 +91,6 @@ impl Device {
     pub fn write_register(&mut self, at: Time, value: u32) {
         match &mut self.kind {
             DeviceKind::Actuator(a) => a.log.push((at, value)),
-            DeviceKind::Uart(u) => u.output.push(value as u8),
             DeviceKind::Sensor(_) | DeviceKind::Nic => {
                 // Command writes to sensors/NICs are configuration;
                 // modelled as no-ops.
@@ -166,22 +156,6 @@ mod tests {
             assert_eq!(a.log, vec![(Time::from_ms(1), 42), (Time::from_ms(2), 43)]);
         }
         assert_eq!(d.read_register(), 43);
-    }
-
-    #[test]
-    fn uart_accumulates_bytes() {
-        let mut d = Device {
-            id: DevId(2),
-            kind: DeviceKind::Uart(Uart::default()),
-            irq: None,
-            name: "console",
-        };
-        for b in b"ok" {
-            d.write_register(Time::ZERO, *b as u32);
-        }
-        if let DeviceKind::Uart(u) = &d.kind {
-            assert_eq!(u.output, b"ok");
-        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! - [`InterruptController`]: prioritized interrupt lines with masking.
 //! - [`Mpu`]: a region-based memory protection unit (EMERALDS provides
 //!   "full memory protection for threads", §3).
-//! - [`Board`] and devices: sensors, actuators, a UART and a fieldbus
-//!   NIC, enough to build the paper's motivating applications (engine
+//! - [`Board`] and devices: sensors, actuators and a fieldbus NIC,
+//!   enough to build the paper's motivating applications (engine
 //!   control, voice compression, avionics) as examples.
 //!
 //! The kernel in `emeralds-core` runs *real* queue manipulations and
@@ -31,6 +31,6 @@ pub mod mpu;
 pub use board::Board;
 pub use clock::Clock;
 pub use cost::CostModel;
-pub use device::{Actuator, Device, DeviceEvent, DeviceKind, Sensor, Uart};
+pub use device::{Actuator, Device, DeviceEvent, DeviceKind, Sensor};
 pub use irq::InterruptController;
 pub use mpu::{AccessKind, Mpu, MpuFault, Perms, Region};

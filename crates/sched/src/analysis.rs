@@ -110,82 +110,6 @@ pub fn edf_test_with(tasks: &[InflatedTask], limits: AnalysisLimits) -> TestOutc
     edf_band_test(tasks, &[], limits)
 }
 
-/// Zhang–Burns Quick Processor-demand Analysis: an exact EDF test for
-/// constrained deadlines that iterates `t ← h(t)` downward from the
-/// busy period instead of enumerating every absolute deadline. Agrees
-/// with [`edf_test_with`] (property-tested) while visiting far fewer
-/// points.
-pub fn edf_qpa(tasks: &[InflatedTask], limits: AnalysisLimits) -> TestOutcome {
-    if tasks.is_empty() {
-        return TestOutcome::Schedulable;
-    }
-    if tasks.iter().any(|t| t.cost > t.deadline) {
-        return TestOutcome::Unschedulable;
-    }
-    let u: f64 = tasks.iter().map(InflatedTask::utilization).sum();
-    if u > 1.0 {
-        return TestOutcome::Unschedulable;
-    }
-    if tasks.iter().all(|t| t.deadline == t.period) {
-        return TestOutcome::Schedulable;
-    }
-    // Busy period.
-    let mut w: Duration = tasks.iter().map(|t| t.cost).sum();
-    let mut iters = 0u32;
-    let busy = loop {
-        iters += 1;
-        if iters > 10_000 || w > limits.horizon {
-            return TestOutcome::Undecided;
-        }
-        let next: Duration = tasks.iter().map(|t| rbf(t, w)).sum();
-        if next == w {
-            break w;
-        }
-        w = next;
-    };
-    let d_min = tasks.iter().map(|t| t.deadline).min().expect("nonempty");
-    let h = |l: Duration| -> Duration { tasks.iter().map(|t| dbf(t, l)).sum() };
-    // Largest absolute deadline strictly below `limit`.
-    let max_deadline_below = |limit: Duration| -> Option<Duration> {
-        tasks
-            .iter()
-            .filter_map(|t| {
-                if t.deadline >= limit {
-                    return None;
-                }
-                let k = (limit - t.deadline - Duration::from_ns(1)) / t.period;
-                Some(t.deadline + t.period * k)
-            })
-            .max()
-    };
-    let Some(mut t) = max_deadline_below(busy) else {
-        return TestOutcome::Schedulable;
-    };
-    let mut steps = 0usize;
-    while h(t) <= t && h(t) > d_min {
-        steps += 1;
-        if steps > limits.max_points {
-            return TestOutcome::Undecided;
-        }
-        let ht = h(t);
-        if ht < t {
-            t = ht;
-        } else {
-            match max_deadline_below(t) {
-                Some(next) => t = next,
-                None => return TestOutcome::Schedulable,
-            }
-        }
-    }
-    if h(t) <= d_min.min(t) {
-        TestOutcome::Schedulable
-    } else if h(t) > t {
-        TestOutcome::Unschedulable
-    } else {
-        TestOutcome::Schedulable
-    }
-}
-
 /// Exact RM (fixed-priority) response-time analysis. `tasks` must be
 /// in priority order, highest first.
 pub fn rm_test(tasks: &[InflatedTask]) -> TestOutcome {
@@ -775,51 +699,6 @@ mod tests {
         assert_eq!(dbf(&x, Duration::from_ms(9)), Duration::ZERO);
         assert_eq!(dbf(&x, Duration::from_ms(10)), Duration::from_us(2_000));
         assert_eq!(dbf(&x, Duration::from_ms(20)), Duration::from_us(4_000));
-    }
-
-    #[test]
-    fn qpa_agrees_with_demand_analysis() {
-        use emeralds_sim::SimRng;
-        let mut rng = SimRng::seeded(99);
-        let mut checked = 0;
-        for _ in 0..300 {
-            let n = rng.int_in(1, 6) as usize;
-            let tasks: Vec<InflatedTask> = (0..n)
-                .map(|_| {
-                    let p = Duration::from_us(rng.int_in(2_000, 50_000));
-                    let d = Duration::from_ns((p.as_ns() as f64 * rng.float_in(0.3, 1.0)) as u64);
-                    let c = Duration::from_ns((d.as_ns() as f64 * rng.float_in(0.05, 0.6)) as u64)
-                        .max(Duration::from_ns(1));
-                    InflatedTask::new(p, d, c)
-                })
-                .collect();
-            let limits = AnalysisLimits::default();
-            let full = edf_test_with(&tasks, limits);
-            let quick = edf_qpa(&tasks, limits);
-            if full != TestOutcome::Undecided && quick != TestOutcome::Undecided {
-                checked += 1;
-                assert_eq!(full, quick, "disagreement on {tasks:?}");
-            }
-        }
-        assert!(checked > 200, "only {checked} decisive cases");
-    }
-
-    #[test]
-    fn qpa_basic_cases() {
-        let limits = AnalysisLimits::default();
-        assert_eq!(edf_qpa(&[], limits), TestOutcome::Schedulable);
-        let ok = InflatedTask::new(
-            Duration::from_ms(10),
-            Duration::from_ms(5),
-            Duration::from_ms(3),
-        );
-        assert_eq!(edf_qpa(&[ok], limits), TestOutcome::Schedulable);
-        let bad = InflatedTask::new(
-            Duration::from_ms(10),
-            Duration::from_ms(2),
-            Duration::from_ms(3),
-        );
-        assert_eq!(edf_qpa(&[bad], limits), TestOutcome::Unschedulable);
     }
 
     #[test]

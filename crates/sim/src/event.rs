@@ -1,13 +1,12 @@
 //! Deterministic pending-event set.
 //!
-//! The kernel simulator and the fieldbus both schedule future
-//! occurrences (timer expiries, interrupt arrivals, frame deliveries).
-//! [`EventQueue`] orders them by time and, within one instant, by
-//! insertion order, so simulations are fully deterministic regardless of
-//! the heap's internal layout.
+//! The kernel's timers and the board's device events are scheduled
+//! future occurrences. [`EventQueue`] orders them by time and, within
+//! one instant, by insertion order, so simulations are fully
+//! deterministic regardless of the heap's internal layout.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::time::Time;
 
@@ -22,10 +21,11 @@ use crate::time::Time;
 /// q.push(Time::from_us(5), "b");
 /// q.push(Time::from_us(1), "a");
 /// q.push(Time::from_us(5), "c");
-/// assert_eq!(q.pop(), Some((Time::from_us(1), "a")));
-/// assert_eq!(q.pop(), Some((Time::from_us(5), "b"))); // FIFO within an instant
-/// assert_eq!(q.pop(), Some((Time::from_us(5), "c")));
-/// assert_eq!(q.pop(), None);
+/// assert_eq!(q.pop_due(Time::from_us(4)), Some((Time::from_us(1), "a")));
+/// assert_eq!(q.pop_due(Time::from_us(4)), None); // not due yet
+/// assert_eq!(q.pop_due(Time::MAX), Some((Time::from_us(5), "b"))); // FIFO within an instant
+/// assert_eq!(q.pop_due(Time::MAX), Some((Time::from_us(5), "c")));
+/// assert_eq!(q.pop_due(Time::MAX), None);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -58,10 +58,7 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq)
         // pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
@@ -86,18 +83,12 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Removes and returns the earliest pending event.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap.pop().map(|e| (e.at, e.payload))
-    }
-
     /// Removes and returns the earliest event if it occurs at or before
     /// `now`.
     pub fn pop_due(&mut self, now: Time) -> Option<(Time, E)> {
-        match self.peek_time() {
-            Some(t) if t <= now => self.pop(),
-            _ => None,
-        }
+        let head = self.heap.peek_mut().filter(|e| e.at <= now)?;
+        let e = PeekMut::pop(head);
+        Some((e.at, e.payload))
     }
 
     /// Number of pending events.
@@ -108,21 +99,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Drops every pending event, keeping the sequence counter so
-    /// determinism is preserved across a reuse.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Removes all events matching `pred`, returning how many were
-    /// removed. O(n log n); used only by cancellation paths.
-    pub fn retain(&mut self, mut pred: impl FnMut(&E) -> bool) -> usize {
-        let before = self.heap.len();
-        let kept: Vec<Entry<E>> = self.heap.drain().filter(|e| pred(&e.payload)).collect();
-        self.heap.extend(kept);
-        before - self.heap.len()
     }
 }
 
@@ -135,6 +111,12 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
+
+    /// Pops everything, due or not, in queue order.
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<(Time, E)> {
+        std::iter::from_fn(|| q.pop_due(Time::MAX)).collect()
+    }
 
     #[test]
     fn orders_by_time_then_insertion() {
@@ -142,8 +124,43 @@ mod tests {
         for (t, v) in [(3u64, 'x'), (1, 'a'), (1, 'b'), (2, 'm')] {
             q.push(Time::from_us(t), v);
         }
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        let order: Vec<char> = drain(&mut q).into_iter().map(|(_, v)| v).collect();
         assert_eq!(order, vec!['a', 'b', 'm', 'x']);
+        // A burst of equal times, deep enough that a heap without the
+        // insertion-sequence tie-break would reorder it.
+        let mut q = EventQueue::new();
+        for i in 0..16 {
+            q.push(Time::from_us(20), i);
+        }
+        let order: Vec<i32> = drain(&mut q).into_iter().map(|(_, v)| v).collect();
+        assert_eq!(order, (0..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn late_push_behind_a_popped_head_keeps_order() {
+        // Times spread over many milliseconds, pushed out of order,
+        // with ties, plus a late push behind an already-popped head:
+        // pops must come back in exact (time, insertion) order.
+        let mut q = EventQueue::new();
+        let times_ms = [7u64, 1, 40, 7, 3, 100, 1, 40];
+        for (i, &ms) in times_ms.iter().enumerate() {
+            q.push(Time::from_ms(ms), i);
+        }
+        assert_eq!(q.len(), times_ms.len());
+        assert_eq!(q.pop_due(Time::from_ms(1)), Some((Time::from_ms(1), 1)));
+        q.push(Time::from_us(1500), 99);
+        let expect = vec![
+            (Time::from_ms(1), 6),
+            (Time::from_us(1500), 99),
+            (Time::from_ms(3), 4),
+            (Time::from_ms(7), 0),
+            (Time::from_ms(7), 3),
+            (Time::from_ms(40), 2),
+            (Time::from_ms(40), 7),
+            (Time::from_ms(100), 5),
+        ];
+        assert_eq!(drain(&mut q), expect);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -158,33 +175,154 @@ mod tests {
     }
 
     #[test]
-    fn retain_cancels_matching_events() {
-        let mut q = EventQueue::new();
-        for i in 0..6 {
-            q.push(Time::from_us(i), i);
-        }
-        let removed = q.retain(|&v| v % 2 == 0);
-        assert_eq!(removed, 3);
-        let left: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-        assert_eq!(left, vec![0, 2, 4]);
-    }
-
-    #[test]
     fn empty_queue_behaviour() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop_due(Time::MAX), None);
     }
 
     #[test]
     fn fifo_survives_interleaved_pops() {
         let mut q = EventQueue::new();
         q.push(Time::from_us(1), 'a');
-        assert_eq!(q.pop().unwrap().1, 'a');
+        assert_eq!(q.pop_due(Time::MAX).unwrap().1, 'a');
         q.push(Time::from_us(1), 'b');
         q.push(Time::from_us(1), 'c');
-        assert_eq!(q.pop().unwrap().1, 'b');
-        assert_eq!(q.pop().unwrap().1, 'c');
+        assert_eq!(q.pop_due(Time::MAX).unwrap().1, 'b');
+        assert_eq!(q.pop_due(Time::MAX).unwrap().1, 'c');
+    }
+
+    /// The reference model: a list sorted by time, each push inserted
+    /// after every entry due at or before it, so ties keep insertion
+    /// order. This is the kernel's original delta timer queue.
+    struct SortedVec<E> {
+        entries: Vec<(Time, E)>,
+    }
+
+    impl<E> SortedVec<E> {
+        fn push(&mut self, at: Time, payload: E) {
+            let pos = self.entries.partition_point(|e| e.0 <= at);
+            self.entries.insert(pos, (at, payload));
+        }
+
+        fn pop_due(&mut self, now: Time) -> Option<(Time, E)> {
+            if self.entries.first().is_some_and(|e| e.0 <= now) {
+                Some(self.entries.remove(0))
+            } else {
+                None
+            }
+        }
+
+        fn peek_time(&self) -> Option<Time> {
+            self.entries.first().map(|e| e.0)
+        }
+    }
+
+    /// Property test: the queue is observationally identical to the
+    /// sorted-list reference on randomized push/pop workloads —
+    /// including pushes landing *exactly* on a 2^16 ns boundary (the
+    /// bucket width of the calendar queue the kernel once used) and one
+    /// tick either side, overdue pushes, far-future pushes up against
+    /// `u64::MAX`, and FIFO ties. Checked after every operation: head
+    /// time and length; on every pop: the exact `(time, payload)` pair.
+    #[test]
+    fn heap_matches_delta_queue_on_randomized_workloads() {
+        const BUCKET_NS: u64 = 1 << 16;
+        let mut rng = SimRng::seeded(0x71AE5);
+        for case in 0..24u64 {
+            let mut rng = rng.derive(case);
+            let mut q = EventQueue::new();
+            let mut m = SortedVec {
+                entries: Vec::new(),
+            };
+            let mut now = Time::ZERO;
+            let mut next_payload = 0u64;
+            for op in 0..400u32 {
+                let ctx = |now: Time| format!("case {case} op {op} now {}", now.as_ns());
+                if rng.int_in(0, 84) < 55 {
+                    // Push, drawing the time from an edge-heavy mix.
+                    let at = match rng.int_in(0, 9) {
+                        0..=2 => {
+                            Time::from_ns(now.as_ns().saturating_add(rng.int_in(0, 2 * BUCKET_NS)))
+                        }
+                        3..=4 => {
+                            // Exactly on a bucket boundary at or after
+                            // `now`.
+                            let k = now.as_ns() / BUCKET_NS + rng.int_in(0, 3);
+                            Time::from_ns(k.saturating_mul(BUCKET_NS))
+                        }
+                        5 => {
+                            // One tick either side of a boundary.
+                            let k = (now.as_ns() / BUCKET_NS + rng.int_in(1, 3))
+                                .saturating_mul(BUCKET_NS);
+                            Time::from_ns(if rng.chance(0.5) {
+                                k - 1
+                            } else {
+                                k.saturating_add(1)
+                            })
+                        }
+                        6 => {
+                            // Behind `now` (overdue).
+                            Time::from_ns(now.as_ns().saturating_sub(rng.int_in(0, BUCKET_NS)))
+                        }
+                        7..=8 => Time::from_ns(
+                            now.as_ns()
+                                .saturating_add(rng.int_in(2 * BUCKET_NS, 60 * BUCKET_NS)),
+                        ),
+                        _ => {
+                            // Far-future overflow zone.
+                            Time::from_ns(u64::MAX - rng.int_in(0, 3 * BUCKET_NS))
+                        }
+                    };
+                    let p = next_payload;
+                    next_payload += 1;
+                    q.push(at, p);
+                    m.push(at, p);
+                    // FIFO ties are common: push the same instant again.
+                    if rng.chance(0.25) {
+                        let p = next_payload;
+                        next_payload += 1;
+                        q.push(at, p);
+                        m.push(at, p);
+                    }
+                } else {
+                    // Advance time — sometimes exactly onto the next
+                    // head or a bucket boundary — and drain.
+                    now = match rng.int_in(0, 3) {
+                        0 => Time::from_ns(
+                            (now.as_ns() / BUCKET_NS + rng.int_in(1, 4)).saturating_mul(BUCKET_NS),
+                        ),
+                        1 => m.peek_time().unwrap_or(now).max(now),
+                        _ => {
+                            Time::from_ns(now.as_ns().saturating_add(rng.int_in(1, 8 * BUCKET_NS)))
+                        }
+                    };
+                    loop {
+                        let got = q.pop_due(now);
+                        let want = m.pop_due(now);
+                        assert_eq!(got, want, "pop diverged ({})", ctx(now));
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                }
+                assert_eq!(q.peek_time(), m.peek_time(), "head diverged ({})", ctx(now));
+                assert_eq!(q.len(), m.entries.len(), "length diverged ({})", ctx(now));
+                assert_eq!(q.is_empty(), m.entries.is_empty());
+            }
+            // Final drain at the end of time: every pushed entry —
+            // including the `u64::MAX`-adjacent ones — pops, in exact
+            // reference order.
+            loop {
+                let got = q.pop_due(Time::MAX);
+                let want = m.pop_due(Time::MAX);
+                assert_eq!(got, want, "final drain diverged (case {case})");
+                if got.is_none() {
+                    break;
+                }
+            }
+            assert!(q.is_empty());
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Locking-policy subsystem tests: the SRP/ceiling policy's classic
 //! guarantees (acquire never blocks, each job is delayed at most once,
 //! by at most one outer critical section of a worse-preemption-level
-//! task), PI-vs-SRP metrics parity on contention-free workloads, and
-//! the typed configuration errors that replace builder panics —
+//! task), PI-vs-SRP metrics parity on contention-free workloads, the
+//! pinned PI-versus-SRP A/B scenarios (a §6 ablation), and the typed
+//! configuration errors that replace builder panics —
 //! including build-time rejection of infeasible SRP resource graphs
 //! and invalid `next_sem` hint overrides.
 
@@ -215,6 +216,253 @@ fn srp_preserves_mutual_exclusion() {
                 }
             }
         }
+    }
+}
+
+// --- PI versus SRP on one scenario ------------------------------------
+
+/// Builds one locking-policy A/B scenario. The scripts are SRP-feasible
+/// by construction (mutexes only, properly nested, no blocking inside
+/// a critical section), so the identical configuration builds under
+/// both policies and the comparison is apples-to-apples:
+///
+/// - `uncontended` — three rate-separated tasks, each on a private
+///   mutex: the policies' bookkeeping with zero conflicts.
+/// - `contended` — a short critical section shared between a 3 ms task
+///   and a phased 9 ms task whose 1 ms section the fast task regularly
+///   lands in.
+/// - `longblock` — the paper's Figure-7 shape: a 2 ms task whose tiny
+///   critical section collides with a 20 ms task holding the same lock
+///   for 1.5 ms. PI answers with early inheritance and lock hand-over;
+///   SRP never lets the collision start, deferring the fast task's
+///   release at the ceiling.
+fn policy_scenario(scenario: &str, sem_scheme: SemScheme) -> Kernel {
+    let mut b = KernelBuilder::new(KernelConfig {
+        record_trace: false,
+        ..cfg(sem_scheme)
+    });
+    let p = b.add_process("policy-ab");
+    match scenario {
+        "uncontended" => {
+            for (i, period_us) in [1_000u64, 1_700, 2_900].into_iter().enumerate() {
+                let m = b.add_mutex();
+                b.add_periodic_task(
+                    p,
+                    format!("solo{i}"),
+                    us(period_us),
+                    Script::periodic(vec![
+                        Action::AcquireSem(m),
+                        Action::Compute(us(30)),
+                        Action::ReleaseSem(m),
+                        Action::Compute(us(20)),
+                    ]),
+                );
+            }
+        }
+        "contended" => {
+            let m = b.add_mutex();
+            b.add_periodic_task_phased(
+                p,
+                "share-hi",
+                ms(3),
+                ms(3),
+                us(500),
+                Script::periodic(vec![
+                    Action::AcquireSem(m),
+                    Action::Compute(us(100)),
+                    Action::ReleaseSem(m),
+                ]),
+            );
+            b.add_periodic_task(
+                p,
+                "share-lo",
+                ms(9),
+                Script::periodic(vec![
+                    Action::AcquireSem(m),
+                    Action::Compute(ms(1)),
+                    Action::ReleaseSem(m),
+                    Action::Compute(us(200)),
+                ]),
+            );
+        }
+        "longblock" => {
+            let m = b.add_mutex();
+            b.add_periodic_task_phased(
+                p,
+                "fast",
+                ms(2),
+                ms(2),
+                us(500),
+                Script::periodic(vec![
+                    Action::AcquireSem(m),
+                    Action::Compute(us(50)),
+                    Action::ReleaseSem(m),
+                    Action::Compute(us(100)),
+                ]),
+            );
+            b.add_periodic_task(
+                p,
+                "holder",
+                ms(20),
+                Script::periodic(vec![
+                    Action::AcquireSem(m),
+                    Action::Compute(us(1_500)),
+                    Action::ReleaseSem(m),
+                ]),
+            );
+        }
+        other => panic!("unknown policy scenario {other}"),
+    }
+    b.build()
+}
+
+/// One locking policy's run of an A/B scenario, reduced to the
+/// counters the two policies compete on.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct PolicySide {
+    deadline_misses: u64,
+    context_switches: u64,
+    jobs_completed: u64,
+    sem_acquired: u64,
+    /// Acquires that found the lock held and blocked in `acquire_sem`.
+    sem_contended: u64,
+    /// Grants made directly to a blocked waiter (PI lock passing;
+    /// structurally zero under SRP, where acquire never blocks).
+    sem_handed_over: u64,
+    /// §6.2 early inheritances (PI's context-switch elimination).
+    early_inherits: u64,
+    /// SRP job starts deferred by the system ceiling (SRP's entire
+    /// blocking, concentrated before the job runs).
+    ceiling_defers: u64,
+}
+
+/// Reduces a finished run to the policy-comparison counters.
+fn policy_side(k: &Kernel) -> PolicySide {
+    let m = k.metrics();
+    PolicySide {
+        deadline_misses: m.deadline_misses,
+        context_switches: m.context_switches,
+        jobs_completed: m.tasks.iter().map(|t| t.jobs_completed).sum(),
+        sem_acquired: m.counters.sem_acquired,
+        sem_contended: m.counters.sem_contended,
+        sem_handed_over: m.counters.sem_handed_over,
+        early_inherits: m.counters.early_inherits,
+        ceiling_defers: m.counters.ceiling_defers,
+    }
+}
+
+/// Each scenario runs 400 ms under PI (the EMERALDS scheme) and under
+/// SRP. Each policy fights contention with its own weapon — PI with
+/// early inheritance and hand-over, SRP with ceiling deferral and
+/// *zero* in-lock blocking — while both agree on the outcome that
+/// matters (deadlines) and grant the same critical sections. Every
+/// counter holds its pinned value.
+#[test]
+fn policy_ab_rows_show_rival_mechanisms() {
+    let side = |jobs: u64, switches: u64| PolicySide {
+        context_switches: switches,
+        jobs_completed: jobs,
+        sem_acquired: jobs,
+        ..PolicySide::default()
+    };
+    // (scenario, PI, SRP, SRP's (ceiling pushes, max stack depth,
+    // unexpected blocks)).
+    let pinned = [
+        (
+            "uncontended",
+            side(774, 1_545),
+            PolicySide {
+                ceiling_defers: 1,
+                ..side(774, 1_545)
+            },
+            (774, 2, 0),
+        ),
+        (
+            "contended",
+            PolicySide {
+                sem_handed_over: 45,
+                early_inherits: 45,
+                ..side(179, 358)
+            },
+            PolicySide {
+                ceiling_defers: 45,
+                ..side(179, 358)
+            },
+            (179, 1, 0),
+        ),
+        (
+            "longblock",
+            PolicySide {
+                sem_handed_over: 20,
+                early_inherits: 20,
+                ..side(220, 440)
+            },
+            PolicySide {
+                ceiling_defers: 20,
+                ..side(220, 440)
+            },
+            (220, 1, 0),
+        ),
+    ];
+    for (sc, pi_want, srp_want, ceiling_want) in pinned {
+        let mut pi_k = policy_scenario(sc, SemScheme::Emeralds);
+        pi_k.run_until(Time::from_ms(400));
+        let mut srp_k = policy_scenario(sc, SemScheme::Srp);
+        srp_k.run_until(Time::from_ms(400));
+        let (pi, srp) = (policy_side(&pi_k), policy_side(&srp_k));
+        let stats = srp_k.srp_stats().expect("SRP kernel reports SRP stats");
+        let pushes = srp_k.counters().ceiling_pushes;
+
+        assert_eq!(
+            stats.unexpected_blocks, 0,
+            "{sc}: SRP acquire never blocks on a validated graph"
+        );
+        assert_eq!(
+            (srp.sem_handed_over, srp.sem_contended),
+            (0, 0),
+            "{sc}: SRP needs no lock hand-over"
+        );
+        assert_eq!(
+            pi.deadline_misses, srp.deadline_misses,
+            "{sc}: both policies meet the same deadlines"
+        );
+        assert_eq!(
+            pi.sem_acquired, srp.sem_acquired,
+            "{sc}: both policies grant the same critical sections"
+        );
+        assert!(pushes > 0, "{sc}: SRP ceiling stack exercised");
+        if sc == "uncontended" {
+            assert_eq!(
+                (pi.sem_contended, pi.early_inherits),
+                (0, 0),
+                "{sc}: PI sees no contention either"
+            );
+        } else {
+            assert!(
+                pi.sem_handed_over + pi.early_inherits > 0,
+                "{sc}: PI contention machinery engaged"
+            );
+            assert!(
+                srp.ceiling_defers > 0,
+                "{sc}: SRP deferred conflicting releases"
+            );
+        }
+        if sc == "longblock" {
+            assert!(
+                srp.context_switches <= pi.context_switches,
+                "{sc}: SRP needs no extra context switches"
+            );
+            assert!(pi.early_inherits > 0, "{sc}: PI early-inherits");
+            assert!(stats.max_stack_depth >= 1, "{sc}: SRP stack used");
+        }
+
+        assert_eq!(pi, pi_want, "{sc}: PI");
+        assert_eq!(srp, srp_want, "{sc}: SRP");
+        assert_eq!(
+            (pushes, stats.max_stack_depth, stats.unexpected_blocks),
+            ceiling_want,
+            "{sc}: SRP ceiling"
+        );
     }
 }
 

@@ -1,12 +1,13 @@
 //! Observability-layer tests: literal event sequences around a
 //! contended `acquire_sem()` under both §6 schemes, a golden
-//! [`KernelMetrics`] snapshot, deadline-miss forensics, bounded
-//! ring-trace recording, and JSONL export.
+//! [`KernelMetrics`] snapshot, the hot-path work counters of a mixed
+//! workload, deadline-miss forensics, bounded ring-trace recording, and
+//! JSONL export.
 
 use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig, ServiceCounters};
-use emeralds::core::script::{Action, Script};
+use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::{SchedPolicy, SemScheme};
-use emeralds::sim::{Duration, SemId, ThreadId, Time, TraceEvent};
+use emeralds::sim::{Duration, SemId, SimRng, StateId, ThreadId, Time, TraceEvent};
 
 /// The Figure 6/8 scenario: a low-priority task (T1) takes the lock,
 /// then the high-priority task (T0) is released mid-critical-section
@@ -254,6 +255,133 @@ fn golden_kernel_metrics_snapshot() {
     // Both renderings exist and carry the headline numbers.
     assert!(m.render().contains("ctxsw 6"));
     assert!(m.to_json().contains("\"sem_handed_over\": 1"));
+}
+
+/// A mix that exercises every kernel hot path: many periodic releases
+/// (timer and scheduler pressure), a mostly-uncontended mutex, one
+/// genuinely contended mutex, and a state-message producer/consumer
+/// pair.
+fn hot_path_workload(seed: u64) -> Kernel {
+    let mut rng = SimRng::seeded(seed);
+    let mut b = KernelBuilder::new(KernelConfig {
+        policy: SchedPolicy::Csd {
+            boundaries: vec![2],
+        },
+        record_trace: false,
+        ..KernelConfig::default()
+    });
+    let p = b.add_process("hotpath");
+    let quiet = b.add_mutex();
+    let busy = b.add_mutex();
+
+    // A producer updating a state message, and a consumer reading it.
+    let writer = b.add_periodic_task(
+        p,
+        "producer",
+        Duration::from_ms(2),
+        Script::periodic(vec![
+            Action::Compute(Duration::from_us(40)),
+            Action::StateWrite {
+                var: StateId(0),
+                value: Operand::Const(7),
+            },
+        ]),
+    );
+    let var = b.add_state_msg(writer, 8, 4, &[p]);
+    assert_eq!(var, StateId(0));
+    b.add_periodic_task(
+        p,
+        "consumer",
+        Duration::from_ms(1),
+        Script::periodic(vec![
+            Action::StateRead(var),
+            Action::Compute(Duration::from_us(30)),
+        ]),
+    );
+
+    // Uncontended mutex: a lone task takes and releases it each job.
+    b.add_periodic_task(
+        p,
+        "solo-lock",
+        Duration::from_us(1_500),
+        Script::periodic(vec![
+            Action::AcquireSem(quiet),
+            Action::Compute(Duration::from_us(25)),
+            Action::ReleaseSem(quiet),
+        ]),
+    );
+    // Contended mutex: a long-period task holds `busy` for 1 ms, and
+    // a short-period task is phased so roughly every other of its
+    // releases lands inside that critical section — keeping the
+    // general path (inheritance, hand-over, pre-lock parking)
+    // exercised.
+    b.add_periodic_task(
+        p,
+        "hog-lo",
+        Duration::from_ms(6),
+        Script::periodic(vec![
+            Action::AcquireSem(busy),
+            Action::Compute(Duration::from_ms(1)),
+            Action::ReleaseSem(busy),
+        ]),
+    );
+    b.add_periodic_task_phased(
+        p,
+        "hog-hi",
+        Duration::from_ms(3),
+        Duration::from_ms(3),
+        Duration::from_us(500),
+        Script::periodic(vec![
+            Action::AcquireSem(busy),
+            Action::Compute(Duration::from_us(100)),
+            Action::ReleaseSem(busy),
+        ]),
+    );
+    // Filler periodics: scheduler and timer pressure.
+    for f in 0..10 {
+        let period = Duration::from_us(rng.int_in(700, 2_000));
+        b.add_periodic_task(
+            p,
+            format!("ctl{f}"),
+            period,
+            Script::compute_only(Duration::from_us(rng.int_in(15, 40))),
+        );
+    }
+    b.build()
+}
+
+/// The hot-path workload's work counters after 400 ms: the semaphore
+/// fast path is taken, contention still reaches the general path,
+/// state-message reads never retry, and every counter (the timer
+/// queue's included) holds its pinned value.
+#[test]
+fn hot_path_work_counters() {
+    let mut k = hot_path_workload(0x407);
+    k.run_until(Time::from_ms(400));
+    let c = k.counters();
+    let fast = k.sem_fast_acquires();
+    assert!(
+        fast > 0 && fast <= c.sem_acquired,
+        "sem fast path taken ({fast} of {} acquisitions)",
+        c.sem_acquired
+    );
+    assert!(
+        c.sem_contended + c.early_inherits > 0,
+        "contention still exercised ({} blocks, {} early inherits)",
+        c.sem_contended,
+        c.early_inherits
+    );
+    assert_eq!(c.statemsg_retries, 0, "state-message reads retry-free");
+
+    assert_eq!(k.dispatch_cache_stats().0, 9_650);
+    assert_eq!(
+        (c.sem_acquired, c.sem_contended, c.early_inherits),
+        (468, 0, 65)
+    );
+    assert_eq!(fast, 401);
+    assert_eq!((c.statemsg_reads, c.statemsg_retries), (400, 0));
+    // (arms, sum of heap heights after each arm, expirations).
+    assert_eq!(k.timer_stats(), (4_807, 14_410, 4_792));
 }
 
 /// An over-utilized EDF workload misses; the kernel captures a
