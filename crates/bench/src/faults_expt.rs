@@ -26,14 +26,11 @@
 //! instant minus the original writer stamp), so the sweep maps fault
 //! intensity directly to control-loop staleness.
 
-use emeralds_core::kernel::{KernelBuilder, KernelConfig};
-use emeralds_core::script::{Action, Operand, Script};
-use emeralds_core::{Kernel, SchedPolicy};
 use emeralds_faults::FaultPlan;
-use emeralds_fieldbus::{addressed_tag, Cluster};
-use emeralds_sim::{Duration, DurationHistogram, IrqLine, MboxId, NodeId, SimRng, StateId, Time};
+use emeralds_fieldbus::Cluster;
+use emeralds_sim::{DurationHistogram, NodeId, Time};
 
-const NIC_IRQ: IrqLine = IrqLine(2);
+use crate::scale_expt::{build_pairs, STATE_VAR};
 
 /// One fault intensity in the sweep.
 #[derive(Clone, Copy, Debug)]
@@ -110,155 +107,26 @@ impl FaultParams {
     }
 }
 
-/// A sensor board: like `scale_expt::sensor_node`, but the sampling
-/// task also publishes its reading into a state-message variable whose
-/// versions the NIC replicates to the paired consumer (overwrite, not
-/// queue — §7 semantics on the wire).
-fn state_sensor_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, MboxId, StateId) {
-    let mut b = KernelBuilder::new(KernelConfig {
-        policy: SchedPolicy::Csd {
-            boundaries: vec![2],
-        },
-        record_trace: false,
-        ..KernelConfig::default()
-    });
-    let p = b.add_process(format!("sensor{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(8);
-    b.board_mut().add_nic("can", NIC_IRQ);
-    let period = Duration::from_us(rng.int_in(8_000, 12_000));
-    let sample = b.add_periodic_task(
-        p,
-        "sample",
-        period,
-        Script::periodic(vec![
-            Action::Compute(Duration::from_us(rng.int_in(80, 200))),
-            Action::StateWrite {
-                var: StateId(0),
-                value: Operand::Const(i as u32),
-            },
-            Action::SendMbox {
-                mbox: tx,
-                bytes: 8,
-                tag: addressed_tag(Some(dst), (i as u32) & 0x00FF_FFFF),
-            },
-        ]),
-    );
-    let var = b.add_state_msg(sample, 8, 3, &[]);
-    assert_eq!(var, StateId(0), "first state message gets id 0");
-    for f in 0..8 {
-        let period = Duration::from_us(rng.int_in(500, 1_000));
-        b.add_periodic_task(
-            p,
-            format!("ctl{f}"),
-            period,
-            Script::compute_only(Duration::from_us(rng.int_in(18, 40))),
-        );
-    }
-    b.add_driver_task(
-        p,
-        "nicdrv",
-        Duration::from_ms(2),
-        Script::looping(vec![
-            Action::RecvMbox(rx),
-            Action::Compute(Duration::from_us(20)),
-        ]),
-    );
-    (b.build(), tx, rx, var)
-}
-
-/// A consumer board: like `scale_expt::consumer_node`, but its 10 ms
-/// control law reads the NIC-fed state-message replica, recording the
-/// end-to-end data age of every sample it consumes.
-fn state_consumer_node(i: usize, rng: &mut SimRng) -> (Kernel, MboxId, MboxId, StateId) {
-    let mut b = KernelBuilder::new(KernelConfig {
-        policy: SchedPolicy::Csd {
-            boundaries: vec![2],
-        },
-        record_trace: false,
-        ..KernelConfig::default()
-    });
-    let p = b.add_process(format!("consumer{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
-    let var = b.add_state_replica(p, 8, 3, &[]);
-    b.add_driver_task(
-        p,
-        "nicdrv",
-        Duration::from_ms(2),
-        Script::looping(vec![
-            Action::RecvMbox(rx),
-            Action::Compute(Duration::from_us(rng.int_in(60, 140))),
-        ]),
-    );
-    b.add_periodic_task(
-        p,
-        "law",
-        Duration::from_ms(10),
-        Script::periodic(vec![
-            Action::StateRead(var),
-            Action::Compute(Duration::from_us(rng.int_in(600, 1_100))),
-        ]),
-    );
-    for f in 0..8 {
-        let period = Duration::from_us(rng.int_in(500, 1_000));
-        b.add_periodic_task(
-            p,
-            format!("ctl{f}"),
-            period,
-            Script::compute_only(Duration::from_us(rng.int_in(18, 40))),
-        );
-    }
-    (b.build(), tx, rx, var)
-}
-
 /// Builds the n-node state-linked workload: the experiment-SC pairing
-/// (sensor *i* → consumer *n/2+i*), plus one `link_state` channel per
-/// pair carrying the sensor's state-message versions. State frames
-/// arbitrate below all mailbox traffic (ids `n+1..`), so fault-induced
-/// bus congestion shows up directly as data age. `_workers` is
-/// ignored: a single bus runs on the calling thread.
+/// (sensor *i* → consumer *n/2+i*) with a state message on each pair,
+/// plus one `link_state` channel per pair carrying the sensor's
+/// state-message versions. State frames arbitrate below all mailbox
+/// traffic (ids `n+1..`), so fault-induced bus congestion shows up
+/// directly as data age. `_workers` is ignored: a single bus runs on
+/// the calling thread.
 ///
 /// # Panics
 ///
 /// Panics when `n < 2` or `n` is odd.
 pub fn build_state_cluster(n: usize, seed: u64, _workers: usize) -> Cluster {
-    assert!(
-        n >= 2 && n.is_multiple_of(2),
-        "node count must be even and >= 2"
-    );
-    let mut rng = SimRng::seeded(seed);
-    let mut c = Cluster::new(1_000_000);
+    let mut c = build_pairs(n, seed, true);
     let half = n / 2;
-    let mut sensor_vars = Vec::with_capacity(half);
-    for i in 0..half {
-        let mut node_rng = rng.derive(i as u64);
-        let dst = NodeId((half + i) as u32);
-        let (k, tx, rx, var) = state_sensor_node(i, dst, &mut node_rng);
-        c.add_node(format!("sensor{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
-        sensor_vars.push(var);
-    }
-    let mut consumer_vars = Vec::with_capacity(half);
-    for i in 0..half {
-        let mut node_rng = rng.derive((half + i) as u64);
-        let (k, tx, rx, var) = state_consumer_node(i, &mut node_rng);
-        c.add_node(
-            format!("consumer{i}"),
-            k,
-            tx,
-            rx,
-            NIC_IRQ,
-            (half + i + 1) as u32,
-        );
-        consumer_vars.push(var);
-    }
     for i in 0..half {
         c.link_state(
             NodeId(i as u32),
-            sensor_vars[i],
+            STATE_VAR,
             NodeId((half + i) as u32),
-            consumer_vars[i],
+            STATE_VAR,
             (n + i + 1) as u32,
             8,
         );

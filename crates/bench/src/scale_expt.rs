@@ -15,10 +15,10 @@
 use std::time::Instant;
 
 use emeralds_core::kernel::{KernelBuilder, KernelConfig};
-use emeralds_core::script::{Action, Script};
+use emeralds_core::script::{Action, Operand, Script};
 use emeralds_core::{Kernel, SchedPolicy};
 use emeralds_fieldbus::{addressed_tag, Cluster};
-use emeralds_sim::{Duration, IrqLine, MboxId, NodeId, SimRng, Time};
+use emeralds_sim::{Duration, IrqLine, MboxId, NodeId, SimRng, StateId, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 
@@ -81,10 +81,16 @@ pub struct ScaleRun {
     pub node_advances: u64,
 }
 
+/// The state message of a `state` board: each board's first, so it
+/// has the same id on the sensor and on the consumer.
+pub(crate) const STATE_VAR: StateId = StateId(0);
+
 /// A sensor board: samples on a jittered period and sends an addressed
 /// frame to its paired consumer, plus filler control tasks that give
-/// the executive real kernel work per epoch.
-fn sensor_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
+/// the executive real kernel work per epoch. With `state`, the sampling
+/// task also publishes its reading into [`STATE_VAR`], a §7 state
+/// message for the NIC to replicate to the consumer.
+fn sensor_node(i: usize, dst: NodeId, state: bool, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![2],
@@ -97,19 +103,22 @@ fn sensor_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, Mbox
     let rx = b.add_mailbox(8);
     b.board_mut().add_nic("can", NIC_IRQ);
     let period = Duration::from_us(rng.int_in(8_000, 12_000));
-    b.add_periodic_task(
-        p,
-        "sample",
-        period,
-        Script::periodic(vec![
-            Action::Compute(Duration::from_us(rng.int_in(80, 200))),
-            Action::SendMbox {
-                mbox: tx,
-                bytes: 8,
-                tag: addressed_tag(Some(dst), (i as u32) & 0x00FF_FFFF),
-            },
-        ]),
-    );
+    let mut job = vec![Action::Compute(Duration::from_us(rng.int_in(80, 200)))];
+    if state {
+        job.push(Action::StateWrite {
+            var: STATE_VAR,
+            value: Operand::Const(i as u32),
+        });
+    }
+    job.push(Action::SendMbox {
+        mbox: tx,
+        bytes: 8,
+        tag: addressed_tag(Some(dst), i as u32),
+    });
+    let sample = b.add_periodic_task(p, "sample", period, Script::periodic(job));
+    if state {
+        assert_eq!(b.add_state_msg(sample, 8, 3, &[]), STATE_VAR);
+    }
     for f in 0..8 {
         let period = Duration::from_us(rng.int_in(500, 1_000));
         b.add_periodic_task(
@@ -132,8 +141,10 @@ fn sensor_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, Mbox
 }
 
 /// A consumer board: IRQ-driven NIC driver feeding a control law, plus
-/// filler tasks.
-fn consumer_node(i: usize, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
+/// filler tasks. With `state`, the 10 ms control law first reads
+/// [`STATE_VAR`], the NIC-fed replica of its sensor's state message,
+/// recording the end-to-end data age of every sample it consumes.
+fn consumer_node(i: usize, state: bool, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![2],
@@ -145,6 +156,11 @@ fn consumer_node(i: usize, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
     let tx = b.add_mailbox(8);
     let rx = b.add_mailbox(16);
     b.board_mut().add_nic("can", NIC_IRQ);
+    let mut law = Vec::new();
+    if state {
+        assert_eq!(b.add_state_replica(p, 8, 3, &[]), STATE_VAR);
+        law.push(Action::StateRead(STATE_VAR));
+    }
     b.add_driver_task(
         p,
         "nicdrv",
@@ -154,12 +170,8 @@ fn consumer_node(i: usize, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
             Action::Compute(Duration::from_us(rng.int_in(60, 140))),
         ]),
     );
-    b.add_periodic_task(
-        p,
-        "law",
-        Duration::from_ms(10),
-        Script::compute_only(Duration::from_us(rng.int_in(600, 1_100))),
-    );
+    law.push(Action::Compute(Duration::from_us(rng.int_in(600, 1_100))));
+    b.add_periodic_task(p, "law", Duration::from_ms(10), Script::periodic(law));
     for f in 0..8 {
         let period = Duration::from_us(rng.int_in(500, 1_000));
         b.add_periodic_task(
@@ -180,6 +192,16 @@ fn consumer_node(i: usize, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
 ///
 /// Panics when `n < 2` or `n` is odd.
 pub fn build_cluster(n: usize, seed: u64, _workers: usize) -> Cluster {
+    build_pairs(n, seed, false)
+}
+
+/// [`build_cluster`]'s sensor → consumer pairs, each pair with a
+/// state message when `state` is set.
+///
+/// # Panics
+///
+/// Panics when `n < 2` or `n` is odd.
+pub(crate) fn build_pairs(n: usize, seed: u64, state: bool) -> Cluster {
     assert!(
         n >= 2 && n.is_multiple_of(2),
         "node count must be even and >= 2"
@@ -190,12 +212,12 @@ pub fn build_cluster(n: usize, seed: u64, _workers: usize) -> Cluster {
     for i in 0..half {
         let mut node_rng = rng.derive(i as u64);
         let dst = NodeId((half + i) as u32);
-        let (k, tx, rx) = sensor_node(i, dst, &mut node_rng);
+        let (k, tx, rx) = sensor_node(i, dst, state, &mut node_rng);
         c.add_node(format!("sensor{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
     }
     for i in 0..half {
         let mut node_rng = rng.derive((half + i) as u64);
-        let (k, tx, rx) = consumer_node(i, &mut node_rng);
+        let (k, tx, rx) = consumer_node(i, state, &mut node_rng);
         c.add_node(
             format!("consumer{i}"),
             k,
@@ -233,7 +255,7 @@ fn quiet_sensor_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId
             Action::SendMbox {
                 mbox: tx,
                 bytes: 8,
-                tag: addressed_tag(Some(dst), (i as u32) & 0x00FF_FFFF),
+                tag: addressed_tag(Some(dst), i as u32),
             },
         ]),
     );

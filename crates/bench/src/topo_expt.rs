@@ -51,7 +51,7 @@ use emeralds_core::kernel::{KernelBuilder, KernelConfig};
 use emeralds_core::script::{Action, Script};
 use emeralds_core::{Kernel, SchedPolicy};
 use emeralds_faults::FaultPlan;
-use emeralds_fieldbus::{wide_tag, GatewayConfig, GatewayId, GatewayPolicy, Topology};
+use emeralds_fieldbus::{addressed_tag, GatewayConfig, GatewayId, GatewayPolicy, Topology};
 use emeralds_sim::{Duration, IrqLine, MboxId, NodeId, SimRng, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
@@ -151,7 +151,7 @@ impl TopoParams {
     }
 }
 
-/// One application node: a periodic sender shipping a wide-addressed
+/// One application node: a periodic sender shipping an addressed
 /// (or broadcast) frame, and the NIC drain driver.
 fn app_node(
     i: usize,
@@ -177,7 +177,7 @@ fn app_node(
             Action::SendMbox {
                 mbox: tx,
                 bytes: 8,
-                tag: wide_tag(dst, (i as u32) & 0xFFFF),
+                tag: addressed_tag(dst, i as u32),
             },
         ]),
     );

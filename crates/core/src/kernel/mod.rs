@@ -34,7 +34,7 @@ use crate::ipc::{Mailbox, SharedRegion, StateMsgVar};
 use crate::parser;
 use crate::proc::Process;
 use crate::sched::{SchedPolicy, SchedulerImpl};
-use crate::script::{Script, ScriptKind};
+use crate::script::{Action, Script, ScriptKind};
 use crate::sync::policy::{make_policy, LockPolicy};
 use crate::sync::{CondVar, SemScheme, Semaphore, SrpStats};
 use crate::tcb::{QueueAssign, Tcb, TcbTable, Timing};
@@ -707,23 +707,39 @@ impl KernelBuilder {
             }
             let proc = spec.proc;
             let timing = spec.timing;
+            // One timer block per event the task can have pending at
+            // once: its release, a constrained-deadline check, a
+            // `SleepFor` wake.
+            let sleeps = spec
+                .script
+                .actions
+                .iter()
+                .any(|a| matches!(a, Action::SleepFor(_)));
+            let mut timer_blocks = usize::from(sleeps);
             let mut tcb = Tcb::new(tid, proc, spec.name, timing, spec.script, prio, queue);
             tcb.hints = hints;
             pools.tcbs.alloc();
             self.procs[proc.index()].add_thread(tid);
             match timing {
-                Timing::Periodic { phase, .. } => {
+                Timing::Periodic {
+                    phase,
+                    deadline,
+                    period,
+                } => {
                     tcb.next_release = Time::ZERO + phase;
                     // Boot-time programming: counted, not charged.
                     timers.push(tcb.next_release, TimerEvent::Release(tid));
                     timer_heights += u64::from(timers.len().ilog2());
-                    pools.timers.alloc();
+                    timer_blocks += 1 + usize::from(deadline < period);
                 }
                 Timing::EventDriven { rank } => {
                     // First sporadic activation: one inter-arrival
                     // time from boot.
                     tcb.abs_deadline = Time::ZERO + rank;
                 }
+            }
+            for _ in 0..timer_blocks {
+                pools.timers.alloc();
             }
             tcbs.insert(tcb);
         }

@@ -879,6 +879,45 @@ fn tcb_pool_exhaustion_is_fatal() {
     let _ = b.build();
 }
 
+/// The timer pool holds one block per event a task can have pending at
+/// once: a release, a constrained-deadline check and a `SleepFor` wake.
+#[test]
+fn timer_pool_covers_every_pending_timer() {
+    // Table 2 (the footprint report's kernel): D = P, no sleeps.
+    let table2 = table2_builder(SchedPolicy::Csd {
+        boundaries: vec![5],
+    });
+    assert_eq!(table2.build().pools().timers.in_use(), 10);
+    let mut b = KernelBuilder::new(cfg(SchedPolicy::DmQueue, SemScheme::Emeralds));
+    let p = b.add_process("app");
+    for (i, period) in [10, 12, 15, 20].into_iter().enumerate() {
+        b.add_periodic_task_phased(
+            p,
+            format!("t{i}"),
+            ms(period),
+            ms(period) / 2,
+            Duration::ZERO,
+            Script::periodic(vec![
+                Action::Compute(us(200)),
+                Action::SleepFor(ms(1)),
+                Action::Compute(us(200)),
+            ]),
+        );
+    }
+    let mut k = b.build();
+    let reserved = k.pools().timers.in_use() as u64;
+    assert_eq!(reserved, 12);
+    let mut peak = 0;
+    let mut t = Time::ZERO;
+    while t < Time::from_ms(100) {
+        t += us(10);
+        k.advance_to(t);
+        let (arms, _, expirations) = k.timer_stats();
+        peak = peak.max(arms - expirations);
+    }
+    assert!(peak > 4 && peak <= reserved, "peak {peak} of {reserved}");
+}
+
 /// A disabled trace still counts switches and misses.
 #[test]
 fn disabled_trace_keeps_counters() {

@@ -29,7 +29,8 @@
 //! microseconds of kernel work per node, and on a two-core host a
 //! cross-core barrier per epoch cost more than the second core gave
 //! back (DESIGN.md §9). Host threads run one level up instead, between
-//! the segments of a [`crate::Topology`].
+//! the segments of a [`crate::Topology`], each of which is a `Cluster`
+//! advanced as an [`EpochGroup`].
 
 use std::collections::VecDeque;
 
@@ -37,11 +38,12 @@ use emeralds_core::kernel::{ClusterMetrics, NodeMetrics};
 use emeralds_core::Kernel;
 use emeralds_faults::{FaultClock, FaultPlan};
 use emeralds_sim::{
-    run_epochs, ActiveSet, Barrier, Duration, EpochNode, IrqLine, MboxId, NodeId, StateId, Time,
+    run_epochs, ActiveSet, Barrier, Duration, EpochGroup, EpochNode, IrqLine, MboxId, NodeId,
+    StateId, Time,
 };
 
 use crate::errors::{error_time, recovery_time, FailStopGate, NodeStats};
-use crate::{frame_of, frame_of_wide, garbage_frame, BusStats, Frame, StateLink, StatePayload};
+use crate::{frame_of, garbage_frame, BusStats, Frame, StateLink, StatePayload};
 pub use emeralds_sim::EpochStats;
 
 /// A frame reception staged at a barrier and applied by the receiving
@@ -94,6 +96,9 @@ pub struct ClusterNode {
     pub tx_prio: u32,
     /// NIC statistics and CAN error-confinement state.
     pub stats: NodeStats,
+    /// The gateway this node is a bridge NIC of, on a
+    /// [`crate::Topology`] segment.
+    pub(crate) gateway: Option<u32>,
     gate: Option<FailStopGate>,
     /// Receptions staged at the last barrier, applied at the top of
     /// the next advance (completion order preserved).
@@ -110,10 +115,8 @@ pub struct ClusterNode {
 }
 
 impl ClusterNode {
-    /// Builds a node. `id` is this node's index on its own bus: global
-    /// on a single-bus [`Cluster`], segment-local under a
-    /// [`crate::Topology`].
-    pub(crate) fn new(
+    /// Builds a node. `id` is this node's index on its own bus.
+    fn new(
         id: NodeId,
         name: impl Into<std::sync::Arc<str>>,
         kernel: Kernel,
@@ -131,6 +134,7 @@ impl ClusterNode {
             nic_irq,
             tx_prio,
             stats: NodeStats::default(),
+            gateway: None,
             gate: None,
             inbox: Vec::new(),
             outcome: RxOutcome::default(),
@@ -250,16 +254,8 @@ impl EpochNode for ClusterNode {
     }
 }
 
-/// Maps global node ids onto one segment of a bridged topology.
-#[derive(Debug)]
-pub(crate) struct SegmentRouting {
-    /// Indexed by *global* node id: this segment's local index for the
-    /// node, or `u32::MAX` when the node lives on another segment.
-    pub(crate) local_of: Vec<u32>,
-}
-
-/// The shared-bus state mutated only at epoch barriers. One per
-/// [`Cluster`]; one per segment under a [`crate::Topology`].
+/// The shared-bus state mutated only at epoch barriers, one per
+/// [`Cluster`].
 #[derive(Debug)]
 pub(crate) struct BusState {
     bitrate_bps: u64,
@@ -282,17 +278,15 @@ pub(crate) struct BusState {
     adaptive: bool,
     /// Compiled fault schedule, when one is installed.
     faults: Option<FaultClock>,
-    /// Bridged-topology routing, when this bus is one segment of a
-    /// [`crate::Topology`]; `None` on a standalone cluster.
-    pub(crate) routing: Option<SegmentRouting>,
+    /// When this bus is one segment of a [`crate::Topology`]: indexed
+    /// by *global* node id, this segment's local index for the node, or
+    /// `u32::MAX` when the node lives on another segment. `None` on a
+    /// standalone cluster.
+    pub(crate) local_of: Option<Vec<u32>>,
     /// Completed frames addressed off-segment, awaiting pickup by the
     /// topology executive at the next inter-segment barrier (wire
     /// -completion time, frame).
     pub(crate) remote_out: Vec<(Time, Frame)>,
-    /// Decode TX-mailbox tags with [`crate::wide_tag`]'s 16-bit
-    /// destination field instead of [`crate::addressed_tag`]'s 8-bit
-    /// one (bridged topologies exceed one byte of node ids).
-    pub(crate) wide_tags: bool,
     /// Reused receiver-index buffer for [`BusState::stage`]: staging a
     /// frame in the steady state must not allocate.
     stage_scratch: Vec<usize>,
@@ -323,9 +317,8 @@ impl BusState {
             lookahead: Duration::ZERO,
             adaptive: true,
             faults: None,
-            routing: None,
+            local_of: None,
             remote_out: Vec::new(),
-            wide_tags: false,
             stage_scratch: Vec::new(),
             bus_off: Vec::new(),
             visit: Vec::new(),
@@ -348,47 +341,12 @@ impl BusState {
         self.seq += 1;
     }
 
-    /// Installs a fault plan whose node indices are this bus's own:
-    /// fail-stop gates on the affected nodes plus the corruption and
-    /// babble schedule on the bus.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan references a node index out of range.
-    pub(crate) fn install_faults(&mut self, nodes: &mut [ClusterNode], plan: &FaultPlan) {
-        let fc = FaultClock::new(plan, nodes.len());
-        for (i, node) in nodes.iter_mut().enumerate() {
-            let windows = fc.down_windows(i);
-            node.gate = (!windows.is_empty()).then(|| FailStopGate::new(windows));
-        }
-        self.faults = Some(fc);
-    }
-
-    /// Advances `nodes` from `origin` to `horizon` in epochs, running
-    /// [`BusState::exchange`] and the next-barrier proposal at every
-    /// barrier: the one epoch loop of a single bus, shared by
-    /// [`Cluster::run_until`] and each segment of a
-    /// [`crate::Topology`].
-    pub(crate) fn run_nodes(
-        &mut self,
-        nodes: &mut [ClusterNode],
-        set: &mut ActiveSet,
-        origin: Time,
-        horizon: Time,
-    ) -> EpochStats {
-        let lookahead = self.lookahead;
-        run_epochs(nodes, set, origin, horizon, lookahead, &mut |nodes, b| {
-            self.exchange(nodes, b);
-            self.next_barrier_proposal(nodes, b.wake_min(), b.at, origin, horizon)
-        })
-    }
-
     /// Re-reads every node's wake and which nodes are in bus-off. Both
     /// stay exact across runs (the engine records every wake it changes
-    /// and the exchange keeps the bus-off list), so callers run this
-    /// only when a node was added or handed out mutably since the last
-    /// run: node stats and kernels are public.
-    pub(crate) fn refresh(&mut self, nodes: &[ClusterNode], set: &mut ActiveSet) {
+    /// and the exchange keeps the bus-off list), so this runs only when
+    /// a node was added or handed out mutably since the last run: node
+    /// stats and kernels are public.
+    fn refresh(&mut self, nodes: &[ClusterNode], set: &mut ActiveSet) {
         set.refresh(nodes);
         self.bus_off.clear();
         self.bus_off
@@ -446,7 +404,7 @@ impl BusState {
     /// node holds no tallies, no TX and no offline state, so skipping
     /// it changes nothing; the error-frame observers below still visit
     /// every node.
-    pub(crate) fn exchange(&mut self, nodes: &mut [ClusterNode], b: &mut Barrier<'_>) {
+    fn exchange(&mut self, nodes: &mut [ClusterNode], b: &mut Barrier<'_>) {
         let now = b.at;
         // 0. Fold the elapsed epoch's node-local delivery tallies.
         self.fold_tallies(nodes, b.active);
@@ -504,11 +462,7 @@ impl BusState {
                     self.stats.frames_lost_offline += 1;
                     continue;
                 }
-                let frame = if self.wide_tags {
-                    frame_of_wide(node.id, node.tx_prio, msg, now)
-                } else {
-                    frame_of(node.id, node.tx_prio, msg, now)
-                };
+                let frame = frame_of(node.id, node.tx_prio, msg, now);
                 self.pending.push((frame.prio, self.seq, frame));
                 self.seq += 1;
             }
@@ -656,9 +610,9 @@ impl BusState {
         let mut targets = std::mem::take(&mut self.stage_scratch);
         debug_assert!(targets.is_empty());
         match frame.dst {
-            Some(d) => match self.routing.as_ref() {
-                Some(r) => {
-                    let local = r.local_of.get(d.index()).copied().unwrap_or(u32::MAX);
+            Some(d) => match self.local_of.as_ref() {
+                Some(local_of) => {
+                    let local = local_of.get(d.index()).copied().unwrap_or(u32::MAX);
                     if local == u32::MAX {
                         self.remote_out.push((done, frame));
                         self.stage_scratch = targets;
@@ -766,7 +720,7 @@ impl BusState {
     /// bound costs no pass over the nodes. A wake before `now` — a
     /// busy node, or a timer a fail-stop stall left overdue — vetoes
     /// the stretch.
-    pub(crate) fn next_barrier_proposal(
+    fn next_barrier_proposal(
         &self,
         nodes: &[ClusterNode],
         wake_min: Time,
@@ -828,8 +782,7 @@ impl BusState {
         Some(target)
     }
 
-    /// End-of-run flush, shared by [`Cluster::run_until`] and the
-    /// topology executive, after [`ActiveSet::catch_up`] brought every
+    /// End-of-run flush, after [`ActiveSet::catch_up`] brought every
     /// node to the horizon and applied the inboxes staged at the final
     /// barrier: fold the tallies of the nodes it advanced (`caught_up`),
     /// and snapshot what is still underway so the ledger `sent ==
@@ -837,7 +790,7 @@ impl BusState {
     /// (garbage frames never counted as sent, so they don't count
     /// here). Every other node's last advance ran in an epoch, whose
     /// exchange already folded its tally.
-    pub(crate) fn flush_run_end(&mut self, nodes: &mut [ClusterNode], caught_up: &[usize]) {
+    fn flush_run_end(&mut self, nodes: &mut [ClusterNode], caught_up: &[usize]) {
         self.fold_tallies(nodes, caught_up);
         debug_assert!(
             nodes.iter().all(|n| n.outcome == RxOutcome::default()),
@@ -852,10 +805,10 @@ impl BusState {
 /// lockstep epochs. See the module docs for the epoch/lookahead model.
 #[derive(Debug)]
 pub struct Cluster {
-    nodes: Vec<ClusterNode>,
-    bus: BusState,
+    pub(crate) nodes: Vec<ClusterNode>,
+    pub(crate) bus: BusState,
     /// How far the executive has driven the cluster.
-    cursor: Time,
+    pub(crate) cursor: Time,
     /// Accumulated engine cost accounting across `run_until` calls.
     exec_stats: EpochStats,
     /// The engine's wake array and index lists, persisted so a warmed
@@ -951,7 +904,12 @@ impl Cluster {
     ///
     /// Panics when the plan references a node index out of range.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.bus.install_faults(&mut self.nodes, plan);
+        let fc = FaultClock::new(plan, self.nodes.len());
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            let windows = fc.down_windows(i);
+            node.gate = (!windows.is_empty()).then(|| FailStopGate::new(windows));
+        }
+        self.bus.faults = Some(fc);
     }
 
     /// Registers a networked state-message route: the writer variable
@@ -1048,33 +1006,73 @@ impl Cluster {
         if horizon <= self.cursor {
             return;
         }
+        self.advance(horizon);
+        self.finish();
+    }
+
+    /// The epoch loop from the cursor to `horizon`, running the
+    /// exchange and the next-barrier proposal at every barrier. Nodes
+    /// the loop skipped still lag `horizon` on return;
+    /// [`Cluster::finish`] catches them up. A [`crate::Topology`] calls
+    /// this once per outer epoch of each segment and `finish` once per
+    /// run.
+    pub(crate) fn advance(&mut self, horizon: Time) -> EpochStats {
+        if horizon <= self.cursor {
+            return EpochStats::default();
+        }
         if std::mem::take(&mut self.stale) {
             self.bus.refresh(&self.nodes, &mut self.set);
         }
-        let stats = self
-            .bus
-            .run_nodes(&mut self.nodes, &mut self.set, self.cursor, horizon);
+        let (origin, bus) = (self.cursor, &mut self.bus);
+        let stats = run_epochs(
+            &mut self.nodes,
+            &mut self.set,
+            origin,
+            horizon,
+            bus.lookahead,
+            &mut |nodes, b| {
+                bus.exchange(nodes, b);
+                bus.next_barrier_proposal(nodes, b.wake_min(), b.at, origin, horizon)
+            },
+        );
         self.exec_stats.merge(&stats);
         self.cursor = horizon;
-        self.set.catch_up(&mut self.nodes, horizon);
+        stats
+    }
+
+    /// Ends a run at the cursor: brings every node's clock there and
+    /// flushes the bus stats.
+    pub(crate) fn finish(&mut self) {
+        self.set.catch_up(&mut self.nodes, self.cursor);
         self.bus
             .flush_run_end(&mut self.nodes, self.set.caught_up());
     }
 
     /// Rolls every node's kernel metrics into a [`ClusterMetrics`].
     pub fn metrics(&self) -> ClusterMetrics {
-        ClusterMetrics::from_nodes(
-            self.nodes
-                .iter()
-                .map(|n| NodeMetrics {
-                    name: n.name.clone(),
-                    metrics: n.kernel.metrics(),
-                    faults: n.stats.fault_summary(),
-                    segment: None,
-                    gateway: None,
-                })
-                .collect(),
-        )
+        ClusterMetrics::from_nodes(self.node_metrics(None).collect())
+    }
+
+    /// Every node's metrics entry, in id order, placed on `segment`.
+    pub(crate) fn node_metrics(
+        &self,
+        segment: Option<u32>,
+    ) -> impl Iterator<Item = NodeMetrics> + '_ {
+        self.nodes.iter().map(move |n| NodeMetrics {
+            name: n.name.clone(),
+            metrics: n.kernel.metrics(),
+            faults: n.stats.fault_summary(),
+            segment,
+            gateway: n.gateway,
+        })
+    }
+}
+
+/// A [`crate::Topology`] segment's outer epoch: [`Cluster::advance`],
+/// with the run-end [`Cluster::finish`] left to the topology.
+impl EpochGroup for Cluster {
+    fn advance_group(&mut self, horizon: Time) -> EpochStats {
+        self.advance(horizon)
     }
 }
 
@@ -1392,6 +1390,38 @@ mod tests {
             ]),
         );
         (b.build(), tx, rx)
+    }
+
+    #[test]
+    fn addresses_past_one_byte_reach_only_their_node() {
+        let mut c = Cluster::new(1_000_000);
+        for i in 0..300u32 {
+            let (k, tx, rx) = listener();
+            c.add_node(format!("n{i}"), k, tx, rx, NIC_IRQ, 1 + i);
+        }
+        let src = c.node_mut(NodeId(0));
+        for (dst, payload) in [(255, 7), (256, 9)] {
+            let msg = emeralds_core::ipc::Message {
+                bytes: 8,
+                tag: addressed_tag(Some(NodeId(dst)), payload),
+                sender: emeralds_sim::ThreadId(0),
+            };
+            assert!(src.kernel.external_mbox_push(src.tx_mbox, msg));
+        }
+        c.run_until(Time::from_ms(2));
+        let s = c.stats();
+        assert_eq!((s.frames_sent, s.frames_delivered), (2, 2), "{s:?}");
+        assert_eq!((s.bcast_resolved, s.bcast_fanout), (0, 0), "{s:?}");
+        let driver = emeralds_sim::ThreadId(0);
+        for (i, n) in c.nodes().iter().enumerate() {
+            let expected = match i {
+                255 => (1, 7),
+                256 => (1, 9),
+                _ => (0, 0),
+            };
+            let got = (n.stats.rx_frames, n.kernel.tcb(driver).last_read);
+            assert_eq!(got, expected, "{}", n.name);
+        }
     }
 
     /// A board that sends one frame (`payload` to `dst`) shortly after

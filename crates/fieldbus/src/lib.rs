@@ -21,11 +21,12 @@
 //! in the paper ("inter-node networking issues ... are not covered in
 //! this paper").
 //!
-//! Two executives share this substrate: [`Cluster`] runs one bus on the
-//! calling thread, and [`Topology`] joins several such buses by
-//! store-and-forward gateways. A topology may advance its segments in
-//! parallel across host threads, and gives bit-for-bit identical
-//! results for any worker count.
+//! [`Cluster`] is the one single-bus executive: it runs one bus on the
+//! calling thread. A [`Topology`] holds one `Cluster` per segment and
+//! joins them by store-and-forward gateways; it may advance its
+//! segments in parallel across host threads, and gives bit-for-bit
+//! identical results for any worker count. Every bus decodes one
+//! address format, [`addressed_tag`]'s 16-bit destination field.
 
 pub mod cluster;
 pub mod errors;
@@ -103,7 +104,7 @@ pub struct Frame {
     pub dst: Option<NodeId>,
     /// Payload length in bytes (clamped to classic CAN's 1–8).
     pub bytes: usize,
-    /// Abstract payload word (24 bits travel; see [`addressed_tag`]).
+    /// Abstract payload word (16 bits travel; see [`addressed_tag`]).
     pub tag: u32,
     /// Bus time at which the frame was queued (for latency stats).
     pub queued_at: Time,
@@ -210,21 +211,16 @@ impl BusStats {
     }
 }
 
-/// Builds a frame from an application message. The message tag's high
-/// byte selects a destination node (0xFF = broadcast); the low 24 bits
-/// travel as payload.
+/// Builds a frame from an application message tag in the
+/// [`addressed_tag`] format.
 pub(crate) fn frame_of(src: NodeId, prio: u32, msg: Message, now: Time) -> Frame {
-    let dst_byte = (msg.tag >> 24) as u8;
+    let dst = msg.tag >> 16;
     Frame {
         prio,
         src,
-        dst: if dst_byte == 0xFF {
-            None
-        } else {
-            Some(NodeId(dst_byte as u32))
-        },
+        dst: (dst != 0xFFFF).then_some(NodeId(dst)),
         bytes: msg.bytes.clamp(1, 8),
-        tag: msg.tag & 0x00FF_FFFF,
+        tag: msg.tag & 0xFFFF,
         queued_at: now,
         garbage: false,
         state: None,
@@ -248,41 +244,22 @@ pub(crate) fn garbage_frame(src: NodeId, now: Time) -> Frame {
     }
 }
 
-/// Encodes a destination + payload into a TX-mailbox message tag.
+/// Encodes a destination + payload into a TX-mailbox message tag: the
+/// high 16 bits select the destination node (0xFFFF = broadcast), the
+/// low 16 bits of `payload` travel. The destination is a node id on a
+/// [`Cluster`] and a global id on a [`Topology`], whose broadcasts stay
+/// on the sender's segment.
+///
+/// # Panics
+///
+/// Panics when `dst` does not fit the 16-bit field (id 0xFFFF or more).
 pub fn addressed_tag(dst: Option<NodeId>, payload: u32) -> u32 {
-    let d = dst.map_or(0xFFu32, |n| n.0);
-    (d << 24) | (payload & 0x00FF_FFFF)
-}
-
-/// Wide-addressing variant of [`addressed_tag`] for bridged topologies:
-/// the tag's high 16 bits select a *global* destination node (0xFFFF =
-/// segment-local broadcast), the low 16 bits travel as payload. A
-/// [`Cluster`] keeps the classic 8-bit format; a [`Topology`] node
-/// must use this one (node counts there exceed one byte).
-pub fn wide_tag(dst: Option<NodeId>, payload: u32) -> u32 {
-    let d = dst.map_or(0xFFFFu32, |n| n.0);
-    assert!(d < 0xFFFF || dst.is_none(), "node id exceeds wide tag");
-    (d << 16) | (payload & 0x0000_FFFF)
-}
-
-/// Builds a frame from a wide-addressed message (see [`wide_tag`]).
-pub(crate) fn frame_of_wide(src: NodeId, prio: u32, msg: Message, now: Time) -> Frame {
-    let dst = (msg.tag >> 16) & 0xFFFF;
-    Frame {
-        prio,
-        src,
-        dst: if dst == 0xFFFF {
-            None
-        } else {
-            Some(NodeId(dst))
-        },
-        bytes: msg.bytes.clamp(1, 8),
-        tag: msg.tag & 0x0000_FFFF,
-        queued_at: now,
-        garbage: false,
-        state: None,
-        origin_seg: None,
-    }
+    let d = dst.map_or(0xFFFF, |n| n.0);
+    assert!(
+        d < 0xFFFF || dst.is_none(),
+        "node id {d} does not fit the 16-bit destination field"
+    );
+    (d << 16) | (payload & 0xFFFF)
 }
 
 #[cfg(test)]
@@ -291,8 +268,14 @@ mod tests {
 
     #[test]
     fn addressed_tag_round_trips() {
-        assert_eq!(addressed_tag(Some(NodeId(3)), 0x1234), 0x0300_1234);
-        assert_eq!(addressed_tag(None, 7) >> 24, 0xFF);
+        assert_eq!(addressed_tag(Some(NodeId(3)), 0x1234), 0x0003_1234);
+        assert_eq!(addressed_tag(None, 7) >> 16, 0xFFFF);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the 16-bit destination field")]
+    fn node_ids_past_the_address_field_are_rejected() {
+        addressed_tag(Some(NodeId(0xFFFF)), 0);
     }
 
     #[test]

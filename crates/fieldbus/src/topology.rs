@@ -9,10 +9,11 @@
 //! other. That latency is exploitable lookahead one level up: nodes on
 //! one segment interact within one bus-frame time (the *intra*-segment
 //! horizon), but traffic can only cross a gateway after its forwarding
-//! delay (the *inter*-segment horizon). [`Topology`] therefore runs
-//! each segment as an [`EpochGroup`] under [`run_two_level`]: between
-//! inter-segment barriers every segment's sub-executive runs its own
-//! fine-grained epoch loop; with `w > 1` workers
+//! delay (the *inter*-segment horizon). [`Topology`] therefore holds
+//! each segment as a [`Cluster`] and advances it as an
+//! [`emeralds_sim::EpochGroup`] under [`run_two_level`]: between
+//! inter-segment barriers every segment runs its own fine-grained
+//! single-bus epoch loop; with `w > 1` workers
 //! ([`Topology::with_workers`]) the segments split into at most `w`
 //! contiguous chunks that advance on scoped host threads. At each
 //! barrier a serial exchange on the calling thread moves frames
@@ -25,8 +26,8 @@
 //! segment pair, the first hop of the minimum-cost path, with ties
 //! broken first by hop count and then by gateway registration order —
 //! a deterministic Dijkstra, independent of host parallelism.
-//! Addressed frames carry *global* node ids ([`crate::wide_tag`]); a
-//! frame completing on a segment that does not host its destination is
+//! Addressed frames carry *global* node ids ([`crate::addressed_tag`]);
+//! a frame completing on a segment that does not host its destination is
 //! captured into the next-hop gateway's bounded queue. Broadcasts stay
 //! segment-local. Routes rebuild lazily whenever the graph changes —
 //! a gateway added, failed, or restarted ([`Topology::reroutes`]
@@ -96,17 +97,14 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use emeralds_core::kernel::{ClusterMetrics, KernelBuilder, KernelConfig, NodeMetrics};
+use emeralds_core::kernel::{ClusterMetrics, KernelBuilder, KernelConfig};
 use emeralds_core::script::{Action, Script};
 use emeralds_core::{Kernel, SchedPolicy};
 use emeralds_faults::{FaultEvent, FaultPlan, GatewayFaultClock};
-use emeralds_sim::{
-    run_two_level, ActiveSet, Duration, EpochGroup, EpochStats, IrqLine, MboxId, NodeId, Time,
-    TwoLevelStats,
-};
+use emeralds_sim::{run_two_level, Duration, IrqLine, MboxId, NodeId, Time, TwoLevelStats};
 
-use crate::cluster::{BusState, ClusterNode, SegmentRouting};
-use crate::{BusStats, Frame};
+use crate::cluster::ClusterNode;
+use crate::{BusStats, Cluster, Frame};
 
 /// Identifies one bus segment of a [`Topology`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -322,37 +320,6 @@ struct Gateway {
     stats: GatewayStats,
 }
 
-/// One bus segment: its shared-bus state plus its nodes, advanced as
-/// an [`EpochGroup`] (a serial inner epoch loop per outer epoch).
-#[derive(Debug)]
-struct Segment {
-    bus: BusState,
-    nodes: Vec<ClusterNode>,
-    /// Global node id of each local node, parallel to `nodes`.
-    globals: Vec<u32>,
-    /// The inner engine's wake array, kept across outer epochs: skipped
-    /// nodes lag until a frame lands on them or the public run ends.
-    set: ActiveSet,
-    /// A node was added or handed out mutably since the last run, so
-    /// the wake array and the bus-off list may be out of date.
-    stale: bool,
-    cursor: Time,
-}
-
-impl EpochGroup for Segment {
-    fn advance_group(&mut self, horizon: Time) -> EpochStats {
-        if horizon <= self.cursor || self.nodes.is_empty() {
-            self.cursor = self.cursor.max(horizon);
-            return EpochStats::default();
-        }
-        let stats = self
-            .bus
-            .run_nodes(&mut self.nodes, &mut self.set, self.cursor, horizon);
-        self.cursor = horizon;
-        stats
-    }
-}
-
 /// The end-of-run snapshot of the cross-segment frame ledger; see the
 /// module docs for the invariant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -401,14 +368,14 @@ type RouteTables = (Vec<Vec<Option<u32>>>, Vec<Vec<Option<u64>>>);
 /// docs for the model.
 #[derive(Debug)]
 pub struct Topology {
-    segments: Vec<Segment>,
+    /// One single-bus executive per segment, its nodes numbered
+    /// locally.
+    segments: Vec<Cluster>,
     gateways: Vec<Gateway>,
     /// Global node id → segment index.
     node_seg: Vec<u32>,
     /// Global node id → local index on its segment.
     node_local: Vec<u32>,
-    /// Global node id → gateway id when the node is a gateway NIC.
-    node_gateway: Vec<Option<u32>>,
     /// `routes[s][d]`: gateway to take from segment `s` toward
     /// segment `d` (`None` = unreachable), rebuilt lazily.
     routes: Vec<Vec<Option<u32>>>,
@@ -440,7 +407,6 @@ impl Topology {
             gateways: Vec::new(),
             node_seg: Vec::new(),
             node_local: Vec::new(),
-            node_gateway: Vec::new(),
             routes: Vec::new(),
             route_costs: Vec::new(),
             routes_dirty: true,
@@ -460,32 +426,24 @@ impl Topology {
         self
     }
 
-    /// Adds a bus segment at the given bit rate. Its intra-segment
-    /// lookahead is one max-size frame time.
+    /// Adds a bus segment at the given bit rate, starting at the
+    /// topology's cursor. Its intra-segment lookahead is one max-size
+    /// frame time.
     ///
     /// # Panics
     ///
     /// Panics on a zero bit rate.
     pub fn add_segment(&mut self, bitrate_bps: u64) -> SegmentId {
-        let mut bus = BusState::new(bitrate_bps);
-        bus.wide_tags = true;
-        bus.routing = Some(SegmentRouting {
-            local_of: vec![u32::MAX; self.node_seg.len()],
-        });
-        self.segments.push(Segment {
-            bus,
-            nodes: Vec::new(),
-            globals: Vec::new(),
-            set: ActiveSet::default(),
-            stale: true,
-            cursor: self.cursor,
-        });
+        let mut seg = Cluster::new(bitrate_bps);
+        seg.cursor = self.cursor;
+        seg.bus.local_of = Some(vec![u32::MAX; self.node_seg.len()]);
+        self.segments.push(seg);
         self.routes_dirty = true;
         SegmentId(self.segments.len() as u32 - 1)
     }
 
     /// Attaches a node to `seg` and returns its **global** id — the id
-    /// other nodes address it by via [`crate::wide_tag`]. The kernel
+    /// other nodes address it by via [`crate::addressed_tag`]. The kernel
     /// must already own the two mailboxes and have its NIC wired to
     /// `nic_irq`.
     ///
@@ -530,30 +488,17 @@ impl Topology {
         let si = seg.index();
         assert!(si < self.segments.len(), "unknown segment {seg:?}");
         let global = self.node_seg.len() as u32;
-        assert!(global < 0xFFFF, "wide tags address at most 65534 nodes");
-        let local = self.segments[si].nodes.len() as u32;
+        assert!(global < 0xFFFF, "a topology addresses at most 65535 nodes");
+        let local = self.segments[si].add_node(name, kernel, tx_mbox, rx_mbox, nic_irq, tx_prio);
+        self.segments[si].nodes[local.index()].gateway = gateway;
         // Every segment's routing table gains a column for the new
         // global id; only the hosting segment maps it to a local slot.
         for (k, s) in self.segments.iter_mut().enumerate() {
-            let routing = s.bus.routing.as_mut().expect("segments always route");
-            routing
-                .local_of
-                .push(if k == si { local } else { u32::MAX });
+            let local_of = s.bus.local_of.as_mut().expect("segments always route");
+            local_of.push(if k == si { local.0 } else { u32::MAX });
         }
-        self.segments[si].nodes.push(ClusterNode::new(
-            NodeId(local),
-            name,
-            kernel,
-            tx_mbox,
-            rx_mbox,
-            nic_irq,
-            tx_prio,
-        ));
-        self.segments[si].globals.push(global);
-        self.segments[si].stale = true;
         self.node_seg.push(si as u32);
-        self.node_local.push(local);
-        self.node_gateway.push(gateway);
+        self.node_local.push(local.0);
         NodeId(global)
     }
 
@@ -671,7 +616,7 @@ impl Topology {
             });
         }
         for (seg, p) in self.segments.iter_mut().zip(&per) {
-            seg.bus.install_faults(&mut seg.nodes, p);
+            seg.set_fault_plan(p);
         }
         self.gw_faults = (!plan.gateway_events.is_empty()).then_some(gc);
         self.routes_dirty = true;
@@ -695,7 +640,7 @@ impl Topology {
     /// Node access by global id.
     pub fn node(&self, id: NodeId) -> &ClusterNode {
         let seg = &self.segments[self.node_seg[id.index()] as usize];
-        &seg.nodes[self.node_local[id.index()] as usize]
+        seg.node(NodeId(self.node_local[id.index()]))
     }
 
     /// Mutable node access by global id. The next
@@ -703,13 +648,12 @@ impl Topology {
     /// the node's segment, so any change made here is seen.
     pub fn node_mut(&mut self, id: NodeId) -> &mut ClusterNode {
         let seg = &mut self.segments[self.node_seg[id.index()] as usize];
-        seg.stale = true;
-        &mut seg.nodes[self.node_local[id.index()] as usize]
+        seg.node_mut(NodeId(self.node_local[id.index()]))
     }
 
     /// One segment's bus statistics.
     pub fn segment_stats(&self, seg: SegmentId) -> &BusStats {
-        &self.segments[seg.index()].bus.stats
+        self.segments[seg.index()].stats()
     }
 
     /// One gateway's forwarding statistics.
@@ -758,7 +702,7 @@ impl Topology {
     pub fn total_stats(&self) -> BusStats {
         let mut total = BusStats::default();
         for s in &self.segments {
-            total.merge(&s.bus.stats);
+            total.merge(s.stats());
         }
         total
     }
@@ -793,7 +737,7 @@ impl Topology {
     /// excluded). An engine advancing every node would make one per
     /// node per inner barrier of its segment.
     pub fn node_advances(&self) -> u64 {
-        self.segments.iter().map(|s| s.set.advances()).sum()
+        self.segments.iter().map(Cluster::node_advances).sum()
     }
 
     /// How far the executive has driven the topology.
@@ -820,7 +764,7 @@ impl Topology {
     pub fn run_until(&mut self, horizon: Time) {
         assert!(!self.segments.is_empty(), "topology has no segments");
         assert!(
-            self.segments.iter().all(|s| !s.nodes.is_empty()),
+            self.segments.iter().all(|s| !s.is_empty()),
             "every segment needs at least one node"
         );
         if horizon <= self.cursor {
@@ -837,11 +781,6 @@ impl Topology {
             &mut self.events,
             &mut self.routes_dirty,
         );
-        for seg in &mut self.segments {
-            if std::mem::take(&mut seg.stale) {
-                seg.bus.refresh(&seg.nodes, &mut seg.set);
-            }
-        }
         self.ensure_routes();
         let lookahead = self.inter_lookahead();
         let n = self.segments.len();
@@ -885,8 +824,7 @@ impl Topology {
                 seg.bus.remote_out.is_empty(),
                 "outer exchange must drain remote_out"
             );
-            seg.set.catch_up(&mut seg.nodes, horizon);
-            seg.bus.flush_run_end(&mut seg.nodes, seg.set.caught_up());
+            seg.finish();
         }
         for gw in &mut self.gateways {
             gw.stats.buffered = gw.queues.iter().map(|q| q.buf.len() as u64).sum();
@@ -897,17 +835,9 @@ impl Topology {
     /// with each entry's segment (and gateway id, for bridge NICs)
     /// filled in.
     pub fn metrics(&self) -> ClusterMetrics {
-        let mut all = Vec::new();
+        let mut all = Vec::with_capacity(self.node_count());
         for (si, seg) in self.segments.iter().enumerate() {
-            for (n, &global) in seg.nodes.iter().zip(&seg.globals) {
-                all.push(NodeMetrics {
-                    name: n.name.clone(),
-                    metrics: n.kernel.metrics(),
-                    faults: n.stats.fault_summary(),
-                    segment: Some(si as u32),
-                    gateway: self.node_gateway[global as usize],
-                });
-            }
+            all.extend(seg.node_metrics(Some(si as u32)));
         }
         ClusterMetrics::from_nodes(all)
     }
@@ -1015,7 +945,7 @@ fn unreachable_pairs(routes: &[Vec<Option<u32>>]) -> u64 {
 /// and resetting the server clock on the way up. Either transition
 /// marks the route table dirty.
 fn judge_gateways(
-    segs: &mut [Segment],
+    segs: &mut [Cluster],
     gateways: &mut [Gateway],
     clock: Option<&GatewayFaultClock>,
     at: Time,
@@ -1067,7 +997,7 @@ fn judge_gateways(
 /// into its far segment's arbitration queue. Segments, then gateways,
 /// in registration order — fully deterministic.
 fn route_frames(
-    segs: &mut [Segment],
+    segs: &mut [Cluster],
     gateways: &mut [Gateway],
     node_seg: &[u32],
     routes: &[Vec<Option<u32>>],
@@ -1173,12 +1103,12 @@ fn gateway_kernel() -> (Kernel, MboxId, MboxId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wide_tag;
+    use crate::addressed_tag;
     use emeralds_core::script::Action;
 
     const NIC_IRQ: IrqLine = IrqLine(2);
 
-    /// A node that periodically sends one wide-addressed frame to
+    /// A node that periodically sends one addressed frame to
     /// `dst` and drains everything received.
     fn make_node(
         send_period_ms: u64,
@@ -1203,7 +1133,7 @@ mod tests {
                 Action::SendMbox {
                     mbox: tx,
                     bytes: 8,
-                    tag: wide_tag(dst, payload),
+                    tag: addressed_tag(dst, payload),
                 },
             ]),
         );
@@ -1473,7 +1403,7 @@ mod tests {
         for (i, dst) in [local, remote, local].into_iter().enumerate() {
             let msg = emeralds_core::ipc::Message {
                 bytes: 8,
-                tag: wide_tag(Some(dst), i as u32),
+                tag: addressed_tag(Some(dst), i as u32),
                 sender: emeralds_sim::ThreadId(0),
             };
             assert!(node.kernel.external_mbox_push(node.tx_mbox, msg));

@@ -1,10 +1,12 @@
 //! The simulated board: devices + interrupt controller + MPU.
 //!
 //! A [`Board`] bundles everything outside the CPU core. The kernel asks
-//! it for the next externally scheduled occurrence (a sensor sample, a
-//! NIC frame arrival) and tells it when virtual time has advanced; the
-//! board latches interrupts in response, which the kernel then
-//! dispatches to registered handlers.
+//! it for the next scheduled sensor sample and tells it when virtual
+//! time has advanced; the board latches interrupts in response, which
+//! the kernel then dispatches to registered handlers. Network frames do
+//! not pass through the board: the fieldbus executive pushes them into
+//! a kernel's mailbox and raises its NIC line with
+//! `Kernel::raise_external_irq`.
 
 use emeralds_sim::{DevId, EventQueue, IrqLine, Time};
 
@@ -59,7 +61,15 @@ impl Board {
     }
 
     /// Schedules a sample `value` to arrive at device `dev` at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dev` is not a sensor: only sensors take samples.
     pub fn schedule_sample(&mut self, at: Time, dev: DevId, value: u32) {
+        assert!(
+            matches!(self.device(dev).kind, DeviceKind::Sensor(_)),
+            "sample scheduled for non-sensor device {dev}"
+        );
         self.schedule.push(at, DeviceEvent { dev, value });
     }
 
@@ -169,6 +179,14 @@ mod tests {
             assert_eq!(sen.latest, 4);
         }
         assert_eq!(b.next_event_time(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-sensor device")]
+    fn samples_for_a_nic_are_rejected_when_scheduled() {
+        let mut b = Board::default();
+        let nic = b.add_nic("canbus", IrqLine(2));
+        b.schedule_sample(Time::from_ms(1), nic, 7);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! periodic control tasks, actuators consuming their output, and a
 //! fieldbus network interface. Each device is a small
 //! behavioural model: sensors post samples on a schedule and can raise
-//! an interrupt; actuators log the commands they receive; the NIC is
-//! modelled in `emeralds-fieldbus` on top of [`DeviceKind::Nic`]'s
-//! data registers.
+//! an interrupt; actuators log the commands they receive. The NIC
+//! device is an identity and an interrupt line only: `emeralds-fieldbus`
+//! delivers each frame by pushing it into the kernel's RX mailbox and
+//! raising that line with `Kernel::raise_external_irq`.
 
 use emeralds_sim::{DevId, IrqLine, Time};
 

@@ -28,7 +28,7 @@
 use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Script};
 use emeralds::core::SchedPolicy;
-use emeralds::fieldbus::{wide_tag, GatewayConfig, GatewayId, SegmentId, Topology};
+use emeralds::fieldbus::{addressed_tag, GatewayConfig, GatewayId, SegmentId, Topology};
 use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
@@ -74,7 +74,7 @@ fn control_node(
             Action::SendMbox {
                 mbox: tx,
                 bytes: 8,
-                tag: wide_tag(Some(dst), tag),
+                tag: addressed_tag(Some(dst), tag),
             },
         ]),
     );

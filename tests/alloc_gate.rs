@@ -29,9 +29,7 @@
 use emeralds::core::kernel::{KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Script};
 use emeralds::core::{Kernel, SchedPolicy};
-use emeralds::fieldbus::{
-    addressed_tag, wide_tag, Cluster, GatewayConfig, GatewayId, SegmentId, Topology,
-};
+use emeralds::fieldbus::{addressed_tag, Cluster, GatewayConfig, GatewayId, SegmentId, Topology};
 use emeralds::sim::count_alloc;
 use emeralds::sim::{Duration, IrqLine, NodeId, Time};
 
@@ -266,7 +264,7 @@ fn bridged_line() -> Topology {
                     Action::SendMbox {
                         mbox: tx,
                         bytes: 8,
-                        tag: wide_tag(dst, i as u32),
+                        tag: addressed_tag(dst, i as u32),
                     },
                 ]),
             );

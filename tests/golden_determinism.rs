@@ -28,9 +28,7 @@ use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
-use emeralds::fieldbus::{
-    addressed_tag, wide_tag, Cluster, GatewayConfig, GatewayId, SegmentId, Topology,
-};
+use emeralds::fieldbus::{addressed_tag, Cluster, GatewayConfig, GatewayId, SegmentId, Topology};
 use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
@@ -70,12 +68,7 @@ fn check_golden(name: &str, observed: &str) {
 /// A traced node sending an addressed frame on a jittered period,
 /// draining its RX mailbox, with filler compute — the SC traffic
 /// shape, small enough to trace.
-fn traced_node(
-    i: usize,
-    dst: NodeId,
-    rng: &mut SimRng,
-    tag_wide: bool,
-) -> (Kernel, MboxId, MboxId) {
+fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -87,11 +80,6 @@ fn traced_node(
     let tx = b.add_mailbox(8);
     let rx = b.add_mailbox(16);
     b.board_mut().add_nic("can", NIC_IRQ);
-    let tag = if tag_wide {
-        wide_tag(Some(dst), i as u32)
-    } else {
-        addressed_tag(Some(dst), i as u32)
-    };
     b.add_periodic_task(
         p,
         "tx",
@@ -101,7 +89,7 @@ fn traced_node(
             Action::SendMbox {
                 mbox: tx,
                 bytes: 8,
-                tag,
+                tag: addressed_tag(Some(dst), i as u32),
             },
         ]),
     );
@@ -131,7 +119,7 @@ fn ring_cluster() -> Cluster {
     for i in 0..N {
         let mut nrng = rng.derive(i as u64);
         let dst = NodeId(((i + 1) % N) as u32);
-        let (k, tx, rx) = traced_node(i, dst, &mut nrng, false);
+        let (k, tx, rx) = traced_node(i, dst, &mut nrng);
         c.add_node(format!("node{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
     }
     c
@@ -199,7 +187,7 @@ fn line_topology() -> Topology {
             } else {
                 NodeId((s * PER + (j + 1) % PER) as u32)
             };
-            let (k, tx, rx) = traced_node(i, dst, &mut nrng, true);
+            let (k, tx, rx) = traced_node(i, dst, &mut nrng);
             t.add_node(seg, format!("node{i}"), k, tx, rx, NIC_IRQ, (j + 1) as u32);
         }
     }

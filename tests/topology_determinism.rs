@@ -18,7 +18,7 @@ use emeralds::core::script::{Action, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
 use emeralds::fieldbus::{
-    wide_tag, GatewayConfig, GatewayId, NodeStats, SegmentId, TopoEventKind, Topology,
+    addressed_tag, GatewayConfig, GatewayId, NodeStats, SegmentId, TopoEventKind, Topology,
 };
 use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, Time};
 
@@ -44,7 +44,7 @@ fn worker_counts() -> Vec<usize> {
     counts
 }
 
-/// A traced node sending wide-addressed frames to a (global) peer, or
+/// A traced node sending addressed frames to a (global) peer, or
 /// broadcasting them, on a jittered period, draining its RX mailbox.
 fn traced_node(i: usize, dst: Option<NodeId>, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
     let mut b = KernelBuilder::new(KernelConfig {
@@ -67,7 +67,7 @@ fn traced_node(i: usize, dst: Option<NodeId>, rng: &mut SimRng) -> (Kernel, Mbox
             Action::SendMbox {
                 mbox: tx,
                 bytes: 8,
-                tag: wide_tag(dst, i as u32),
+                tag: addressed_tag(dst, i as u32),
             },
         ]),
     );
