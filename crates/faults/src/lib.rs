@@ -34,12 +34,14 @@
 //!   frame's bus time and triggering automatic retransmission.
 //!
 //! A fourth species targets the *topology* layer rather than a node:
-//! **gateway fail-stop** ([`FaultPlan::gateway_fail_stop`]), compiled
-//! by [`GatewayFaultClock`]. A down gateway forwards nothing, its
-//! buffered frames are lost (charged to the originating segments), and
-//! the topology executive deterministically re-routes surviving
-//! traffic over the remaining gateway graph — or counts a partition
-//! when no path survives (DESIGN.md §16).
+//! **gateway fail-stop** ([`FaultPlan::gateway_fail_stop`]).
+//! [`FaultClock::for_gateways`] compiles these outages into the same
+//! merged `[start, end)` windows a node fail-stop gets, indexed by
+//! gateway, so one compiler serves both. A down gateway forwards
+//! nothing, its buffered frames are lost (charged to the originating
+//! segments), and the topology executive deterministically re-routes
+//! surviving traffic over the remaining gateway graph — or counts a
+//! partition when no path survives (DESIGN.md §16).
 
 use emeralds_sim::{Duration, NodeId, SimRng, Time};
 
@@ -227,76 +229,6 @@ impl FaultPlan {
     }
 }
 
-/// Sorts outage windows and merges overlaps into a disjoint list.
-fn merge_windows(mut wins: Vec<(Time, Time)>) -> Vec<(Time, Time)> {
-    wins.sort();
-    let mut merged: Vec<(Time, Time)> = Vec::with_capacity(wins.len());
-    for &(s, e) in &wins {
-        match merged.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => merged.push((s, e)),
-        }
-    }
-    merged
-}
-
-/// Compiled gateway fail-stop schedule: the topology executive's
-/// counterpart of [`FaultClock`], queried only at outer barriers (the
-/// serial inter-segment exchange), so every judgment is a pure
-/// function of the plan and the barrier instant.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GatewayFaultClock {
-    /// Per-gateway sorted, disjoint outage windows `[start, end)`.
-    gateways: Vec<Vec<(Time, Time)>>,
-}
-
-impl GatewayFaultClock {
-    /// Compiles a plan's gateway events for a topology of `gateways`
-    /// bridges.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an event references a gateway index `>= gateways`.
-    pub fn new(plan: &FaultPlan, gateways: usize) -> GatewayFaultClock {
-        if let Some(max) = plan.max_gateway() {
-            assert!(
-                (max as usize) < gateways,
-                "fault plan references gateway {max} of {gateways}"
-            );
-        }
-        let mut per: Vec<Vec<(Time, Time)>> = vec![Vec::new(); gateways];
-        for ev in &plan.gateway_events {
-            per[ev.gateway as usize].push((ev.at, ev.at + ev.outage));
-        }
-        GatewayFaultClock {
-            gateways: per.into_iter().map(merge_windows).collect(),
-        }
-    }
-
-    /// Number of gateways the clock was compiled for.
-    pub fn len(&self) -> usize {
-        self.gateways.len()
-    }
-
-    /// True when compiled for zero gateways.
-    pub fn is_empty(&self) -> bool {
-        self.gateways.is_empty()
-    }
-
-    /// Is `gateway` inside a fail-stop outage at `at`? A gateway added
-    /// after the plan was compiled has no scheduled outage.
-    pub fn is_down(&self, gateway: usize, at: Time) -> bool {
-        self.gateways
-            .get(gateway)
-            .is_some_and(|wins| wins.iter().any(|&(s, e)| s <= at && at < e))
-    }
-
-    /// The gateway's outage windows, sorted and disjoint.
-    pub fn windows(&self, gateway: usize) -> &[(Time, Time)] {
-        &self.gateways[gateway]
-    }
-}
-
 /// One scheduled babble window at runtime: the injection cursor walks
 /// from `from` to `until` in `period` steps.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -360,7 +292,14 @@ impl FaultClock {
         // executives can binary-search and the fail-stop gate walks a
         // disjoint list.
         for nf in &mut per {
-            nf.down = merge_windows(std::mem::take(&mut nf.down));
+            nf.down.sort();
+            nf.down.dedup_by(|next, kept| {
+                let overlaps = next.0 <= kept.1;
+                if overlaps {
+                    kept.1 = kept.1.max(next.1);
+                }
+                overlaps
+            });
             nf.babble.sort_by_key(|w| w.from);
         }
         let faulted = (0..per.len())
@@ -373,6 +312,37 @@ impl FaultClock {
             nodes: per,
             faulted,
         }
+    }
+
+    /// Compiles a plan's gateway fail-stops for a topology of
+    /// `gateways` bridges: gateway `g`'s outages become the down
+    /// windows of index `g`, merged exactly as a node's are, and
+    /// [`FaultClock::is_down`] judges them. The plan's node events,
+    /// corruption and babble play no part.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an event references a gateway index `>= gateways`.
+    pub fn for_gateways(plan: &FaultPlan, gateways: usize) -> FaultClock {
+        if let Some(max) = plan.max_gateway() {
+            assert!(
+                (max as usize) < gateways,
+                "fault plan references gateway {max} of {gateways}"
+            );
+        }
+        let outages = FaultPlan {
+            events: plan
+                .gateway_events
+                .iter()
+                .map(|g| FaultEvent {
+                    node: NodeId(g.gateway),
+                    at: g.at,
+                    kind: FaultKind::FailStop { outage: g.outage },
+                })
+                .collect(),
+            ..FaultPlan::new(plan.seed)
+        };
+        FaultClock::new(&outages, gateways)
     }
 
     /// Number of nodes the clock was compiled for.
@@ -506,24 +476,36 @@ mod tests {
 
     #[test]
     fn down_windows_merge_and_query() {
-        let plan = FaultPlan::new(1)
+        // The same outages, scheduled for node 0 and for gateway 0,
+        // compile to the same merged windows.
+        let nodes = FaultPlan::new(1)
             .fail_stop(NodeId(0), Time::from_ms(10), ms(5))
             .fail_stop(NodeId(0), Time::from_ms(12), ms(10))
             .fail_stop(NodeId(0), Time::from_ms(40), ms(2));
-        let fc = FaultClock::new(&plan, 2);
-        assert_eq!(
-            fc.down_windows(0),
-            &[
-                (Time::from_ms(10), Time::from_ms(22)),
-                (Time::from_ms(40), Time::from_ms(42))
-            ]
-        );
-        assert!(fc.is_down(0, Time::from_ms(15)));
-        assert!(!fc.is_down(0, Time::from_ms(22))); // end-exclusive
-        assert!(!fc.is_down(1, Time::from_ms(15)));
-        // A node beyond the compiled range has no outage.
-        assert!(!fc.is_down(2, Time::from_ms(15)));
-        assert_eq!(fc.downtime(0, Time::from_ms(41)), ms(13));
+        let gateways = FaultPlan::new(2)
+            .gateway_fail_stop(0, Time::from_ms(10), ms(5))
+            .gateway_fail_stop(0, Time::from_ms(12), ms(10))
+            .gateway_fail_stop(0, Time::from_ms(40), ms(2));
+        assert_eq!(gateways.max_gateway(), Some(0));
+        assert!(!gateways.is_empty());
+        for fc in [
+            FaultClock::new(&nodes, 2),
+            FaultClock::for_gateways(&gateways, 2),
+        ] {
+            assert_eq!(
+                fc.down_windows(0),
+                &[
+                    (Time::from_ms(10), Time::from_ms(22)),
+                    (Time::from_ms(40), Time::from_ms(42))
+                ]
+            );
+            assert!(fc.is_down(0, Time::from_ms(15)));
+            assert!(!fc.is_down(0, Time::from_ms(22))); // end-exclusive
+            assert!(!fc.is_down(1, Time::from_ms(15)));
+            // An index beyond the compiled range has no outage.
+            assert!(!fc.is_down(2, Time::from_ms(15)));
+            assert_eq!(fc.downtime(0, Time::from_ms(41)), ms(13));
+        }
     }
 
     #[test]
@@ -587,31 +569,10 @@ mod tests {
     }
 
     #[test]
-    fn gateway_windows_merge_and_query() {
-        let plan = FaultPlan::new(2)
-            .gateway_fail_stop(1, Time::from_ms(10), ms(5))
-            .gateway_fail_stop(1, Time::from_ms(12), ms(10))
-            .gateway_fail_stop(0, Time::from_ms(40), ms(2));
-        assert_eq!(plan.max_gateway(), Some(1));
-        assert!(!plan.is_empty());
-        let gc = GatewayFaultClock::new(&plan, 3);
-        assert_eq!(gc.len(), 3);
-        assert_eq!(
-            gc.windows(1),
-            &[(Time::from_ms(10), Time::from_ms(22))] // merged
-        );
-        assert!(gc.is_down(1, Time::from_ms(15)));
-        assert!(!gc.is_down(1, Time::from_ms(22))); // end-exclusive
-        assert!(!gc.is_down(2, Time::from_ms(15)));
-        // A gateway beyond the compiled range has no outage.
-        assert!(!gc.is_down(3, Time::from_ms(15)));
-    }
-
-    #[test]
     #[should_panic(expected = "references gateway")]
     fn gateway_clock_rejects_out_of_range_indices() {
         let plan = FaultPlan::new(1).gateway_fail_stop(4, Time::from_ms(1), ms(1));
-        GatewayFaultClock::new(&plan, 4);
+        FaultClock::for_gateways(&plan, 4);
     }
 
     #[test]

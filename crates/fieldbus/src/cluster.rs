@@ -96,9 +96,6 @@ pub struct ClusterNode {
     pub tx_prio: u32,
     /// NIC statistics and CAN error-confinement state.
     pub stats: NodeStats,
-    /// The gateway this node is a bridge NIC of, on a
-    /// [`crate::Topology`] segment.
-    pub(crate) gateway: Option<u32>,
     gate: Option<FailStopGate>,
     /// Receptions staged at the last barrier, applied at the top of
     /// the next advance (completion order preserved).
@@ -134,7 +131,6 @@ impl ClusterNode {
             nic_irq,
             tx_prio,
             stats: NodeStats::default(),
-            gateway: None,
             gate: None,
             inbox: Vec::new(),
             outcome: RxOutcome::default(),
@@ -278,11 +274,11 @@ pub(crate) struct BusState {
     adaptive: bool,
     /// Compiled fault schedule, when one is installed.
     faults: Option<FaultClock>,
-    /// When this bus is one segment of a [`crate::Topology`]: indexed
-    /// by *global* node id, this segment's local index for the node, or
-    /// `u32::MAX` when the node lives on another segment. `None` on a
-    /// standalone cluster.
-    pub(crate) local_of: Option<Vec<u32>>,
+    /// When this bus is one segment of a [`crate::Topology`]: the
+    /// *global* ids of its own nodes, ascending, so a node's position is
+    /// its local index. `None` on a standalone cluster, which addresses
+    /// its nodes by local index directly.
+    pub(crate) members: Option<Vec<u32>>,
     /// Completed frames addressed off-segment, awaiting pickup by the
     /// topology executive at the next inter-segment barrier (wire
     /// -completion time, frame).
@@ -317,7 +313,7 @@ impl BusState {
             lookahead: Duration::ZERO,
             adaptive: true,
             faults: None,
-            local_of: None,
+            members: None,
             remote_out: Vec::new(),
             stage_scratch: Vec::new(),
             bus_off: Vec::new(),
@@ -602,23 +598,20 @@ impl BusState {
     /// everything else — mailbox push, replica DMA, IRQ — happens in
     /// the receiver's own next advance.
     ///
-    /// Under a [`crate::Topology`], an addressed frame whose (global)
-    /// destination is not on this segment is parked in `remote_out`
-    /// for the topology executive instead; broadcasts always stay
-    /// segment-local.
+    /// Under a [`crate::Topology`], the (global) destination is looked
+    /// up in this segment's member list; a frame whose destination is
+    /// not a member is parked in `remote_out` for the topology
+    /// executive instead. Broadcasts always stay segment-local.
     fn stage(&mut self, nodes: &mut [ClusterNode], frame: Frame, done: Time, b: &mut Barrier<'_>) {
         let mut targets = std::mem::take(&mut self.stage_scratch);
         debug_assert!(targets.is_empty());
         match frame.dst {
-            Some(d) => match self.local_of.as_ref() {
-                Some(local_of) => {
-                    let local = local_of.get(d.index()).copied().unwrap_or(u32::MAX);
-                    if local == u32::MAX {
-                        self.remote_out.push((done, frame));
-                        self.stage_scratch = targets;
-                        return;
-                    }
-                    targets.push(local as usize);
+            Some(d) => match self.members.as_ref().map(|m| m.binary_search(&d.0)) {
+                Some(Ok(local)) => targets.push(local),
+                Some(Err(_)) => {
+                    self.remote_out.push((done, frame));
+                    self.stage_scratch = targets;
+                    return;
                 }
                 None if d.index() < nodes.len() => targets.push(d.index()),
                 None => {
@@ -1063,13 +1056,13 @@ impl Cluster {
             metrics: n.kernel.metrics(),
             faults: n.stats.fault_summary(),
             segment,
-            gateway: n.gateway,
+            gateway: None,
         })
     }
 }
 
-/// A [`crate::Topology`] segment's outer epoch: [`Cluster::advance`],
-/// with the run-end [`Cluster::finish`] left to the topology.
+/// A [`crate::Topology`] segment's outer epoch: `Cluster::advance`,
+/// with the run-end `Cluster::finish` left to the topology.
 impl EpochGroup for Cluster {
     fn advance_group(&mut self, horizon: Time) -> EpochStats {
         self.advance(horizon)

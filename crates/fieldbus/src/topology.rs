@@ -26,9 +26,10 @@
 //! segment pair, the first hop of the minimum-cost path, with ties
 //! broken first by hop count and then by gateway registration order —
 //! a deterministic Dijkstra, independent of host parallelism.
-//! Addressed frames carry *global* node ids ([`crate::addressed_tag`]);
-//! a frame completing on a segment that does not host its destination is
-//! captured into the next-hop gateway's bounded queue. Broadcasts stay
+//! Addressed frames carry *global* node ids ([`crate::addressed_tag`]).
+//! Each segment lists the ascending global ids of its own nodes; a frame
+//! completing on a segment whose list lacks its destination is captured
+//! into the next-hop gateway's bounded queue. Broadcasts stay
 //! segment-local. Routes rebuild lazily whenever the graph changes —
 //! a gateway added, failed, or restarted ([`Topology::reroutes`]
 //! counts in-run rebuilds; [`Topology::events`] records them).
@@ -100,7 +101,7 @@ use std::fmt;
 use emeralds_core::kernel::{ClusterMetrics, KernelBuilder, KernelConfig};
 use emeralds_core::script::{Action, Script};
 use emeralds_core::{Kernel, SchedPolicy};
-use emeralds_faults::{FaultEvent, FaultPlan, GatewayFaultClock};
+use emeralds_faults::{FaultClock, FaultEvent, FaultPlan};
 use emeralds_sim::{run_two_level, Duration, IrqLine, MboxId, NodeId, Time, TwoLevelStats};
 
 use crate::cluster::ClusterNode;
@@ -150,9 +151,6 @@ pub struct GatewayConfig {
     /// Forwarding-buffer slots per direction; a capture finding the
     /// buffer full is dropped (`frames_lost_gateway`).
     pub capacity: usize,
-    /// Arbitration id of the gateway's bridge NIC nodes themselves
-    /// (forwarded frames keep their original priority).
-    pub prio: u32,
     /// Routing cost of crossing this gateway; the route table picks
     /// minimum-total-cost paths. Must be nonzero (cost-increasing
     /// cycles are what make the route search terminate).
@@ -166,7 +164,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             latency: Duration::from_us(200),
             capacity: 16,
-            prio: 1,
             cost: 1,
             policy: GatewayPolicy::Fifo,
         }
@@ -310,7 +307,9 @@ struct Gateway {
     cfg: GatewayConfig,
     /// The two segments joined.
     segs: [u32; 2],
-    /// The gateway NIC's *local* node index on each segment.
+    /// The bridge NIC's *local* node index on each segment: the
+    /// injection source and, in the metrics rollup, the node tagged
+    /// with this gateway's id.
     attach: [u32; 2],
     /// `queues[0]` carries `segs[0] → segs[1]`; `queues[1]` the
     /// reverse.
@@ -354,6 +353,10 @@ impl ConservationReport {
 /// Interrupt line gateway NICs use (matches the examples' convention).
 const GW_NIC_IRQ: IrqLine = IrqLine(2);
 
+/// Arbitration id of a bridge NIC's own transmissions. Its kernel never
+/// sends and forwarded frames keep their own id, so no frame carries it.
+const GW_NIC_PRIO: u32 = 1;
+
 /// Trace events each gateway bridge NIC keeps. A bridge NIC hears every
 /// broadcast on its segment, so an unbounded trace would grow for the
 /// whole run; the ring keeps the recent forensic window, and counters
@@ -392,7 +395,7 @@ pub struct Topology {
     /// Mid-run route-table rebuilds (gateway fault transitions).
     reroutes: u64,
     /// Gateway fail-stop schedule, when a fault plan installed one.
-    gw_faults: Option<GatewayFaultClock>,
+    gw_faults: Option<FaultClock>,
     /// Fault/reroute trace, in barrier order.
     events: Vec<TopoEvent>,
     cursor: Time,
@@ -436,7 +439,7 @@ impl Topology {
     pub fn add_segment(&mut self, bitrate_bps: u64) -> SegmentId {
         let mut seg = Cluster::new(bitrate_bps);
         seg.cursor = self.cursor;
-        seg.bus.local_of = Some(vec![u32::MAX; self.node_seg.len()]);
+        seg.bus.members = Some(Vec::new());
         self.segments.push(seg);
         self.routes_dirty = true;
         SegmentId(self.segments.len() as u32 - 1)
@@ -461,42 +464,14 @@ impl Topology {
         nic_irq: IrqLine,
         tx_prio: u32,
     ) -> NodeId {
-        self.attach(
-            seg,
-            name.into(),
-            kernel,
-            tx_mbox,
-            rx_mbox,
-            nic_irq,
-            tx_prio,
-            None,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn attach(
-        &mut self,
-        seg: SegmentId,
-        name: String,
-        kernel: Kernel,
-        tx_mbox: MboxId,
-        rx_mbox: MboxId,
-        nic_irq: IrqLine,
-        tx_prio: u32,
-        gateway: Option<u32>,
-    ) -> NodeId {
         let si = seg.index();
         assert!(si < self.segments.len(), "unknown segment {seg:?}");
         let global = self.node_seg.len() as u32;
         assert!(global < 0xFFFF, "a topology addresses at most 65535 nodes");
-        let local = self.segments[si].add_node(name, kernel, tx_mbox, rx_mbox, nic_irq, tx_prio);
-        self.segments[si].nodes[local.index()].gateway = gateway;
-        // Every segment's routing table gains a column for the new
-        // global id; only the hosting segment maps it to a local slot.
-        for (k, s) in self.segments.iter_mut().enumerate() {
-            let local_of = s.bus.local_of.as_mut().expect("segments always route");
-            local_of.push(if k == si { local.0 } else { u32::MAX });
-        }
+        let s = &mut self.segments[si];
+        let local = s.add_node(name, kernel, tx_mbox, rx_mbox, nic_irq, tx_prio);
+        // Global ids grow, so each member list stays ascending.
+        s.bus.members.as_mut().expect("segments route").push(global);
         self.node_seg.push(si as u32);
         self.node_local.push(local.0);
         NodeId(global)
@@ -538,7 +513,7 @@ impl Topology {
         for (k, seg) in [a, b].into_iter().enumerate() {
             let (kernel, tx, rx) = gateway_kernel();
             let name = format!("gw{gid}.s{}", seg.0);
-            let global = self.attach(seg, name, kernel, tx, rx, GW_NIC_IRQ, cfg.prio, Some(gid));
+            let global = self.add_node(seg, name, kernel, tx, rx, GW_NIC_IRQ, GW_NIC_PRIO);
             attach[k] = self.node_local[global.index()];
         }
         self.gateways.push(Gateway {
@@ -591,7 +566,7 @@ impl Topology {
     ///
     /// Panics when the plan references a node or gateway out of range.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        let gc = GatewayFaultClock::new(plan, self.gateways.len());
+        let gc = FaultClock::for_gateways(plan, self.gateways.len());
         if let Some(max) = plan.max_node() {
             assert!(
                 max < self.node_seg.len(),
@@ -836,8 +811,16 @@ impl Topology {
     /// filled in.
     pub fn metrics(&self) -> ClusterMetrics {
         let mut all = Vec::with_capacity(self.node_count());
+        // Where each segment's local node 0 lands in the rollup.
+        let mut first = Vec::with_capacity(self.segments.len());
         for (si, seg) in self.segments.iter().enumerate() {
+            first.push(all.len());
             all.extend(seg.node_metrics(Some(si as u32)));
+        }
+        for (gi, gw) in self.gateways.iter().enumerate() {
+            for (seg, local) in gw.segs.into_iter().zip(gw.attach) {
+                all[first[seg as usize] + local as usize].gateway = Some(gi as u32);
+            }
         }
         ClusterMetrics::from_nodes(all)
     }
@@ -947,7 +930,7 @@ fn unreachable_pairs(routes: &[Vec<Option<u32>>]) -> u64 {
 fn judge_gateways(
     segs: &mut [Cluster],
     gateways: &mut [Gateway],
-    clock: Option<&GatewayFaultClock>,
+    clock: Option<&FaultClock>,
     at: Time,
     events: &mut Vec<TopoEvent>,
     routes_dirty: &mut bool,
@@ -1268,19 +1251,76 @@ mod tests {
 
     #[test]
     fn unroutable_destinations_drop_at_capture() {
-        // Two segments with NO gateway: the cross-addressed frame has
-        // nowhere to go and must be dropped as `no_route`.
+        // Two segments with NO gateway: a frame addressed to the other
+        // segment, or to a global id no node has (99 >= node_count()),
+        // has nowhere to go and must be dropped as `no_route`.
+        for dst in [NodeId(1), NodeId(99)] {
+            let mut t = Topology::new();
+            let sa = t.add_segment(1_000_000);
+            let sb = t.add_segment(1_000_000);
+            add_app_node(&mut t, sa, "a0", 10, 7, Some(dst), 10);
+            add_app_node(&mut t, sb, "b0", 1000, 1, Some(NodeId(0)), 20);
+            t.run_until(Time::from_ms(30));
+            assert!(t.no_route_drops() > 0, "dst {dst:?}");
+            let total = t.total_stats();
+            assert_eq!(total.frames_lost_gateway, t.no_route_drops());
+            assert_eq!(total.frames_delivered, 0, "dst {dst:?}");
+            assert!(t.conservation().holds(), "{:?}", t.conservation());
+            assert_eq!(t.partitioned_pairs(), 2);
+        }
+    }
+
+    #[test]
+    fn member_lists_route_out_of_order_registration() {
+        // s2 joins after s0 and s1 already hold nodes, the app nodes go
+        // to the segments in turn, and the gateways come last, so no
+        // segment holds a contiguous run of global ids. App node i
+        // addresses node i + 1 (mod APPS) with payload 100 + i.
+        const APPS: u32 = 9;
         let mut t = Topology::new();
-        let sa = t.add_segment(1_000_000);
-        let sb = t.add_segment(1_000_000);
-        add_app_node(&mut t, sa, "a0", 10, 7, Some(NodeId(1)), 10);
-        add_app_node(&mut t, sb, "b0", 1000, 1, Some(NodeId(0)), 20);
-        t.run_until(Time::from_ms(30));
-        assert!(t.no_route_drops() > 0);
-        let total = t.total_stats();
-        assert_eq!(total.frames_lost_gateway, t.no_route_drops());
-        assert!(t.conservation().holds());
-        assert_eq!(t.partitioned_pairs(), 2);
+        let mut segs = vec![t.add_segment(1_000_000), t.add_segment(1_000_000)];
+        for i in 0..APPS {
+            if i == 4 {
+                segs.push(t.add_segment(1_000_000));
+            }
+            let seg = segs[i as usize % segs.len()];
+            let dst = Some(NodeId((i + 1) % APPS));
+            let id = add_app_node(&mut t, seg, &format!("n{i}"), 10, 100 + i, dst, 10 + i);
+            assert_eq!(id, NodeId(i));
+        }
+        t.add_gateway(segs[0], segs[1], GatewayConfig::default());
+        t.add_gateway(segs[1], segs[2], GatewayConfig::default());
+        // Each segment lists only its own nodes, ascending, so the lists
+        // hold one entry per node in all, and a node's position is its
+        // local index.
+        let mut listed = 0;
+        for (si, seg) in t.segments.iter().enumerate() {
+            let members = seg.bus.members.as_ref().expect("segments route");
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "{members:?}");
+            for (local, &g) in members.iter().enumerate() {
+                let g = g as usize;
+                assert_eq!((t.node_seg[g], t.node_local[g]), (si as u32, local as u32));
+            }
+            listed += members.len();
+        }
+        assert_eq!(listed, t.node_count());
+        t.run_until(Time::from_ms(60));
+        let s = t.total_stats();
+        assert!(s.frames_sent > 0);
+        assert_eq!(s.frames_delivered, s.frames_sent, "{s:?}");
+        assert_eq!(s.frames_dropped, 0, "{s:?}");
+        let rx_task = emeralds_sim::ThreadId(1);
+        let per_node = s.frames_sent / u64::from(APPS);
+        for i in 0..APPS {
+            let node = t.node(NodeId(i));
+            assert_eq!(node.stats.rx_frames, per_node, "node {i}");
+            let from = (i + APPS - 1) % APPS;
+            assert_eq!(node.kernel.tcb(rx_task).last_read, 100 + from, "node {i}");
+        }
+        for gw in APPS..t.node_count() as u32 {
+            assert_eq!(t.node(NodeId(gw)).stats.rx_frames, 0, "bridge NIC {gw}");
+        }
+        assert!(t.conservation().holds(), "{:?}", t.conservation());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! - [`CostModel`]: per-primitive virtual-time charges calibrated from
 //!   the paper's measured formulas (Table 1 and the §5.7/§6.4 anchors).
 //! - [`Clock`]: the CPU's virtual clock.
-//! - [`InterruptController`]: prioritized interrupt lines with masking.
+//! - [`InterruptController`]: prioritized interrupt lines with a pending
+//!   latch per line.
 //! - [`Mpu`]: a region-based memory protection unit (EMERALDS provides
 //!   "full memory protection for threads", §3).
 //! - [`Board`] and devices: sensors, actuators and a fieldbus NIC,

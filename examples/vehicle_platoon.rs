@@ -124,7 +124,6 @@ fn main() {
     let v2v = GatewayConfig {
         latency: us(300),
         capacity: 16,
-        prio: 5,
         ..GatewayConfig::default()
     };
     for v in 0..VEHICLES - 1 {

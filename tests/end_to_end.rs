@@ -289,3 +289,16 @@ fn footprint_report_after_a_run() {
     assert!(report.contains("13 KB"));
     assert!(footprint::rom_total() < 20_000);
 }
+
+/// Per-node inline footprint ceilings, so a simulated board cannot grow
+/// unseen: every node of a bus carries one `ClusterNode` (its `Kernel`
+/// included), and every kernel one `Board`. The ceilings are the sizes
+/// measured on x86-64; lower them when a change shrinks a node.
+#[test]
+#[cfg(target_arch = "x86_64")]
+fn node_footprint_stays_within_its_ceiling() {
+    let node = std::mem::size_of::<emeralds::fieldbus::ClusterNode>();
+    let board = std::mem::size_of::<emeralds::hal::Board>();
+    assert!(node <= 2_128, "ClusterNode is {node} B");
+    assert!(board <= 96, "Board is {board} B");
+}
