@@ -372,13 +372,13 @@ fn write_fig2_sidecars() {
 }
 
 /// Footprint of a representative application: the Table 2 workload's
-/// kernel after a run, so the pool high-water marks reflect real use.
+/// kernel. Every pool block is drawn at build, so its pool counts are
+/// final before it runs.
 fn footprint_report() -> String {
-    let mut k = fig2::build(emeralds_core::SchedPolicy::Csd {
+    let k = fig2::build(emeralds_core::SchedPolicy::Csd {
         boundaries: vec![5],
     });
-    k.run_until(emeralds_sim::Time::from_ms(100));
-    footprint::report(k.pools())
+    footprint::report(&k.pools())
 }
 
 fn banner(title: &str) {
@@ -472,5 +472,43 @@ mod tests {
         }
         let all: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
         assert_eq!(named, all, "usage block and COMMANDS disagree");
+    }
+
+    /// The SZ report, byte for byte: the Table 2 kernel's pool counts
+    /// (read from its tables) and the host sizes of its objects, as
+    /// measured on x86-64.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn footprint_report_is_pinned() {
+        let expected = "\
+Kernel ROM budget (modeled for MC68040; paper total: 13 KB)
+  scheduler (CSD/EDF/RM)                         2200 B
+  semaphores + PI + condvars                     1800 B
+  IPC (mailboxes, state messages, shm)           2000 B
+  threads/processes + syscall entry              2400 B
+  timers + clock services                        1300 B
+  interrupt handling + kernel device support     1700 B
+  memory protection + pools                      1000 B
+  misc (boot, tables)                             900 B
+  TOTAL                                         13300 B
+
+Kernel object sizes (target model vs host simulation struct)
+  TCB                      target  128 B   host  392 B
+  semaphore                target   32 B   host   80 B
+  condvar                  target   24 B   host   56 B
+  mailbox                  target   64 B   host  112 B
+  state message (header)   target   32 B   host  160 B
+
+pool          block    cap   peak   reserved   peak RAM
+tcb             128     64     10      8192B      1280B
+semaphore        32     64      0      2048B         0B
+condvar          24     32      0       768B         0B
+mailbox          64     32      0      2048B         0B
+statemsg         32     64      0      2048B         0B
+region           16     64      0      1024B         0B
+timer            24    128     10      3072B       240B
+total reserved 19200B, peak 1520B
+";
+        assert_eq!(footprint_report(), expected);
     }
 }

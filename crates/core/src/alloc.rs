@@ -4,8 +4,11 @@
 //! statically sized pools so allocation is O(1), fragmentation-free,
 //! and the worst-case RAM budget is known at build time (§2–3: all
 //! ROM/RAM is on-chip, tens of kilobytes). The simulated kernel draws
-//! every object from a [`PoolSet`] and the footprint report reads the
-//! high-water marks.
+//! every object at build time and never returns one, so each pool
+//! holds exactly the length of the kernel table it backs (the timer
+//! pool: the timer blocks reserved at build). The builder rejects a
+//! configuration that overdraws a pool, and the footprint report reads
+//! the counts.
 
 use std::fmt;
 
@@ -15,57 +18,25 @@ pub struct Pool {
     pub name: &'static str,
     pub block_bytes: usize,
     pub capacity: usize,
-    allocated: usize,
-    high_water: usize,
+    used: usize,
 }
 
 impl Pool {
-    /// Creates a pool of `capacity` blocks of `block_bytes` each.
-    pub fn new(name: &'static str, block_bytes: usize, capacity: usize) -> Pool {
+    /// A pool of `capacity` blocks of `block_bytes` each, `used` of
+    /// them drawn.
+    pub fn new(name: &'static str, block_bytes: usize, capacity: usize, used: usize) -> Pool {
         Pool {
             name,
             block_bytes,
             capacity,
-            allocated: 0,
-            high_water: 0,
+            used,
         }
     }
 
-    /// Takes one block.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pool is exhausted — on the real system that is
-    /// a build-time sizing error, so the simulation treats it as fatal.
-    pub fn alloc(&mut self) {
-        assert!(
-            self.allocated < self.capacity,
-            "kernel pool '{}' exhausted ({} blocks)",
-            self.name,
-            self.capacity
-        );
-        self.allocated += 1;
-        self.high_water = self.high_water.max(self.allocated);
-    }
-
-    /// Returns one block.
-    ///
-    /// # Panics
-    ///
-    /// Panics on double-free (more frees than allocations).
-    pub fn free(&mut self) {
-        assert!(self.allocated > 0, "pool '{}' double free", self.name);
-        self.allocated -= 1;
-    }
-
-    /// Blocks currently in use.
-    pub fn in_use(&self) -> usize {
-        self.allocated
-    }
-
-    /// Peak blocks ever in use.
+    /// Peak blocks in use: every block drawn at build, since none is
+    /// ever returned.
     pub fn high_water(&self) -> usize {
-        self.high_water
+        self.used
     }
 
     /// Total reserved RAM for this pool.
@@ -75,7 +46,7 @@ impl Pool {
 
     /// RAM actually needed at the observed peak.
     pub fn peak_bytes(&self) -> usize {
-        self.block_bytes * self.high_water
+        self.block_bytes * self.used
     }
 }
 
@@ -93,17 +64,19 @@ pub struct PoolSet {
 
 impl PoolSet {
     /// Pool sizes typical of the paper's target applications (§2: tens
-    /// of concurrent tasks).
-    pub fn small_memory_defaults() -> PoolSet {
+    /// of concurrent tasks), with `used` blocks drawn from each pool in
+    /// [`PoolSet::all`] order.
+    pub fn small_memory(used: [usize; 7]) -> PoolSet {
+        let [tcbs, sems, condvars, mailboxes, statemsgs, regions, timers] = used;
         PoolSet {
             // Block sizes model the 68k-era object layouts.
-            tcbs: Pool::new("tcb", 128, 64),
-            sems: Pool::new("semaphore", 32, 64),
-            condvars: Pool::new("condvar", 24, 32),
-            mailboxes: Pool::new("mailbox", 64, 32),
-            statemsgs: Pool::new("statemsg", 32, 64),
-            regions: Pool::new("region", 16, 64),
-            timers: Pool::new("timer", 24, 128),
+            tcbs: Pool::new("tcb", 128, 64, tcbs),
+            sems: Pool::new("semaphore", 32, 64, sems),
+            condvars: Pool::new("condvar", 24, 32, condvars),
+            mailboxes: Pool::new("mailbox", 64, 32, mailboxes),
+            statemsgs: Pool::new("statemsg", 32, 64, statemsgs),
+            regions: Pool::new("region", 16, 64, regions),
+            timers: Pool::new("timer", 24, 128, timers),
         }
     }
 
@@ -118,6 +91,12 @@ impl PoolSet {
             &self.regions,
             &self.timers,
         ]
+    }
+
+    /// The first pool, in [`PoolSet::all`] order, with more blocks
+    /// drawn than it holds.
+    pub fn overdrawn(&self) -> Option<&Pool> {
+        self.all().into_iter().find(|p| p.used > p.capacity)
     }
 
     /// Total reserved kernel-object RAM.
@@ -164,38 +143,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_free_and_high_water() {
-        let mut p = Pool::new("x", 32, 4);
-        p.alloc();
-        p.alloc();
-        p.alloc();
-        p.free();
-        assert_eq!(p.in_use(), 2);
+    fn drawn_blocks_set_peak_and_reserve() {
+        let p = Pool::new("x", 32, 4, 3);
         assert_eq!(p.high_water(), 3);
         assert_eq!(p.peak_bytes(), 96);
         assert_eq!(p.reserved_bytes(), 128);
     }
 
     #[test]
-    #[should_panic(expected = "exhausted")]
-    fn exhaustion_is_fatal() {
-        let mut p = Pool::new("x", 8, 1);
-        p.alloc();
-        p.alloc();
-    }
-
-    #[test]
-    #[should_panic(expected = "double free")]
-    fn double_free_is_fatal() {
-        let mut p = Pool::new("x", 8, 1);
-        p.free();
+    fn overdrawn_names_the_first_pool_past_capacity() {
+        assert!(PoolSet::small_memory([64, 0, 0, 0, 0, 0, 128])
+            .overdrawn()
+            .is_none());
+        let ps = PoolSet::small_memory([65, 0, 0, 0, 0, 0, 129]);
+        let p = ps.overdrawn().expect("two pools overdrawn");
+        assert_eq!((p.name, p.capacity, p.high_water()), ("tcb", 64, 65));
     }
 
     #[test]
     fn pool_set_totals_and_display() {
-        let mut ps = PoolSet::small_memory_defaults();
-        ps.tcbs.alloc();
-        ps.sems.alloc();
+        let ps = PoolSet::small_memory([1, 1, 0, 0, 0, 0, 0]);
         assert!(ps.reserved_bytes() > 10_000);
         assert_eq!(ps.peak_bytes(), 128 + 32);
         let s = ps.to_string();

@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let pools = PoolSet::small_memory_defaults();
+        let pools = PoolSet::small_memory([0; 7]);
         let s = report(&pools);
         assert!(s.contains("13 KB"));
         assert!(s.contains("TCB"));

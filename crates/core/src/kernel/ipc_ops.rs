@@ -357,10 +357,15 @@ impl Kernel {
 
     /// First-level handling of one acknowledged interrupt line.
     pub(crate) fn handle_irq_line(&mut self, line: IrqLine) {
+        // The IRQ tables end at the highest line the board wires; a
+        // line past them has no waiter and no action.
+        let Some(parked) = self.irq_waiters.get_mut(line.index()) else {
+            return;
+        };
         // Wake user-level driver threads parked on the line. The list
         // goes back afterwards, emptied, so a driver that parks again
         // reuses its capacity instead of allocating per interrupt.
-        let mut waiters = std::mem::take(&mut self.irq_waiters[line.index()]);
+        let mut waiters = std::mem::take(parked);
         for &w in &waiters {
             self.complete_blocking_call(w);
         }

@@ -111,6 +111,10 @@ pub enum TimerEvent {
 }
 
 /// The EMERALDS kernel instance.
+///
+/// Its object tables never grow after build, so each holds exactly the
+/// objects the configuration added. The IRQ tables hold one entry per
+/// line up to the highest line the board wires.
 #[derive(Debug)]
 pub struct Kernel {
     pub(crate) cfg: KernelConfig,
@@ -118,15 +122,15 @@ pub struct Kernel {
     pub(crate) board: Board,
     pub(crate) tcbs: TcbTable,
     pub(crate) sched: SchedulerImpl,
-    pub(crate) procs: Vec<Process>,
-    pub(crate) sems: Vec<Semaphore>,
-    pub(crate) cvs: Vec<CondVar>,
-    pub(crate) mboxes: Vec<Mailbox>,
-    pub(crate) statemsgs: Vec<StateMsgVar>,
-    pub(crate) regions: Vec<SharedRegion>,
-    pub(crate) events: Vec<EventObj>,
-    pub(crate) irq_waiters: Vec<Vec<ThreadId>>,
-    pub(crate) irq_actions: Vec<IrqAction>,
+    pub(crate) procs: Box<[Process]>,
+    pub(crate) sems: Box<[Semaphore]>,
+    pub(crate) cvs: Box<[CondVar]>,
+    pub(crate) mboxes: Box<[Mailbox]>,
+    pub(crate) statemsgs: Box<[StateMsgVar]>,
+    pub(crate) regions: Box<[SharedRegion]>,
+    pub(crate) events: Box<[EventObj]>,
+    pub(crate) irq_waiters: Box<[Vec<ThreadId>]>,
+    pub(crate) irq_actions: Box<[IrqAction]>,
     /// The software timer queue (Figure 1: "Timers / Clock services").
     /// `arm_timer` charges a flat `timer_program` per arm, so the
     /// host-side structure cannot move virtual time (DESIGN.md §12).
@@ -141,14 +145,15 @@ pub struct Kernel {
     /// Reused buffer for the IRQ lines `Board::advance_to` raises —
     /// the steady-state execution loop must not allocate.
     pub(crate) irq_scratch: Vec<IrqLine>,
-    pub(crate) pools: PoolSet,
+    /// Timer-pool blocks reserved at build (see [`Kernel::pools`]).
+    pub(crate) timer_blocks: usize,
     pub(crate) current: Option<ThreadId>,
     pub(crate) trace: Trace,
     pub(crate) acct: Accounting,
     pub(crate) counters: ServiceCounters,
     pub(crate) miss_reports: Vec<MissReport>,
     /// Pending message of a sender blocked on a full mailbox.
-    pub(crate) pending_send: Vec<Option<crate::ipc::Message>>,
+    pub(crate) pending_send: Box<[Option<crate::ipc::Message>]>,
     /// While set and `now <= until`, deadline misses are classified as
     /// `(cause, until)` instead of by CPU state. Installed by fault
     /// executives around outages.
@@ -267,9 +272,19 @@ impl Kernel {
         &mut self.board
     }
 
-    /// Kernel object pools (footprint reporting).
-    pub fn pools(&self) -> &PoolSet {
-        &self.pools
+    /// Kernel object pools (footprint reporting). Every block is drawn
+    /// at build, so each pool holds the length of the table it backs,
+    /// and the timer pool the blocks reserved for the tasks' timers.
+    pub fn pools(&self) -> PoolSet {
+        PoolSet::small_memory([
+            self.tcbs.len(),
+            self.sems.len(),
+            self.cvs.len(),
+            self.mboxes.len(),
+            self.statemsgs.len(),
+            self.regions.len(),
+            self.timer_blocks,
+        ])
     }
 
     /// Process inspection (read-only).
@@ -354,6 +369,26 @@ struct TaskSpec {
     sort_deadline: Duration,
 }
 
+impl TaskSpec {
+    /// Timer-pool blocks the task reserves: one per event it can have
+    /// pending at once — its release, a constrained-deadline check, a
+    /// `SleepFor` wake.
+    fn timer_blocks(&self) -> usize {
+        let sleeps = self
+            .script
+            .actions
+            .iter()
+            .any(|a| matches!(a, Action::SleepFor(_)));
+        let timed = match self.timing {
+            Timing::Periodic {
+                deadline, period, ..
+            } => 1 + usize::from(deadline < period),
+            Timing::EventDriven { .. } => 0,
+        };
+        usize::from(sleeps) + timed
+    }
+}
+
 /// Specification of one state-message variable, collected by the
 /// builder: written by a local task, or a networked *replica* owned by
 /// a process and fed by the NIC ([`crate::ipc::EXTERNAL_WRITER`]).
@@ -381,7 +416,9 @@ pub struct KernelBuilder {
     statemsg_specs: Vec<StateMsgSpec>,
     statemsg_readers: Vec<Vec<ProcId>>,
     event_count: usize,
-    irq_actions: Vec<IrqAction>,
+    /// `on_irq` registrations in call order (a later one for the same
+    /// line wins).
+    irq_actions: Vec<(IrqLine, IrqAction)>,
     next_region_base: u64,
     /// Explicit `next_sem` hint overrides: `(task index, action index,
     /// hint)`. Validated against the parser at build time.
@@ -402,7 +439,7 @@ impl KernelBuilder {
             statemsg_specs: Vec::new(),
             statemsg_readers: Vec::new(),
             event_count: 0,
-            irq_actions: vec![IrqAction::None; emeralds_hal::irq::MAX_IRQ_LINES],
+            irq_actions: Vec::new(),
             next_region_base: 0x1_0000,
             hint_overrides: Vec::new(),
         }
@@ -600,9 +637,10 @@ impl KernelBuilder {
         id
     }
 
-    /// Registers the first-level action for an interrupt line.
+    /// Registers the first-level action for an interrupt line. A line
+    /// beyond the interrupt controller is rejected at build.
     pub fn on_irq(&mut self, line: IrqLine, action: IrqAction) {
-        self.irq_actions[line.index()] = action;
+        self.irq_actions.push((line, action));
     }
 
     /// Mutable board access (to add devices and schedules).
@@ -640,8 +678,7 @@ impl KernelBuilder {
     /// # Panics
     ///
     /// Panics on any configuration [`try_build`](Self::try_build)
-    /// rejects (the panic message is the [`ConfigError`] rendering), or
-    /// if a pool is exhausted.
+    /// rejects (the panic message is the [`ConfigError`] rendering).
     pub fn build(self) -> Kernel {
         match self.try_build() {
             Ok(k) => k,
@@ -652,7 +689,8 @@ impl KernelBuilder {
     /// Finalizes the kernel, returning a typed [`ConfigError`] instead
     /// of panicking on an invalid configuration: CSD boundaries beyond
     /// the task count, scripts referencing unknown kernel objects,
-    /// invalid `next_sem` hint overrides, and — under
+    /// invalid `next_sem` hint overrides, interrupt lines beyond the
+    /// controller, more objects than a kernel pool holds, and — under
     /// [`SemScheme::Srp`] — infeasible or deadlock-prone resource
     /// graphs.
     pub fn try_build(mut self) -> Result<Kernel, ConfigError> {
@@ -667,6 +705,8 @@ impl KernelBuilder {
         }
         self.validate_scripts()?;
         self.validate_hint_overrides()?;
+        let irq_lines = self.irq_table_len()?;
+        let timer_blocks = self.check_pools()?;
 
         // RM priority = rank by sort_period.
         let order = self.rm_order();
@@ -682,8 +722,7 @@ impl KernelBuilder {
             SemScheme::Srp => self.srp_ceiling_table(&rm_prio)?,
         };
 
-        let mut pools = PoolSet::small_memory_defaults();
-        let mut tcbs = TcbTable::new();
+        let mut tcbs = TcbTable::with_capacity(n);
         let mut sched = SchedulerImpl::new(&self.cfg.policy);
         let mut timers = EventQueue::new();
         let mut timer_heights = 0;
@@ -707,39 +746,21 @@ impl KernelBuilder {
             }
             let proc = spec.proc;
             let timing = spec.timing;
-            // One timer block per event the task can have pending at
-            // once: its release, a constrained-deadline check, a
-            // `SleepFor` wake.
-            let sleeps = spec
-                .script
-                .actions
-                .iter()
-                .any(|a| matches!(a, Action::SleepFor(_)));
-            let mut timer_blocks = usize::from(sleeps);
             let mut tcb = Tcb::new(tid, proc, spec.name, timing, spec.script, prio, queue);
             tcb.hints = hints;
-            pools.tcbs.alloc();
             self.procs[proc.index()].add_thread(tid);
             match timing {
-                Timing::Periodic {
-                    phase,
-                    deadline,
-                    period,
-                } => {
+                Timing::Periodic { phase, .. } => {
                     tcb.next_release = Time::ZERO + phase;
                     // Boot-time programming: counted, not charged.
                     timers.push(tcb.next_release, TimerEvent::Release(tid));
                     timer_heights += u64::from(timers.len().ilog2());
-                    timer_blocks += 1 + usize::from(deadline < period);
                 }
                 Timing::EventDriven { rank } => {
                     // First sporadic activation: one inter-arrival
                     // time from boot.
                     tcb.abs_deadline = Time::ZERO + rank;
                 }
-            }
-            for _ in 0..timer_blocks {
-                pools.timers.alloc();
             }
             tcbs.insert(tcb);
         }
@@ -749,25 +770,16 @@ impl KernelBuilder {
             sched.add_task(*tid, &mut tcbs);
         }
 
-        for _ in &self.sems {
-            pools.sems.alloc();
-        }
-        for _ in &self.cvs {
-            pools.condvars.alloc();
-        }
-        let mboxes: Vec<Mailbox> = self
+        let mboxes = self
             .mbox_caps
             .iter()
             .enumerate()
-            .map(|(i, &cap)| {
-                pools.mailboxes.alloc();
-                Mailbox::new(MboxId(i as u32), cap)
-            })
+            .map(|(i, &cap)| Mailbox::new(MboxId(i as u32), cap))
             .collect();
 
         // State messages get MPU-backed shared regions.
-        let mut regions = Vec::new();
-        let mut statemsgs = Vec::new();
+        let mut regions = Vec::with_capacity(self.statemsg_specs.len());
+        let mut statemsgs = Vec::with_capacity(self.statemsg_specs.len());
         for (i, &spec) in self.statemsg_specs.iter().enumerate() {
             let StateMsgSpec {
                 writer_idx,
@@ -796,8 +808,6 @@ impl KernelBuilder {
                 region.map_into(p);
             }
             self.procs[writer_proc.index()].add_region(rid);
-            pools.regions.alloc();
-            pools.statemsgs.alloc();
             regions.push(region);
             statemsgs.push(StateMsgVar::new(
                 StateId(i as u32),
@@ -808,7 +818,10 @@ impl KernelBuilder {
             ));
         }
 
-        let pending_send = vec![None; n];
+        let mut irq_actions = vec![IrqAction::None; irq_lines];
+        for &(line, action) in &self.irq_actions {
+            irq_actions[line.index()] = action;
+        }
         let lock_policy = Some(make_policy(self.cfg.sem_scheme, ceilings));
         let mut kernel = Kernel {
             cfg: self.cfg,
@@ -816,27 +829,27 @@ impl KernelBuilder {
             board: self.board,
             tcbs,
             sched,
-            procs: self.procs,
-            sems: self.sems,
-            cvs: self.cvs,
+            procs: self.procs.into_boxed_slice(),
+            sems: self.sems.into_boxed_slice(),
+            cvs: self.cvs.into_boxed_slice(),
             mboxes,
-            statemsgs,
-            regions,
+            statemsgs: statemsgs.into_boxed_slice(),
+            regions: regions.into_boxed_slice(),
             events: (0..self.event_count).map(|_| EventObj::default()).collect(),
-            irq_waiters: vec![Vec::new(); emeralds_hal::irq::MAX_IRQ_LINES],
-            irq_actions: self.irq_actions,
+            irq_waiters: vec![Vec::new(); irq_lines].into_boxed_slice(),
+            irq_actions: irq_actions.into_boxed_slice(),
             timer_arms: timers.len() as u64,
             timers,
             timer_heights,
             timer_expirations: 0,
             irq_scratch: Vec::new(),
-            pools,
+            timer_blocks,
             current: None,
             trace,
             acct: Accounting::new(),
             counters: ServiceCounters::default(),
             miss_reports: Vec::new(),
-            pending_send,
+            pending_send: vec![None; n].into_boxed_slice(),
             miss_cause_hint: None,
             select_calls: 0,
             sem_fast_acquires: 0,

@@ -879,6 +879,168 @@ fn tcb_pool_exhaustion_is_fatal() {
     let _ = b.build();
 }
 
+/// `try_build` reports an overdrawn pool as a typed error naming the
+/// pool, its capacity and what the configuration needs.
+#[test]
+fn pool_exhaustion_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    let mut b = KernelBuilder::new(cfg(SchedPolicy::Edf, SemScheme::Emeralds));
+    let p = b.add_process("app");
+    for i in 0..70 {
+        b.add_periodic_task(
+            p,
+            format!("t{i}"),
+            ms(1000 + i),
+            Script::compute_only(us(10)),
+        );
+    }
+    let err = b.try_build().expect_err("70 tasks overdraw the TCB pool");
+    assert_eq!(
+        err,
+        ConfigError::PoolExhausted {
+            pool: "tcb",
+            capacity: 64,
+            needed: 70,
+        }
+    );
+    assert!(err.to_string().contains("exhausted"), "{err}");
+
+    // 50 tasks fit the TCB pool, but a sleep and a constrained-deadline
+    // check each take 150 timer blocks of 128.
+    let mut b = KernelBuilder::new(cfg(SchedPolicy::DmQueue, SemScheme::Emeralds));
+    let p = b.add_process("app");
+    for i in 0..50 {
+        b.add_periodic_task_phased(
+            p,
+            format!("t{i}"),
+            ms(1000 + i),
+            ms(500),
+            Duration::ZERO,
+            Script::periodic(vec![Action::SleepFor(us(10))]),
+        );
+    }
+    assert_eq!(
+        b.try_build()
+            .expect_err("150 timer blocks overdraw the pool"),
+        ConfigError::PoolExhausted {
+            pool: "timer",
+            capacity: 128,
+            needed: 150,
+        }
+    );
+}
+
+/// A builder with a NIC on line 2 and a driver that waits on it.
+fn irq_builder() -> (KernelBuilder, ThreadId) {
+    let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
+    let p = b.add_process("drv");
+    b.board_mut().add_nic("can", IrqLine(2));
+    let drv = b.add_driver_task(
+        p,
+        "nicdrv",
+        ms(2),
+        Script::looping(vec![Action::WaitIrq(IrqLine(2)), Action::Compute(us(20))]),
+    );
+    (b, drv)
+}
+
+/// The line every rejection test below wires: beyond the
+/// controller's 32.
+const OUT_OF_RANGE: IrqLine = IrqLine(40);
+
+/// An `on_irq` registration on a line beyond the interrupt controller
+/// is a typed build error, not an index panic in the builder.
+#[test]
+fn on_irq_beyond_the_controller_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    let (mut b, _) = irq_builder();
+    b.on_irq(OUT_OF_RANGE, IrqAction::None);
+    assert_eq!(
+        b.try_build().err(),
+        Some(ConfigError::IrqLineOutOfRange { line: OUT_OF_RANGE })
+    );
+    // The controller's last line is fine.
+    let (mut top, _) = irq_builder();
+    top.on_irq(IrqLine(31), IrqAction::None);
+    assert!(top.try_build().is_ok());
+}
+
+/// A `WaitIrq` on a line beyond the interrupt controller is rejected
+/// at build, not at the first wait.
+#[test]
+fn wait_irq_beyond_the_controller_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    let (mut b, _) = irq_builder();
+    let p = b.add_process("late");
+    b.add_driver_task(
+        p,
+        "waiter",
+        ms(3),
+        Script::looping(vec![Action::WaitIrq(OUT_OF_RANGE)]),
+    );
+    assert_eq!(
+        b.try_build().err(),
+        Some(ConfigError::IrqLineOutOfRange { line: OUT_OF_RANGE })
+    );
+}
+
+/// A device wired to a line beyond the interrupt controller is
+/// rejected at build, not at its first raise.
+#[test]
+fn device_beyond_the_controller_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    let (mut b, _) = irq_builder();
+    b.board_mut().add_sensor("adc", Some(OUT_OF_RANGE));
+    let err = b.try_build().err();
+    assert_eq!(
+        err,
+        Some(ConfigError::IrqLineOutOfRange { line: OUT_OF_RANGE })
+    );
+    assert!(err.unwrap().to_string().contains("IRQ40"));
+}
+
+/// A raise on a line that no device, `on_irq` or `WaitIrq` wires is
+/// handled like any other — first-level entry and exit charged, raise
+/// and handling traced and counted — and wakes no task, whether the
+/// line falls inside the kernel's IRQ tables (line 0) or past them
+/// (line 9).
+#[test]
+fn unwired_irq_line_is_charged_and_wakes_nothing() {
+    use emeralds_sim::OverheadKind;
+    let (b, drv) = irq_builder();
+    let mut k = b.build();
+    k.run_until(Time::from_ms(1));
+    let parked = crate::tcb::ThreadState::Blocked(crate::tcb::BlockReason::Irq(IrqLine(2)));
+    assert_eq!(k.tcb(drv).state, parked);
+    let entry_exit = k.cfg.cost.irq_entry + k.cfg.cost.irq_exit;
+    for (n, line) in [IrqLine(0), IrqLine(9)].into_iter().enumerate() {
+        let irq_time = k.accounting().total(OverheadKind::Interrupt);
+        let (now, events) = (k.now(), k.trace().len());
+        k.raise_external_irq(line);
+        assert_eq!(
+            k.accounting().total(OverheadKind::Interrupt),
+            irq_time + entry_exit
+        );
+        assert_eq!(k.now(), now + entry_exit);
+        let new: Vec<TraceEvent> = k.trace().events()[events..]
+            .iter()
+            .map(|(_, ev)| ev.clone())
+            .collect();
+        assert_eq!(
+            new,
+            vec![
+                TraceEvent::IrqRaised { line },
+                TraceEvent::IrqHandled { line }
+            ]
+        );
+        let counters = k.metrics().counters;
+        assert_eq!(counters.irq_raised, n as u64 + 1);
+        assert_eq!(counters.irq_dispatched, n as u64 + 1);
+        assert_eq!(k.tcb(drv).state, parked);
+        assert_eq!(k.current(), None);
+    }
+}
+
 /// The timer pool holds one block per event a task can have pending at
 /// once: a release, a constrained-deadline check and a `SleepFor` wake.
 #[test]
@@ -887,7 +1049,7 @@ fn timer_pool_covers_every_pending_timer() {
     let table2 = table2_builder(SchedPolicy::Csd {
         boundaries: vec![5],
     });
-    assert_eq!(table2.build().pools().timers.in_use(), 10);
+    assert_eq!(table2.build().pools().timers.high_water(), 10);
     let mut b = KernelBuilder::new(cfg(SchedPolicy::DmQueue, SemScheme::Emeralds));
     let p = b.add_process("app");
     for (i, period) in [10, 12, 15, 20].into_iter().enumerate() {
@@ -905,7 +1067,7 @@ fn timer_pool_covers_every_pending_timer() {
         );
     }
     let mut k = b.build();
-    let reserved = k.pools().timers.in_use() as u64;
+    let reserved = k.pools().timers.high_water() as u64;
     assert_eq!(reserved, 12);
     let mut peak = 0;
     let mut t = Time::ZERO;

@@ -6,6 +6,10 @@
 //! error; [`KernelBuilder::build`] panics with its rendering for
 //! callers that treat misconfiguration as a program bug.
 //!
+//! The same pass sizes what the kernel reserves: its IRQ tables end at
+//! the highest line the board wires, and every kernel pool must hold
+//! the objects the configuration draws from it.
+//!
 //! Under [`SemScheme::Srp`] the checks extend to the task/resource
 //! graph: resource ceilings only exist for graphs where critical
 //! sections are properly nested, never span a blocking call or a job
@@ -14,10 +18,12 @@
 //! maps scripts into [`SrpTaskProfile`]s and the analysis verdict into
 //! [`ConfigError::SrpGraph`].
 
+use emeralds_hal::irq::MAX_IRQ_LINES;
 use emeralds_sched::{srp_ceilings, SrpEvent, SrpGraphError, SrpTaskProfile};
-use emeralds_sim::{CvId, SemId, ThreadId};
+use emeralds_sim::{CvId, IrqLine, SemId, ThreadId};
 
-use crate::kernel::KernelBuilder;
+use crate::alloc::PoolSet;
+use crate::kernel::{KernelBuilder, TaskSpec};
 use crate::parser;
 use crate::script::Action;
 use crate::sync::SemScheme;
@@ -73,6 +79,16 @@ pub enum ConfigError {
     /// holding the guard, which breaks the no-blocking-inside-a-
     /// critical-section premise of the ceiling analysis.
     SrpCondVar { task: ThreadId, action: usize },
+    /// A device, an `on_irq` registration or a `WaitIrq` action names
+    /// a line the interrupt controller does not have.
+    IrqLineOutOfRange { line: IrqLine },
+    /// The configuration draws more objects from a kernel pool than
+    /// the pool holds.
+    PoolExhausted {
+        pool: &'static str,
+        capacity: usize,
+        needed: usize,
+    },
     /// The task/resource graph itself is infeasible under SRP
     /// (lock-order cycle, non-LIFO nesting, blocking while holding,
     /// section left open at job end, ...).
@@ -126,6 +142,18 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "SRP: task {task} action {action} uses a condition variable, which \
                  blocks while holding its guard"
+            ),
+            ConfigError::IrqLineOutOfRange { line } => write!(
+                f,
+                "IRQ line {line} is beyond the interrupt controller's {MAX_IRQ_LINES} lines"
+            ),
+            ConfigError::PoolExhausted {
+                pool,
+                capacity,
+                needed,
+            } => write!(
+                f,
+                "kernel pool '{pool}' exhausted: {needed} blocks needed, {capacity} held"
             ),
             ConfigError::SrpGraph(e) => write!(f, "{e}"),
         }
@@ -235,6 +263,56 @@ impl KernelBuilder {
             }
         }
         Ok(())
+    }
+
+    /// The length of the kernel's IRQ tables: one entry per line up to
+    /// the highest line the board wires — its devices, its `on_irq`
+    /// registrations and its scripts' `WaitIrq` actions. A line beyond
+    /// the interrupt controller is rejected before it can index a
+    /// table or latch a pending bit.
+    pub(super) fn irq_table_len(&self) -> Result<usize, ConfigError> {
+        let registered = self.irq_actions.iter().map(|&(line, _)| line);
+        let awaited = self
+            .tasks
+            .iter()
+            .flat_map(|t| &t.script.actions)
+            .filter_map(|a| match a {
+                Action::WaitIrq(line) => Some(*line),
+                _ => None,
+            });
+        let mut len = 0;
+        for line in self.board.irq_lines().chain(registered).chain(awaited) {
+            if line.index() >= MAX_IRQ_LINES {
+                return Err(ConfigError::IrqLineOutOfRange { line });
+            }
+            len = len.max(line.index() + 1);
+        }
+        Ok(len)
+    }
+
+    /// Checks that every kernel pool holds the objects the
+    /// configuration draws from it, and returns the timer blocks the
+    /// tasks reserve.
+    pub(super) fn check_pools(&self) -> Result<usize, ConfigError> {
+        let timer_blocks = self.tasks.iter().map(TaskSpec::timer_blocks).sum();
+        let statemsgs = self.statemsg_specs.len();
+        let pools = PoolSet::small_memory([
+            self.tasks.len(),
+            self.sems.len(),
+            self.cvs.len(),
+            self.mbox_caps.len(),
+            statemsgs,
+            statemsgs,
+            timer_blocks,
+        ]);
+        match pools.overdrawn() {
+            Some(p) => Err(ConfigError::PoolExhausted {
+                pool: p.name,
+                capacity: p.capacity,
+                needed: p.high_water(),
+            }),
+            None => Ok(timer_blocks),
+        }
     }
 
     /// Maps the scripts into per-task SRP profiles (preemption level =

@@ -246,6 +246,14 @@ impl TcbTable {
         TcbTable::default()
     }
 
+    /// Creates an empty table with room for exactly `n` TCBs: a kernel
+    /// builds its table once, at its final length.
+    pub fn with_capacity(n: usize) -> Self {
+        TcbTable {
+            tcbs: Vec::with_capacity(n),
+        }
+    }
+
     /// Inserts a TCB; its id must equal its index.
     ///
     /// # Panics

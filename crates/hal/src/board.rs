@@ -140,6 +140,12 @@ impl Board {
     pub fn device_count(&self) -> usize {
         self.devices.len()
     }
+
+    /// The interrupt lines the board's devices are wired to, in device
+    /// order.
+    pub fn irq_lines(&self) -> impl Iterator<Item = IrqLine> + '_ {
+        self.devices.iter().filter_map(|d| d.irq)
+    }
 }
 
 impl Default for Board {
@@ -201,8 +207,10 @@ mod tests {
     fn nic_device_is_registered_with_irq() {
         let mut b = Board::default();
         let nic = b.add_nic("canbus", IrqLine(2));
+        b.add_actuator("valve");
         assert_eq!(b.device(nic).irq, Some(IrqLine(2)));
-        assert_eq!(b.device_count(), 1);
+        assert_eq!(b.device_count(), 2);
+        assert_eq!(b.irq_lines().collect::<Vec<_>>(), vec![IrqLine(2)]);
         b.intc.raise(IrqLine(2));
         assert_eq!(b.intc.pending_highest(), Some(IrqLine(2)));
     }

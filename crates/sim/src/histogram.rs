@@ -2,7 +2,10 @@
 //!
 //! Response-time and latency distributions are the working currency of
 //! RTOS evaluation; this small histogram keeps them without heap churn
-//! in the hot path (log-spaced buckets, counts only).
+//! in the hot path (log-spaced buckets, counts only). Its buckets are
+//! allocated at its first sample, so a histogram that never records —
+//! an event-driven task's, a fault-free node's recovery times — holds
+//! no heap.
 
 use crate::time::Duration;
 
@@ -10,6 +13,9 @@ use crate::time::Duration;
 ///
 /// Bucket `k` holds samples in `[2^k, 2^(k+1))` microseconds, with a
 /// final overflow bucket; sub-microsecond samples land in bucket 0.
+/// The buckets are allocated at the first [`record`](Self::record),
+/// or when a non-empty histogram is merged in: `buckets` is empty
+/// exactly when `count` is zero, so derived equality compares samples.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DurationHistogram {
     buckets: Vec<u64>,
@@ -22,14 +28,31 @@ pub struct DurationHistogram {
 const BUCKETS: usize = 30;
 
 impl DurationHistogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram (no heap until its first sample).
     pub fn new() -> Self {
         DurationHistogram {
-            buckets: vec![0; BUCKETS + 1],
+            buckets: Vec::new(),
             count: 0,
             total: Duration::ZERO,
             max: Duration::ZERO,
         }
+    }
+
+    /// The buckets, allocated on first use. The allocation sits out
+    /// of line, so `record` stays small enough to inline into the
+    /// kernel's dispatch and job-completion paths.
+    #[inline]
+    fn buckets_mut(&mut self) -> &mut [u64] {
+        if self.buckets.is_empty() {
+            self.allocate_buckets();
+        }
+        &mut self.buckets
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn allocate_buckets(&mut self) {
+        self.buckets = vec![0; BUCKETS + 1];
     }
 
     fn bucket_of(d: Duration) -> usize {
@@ -45,8 +68,9 @@ impl DurationHistogram {
     /// [`Duration::MAX`] instead of panicking, so a histogram fed
     /// pathological samples still reports `count`/`max` exactly and
     /// `mean` as a lower bound.
+    #[inline]
     pub fn record(&mut self, d: Duration) {
-        self.buckets[Self::bucket_of(d)] += 1;
+        self.buckets_mut()[Self::bucket_of(d)] += 1;
         self.count += 1;
         self.total = self.total.saturating_add(d);
         self.max = self.max.max(d);
@@ -94,7 +118,10 @@ impl DurationHistogram {
 
     /// Merges another histogram in.
     pub fn merge(&mut self, other: &DurationHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+        if other.count == 0 {
+            return;
+        }
+        for (a, b) in self.buckets_mut().iter_mut().zip(&other.buckets) {
             *a += b;
         }
         self.count += other.count;
@@ -158,6 +185,36 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), us(500));
+    }
+
+    #[test]
+    fn a_histogram_that_never_records_holds_no_buckets() {
+        let h = DurationHistogram::new();
+        assert!(h.buckets.is_empty());
+        assert_eq!(h, DurationHistogram::new());
+        assert_eq!(h, DurationHistogram::default());
+    }
+
+    #[test]
+    fn merging_empty_into_empty_stays_empty() {
+        let mut a = DurationHistogram::new();
+        a.merge(&DurationHistogram::new());
+        assert!(a.buckets.is_empty());
+        assert_eq!(a, DurationHistogram::new());
+    }
+
+    #[test]
+    fn merging_into_an_empty_histogram_copies_the_source() {
+        let mut src = DurationHistogram::new();
+        for v in [0u64, 3, 70, 5_000] {
+            src.record(us(v));
+        }
+        let mut a = DurationHistogram::new();
+        a.merge(&src);
+        assert_eq!(a, src);
+        // An empty source leaves a non-empty histogram as it was.
+        a.merge(&DurationHistogram::new());
+        assert_eq!(a, src);
     }
 
     #[test]

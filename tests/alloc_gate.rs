@@ -1,4 +1,4 @@
-//! Zero-allocation gate for the interpreter hot loop.
+//! Zero-allocation and bytes-per-board gates.
 //!
 //! EMERALDS' own hot paths are constant-time and allocation-free; the
 //! host interpreter replaying them should be too once warmed up. This
@@ -23,15 +23,23 @@
 //! a fresh `Vec` per epoch, a timer heap that outgrows its warmed
 //! capacity, a buffer dropped at every outer barrier)
 //! fails the gate with an exact count.
+//!
+//! The same allocator counts the heap bytes a freshly built board
+//! holds. Two board shapes are held at or under a byte ceiling, so the
+//! footprint of a simulated board cannot grow unseen: the topology
+//! experiment's application node and the benchmark's `kernel_solo`
+//! board.
 
 #![cfg(feature = "alloc-count")]
 
 use emeralds::core::kernel::{KernelBuilder, KernelConfig};
-use emeralds::core::script::{Action, Script};
-use emeralds::core::{Kernel, SchedPolicy};
-use emeralds::fieldbus::{addressed_tag, Cluster, GatewayConfig, GatewayId, SegmentId, Topology};
+use emeralds::core::script::{Action, Operand, Script};
+use emeralds::core::{Kernel, SchedPolicy, SemScheme};
+use emeralds::fieldbus::{
+    addressed_tag, Cluster, ClusterNode, GatewayConfig, GatewayId, SegmentId, Topology,
+};
 use emeralds::sim::count_alloc;
-use emeralds::sim::{Duration, IrqLine, NodeId, Time};
+use emeralds::sim::{Duration, IrqLine, NodeId, StateId, ThreadId, Time};
 
 #[global_allocator]
 static ALLOC: emeralds::sim::CountingAlloc = emeralds::sim::CountingAlloc;
@@ -323,4 +331,131 @@ fn bridged_topology_slices_allocate_nothing() {
     );
     assert!(t.total_stats().bcast_resolved - bcast >= 100);
     assert!(t.conservation().holds(), "{:?}", t.conservation());
+}
+
+/// Heap bytes `build` leaves live on this thread: what the kernel it
+/// returns holds.
+fn heap_bytes_of(build: impl FnOnce() -> Kernel) -> (Kernel, usize) {
+    let before = count_alloc::thread_live_bytes();
+    let k = build();
+    let bytes = count_alloc::thread_live_bytes() - before;
+    (
+        k,
+        usize::try_from(bytes).expect("a built kernel holds heap"),
+    )
+}
+
+/// One application node of the topology experiment's plant
+/// (`topo_expt::app_node`): a process, TX and RX mailboxes, a NIC, a
+/// periodic sender and an RX-drain driver.
+fn app_board() -> Kernel {
+    let mut b = KernelBuilder::new(KernelConfig {
+        policy: SchedPolicy::RmQueue,
+        record_trace: false,
+        ..KernelConfig::default()
+    });
+    let p = b.add_process("app7");
+    let tx = b.add_mailbox(8);
+    let rx = b.add_mailbox(16);
+    b.board_mut().add_nic("can", NIC_IRQ);
+    b.add_periodic_task(
+        p,
+        "tx",
+        Duration::from_us(10_000),
+        Script::periodic(vec![
+            Action::Compute(Duration::from_us(120)),
+            Action::SendMbox {
+                mbox: tx,
+                bytes: 8,
+                tag: addressed_tag(Some(NodeId(3)), 7),
+            },
+        ]),
+    );
+    b.add_driver_task(
+        p,
+        "nicdrv",
+        Duration::from_ms(2),
+        Script::looping(vec![
+            Action::RecvMbox(rx),
+            Action::Compute(Duration::from_us(30)),
+        ]),
+    );
+    b.build()
+}
+
+/// One board of the benchmark's `kernel_solo` workload: 24 periodic
+/// tasks under CSD-3, every fourth taking one of two mutexes, and a
+/// state message the first task writes and the second reads.
+fn solo_board() -> Kernel {
+    let mut b = KernelBuilder::new(KernelConfig {
+        policy: SchedPolicy::Csd {
+            boundaries: vec![6, 14],
+        },
+        sem_scheme: SemScheme::Standard,
+        record_trace: false,
+        ..KernelConfig::default()
+    });
+    let p = b.add_process("solo");
+    let mutexes = [b.add_mutex(), b.add_mutex()];
+    let var = StateId(0);
+    for i in 0..24u64 {
+        let wcet = Duration::from_us(40 + 10 * i);
+        let actions = match i {
+            0 => vec![
+                Action::StateWrite {
+                    var,
+                    value: Operand::Const(1),
+                },
+                Action::Compute(wcet),
+            ],
+            1 => vec![Action::StateRead(var), Action::Compute(wcet)],
+            _ if i % 4 == 3 => {
+                let m = mutexes[(i as usize / 4) % 2];
+                vec![
+                    Action::Compute(wcet / 2),
+                    Action::AcquireSem(m),
+                    Action::Compute(wcet / 2),
+                    Action::ReleaseSem(m),
+                ]
+            }
+            _ => vec![Action::Compute(wcet)],
+        };
+        b.add_periodic_task(
+            p,
+            format!("t{i}"),
+            Duration::from_us(2_000 + 500 * i),
+            Script::periodic(actions),
+        );
+    }
+    let added = b.add_state_msg(ThreadId(0), 8, 3, &[p]);
+    assert_eq!(added, var);
+    b.build()
+}
+
+/// An application board of the plant, counted as a bus holds it: the
+/// kernel's heap at build plus the `ClusterNode` it sits in. The
+/// ceiling is the size measured on x86-64; lower it when a change
+/// shrinks the board.
+#[test]
+#[cfg(target_arch = "x86_64")]
+fn app_board_bytes_stay_within_their_ceiling() {
+    let (k, heap) = heap_bytes_of(app_board);
+    let board = heap + std::mem::size_of::<ClusterNode>();
+    assert!(board <= 3_548, "app board holds {board} B ({heap} B heap)");
+    assert_eq!(k.task_count(), 2);
+}
+
+/// A `kernel_solo` board, counted as the benchmark holds it: the
+/// kernel's heap at build plus the `Kernel` itself. Measured on
+/// x86-64, like the ceiling above.
+#[test]
+#[cfg(target_arch = "x86_64")]
+fn solo_board_bytes_stay_within_their_ceiling() {
+    let (k, heap) = heap_bytes_of(solo_board);
+    let board = heap + std::mem::size_of::<Kernel>();
+    assert!(
+        board <= 15_456,
+        "solo board holds {board} B ({heap} B heap)"
+    );
+    assert_eq!(k.task_count(), 24);
 }
