@@ -1,6 +1,6 @@
 //! Experiment library: builders and measurement harnesses for every
 //! table and figure in the paper's evaluation, shared by the `expts`
-//! binary, the criterion benches, and the calibration tests.
+//! binary, the micro-benches, and the calibration tests.
 //!
 //! Per-experiment index (see DESIGN.md §5):
 //!

@@ -18,7 +18,7 @@ use emeralds_core::kernel::{KernelBuilder, KernelConfig};
 use emeralds_core::script::{Action, Operand, Script};
 use emeralds_core::{Kernel, SchedPolicy};
 use emeralds_fieldbus::{addressed_tag, Cluster};
-use emeralds_sim::{Duration, IrqLine, MboxId, NodeId, SimRng, StateId, Time};
+use emeralds_sim::{Duration, IrqLine, NodeId, SimRng, StateId, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 
@@ -90,7 +90,7 @@ pub(crate) const STATE_VAR: StateId = StateId(0);
 /// the executive real kernel work per epoch. With `state`, the sampling
 /// task also publishes its reading into [`STATE_VAR`], a §7 state
 /// message for the NIC to replicate to the consumer.
-fn sensor_node(i: usize, dst: NodeId, state: bool, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
+fn sensor_node(i: usize, dst: NodeId, state: bool, rng: &mut SimRng) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![2],
@@ -99,9 +99,7 @@ fn sensor_node(i: usize, dst: NodeId, state: bool, rng: &mut SimRng) -> (Kernel,
         ..KernelConfig::default()
     });
     let p = b.add_process(format!("sensor{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(8);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    let nic = b.add_nic(NIC_IRQ, 8, 8);
     let period = Duration::from_us(rng.int_in(8_000, 12_000));
     let mut job = vec![Action::Compute(Duration::from_us(rng.int_in(80, 200)))];
     if state {
@@ -111,7 +109,7 @@ fn sensor_node(i: usize, dst: NodeId, state: bool, rng: &mut SimRng) -> (Kernel,
         });
     }
     job.push(Action::SendMbox {
-        mbox: tx,
+        mbox: nic.tx,
         bytes: 8,
         tag: addressed_tag(Some(dst), i as u32),
     });
@@ -133,18 +131,18 @@ fn sensor_node(i: usize, dst: NodeId, state: bool, rng: &mut SimRng) -> (Kernel,
         "nicdrv",
         Duration::from_ms(2),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(20)),
         ]),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// A consumer board: IRQ-driven NIC driver feeding a control law, plus
 /// filler tasks. With `state`, the 10 ms control law first reads
 /// [`STATE_VAR`], the NIC-fed replica of its sensor's state message,
 /// recording the end-to-end data age of every sample it consumes.
-fn consumer_node(i: usize, state: bool, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
+fn consumer_node(i: usize, state: bool, rng: &mut SimRng) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![2],
@@ -153,9 +151,7 @@ fn consumer_node(i: usize, state: bool, rng: &mut SimRng) -> (Kernel, MboxId, Mb
         ..KernelConfig::default()
     });
     let p = b.add_process(format!("consumer{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    let nic = b.add_nic(NIC_IRQ, 8, 16);
     let mut law = Vec::new();
     if state {
         assert_eq!(b.add_state_replica(p, 8, 3, &[]), STATE_VAR);
@@ -166,7 +162,7 @@ fn consumer_node(i: usize, state: bool, rng: &mut SimRng) -> (Kernel, MboxId, Mb
         "nicdrv",
         Duration::from_ms(2),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(rng.int_in(60, 140))),
         ]),
     );
@@ -181,7 +177,7 @@ fn consumer_node(i: usize, state: bool, rng: &mut SimRng) -> (Kernel, MboxId, Mb
             Script::compute_only(Duration::from_us(rng.int_in(18, 40))),
         );
     }
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// Builds the n-node workload: the first half are sensors, each paired
@@ -212,20 +208,13 @@ pub(crate) fn build_pairs(n: usize, seed: u64, state: bool) -> Cluster {
     for i in 0..half {
         let mut node_rng = rng.derive(i as u64);
         let dst = NodeId((half + i) as u32);
-        let (k, tx, rx) = sensor_node(i, dst, state, &mut node_rng);
-        c.add_node(format!("sensor{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
+        let k = sensor_node(i, dst, state, &mut node_rng);
+        c.add_node(format!("sensor{i}"), k, (i + 1) as u32);
     }
     for i in 0..half {
         let mut node_rng = rng.derive((half + i) as u64);
-        let (k, tx, rx) = consumer_node(i, state, &mut node_rng);
-        c.add_node(
-            format!("consumer{i}"),
-            k,
-            tx,
-            rx,
-            NIC_IRQ,
-            (half + i + 1) as u32,
-        );
+        let k = consumer_node(i, state, &mut node_rng);
+        c.add_node(format!("consumer{i}"), k, (half + i + 1) as u32);
     }
     c
 }
@@ -234,7 +223,7 @@ pub(crate) fn build_pairs(n: usize, seed: u64, state: bool) -> Cluster {
 /// event-driven NIC driver, nothing else. With no sub-millisecond
 /// timers anywhere, the executive can prove long idle stretches and
 /// collapse barriers — this workload exists to measure that.
-fn quiet_sensor_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
+fn quiet_sensor_node(i: usize, dst: NodeId, rng: &mut SimRng) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -243,9 +232,7 @@ fn quiet_sensor_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId
         ..KernelConfig::default()
     });
     let p = b.add_process(format!("qsensor{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(8);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    let nic = b.add_nic(NIC_IRQ, 8, 8);
     b.add_periodic_task(
         p,
         "sample",
@@ -253,7 +240,7 @@ fn quiet_sensor_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId
         Script::periodic(vec![
             Action::Compute(Duration::from_us(rng.int_in(80, 200))),
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(Some(dst), i as u32),
             },
@@ -264,15 +251,15 @@ fn quiet_sensor_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId
         "nicdrv",
         Duration::from_ms(5),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(20)),
         ]),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// A quiet consumer board: NIC driver plus one sparse control law.
-fn quiet_consumer_node(i: usize, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
+fn quiet_consumer_node(i: usize, rng: &mut SimRng) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -281,15 +268,13 @@ fn quiet_consumer_node(i: usize, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
         ..KernelConfig::default()
     });
     let p = b.add_process(format!("qconsumer{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    let nic = b.add_nic(NIC_IRQ, 8, 16);
     b.add_driver_task(
         p,
         "nicdrv",
         Duration::from_ms(5),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(rng.int_in(60, 140))),
         ]),
     );
@@ -299,7 +284,7 @@ fn quiet_consumer_node(i: usize, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
         Duration::from_us(rng.int_in(60_000, 90_000)),
         Script::compute_only(Duration::from_us(rng.int_in(300, 600))),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// The quiet-bus counterpart of [`build_cluster`]: same sensor→consumer
@@ -319,20 +304,13 @@ pub fn build_quiet_cluster(n: usize, seed: u64, _workers: usize) -> Cluster {
     for i in 0..half {
         let mut node_rng = rng.derive(i as u64);
         let dst = NodeId((half + i) as u32);
-        let (k, tx, rx) = quiet_sensor_node(i, dst, &mut node_rng);
-        c.add_node(format!("qsensor{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
+        let k = quiet_sensor_node(i, dst, &mut node_rng);
+        c.add_node(format!("qsensor{i}"), k, (i + 1) as u32);
     }
     for i in 0..half {
         let mut node_rng = rng.derive((half + i) as u64);
-        let (k, tx, rx) = quiet_consumer_node(i, &mut node_rng);
-        c.add_node(
-            format!("qconsumer{i}"),
-            k,
-            tx,
-            rx,
-            NIC_IRQ,
-            (half + i + 1) as u32,
-        );
+        let k = quiet_consumer_node(i, &mut node_rng);
+        c.add_node(format!("qconsumer{i}"), k, (half + i + 1) as u32);
     }
     c
 }

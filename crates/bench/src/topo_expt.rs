@@ -52,7 +52,7 @@ use emeralds_core::script::{Action, Script};
 use emeralds_core::{Kernel, SchedPolicy};
 use emeralds_faults::FaultPlan;
 use emeralds_fieldbus::{addressed_tag, GatewayConfig, GatewayId, GatewayPolicy, Topology};
-use emeralds_sim::{Duration, IrqLine, MboxId, NodeId, SimRng, Time};
+use emeralds_sim::{Duration, IrqLine, NodeId, SimRng, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 
@@ -153,21 +153,14 @@ impl TopoParams {
 
 /// One application node: a periodic sender shipping an addressed
 /// (or broadcast) frame, and the NIC drain driver.
-fn app_node(
-    i: usize,
-    dst: Option<NodeId>,
-    period_us: u64,
-    rng: &mut SimRng,
-) -> (Kernel, MboxId, MboxId) {
+fn app_node(i: usize, dst: Option<NodeId>, period_us: u64, rng: &mut SimRng) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::RmQueue,
         record_trace: false,
         ..KernelConfig::default()
     });
     let p = b.add_process(format!("app{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    let nic = b.add_nic(NIC_IRQ, 8, 16);
     b.add_periodic_task(
         p,
         "tx",
@@ -175,7 +168,7 @@ fn app_node(
         Script::periodic(vec![
             Action::Compute(Duration::from_us(rng.int_in(80, 200))),
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(dst, i as u32),
             },
@@ -186,11 +179,11 @@ fn app_node(
         "nicdrv",
         Duration::from_ms(2),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(30)),
         ]),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// Builds one row's topology. Application nodes spread evenly over
@@ -256,8 +249,8 @@ pub fn build_topology(r: TopoRow, horizon: Time, seed: u64, workers: usize) -> T
                 Some(NodeId((s * per + (j + 1) % per) as u32))
             };
             let period_us = nrng.int_in(6_000, 12_000) * period_scale;
-            let (k, tx, rx) = app_node(i, dst, period_us, &mut nrng);
-            t.add_node(seg, format!("app{i}"), k, tx, rx, NIC_IRQ, (j + 1) as u32);
+            let k = app_node(i, dst, period_us, &mut nrng);
+            t.add_node(seg, format!("app{i}"), k, (j + 1) as u32);
         }
     }
     match r.shape {

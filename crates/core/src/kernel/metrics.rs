@@ -22,6 +22,9 @@ use crate::tcb::{ThreadState, Timing};
 /// unbounded log on a pathological workload.
 pub const MAX_MISS_REPORTS: usize = 8;
 
+/// Trailing trace events a [`MissReport`] captures, the miss included.
+pub const MISS_WINDOW: usize = 32;
+
 /// Why a deadline was missed, as far as the kernel can tell. Fault
 /// injection (fail-stop outages, bus-off windows) is tagged by the
 /// executive via [`Kernel::set_miss_cause_hint`]; absent a hint the
@@ -671,8 +674,8 @@ pub struct MissReport {
     /// Best-effort miss classification (see [`MissCause`]).
     pub cause: MissCause,
     pub tasks: Vec<TaskSnapshot>,
-    /// The last-K events (K = `KernelConfig::miss_window`), miss
-    /// included; empty when the trace stores nothing.
+    /// The last [`MISS_WINDOW`] events, miss included; empty when the
+    /// trace stores nothing.
     pub window: Vec<(Time, TraceEvent)>,
     /// Events that had already been evicted before the capture.
     pub dropped_before_window: u64,
@@ -799,7 +802,7 @@ impl Kernel {
         if self.miss_reports.len() >= MAX_MISS_REPORTS {
             return;
         }
-        let window = self.trace.recent(self.cfg.miss_window);
+        let window = self.trace.recent(MISS_WINDOW);
         let tasks = self
             .tcbs
             .iter()

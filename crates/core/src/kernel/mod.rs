@@ -19,11 +19,11 @@ mod validate;
 
 pub use metrics::{
     ClusterMetrics, KernelMetrics, MissCause, MissReport, NodeFaultSummary, NodeMetrics,
-    ServiceCounters, TaskMetrics, TaskSnapshot, MAX_MISS_REPORTS,
+    ServiceCounters, TaskMetrics, TaskSnapshot, MAX_MISS_REPORTS, MISS_WINDOW,
 };
 pub use validate::ConfigError;
 
-use emeralds_hal::{Board, Clock, CostModel, Perms};
+use emeralds_hal::{Board, Clock, CostModel, Nic, Perms};
 use emeralds_sim::{
     Accounting, CvId, Duration, EventId, EventQueue, IrqLine, MboxId, OverheadKind, ProcId, SemId,
     StateId, ThreadId, Time, Trace, TraceEvent,
@@ -58,8 +58,6 @@ pub struct KernelConfig {
     /// (`None` = unbounded). Counters and deadline-miss forensics stay
     /// exact either way.
     pub trace_ring: Option<usize>,
-    /// How many trailing trace events a deadline-miss report captures.
-    pub miss_window: usize,
 }
 
 impl Default for KernelConfig {
@@ -72,7 +70,6 @@ impl Default for KernelConfig {
             cost: CostModel::mc68040_25mhz(),
             record_trace: true,
             trace_ring: None,
-            miss_window: 32,
         }
     }
 }
@@ -564,6 +561,24 @@ impl KernelBuilder {
         let id = MboxId(self.mbox_caps.len() as u32);
         self.mbox_caps.push(capacity);
         id
+    }
+
+    /// Wires the board's NIC (§3): a TX mailbox (application → NIC),
+    /// then an RX mailbox (NIC → application), then the NIC device on
+    /// `irq`, which records both. A bus reads this wiring when the node
+    /// joins it; a line beyond the interrupt controller fails the build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the board already has a NIC.
+    pub fn add_nic(&mut self, irq: IrqLine, tx_capacity: usize, rx_capacity: usize) -> Nic {
+        let nic = Nic {
+            tx: self.add_mailbox(tx_capacity),
+            rx: self.add_mailbox(rx_capacity),
+            irq,
+        };
+        self.board.add_nic(nic);
+        nic
     }
 
     /// Adds a state-message variable written by `writer`, readable by

@@ -934,7 +934,7 @@ fn pool_exhaustion_is_a_typed_error() {
 fn irq_builder() -> (KernelBuilder, ThreadId) {
     let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
     let p = b.add_process("drv");
-    b.board_mut().add_nic("can", IrqLine(2));
+    b.add_nic(IrqLine(2), 1, 1);
     let drv = b.add_driver_task(
         p,
         "nicdrv",
@@ -997,6 +997,14 @@ fn device_beyond_the_controller_is_a_typed_error() {
         Some(ConfigError::IrqLineOutOfRange { line: OUT_OF_RANGE })
     );
     assert!(err.unwrap().to_string().contains("IRQ40"));
+    // A NIC declared on such a line is caught by the same scan, before
+    // the fieldbus can raise it for a delivered frame.
+    let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
+    b.add_nic(OUT_OF_RANGE, 8, 8);
+    assert_eq!(
+        b.try_build().err(),
+        Some(ConfigError::IrqLineOutOfRange { line: OUT_OF_RANGE })
+    );
 }
 
 /// A raise on a line that no device, `on_irq` or `WaitIrq` wires is

@@ -37,9 +37,9 @@ use std::collections::VecDeque;
 use emeralds_core::kernel::{ClusterMetrics, NodeMetrics};
 use emeralds_core::Kernel;
 use emeralds_faults::{FaultClock, FaultPlan};
+use emeralds_hal::Nic;
 use emeralds_sim::{
-    run_epochs, ActiveSet, Barrier, Duration, EpochGroup, EpochNode, IrqLine, MboxId, NodeId,
-    StateId, Time,
+    run_epochs, ActiveSet, Barrier, Duration, EpochGroup, EpochNode, NodeId, StateId, Time,
 };
 
 use crate::errors::{error_time, recovery_time, FailStopGate, NodeStats};
@@ -82,16 +82,11 @@ pub(crate) struct RxOutcome {
 /// One simulated board in a [`Cluster`]: a kernel plus its NIC wiring.
 #[derive(Debug)]
 pub struct ClusterNode {
-    pub id: NodeId,
     /// Shared so metrics rollups bump a refcount instead of copying.
     pub name: std::sync::Arc<str>,
     pub kernel: Kernel,
-    /// Application → NIC mailbox.
-    pub tx_mbox: MboxId,
-    /// NIC → application mailbox.
-    pub rx_mbox: MboxId,
-    /// Interrupt raised on frame reception.
-    pub nic_irq: IrqLine,
+    /// The kernel's board's NIC, read once when the node joins the bus.
+    pub nic: Nic,
     /// Arbitration id for this node's transmissions.
     pub tx_prio: u32,
     /// NIC statistics and CAN error-confinement state.
@@ -112,32 +107,6 @@ pub struct ClusterNode {
 }
 
 impl ClusterNode {
-    /// Builds a node. `id` is this node's index on its own bus.
-    fn new(
-        id: NodeId,
-        name: impl Into<std::sync::Arc<str>>,
-        kernel: Kernel,
-        tx_mbox: MboxId,
-        rx_mbox: MboxId,
-        nic_irq: IrqLine,
-        tx_prio: u32,
-    ) -> ClusterNode {
-        ClusterNode {
-            id,
-            name: name.into(),
-            kernel,
-            tx_mbox,
-            rx_mbox,
-            nic_irq,
-            tx_prio,
-            stats: NodeStats::default(),
-            gate: None,
-            inbox: Vec::new(),
-            outcome: RxOutcome::default(),
-            staged_tx: Vec::new(),
-        }
-    }
-
     /// Runs the kernel to `to` through the fail-stop gate, if any.
     fn drive(&mut self, to: Time) {
         match self.gate.as_mut() {
@@ -167,8 +136,8 @@ impl ClusterNode {
                     self.outcome.latency += latency;
                 }
                 StagedRx::Msg { msg, latency } => {
-                    if self.kernel.external_mbox_push(self.rx_mbox, msg) {
-                        self.kernel.raise_external_irq(self.nic_irq);
+                    if self.kernel.external_mbox_push(self.nic.rx, msg) {
+                        self.kernel.raise_external_irq(self.nic.irq);
                         self.stats.on_rx_success();
                         self.outcome.delivered += 1;
                         self.outcome.latency += latency;
@@ -198,7 +167,7 @@ impl EpochNode for ClusterNode {
         if !self.inbox.is_empty()
             || !self.staged_tx.is_empty()
             || self.kernel.current().is_some()
-            || !self.kernel.mailbox(self.tx_mbox).is_empty()
+            || !self.kernel.mailbox(self.nic.tx).is_empty()
         {
             Time::ZERO
         } else {
@@ -228,7 +197,7 @@ impl EpochNode for ClusterNode {
         // active set relies on this: a skipped node's clock lags the
         // barrier, so the exchange must never pop its mailbox, and
         // only advanced nodes hold TX.
-        let tx = self.tx_mbox;
+        let tx = self.nic.tx;
         while let Some(msg) = self.kernel.external_mbox_pop(tx) {
             self.staged_tx.push(msg);
         }
@@ -458,7 +427,7 @@ impl BusState {
                     self.stats.frames_lost_offline += 1;
                     continue;
                 }
-                let frame = frame_of(node.id, node.tx_prio, msg, now);
+                let frame = frame_of(NodeId(i as u32), node.tx_prio, msg, now);
                 self.pending.push((frame.prio, self.seq, frame));
                 self.seq += 1;
             }
@@ -476,7 +445,7 @@ impl BusState {
                     node.stats.babble_frames += due;
                     self.stats.babble_frames += due;
                     for _ in 0..due {
-                        let frame = garbage_frame(node.id, now);
+                        let frame = garbage_frame(NodeId(i as u32), now);
                         self.pending.push((frame.prio, self.seq, frame));
                         self.seq += 1;
                     }
@@ -864,29 +833,33 @@ impl Cluster {
         self.set.advances()
     }
 
-    /// Attaches a node. The kernel must already own the two mailboxes
-    /// and have its NIC wired to `nic_irq`.
-    pub fn add_node(
-        &mut self,
-        name: impl Into<String>,
-        kernel: Kernel,
-        tx_mbox: MboxId,
-        rx_mbox: MboxId,
-        nic_irq: IrqLine,
-        tx_prio: u32,
-    ) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+    /// Attaches a node that transmits with arbitration id `tx_prio`.
+    /// Its mailboxes and receive line are the NIC wiring of the
+    /// kernel's board ([`KernelBuilder::add_nic`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the node, when the kernel's board has no NIC.
+    ///
+    /// [`KernelBuilder::add_nic`]: emeralds_core::KernelBuilder::add_nic
+    pub fn add_node(&mut self, name: impl Into<String>, kernel: Kernel, tx_prio: u32) -> NodeId {
+        let name = name.into();
+        let Some(nic) = kernel.board().nic() else {
+            panic!("node {name} has no NIC: wire one with KernelBuilder::add_nic");
+        };
         self.stale = true;
-        self.nodes.push(ClusterNode::new(
-            id,
-            name.into(),
+        self.nodes.push(ClusterNode {
+            name: name.into(),
             kernel,
-            tx_mbox,
-            rx_mbox,
-            nic_irq,
+            nic,
             tx_prio,
-        ));
-        id
+            stats: NodeStats::default(),
+            gate: None,
+            inbox: Vec::new(),
+            outcome: RxOutcome::default(),
+            staged_tx: Vec::new(),
+        });
+        NodeId(self.nodes.len() as u32 - 1)
     }
 
     /// Installs a fault plan: fail-stop gates on the affected nodes
@@ -1076,25 +1049,20 @@ mod tests {
     use emeralds_core::kernel::{KernelBuilder, KernelConfig};
     use emeralds_core::script::{Action, Script};
     use emeralds_core::SchedPolicy;
+    use emeralds_sim::IrqLine;
 
     const NIC_IRQ: IrqLine = IrqLine(2);
 
     /// A node that periodically sends one frame to `dst` and drains
     /// everything received.
-    fn make_node(
-        send_period_ms: u64,
-        payload: u32,
-        dst: Option<NodeId>,
-    ) -> (Kernel, MboxId, MboxId) {
+    fn make_node(send_period_ms: u64, payload: u32, dst: Option<NodeId>) -> Kernel {
         let cfg = KernelConfig {
             policy: SchedPolicy::RmQueue,
             ..KernelConfig::default()
         };
         let mut b = KernelBuilder::new(cfg);
         let p = b.add_process("node");
-        let tx = b.add_mailbox(8);
-        let rx = b.add_mailbox(8);
-        b.board_mut().add_nic("can", NIC_IRQ);
+        let nic = b.add_nic(NIC_IRQ, 8, 8);
         b.add_periodic_task(
             p,
             "sender",
@@ -1102,7 +1070,7 @@ mod tests {
             Script::periodic(vec![
                 Action::Compute(Duration::from_us(100)),
                 Action::SendMbox {
-                    mbox: tx,
+                    mbox: nic.tx,
                     bytes: 8,
                     tag: addressed_tag(dst, payload),
                 },
@@ -1113,19 +1081,17 @@ mod tests {
             "rx-driver",
             Duration::from_ms(1),
             Script::looping(vec![
-                Action::RecvMbox(rx),
+                Action::RecvMbox(nic.rx),
                 Action::Compute(Duration::from_us(50)),
             ]),
         );
-        (b.build(), tx, rx)
+        b.build()
     }
 
     fn two_node_cluster() -> Cluster {
         let mut c = Cluster::new(1_000_000);
-        let (k0, tx0, rx0) = make_node(10, 7, Some(NodeId(1)));
-        let (k1, tx1, rx1) = make_node(10, 9, Some(NodeId(0)));
-        c.add_node("alpha", k0, tx0, rx0, NIC_IRQ, 10);
-        c.add_node("beta", k1, tx1, rx1, NIC_IRQ, 20);
+        c.add_node("alpha", make_node(10, 7, Some(NodeId(1))), 10);
+        c.add_node("beta", make_node(10, 9, Some(NodeId(0))), 20);
         c
     }
 
@@ -1146,15 +1112,67 @@ mod tests {
         assert!(s.mean_latency().unwrap() >= c.frame_time(8));
     }
 
+    /// The executive raises the line the receiver's board wires: a NIC
+    /// on line 5 sees one raise on line 5 per delivered frame, each
+    /// dispatched, and no raise on any other line.
+    #[test]
+    fn delivery_raises_the_line_the_board_wires() {
+        let line = IrqLine(5);
+        let mut b = KernelBuilder::new(KernelConfig {
+            policy: SchedPolicy::RmQueue,
+            ..KernelConfig::default()
+        });
+        let p = b.add_process("sink");
+        let nic = b.add_nic(line, 8, 8);
+        b.add_driver_task(
+            p,
+            "rx-driver",
+            Duration::from_ms(1),
+            Script::looping(vec![
+                Action::RecvMbox(nic.rx),
+                Action::Compute(Duration::from_us(50)),
+            ]),
+        );
+        let mut c = Cluster::new(1_000_000);
+        c.add_node("src", make_node(2, 7, Some(NodeId(1))), 10);
+        let sink = c.add_node("sink", b.build(), 20);
+        c.run_until(Time::from_ms(30));
+        let delivered = c.stats().frames_delivered;
+        assert!(delivered >= 10, "delivered {delivered}");
+        assert_eq!(c.node_stats(sink).rx_frames, delivered);
+        let k = &c.node(sink).kernel;
+        let raised: Vec<IrqLine> = k
+            .trace()
+            .iter()
+            .filter_map(|(_, e)| match e {
+                emeralds_sim::TraceEvent::IrqRaised { line } => Some(*line),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(raised, vec![line; delivered as usize]);
+        assert_eq!(k.counters().irq_dispatched, delivered);
+    }
+
+    #[test]
+    #[should_panic(expected = "node bare has no NIC")]
+    fn a_kernel_without_a_nic_is_rejected_at_add_node() {
+        let mut b = KernelBuilder::new(KernelConfig::default());
+        let p = b.add_process("bare");
+        b.add_periodic_task(
+            p,
+            "idle",
+            Duration::from_ms(5),
+            Script::compute_only(Duration::from_us(10)),
+        );
+        Cluster::new(1_000_000).add_node("bare", b.build(), 1);
+    }
+
     #[test]
     fn broadcast_reaches_all_other_nodes() {
         let mut c = Cluster::new(2_000_000);
-        let (k0, tx0, rx0) = make_node(10, 42, None);
-        let (k1, tx1, rx1) = make_node(1000, 1, Some(NodeId(0)));
-        let (k2, tx2, rx2) = make_node(1000, 2, Some(NodeId(0)));
-        c.add_node("src", k0, tx0, rx0, NIC_IRQ, 5);
-        let b = c.add_node("b", k1, tx1, rx1, NIC_IRQ, 6);
-        let d = c.add_node("c", k2, tx2, rx2, NIC_IRQ, 7);
+        c.add_node("src", make_node(10, 42, None), 5);
+        let b = c.add_node("b", make_node(1000, 1, Some(NodeId(0))), 6);
+        let d = c.add_node("c", make_node(1000, 2, Some(NodeId(0))), 7);
         c.run_until(Time::from_ms(30));
         let rx_task = emeralds_sim::ThreadId(1);
         assert_eq!(c.node(b).kernel.tcb(rx_task).last_read, 42);
@@ -1167,12 +1185,9 @@ mod tests {
         // must win the bus, so its frame completes (and delivers)
         // first.
         let mut c = Cluster::new(1_000_000);
-        let (k0, tx0, rx0) = make_node(10, 1, Some(NodeId(2)));
-        let (k1, tx1, rx1) = make_node(10, 2, Some(NodeId(2)));
-        let (k2, tx2, rx2) = make_node(1000, 0, Some(NodeId(0)));
-        c.add_node("low-id", k0, tx0, rx0, NIC_IRQ, 1);
-        c.add_node("high-id", k1, tx1, rx1, NIC_IRQ, 9);
-        let sink = c.add_node("sink", k2, tx2, rx2, NIC_IRQ, 50);
+        c.add_node("low-id", make_node(10, 1, Some(NodeId(2))), 1);
+        c.add_node("high-id", make_node(10, 2, Some(NodeId(2))), 9);
+        let sink = c.add_node("sink", make_node(1000, 0, Some(NodeId(0))), 50);
         c.run_until(Time::from_ms(25));
         // Both frames of each round arrive; the last frame of each
         // back-to-back pair is the high-id one.
@@ -1200,9 +1215,7 @@ mod tests {
         };
         let mut b = KernelBuilder::new(cfg);
         let p = b.add_process("sink");
-        let tx = b.add_mailbox(8);
-        let rx = b.add_mailbox(2);
-        b.board_mut().add_nic("can", NIC_IRQ);
+        b.add_nic(NIC_IRQ, 8, 2);
         b.add_periodic_task(
             p,
             "idle",
@@ -1211,10 +1224,9 @@ mod tests {
         );
         let sink = b.build();
 
-        let (k0, tx0, rx0) = make_node(2, 3, Some(NodeId(1)));
         let mut c = Cluster::new(1_000_000);
-        c.add_node("src", k0, tx0, rx0, NIC_IRQ, 1);
-        c.add_node("sink", sink, tx, rx, NIC_IRQ, 2);
+        c.add_node("src", make_node(2, 3, Some(NodeId(1))), 1);
+        c.add_node("sink", sink, 2);
         c.run_until(Time::from_ms(40));
         let s = c.stats();
         assert!(s.frames_dropped > 0);
@@ -1274,8 +1286,7 @@ mod tests {
     fn node_accessors_and_len() {
         let mut c = Cluster::new(1_000_000);
         assert!(c.is_empty());
-        let (k, tx, rx) = make_node(50, 1, None);
-        let id = c.add_node("solo", k, tx, rx, NIC_IRQ, 3);
+        let id = c.add_node("solo", make_node(50, 1, None), 3);
         assert_eq!(c.len(), 1);
         assert!(!c.is_empty());
         assert_eq!(&*c.node(id).name, "solo");
@@ -1287,10 +1298,8 @@ mod tests {
     #[test]
     fn frame_to_a_node_the_cluster_lacks_is_dropped() {
         let mut c = Cluster::new(1_000_000);
-        let (k0, tx0, rx0) = make_node(10, 7, Some(NodeId(9)));
-        let (k1, tx1, rx1) = make_node(10, 9, Some(NodeId(0)));
-        c.add_node("stray", k0, tx0, rx0, NIC_IRQ, 10);
-        c.add_node("peer", k1, tx1, rx1, NIC_IRQ, 20);
+        c.add_node("stray", make_node(10, 7, Some(NodeId(9))), 10);
+        c.add_node("peer", make_node(10, 9, Some(NodeId(0))), 20);
         c.run_until(Time::from_ms(25));
         // Three rounds each: the stray node's frames are lost, the
         // peer's land.
@@ -1313,8 +1322,7 @@ mod tests {
     fn frames_pushed_into_an_idle_node_between_runs_are_sent() {
         let mut c = Cluster::new(1_000_000);
         for i in 0..2u32 {
-            let (k, tx, rx) = sparse_node(Duration::from_ms(5));
-            c.add_node(format!("n{i}"), k, tx, rx, NIC_IRQ, 1 + i);
+            c.add_node(format!("n{i}"), sparse_node(Duration::from_ms(5)), 1 + i);
         }
         c.run_until(Time::from_ms(1));
         // Both kernels now idle until their next release at 5 ms.
@@ -1325,7 +1333,7 @@ mod tests {
                 tag: addressed_tag(Some(NodeId(1)), i),
                 sender: emeralds_sim::ThreadId(0),
             };
-            assert!(src.kernel.external_mbox_push(src.tx_mbox, msg));
+            assert!(src.kernel.external_mbox_push(src.nic.tx, msg));
         }
         c.run_until(Time::from_us(1_800));
         let s = c.stats();
@@ -1337,14 +1345,12 @@ mod tests {
     #[test]
     fn node_added_after_the_fault_plan_has_no_scheduled_fault() {
         let mut c = Cluster::new(1_000_000);
-        let (k0, tx0, rx0) = make_node(10, 7, Some(NodeId(1)));
-        c.add_node("alpha", k0, tx0, rx0, NIC_IRQ, 10);
+        c.add_node("alpha", make_node(10, 7, Some(NodeId(1))), 10);
         c.set_fault_plan(&FaultPlan::new(3).with_corruption(0.2));
         // The plan was compiled for one node: the late node has no
         // schedule of its own, but its frames share the bus-wide
         // corruption stream.
-        let (k1, tx1, rx1) = make_node(10, 9, Some(NodeId(0)));
-        c.add_node("beta", k1, tx1, rx1, NIC_IRQ, 20);
+        c.add_node("beta", make_node(10, 9, Some(NodeId(0))), 20);
         c.run_until(Time::from_ms(40));
         let s = c.stats();
         assert!(s.error_frames > 0, "{s:?}");
@@ -1363,34 +1369,31 @@ mod tests {
     /// timer at all, so the engine skips it until a frame lands. The
     /// mailbox push wakes nobody, so the interrupt is logged one
     /// mailbox copy after the instant the frame is applied.
-    fn listener() -> (Kernel, MboxId, MboxId) {
+    fn listener() -> Kernel {
         let mut b = KernelBuilder::new(KernelConfig {
             policy: SchedPolicy::RmQueue,
             ..KernelConfig::default()
         });
         let p = b.add_process("listener");
-        let tx = b.add_mailbox(4);
-        let rx = b.add_mailbox(4);
-        b.board_mut().add_nic("can", NIC_IRQ);
+        let nic = b.add_nic(NIC_IRQ, 4, 4);
         b.add_driver_task(
             p,
             "rx-driver",
             Duration::from_ms(1),
             Script::looping(vec![
                 Action::WaitIrq(NIC_IRQ),
-                Action::RecvMbox(rx),
+                Action::RecvMbox(nic.rx),
                 Action::Compute(Duration::from_us(30)),
             ]),
         );
-        (b.build(), tx, rx)
+        b.build()
     }
 
     #[test]
     fn addresses_past_one_byte_reach_only_their_node() {
         let mut c = Cluster::new(1_000_000);
         for i in 0..300u32 {
-            let (k, tx, rx) = listener();
-            c.add_node(format!("n{i}"), k, tx, rx, NIC_IRQ, 1 + i);
+            c.add_node(format!("n{i}"), listener(), 1 + i);
         }
         let src = c.node_mut(NodeId(0));
         for (dst, payload) in [(255, 7), (256, 9)] {
@@ -1399,7 +1402,7 @@ mod tests {
                 tag: addressed_tag(Some(NodeId(dst)), payload),
                 sender: emeralds_sim::ThreadId(0),
             };
-            assert!(src.kernel.external_mbox_push(src.tx_mbox, msg));
+            assert!(src.kernel.external_mbox_push(src.nic.tx, msg));
         }
         c.run_until(Time::from_ms(2));
         let s = c.stats();
@@ -1419,19 +1422,13 @@ mod tests {
 
     /// A board that sends one frame (`payload` to `dst`) shortly after
     /// `at`, and nothing else for a second.
-    fn one_shot_sender(
-        at: Duration,
-        dst: Option<NodeId>,
-        payload: u32,
-    ) -> (Kernel, MboxId, MboxId) {
+    fn one_shot_sender(at: Duration, dst: Option<NodeId>, payload: u32) -> Kernel {
         let mut b = KernelBuilder::new(KernelConfig {
             policy: SchedPolicy::RmQueue,
             ..KernelConfig::default()
         });
         let p = b.add_process("sender");
-        let tx = b.add_mailbox(4);
-        let rx = b.add_mailbox(4);
-        b.board_mut().add_nic("can", NIC_IRQ);
+        let nic = b.add_nic(NIC_IRQ, 4, 4);
         b.add_periodic_task_phased(
             p,
             "once",
@@ -1441,13 +1438,13 @@ mod tests {
             Script::periodic(vec![
                 Action::Compute(Duration::from_us(100)),
                 Action::SendMbox {
-                    mbox: tx,
+                    mbox: nic.tx,
                     bytes: 8,
                     tag: addressed_tag(dst, payload),
                 },
             ]),
         );
-        (b.build(), tx, rx)
+        b.build()
     }
 
     fn irq_instants(k: &Kernel) -> Vec<Time> {
@@ -1462,10 +1459,9 @@ mod tests {
     fn idle_receiver_logs_irq_at_the_staging_barrier() {
         let mut c = Cluster::new(1_000_000);
         c.set_adaptive(false); // a barrier at every grid point
-        let (k0, tx0, rx0) = one_shot_sender(Duration::from_ms(20), Some(NodeId(1)), 5);
-        let (k1, tx1, rx1) = listener();
-        let s = c.add_node("sender", k0, tx0, rx0, NIC_IRQ, 1);
-        let r = c.add_node("idle", k1, tx1, rx1, NIC_IRQ, 2);
+        let k = one_shot_sender(Duration::from_ms(20), Some(NodeId(1)), 5);
+        let s = c.add_node("sender", k, 1);
+        let r = c.add_node("idle", listener(), 2);
         c.run_until(Time::from_ms(30));
         // The post, the barrier that harvests it (the first grid
         // point after it), and the barrier that stages the frame
@@ -1502,11 +1498,10 @@ mod tests {
     #[test]
     fn broadcast_reaches_lagging_listeners() {
         let mut c = Cluster::new(1_000_000);
-        let (k, tx, rx) = one_shot_sender(Duration::from_ms(15), None, 42);
-        c.add_node("caster", k, tx, rx, NIC_IRQ, 1);
+        let k = one_shot_sender(Duration::from_ms(15), None, 42);
+        c.add_node("caster", k, 1);
         for i in 0..4u32 {
-            let (k, tx, rx) = listener();
-            c.add_node(format!("l{i}"), k, tx, rx, NIC_IRQ, 2 + i);
+            c.add_node(format!("l{i}"), listener(), 2 + i);
         }
         c.run_until(Time::from_ms(25));
         let first = irq_instants(&c.nodes()[1].kernel);
@@ -1521,15 +1516,13 @@ mod tests {
     }
 
     /// A board with one sparse periodic task and its NIC driver.
-    fn sparse_node(period: Duration) -> (Kernel, MboxId, MboxId) {
+    fn sparse_node(period: Duration) -> Kernel {
         let mut b = KernelBuilder::new(KernelConfig {
             policy: SchedPolicy::RmQueue,
             ..KernelConfig::default()
         });
         let p = b.add_process("sparse");
-        let tx = b.add_mailbox(4);
-        let rx = b.add_mailbox(4);
-        b.board_mut().add_nic("can", NIC_IRQ);
+        let nic = b.add_nic(NIC_IRQ, 4, 4);
         b.add_periodic_task(
             p,
             "law",
@@ -1541,11 +1534,11 @@ mod tests {
             "rx-driver",
             Duration::from_ms(1),
             Script::looping(vec![
-                Action::RecvMbox(rx),
+                Action::RecvMbox(nic.rx),
                 Action::Compute(Duration::from_us(30)),
             ]),
         );
-        (b.build(), tx, rx)
+        b.build()
     }
 
     #[test]
@@ -1556,11 +1549,10 @@ mod tests {
         let plan = FaultPlan::new(3).fail_stop(NodeId(0), window.0, window.1);
         // Reference: the same board advanced at every grid point
         // through its gate, as an engine without skipping would.
-        let (mut reference, ..) = sparse_node(Duration::from_ms(7));
+        let mut reference = sparse_node(Duration::from_ms(7));
         let mut gate = FailStopGate::new(&[(window.0, window.0 + window.1)]);
         let mut c = Cluster::new(1_000_000);
-        let (k, tx, rx) = sparse_node(Duration::from_ms(7));
-        c.add_node("victim", k, tx, rx, NIC_IRQ, 1);
+        c.add_node("victim", sparse_node(Duration::from_ms(7)), 1);
         c.set_fault_plan(&plan);
         // Stop inside the outage: the catch-up applies the stall.
         c.run_until(Time::from_ms(12));
@@ -1584,12 +1576,9 @@ mod tests {
     #[test]
     fn every_clock_sits_at_the_horizon_with_balanced_time() {
         let mut c = Cluster::new(1_000_000);
-        let (k, tx, rx) = make_node(3, 1, Some(NodeId(1)));
-        c.add_node("busy", k, tx, rx, NIC_IRQ, 1);
-        let (k, tx, rx) = sparse_node(Duration::from_ms(9));
-        c.add_node("sparse", k, tx, rx, NIC_IRQ, 2);
-        let (k, tx, rx) = listener();
-        c.add_node("idle", k, tx, rx, NIC_IRQ, 3);
+        c.add_node("busy", make_node(3, 1, Some(NodeId(1))), 1);
+        c.add_node("sparse", sparse_node(Duration::from_ms(9)), 2);
+        c.add_node("idle", listener(), 3);
         c.set_fault_plan(&FaultPlan::new(9).fail_stop(
             NodeId(1),
             Time::from_us(12_345),

@@ -12,7 +12,9 @@
 //! - per-node transmit/receive mailboxes: an application task sends by
 //!   posting to the node's TX mailbox (the "network device driver"
 //!   interface); the bus drains it, arbitrates, and delivers into the
-//!   destination's RX mailbox, raising the NIC interrupt;
+//!   destination's RX mailbox, raising the NIC interrupt. The board
+//!   declares this wiring once (`KernelBuilder::add_nic`), and
+//!   `add_node` reads it;
 //! - deterministic simulation of the node kernels under conservative
 //!   lookahead: nodes advance independently between epoch barriers,
 //!   where the bus exchanges frames.

@@ -102,7 +102,7 @@ use emeralds_core::kernel::{ClusterMetrics, KernelBuilder, KernelConfig};
 use emeralds_core::script::{Action, Script};
 use emeralds_core::{Kernel, SchedPolicy};
 use emeralds_faults::{FaultClock, FaultEvent, FaultPlan};
-use emeralds_sim::{run_two_level, Duration, IrqLine, MboxId, NodeId, Time, TwoLevelStats};
+use emeralds_sim::{run_two_level, Duration, IrqLine, NodeId, Time, TwoLevelStats};
 
 use crate::cluster::ClusterNode;
 use crate::{BusStats, Cluster, Frame};
@@ -446,22 +446,19 @@ impl Topology {
     }
 
     /// Attaches a node to `seg` and returns its **global** id — the id
-    /// other nodes address it by via [`crate::addressed_tag`]. The kernel
-    /// must already own the two mailboxes and have its NIC wired to
-    /// `nic_irq`.
+    /// other nodes address it by via [`crate::addressed_tag`]. As on a
+    /// [`Cluster`], the node's mailboxes and receive line are the NIC
+    /// wiring of the kernel's board.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown segment.
-    #[allow(clippy::too_many_arguments)]
+    /// Panics on an unknown segment, and, naming the node, when the
+    /// kernel's board has no NIC.
     pub fn add_node(
         &mut self,
         seg: SegmentId,
         name: impl Into<String>,
         kernel: Kernel,
-        tx_mbox: MboxId,
-        rx_mbox: MboxId,
-        nic_irq: IrqLine,
         tx_prio: u32,
     ) -> NodeId {
         let si = seg.index();
@@ -469,7 +466,7 @@ impl Topology {
         let global = self.node_seg.len() as u32;
         assert!(global < 0xFFFF, "a topology addresses at most 65535 nodes");
         let s = &mut self.segments[si];
-        let local = s.add_node(name, kernel, tx_mbox, rx_mbox, nic_irq, tx_prio);
+        let local = s.add_node(name, kernel, tx_prio);
         // Global ids grow, so each member list stays ascending.
         s.bus.members.as_mut().expect("segments route").push(global);
         self.node_seg.push(si as u32);
@@ -511,9 +508,8 @@ impl Topology {
         let gid = self.gateways.len() as u32;
         let mut attach = [0u32; 2];
         for (k, seg) in [a, b].into_iter().enumerate() {
-            let (kernel, tx, rx) = gateway_kernel();
             let name = format!("gw{gid}.s{}", seg.0);
-            let global = self.add_node(seg, name, kernel, tx, rx, GW_NIC_IRQ, GW_NIC_PRIO);
+            let global = self.add_node(seg, name, gateway_kernel(), GW_NIC_PRIO);
             attach[k] = self.node_local[global.index()];
         }
         self.gateways.push(Gateway {
@@ -1054,7 +1050,7 @@ fn route_frames(
 /// listener like any other node, so its mailbox must not silt up);
 /// the store-and-forward logic itself runs in the topology executive.
 /// Its trace is a ring of [`GATEWAY_TRACE_RING`] events.
-fn gateway_kernel() -> (Kernel, MboxId, MboxId) {
+fn gateway_kernel() -> Kernel {
     let cfg = KernelConfig {
         policy: SchedPolicy::RmQueue,
         trace_ring: Some(GATEWAY_TRACE_RING),
@@ -1062,9 +1058,7 @@ fn gateway_kernel() -> (Kernel, MboxId, MboxId) {
     };
     let mut b = KernelBuilder::new(cfg);
     let p = b.add_process("gateway");
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(8);
-    b.board_mut().add_nic("can", GW_NIC_IRQ);
+    let nic = b.add_nic(GW_NIC_IRQ, 8, 8);
     b.add_periodic_task(
         p,
         "gw-idle",
@@ -1076,11 +1070,11 @@ fn gateway_kernel() -> (Kernel, MboxId, MboxId) {
         "gw-drain",
         Duration::from_ms(2),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(10)),
         ]),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 #[cfg(test)]
@@ -1093,20 +1087,14 @@ mod tests {
 
     /// A node that periodically sends one addressed frame to
     /// `dst` and drains everything received.
-    fn make_node(
-        send_period_ms: u64,
-        payload: u32,
-        dst: Option<NodeId>,
-    ) -> (Kernel, MboxId, MboxId) {
+    fn make_node(send_period_ms: u64, payload: u32, dst: Option<NodeId>) -> Kernel {
         let cfg = KernelConfig {
             policy: SchedPolicy::RmQueue,
             ..KernelConfig::default()
         };
         let mut b = KernelBuilder::new(cfg);
         let p = b.add_process("node");
-        let tx = b.add_mailbox(8);
-        let rx = b.add_mailbox(8);
-        b.board_mut().add_nic("can", NIC_IRQ);
+        let nic = b.add_nic(NIC_IRQ, 8, 8);
         b.add_periodic_task(
             p,
             "sender",
@@ -1114,7 +1102,7 @@ mod tests {
             Script::periodic(vec![
                 Action::Compute(Duration::from_us(100)),
                 Action::SendMbox {
-                    mbox: tx,
+                    mbox: nic.tx,
                     bytes: 8,
                     tag: addressed_tag(dst, payload),
                 },
@@ -1125,11 +1113,11 @@ mod tests {
             "rx-driver",
             Duration::from_ms(1),
             Script::looping(vec![
-                Action::RecvMbox(rx),
+                Action::RecvMbox(nic.rx),
                 Action::Compute(Duration::from_us(50)),
             ]),
         );
-        (b.build(), tx, rx)
+        b.build()
     }
 
     fn add_app_node(
@@ -1141,8 +1129,7 @@ mod tests {
         dst: Option<NodeId>,
         prio: u32,
     ) -> NodeId {
-        let (k, tx, rx) = make_node(period_ms, payload, dst);
-        t.add_node(seg, name, k, tx, rx, NIC_IRQ, prio)
+        t.add_node(seg, name, make_node(period_ms, payload, dst), prio)
     }
 
     /// Two segments, one gateway, one sender each way. Global ids are
@@ -1397,15 +1384,13 @@ mod tests {
 
     /// A board with one sparse compute-only task and its NIC driver: it
     /// never sends on its own.
-    fn sparse_node(period: Duration) -> (Kernel, MboxId, MboxId) {
+    fn sparse_node(period: Duration) -> Kernel {
         let mut b = KernelBuilder::new(KernelConfig {
             policy: SchedPolicy::RmQueue,
             ..KernelConfig::default()
         });
         let p = b.add_process("sparse");
-        let tx = b.add_mailbox(4);
-        let rx = b.add_mailbox(4);
-        b.board_mut().add_nic("can", NIC_IRQ);
+        let nic = b.add_nic(NIC_IRQ, 4, 4);
         b.add_periodic_task(
             p,
             "law",
@@ -1417,11 +1402,11 @@ mod tests {
             "rx-driver",
             Duration::from_ms(1),
             Script::looping(vec![
-                Action::RecvMbox(rx),
+                Action::RecvMbox(nic.rx),
                 Action::Compute(Duration::from_us(30)),
             ]),
         );
-        (b.build(), tx, rx)
+        b.build()
     }
 
     #[test]
@@ -1429,10 +1414,8 @@ mod tests {
         let mut t = Topology::new();
         let sa = t.add_segment(1_000_000);
         let sb = t.add_segment(1_000_000);
-        let mut add = |seg, name, prio| {
-            let (k, tx, rx) = sparse_node(Duration::from_ms(5));
-            t.add_node(seg, name, k, tx, rx, NIC_IRQ, prio)
-        };
+        let mut add =
+            |seg, name, prio| t.add_node(seg, name, sparse_node(Duration::from_ms(5)), prio);
         let src = add(sa, "src", 1);
         let local = add(sa, "local", 2);
         let remote = add(sb, "remote", 3);
@@ -1446,7 +1429,7 @@ mod tests {
                 tag: addressed_tag(Some(dst), i as u32),
                 sender: emeralds_sim::ThreadId(0),
             };
-            assert!(node.kernel.external_mbox_push(node.tx_mbox, msg));
+            assert!(node.kernel.external_mbox_push(node.nic.tx, msg));
         }
         t.run_until(Time::from_ms(4));
         let s = t.total_stats();

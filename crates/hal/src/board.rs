@@ -10,7 +10,7 @@
 
 use emeralds_sim::{DevId, EventQueue, IrqLine, Time};
 
-use crate::device::{Actuator, Device, DeviceEvent, DeviceKind, Sensor};
+use crate::device::{Actuator, Device, DeviceEvent, DeviceKind, Nic, Sensor};
 use crate::irq::InterruptController;
 use crate::mpu::Mpu;
 
@@ -44,9 +44,23 @@ impl Board {
         self.add_device(name, DeviceKind::Actuator(Actuator::default()), None)
     }
 
-    /// Adds a network interface wired to `irq`. Returns its device id.
-    pub fn add_nic(&mut self, name: &'static str, irq: IrqLine) -> DevId {
-        self.add_device(name, DeviceKind::Nic, Some(irq))
+    /// Adds the board's network interface. Returns its device id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the board already has a NIC.
+    pub fn add_nic(&mut self, nic: Nic) -> DevId {
+        assert!(self.nic().is_none(), "the board already has a NIC");
+        let Nic { tx, rx, irq } = nic;
+        self.add_device("nic", DeviceKind::Nic { tx, rx }, Some(irq))
+    }
+
+    /// The board's network interface wiring, if it has one.
+    pub fn nic(&self) -> Option<Nic> {
+        self.devices.iter().find_map(|d| match (&d.kind, d.irq) {
+            (&DeviceKind::Nic { tx, rx }, Some(irq)) => Some(Nic { tx, rx, irq }),
+            _ => None,
+        })
     }
 
     fn add_device(&mut self, name: &'static str, kind: DeviceKind, irq: Option<IrqLine>) -> DevId {
@@ -157,7 +171,7 @@ impl Default for Board {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emeralds_sim::Duration;
+    use emeralds_sim::{Duration, MboxId};
 
     #[test]
     fn scheduled_samples_raise_irqs() {
@@ -187,11 +201,17 @@ mod tests {
         assert_eq!(b.next_event_time(), None);
     }
 
+    const NIC: Nic = Nic {
+        tx: MboxId(0),
+        rx: MboxId(1),
+        irq: IrqLine(2),
+    };
+
     #[test]
     #[should_panic(expected = "non-sensor device")]
     fn samples_for_a_nic_are_rejected_when_scheduled() {
         let mut b = Board::default();
-        let nic = b.add_nic("canbus", IrqLine(2));
+        let nic = b.add_nic(NIC);
         b.schedule_sample(Time::from_ms(1), nic, 7);
     }
 
@@ -206,12 +226,23 @@ mod tests {
     #[test]
     fn nic_device_is_registered_with_irq() {
         let mut b = Board::default();
-        let nic = b.add_nic("canbus", IrqLine(2));
+        assert_eq!(b.nic(), None);
+        b.add_sensor("rpm", None);
+        let nic = b.add_nic(NIC);
         b.add_actuator("valve");
         assert_eq!(b.device(nic).irq, Some(IrqLine(2)));
-        assert_eq!(b.device_count(), 2);
+        assert_eq!(b.nic(), Some(NIC));
+        assert_eq!(b.device_count(), 3);
         assert_eq!(b.irq_lines().collect::<Vec<_>>(), vec![IrqLine(2)]);
         b.intc.raise(IrqLine(2));
         assert_eq!(b.intc.pending_highest(), Some(IrqLine(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "already has a NIC")]
+    fn a_second_nic_is_rejected() {
+        let mut b = Board::default();
+        b.add_nic(NIC);
+        b.add_nic(NIC);
     }
 }

@@ -5,20 +5,35 @@
 //! fieldbus network interface. Each device is a small
 //! behavioural model: sensors post samples on a schedule and can raise
 //! an interrupt; actuators log the commands they receive. The NIC
-//! device is an identity and an interrupt line only: `emeralds-fieldbus`
-//! delivers each frame by pushing it into the kernel's RX mailbox and
-//! raising that line with `Kernel::raise_external_irq`.
+//! device records the node's fieldbus wiring ([`Nic`]): `emeralds-fieldbus`
+//! drains its TX mailbox and delivers each frame by pushing it into its
+//! RX mailbox and raising its line with `Kernel::raise_external_irq`.
 
-use emeralds_sim::{DevId, IrqLine, Time};
+use emeralds_sim::{DevId, IrqLine, MboxId, Time};
 
 /// What kind of peripheral a [`Device`] models.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DeviceKind {
     Sensor(Sensor),
     Actuator(Actuator),
-    /// Network interface; frame queues are managed by the fieldbus
-    /// crate, the HAL only provides the identity and interrupt wiring.
-    Nic,
+    /// Network interface: the kernel mailboxes it moves frames
+    /// through (its line is the device's `irq`).
+    Nic {
+        tx: MboxId,
+        rx: MboxId,
+    },
+}
+
+/// A board's network interface wiring: the mailboxes its user-level
+/// driver talks through (§3) and the line it raises on each reception.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Nic {
+    /// Application → NIC mailbox.
+    pub tx: MboxId,
+    /// NIC → application mailbox.
+    pub rx: MboxId,
+    /// Interrupt raised on frame reception.
+    pub irq: IrqLine,
 }
 
 /// A sampled-input device (engine RPM, microphone frame, gyro...).
@@ -84,7 +99,7 @@ impl Device {
         match &mut self.kind {
             DeviceKind::Sensor(s) => s.read(),
             DeviceKind::Actuator(a) => a.log.last().map_or(0, |&(_, v)| v),
-            DeviceKind::Nic => 0,
+            DeviceKind::Nic { .. } => 0,
         }
     }
 
@@ -92,7 +107,7 @@ impl Device {
     pub fn write_register(&mut self, at: Time, value: u32) {
         match &mut self.kind {
             DeviceKind::Actuator(a) => a.log.push((at, value)),
-            DeviceKind::Sensor(_) | DeviceKind::Nic => {
+            DeviceKind::Sensor(_) | DeviceKind::Nic { .. } => {
                 // Command writes to sensors/NICs are configuration;
                 // modelled as no-ops.
             }

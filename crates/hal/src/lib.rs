@@ -32,6 +32,6 @@ pub mod mpu;
 pub use board::Board;
 pub use clock::Clock;
 pub use cost::CostModel;
-pub use device::{Actuator, Device, DeviceEvent, DeviceKind, Sensor};
+pub use device::{Actuator, Device, DeviceEvent, DeviceKind, Nic, Sensor};
 pub use irq::InterruptController;
 pub use mpu::{AccessKind, Mpu, MpuFault, Perms, Region};

@@ -31,7 +31,8 @@ use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
 use emeralds::fieldbus::{addressed_tag, Cluster};
-use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, StateId, Time};
+use emeralds::hal::Nic;
+use emeralds::sim::{Duration, IrqLine, NodeId, SimRng, StateId, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 const CORE_NODES: usize = 5;
@@ -46,7 +47,7 @@ fn us(v: u64) -> Duration {
     Duration::from_us(v)
 }
 
-fn builder(name: &str) -> (KernelBuilder, emeralds::sim::ProcId, MboxId, MboxId) {
+fn builder(name: &str) -> (KernelBuilder, emeralds::sim::ProcId, Nic) {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -55,21 +56,15 @@ fn builder(name: &str) -> (KernelBuilder, emeralds::sim::ProcId, MboxId, MboxId)
         ..KernelConfig::default()
     });
     let p = b.add_process(name.to_string());
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("arinc-lite", NIC_IRQ);
-    (b, p, tx, rx)
+    let nic = b.add_nic(NIC_IRQ, 8, 16);
+    (b, p, nic)
 }
 
 /// A sensor node: samples and broadcasts on a period, and also
 /// publishes the sample into a §7 state-message variable the NIC
 /// replicates to a consumer over a `link_state` channel.
-fn sensor_node(
-    name: &'static str,
-    period: Duration,
-    payload: u32,
-) -> (Kernel, MboxId, MboxId, StateId) {
-    let (mut b, p, tx, rx) = builder(name);
+fn sensor_node(name: &'static str, period: Duration, payload: u32) -> (Kernel, StateId) {
+    let (mut b, p, nic) = builder(name);
     let tid = b.add_periodic_task(
         p,
         format!("{name}-sample"),
@@ -81,7 +76,7 @@ fn sensor_node(
                 value: Operand::Const(payload),
             },
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(None, payload),
             },
@@ -95,23 +90,23 @@ fn sensor_node(
         p,
         format!("{name}-nicdrv"),
         ms(5),
-        Script::looping(vec![Action::RecvMbox(rx), Action::Compute(us(30))]),
+        Script::looping(vec![Action::RecvMbox(nic.rx), Action::Compute(us(30))]),
     );
-    (b.build(), tx, rx, var)
+    (b.build(), var)
 }
 
 /// A consumer node: an IRQ-driven NIC driver feeds a control/display
 /// task that polls its NIC-fed state-message replica — each read
 /// records the end-to-end *data age* of the sensor sample it consumes.
-fn consumer_node(name: &'static str, work: Duration) -> (Kernel, MboxId, MboxId, StateId) {
-    let (mut b, p, tx, rx) = builder(name);
+fn consumer_node(name: &'static str, work: Duration) -> (Kernel, StateId) {
+    let (mut b, p, nic) = builder(name);
     let var = b.add_state_replica(p, 8, 3, &[]);
     // NIC driver: drain the RX mailbox as frames arrive.
     b.add_driver_task(
         p,
         format!("{name}-nicdrv"),
         ms(2),
-        Script::looping(vec![Action::RecvMbox(rx), Action::Compute(us(120))]),
+        Script::looping(vec![Action::RecvMbox(nic.rx), Action::Compute(us(120))]),
     );
     // The node's periodic work (control law / display refresh / log)
     // consumes the freshest replicated sensor sample.
@@ -121,14 +116,14 @@ fn consumer_node(name: &'static str, work: Duration) -> (Kernel, MboxId, MboxId,
         ms(10),
         Script::periodic(vec![Action::StateRead(var), Action::Compute(work)]),
     );
-    (b.build(), tx, rx, var)
+    (b.build(), var)
 }
 
 /// A remote terminal: local control loop plus a ring status frame
 /// addressed to the next terminal. Periods are jittered per terminal
 /// from a seeded RNG, so the run stays deterministic.
-fn terminal_node(i: usize, ring_dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
-    let (mut b, p, tx, rx) = builder(&format!("rt{i:02}"));
+fn terminal_node(i: usize, ring_dst: NodeId, rng: &mut SimRng) -> Kernel {
+    let (mut b, p, nic) = builder(&format!("rt{i:02}"));
     b.add_periodic_task(
         p,
         "status",
@@ -136,7 +131,7 @@ fn terminal_node(i: usize, ring_dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxI
         Script::periodic(vec![
             Action::Compute(Duration::from_us(rng.int_in(200, 400))),
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(Some(ring_dst), 0x1000 + i as u32),
             },
@@ -152,9 +147,9 @@ fn terminal_node(i: usize, ring_dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxI
         p,
         "nicdrv",
         ms(5),
-        Script::looping(vec![Action::RecvMbox(rx), Action::Compute(us(30))]),
+        Script::looping(vec![Action::RecvMbox(nic.rx), Action::Compute(us(30))]),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// Builds the 64-board airframe; node ids 0–4 are the core avionics
@@ -162,19 +157,19 @@ fn terminal_node(i: usize, ring_dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxI
 fn build_cluster() -> Cluster {
     let mut cluster = Cluster::new(1_000_000); // 1 Mbit/s
 
-    let (ahrs, ahrs_tx, ahrs_rx, ahrs_var) = sensor_node("ahrs", ms(10), 45); // pitch
-    let (adc, adc_tx, adc_rx, adc_var) = sensor_node("adc", ms(20), 320); // airspeed (kt)
-    let (fcc, fcc_tx, fcc_rx, fcc_var) = consumer_node("fcc", ms(3));
-    let (disp, disp_tx, disp_rx, disp_var) = consumer_node("disp", ms(4));
-    let (dfdr, dfdr_tx, dfdr_rx, _) = consumer_node("dfdr", ms(1));
+    let (ahrs, ahrs_var) = sensor_node("ahrs", ms(10), 45); // pitch
+    let (adc, adc_var) = sensor_node("adc", ms(20), 320); // airspeed (kt)
+    let (fcc, fcc_var) = consumer_node("fcc", ms(3));
+    let (disp, disp_var) = consumer_node("disp", ms(4));
+    let (dfdr, _) = consumer_node("dfdr", ms(1));
 
     // Bus arbitration ids: AHRS (attitude) outranks ADC, which
     // outranks everything else; terminals fill the low-priority tail.
-    cluster.add_node("ahrs", ahrs, ahrs_tx, ahrs_rx, NIC_IRQ, 1);
-    cluster.add_node("adc", adc, adc_tx, adc_rx, NIC_IRQ, 2);
-    cluster.add_node("fcc", fcc, fcc_tx, fcc_rx, NIC_IRQ, 10);
-    cluster.add_node("disp", disp, disp_tx, disp_rx, NIC_IRQ, 11);
-    cluster.add_node("dfdr", dfdr, dfdr_tx, dfdr_rx, NIC_IRQ, 12);
+    cluster.add_node("ahrs", ahrs, 1);
+    cluster.add_node("adc", adc, 2);
+    cluster.add_node("fcc", fcc, 10);
+    cluster.add_node("disp", disp, 11);
+    cluster.add_node("dfdr", dfdr, 12);
 
     // State-message replication: attitude feeds the control law, air
     // data feeds the display. Arbitration ids 3–4 keep the state
@@ -186,8 +181,8 @@ fn build_cluster() -> Cluster {
     for i in 0..TERMINALS {
         let ring_dst = NodeId((CORE_NODES + (i + 1) % TERMINALS) as u32);
         let mut trng = rng.derive(i as u64);
-        let (k, tx, rx) = terminal_node(i, ring_dst, &mut trng);
-        cluster.add_node(format!("rt{i:02}"), k, tx, rx, NIC_IRQ, 20 + i as u32);
+        let k = terminal_node(i, ring_dst, &mut trng);
+        cluster.add_node(format!("rt{i:02}"), k, 20 + i as u32);
     }
     assert_eq!(cluster.len(), CORE_NODES + TERMINALS);
     cluster

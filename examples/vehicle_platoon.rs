@@ -29,7 +29,7 @@ use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig};
 use emeralds::core::script::{Action, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::fieldbus::{addressed_tag, GatewayConfig, GatewayId, SegmentId, Topology};
-use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, Time};
+use emeralds::sim::{Duration, IrqLine, NodeId, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 const VEHICLES: usize = 3;
@@ -40,7 +40,9 @@ fn us(v: u64) -> Duration {
     Duration::from_us(v)
 }
 
-fn builder(name: &str) -> (KernelBuilder, emeralds::sim::ProcId, MboxId, MboxId) {
+/// A periodic control task that computes, then ships one addressed
+/// frame; plus the IRQ-driven NIC drain driver every node carries.
+fn control_node(name: &str, period: Duration, compute: Duration, dst: NodeId, tag: u32) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -49,22 +51,7 @@ fn builder(name: &str) -> (KernelBuilder, emeralds::sim::ProcId, MboxId, MboxId)
         ..KernelConfig::default()
     });
     let p = b.add_process(name.to_string());
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
-    (b, p, tx, rx)
-}
-
-/// A periodic control task that computes, then ships one addressed
-/// frame; plus the IRQ-driven NIC drain driver every node carries.
-fn control_node(
-    name: &str,
-    period: Duration,
-    compute: Duration,
-    dst: NodeId,
-    tag: u32,
-) -> (Kernel, MboxId, MboxId) {
-    let (mut b, p, tx, rx) = builder(name);
+    let nic = b.add_nic(NIC_IRQ, 8, 16);
     b.add_periodic_task(
         p,
         "law",
@@ -72,7 +59,7 @@ fn control_node(
         Script::periodic(vec![
             Action::Compute(compute),
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(Some(dst), tag),
             },
@@ -82,9 +69,9 @@ fn control_node(
         p,
         "nicdrv",
         Duration::from_ms(2),
-        Script::looping(vec![Action::RecvMbox(rx), Action::Compute(us(40))]),
+        Script::looping(vec![Action::RecvMbox(nic.rx), Action::Compute(us(40))]),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// Global id of vehicle `v`'s coordinator (app nodes register before
@@ -108,15 +95,15 @@ fn main() {
         // to the lead, closing the ring of platoon state.
         let next = coord_id((v + 1) % VEHICLES);
         let vname = |role: &str| format!("v{v}.{role}");
-        let (k, tx, rx) = control_node(&vname("coord"), Duration::from_ms(20), us(400), next, 0x10);
-        platoon.add_node(seg, vname("coord"), k, tx, rx, NIC_IRQ, 4);
+        let k = control_node(&vname("coord"), Duration::from_ms(20), us(400), next, 0x10);
+        platoon.add_node(seg, vname("coord"), k, 4);
         let me = coord_id(v);
-        let (k, tx, rx) = control_node(&vname("engine"), Duration::from_ms(10), us(250), me, 0x20);
-        platoon.add_node(seg, vname("engine"), k, tx, rx, NIC_IRQ, 1);
-        let (k, tx, rx) = control_node(&vname("brake"), Duration::from_ms(10), us(200), me, 0x30);
-        platoon.add_node(seg, vname("brake"), k, tx, rx, NIC_IRQ, 2);
-        let (k, tx, rx) = control_node(&vname("radar"), Duration::from_ms(25), us(150), me, 0x40);
-        platoon.add_node(seg, vname("radar"), k, tx, rx, NIC_IRQ, 3);
+        let k = control_node(&vname("engine"), Duration::from_ms(10), us(250), me, 0x20);
+        platoon.add_node(seg, vname("engine"), k, 1);
+        let k = control_node(&vname("brake"), Duration::from_ms(10), us(200), me, 0x30);
+        platoon.add_node(seg, vname("brake"), k, 2);
+        let k = control_node(&vname("radar"), Duration::from_ms(25), us(150), me, 0x40);
+        platoon.add_node(seg, vname("radar"), k, 3);
     }
 
     // V2V links: lead <-> middle <-> tail. The tail-to-lead platoon

@@ -112,9 +112,7 @@ fn quiet_cluster() -> Cluster {
             ..KernelConfig::default()
         });
         let p = b.add_process(format!("n{i}"));
-        let tx = b.add_mailbox(4);
-        let rx = b.add_mailbox(4);
-        b.board_mut().add_nic("can", NIC_IRQ);
+        let nic = b.add_nic(NIC_IRQ, 4, 4);
         b.add_periodic_task(
             p,
             "law",
@@ -126,11 +124,11 @@ fn quiet_cluster() -> Cluster {
             "nicdrv",
             Duration::from_ms(5),
             Script::looping(vec![
-                Action::RecvMbox(rx),
+                Action::RecvMbox(nic.rx),
                 Action::Compute(Duration::from_us(10)),
             ]),
         );
-        c.add_node(format!("n{i}"), b.build(), tx, rx, NIC_IRQ, (i + 1) as u32);
+        c.add_node(format!("n{i}"), b.build(), (i + 1) as u32);
     }
     c
 }
@@ -166,9 +164,7 @@ fn sparse_traffic_cluster() -> Cluster {
             ..KernelConfig::default()
         });
         let p = b.add_process(format!("s{i}"));
-        let tx = b.add_mailbox(4);
-        let rx = b.add_mailbox(4);
-        b.board_mut().add_nic("can", NIC_IRQ);
+        let nic = b.add_nic(NIC_IRQ, 4, 4);
         let dst = NodeId(((i + 1) % N) as u32);
         b.add_periodic_task_phased(
             p,
@@ -179,7 +175,7 @@ fn sparse_traffic_cluster() -> Cluster {
             Script::periodic(vec![
                 Action::Compute(Duration::from_us(80)),
                 Action::SendMbox {
-                    mbox: tx,
+                    mbox: nic.tx,
                     bytes: 8,
                     tag: addressed_tag(Some(dst), i as u32),
                 },
@@ -191,11 +187,11 @@ fn sparse_traffic_cluster() -> Cluster {
             Duration::from_ms(5),
             Script::looping(vec![
                 Action::WaitIrq(NIC_IRQ),
-                Action::RecvMbox(rx),
+                Action::RecvMbox(nic.rx),
                 Action::Compute(Duration::from_us(20)),
             ]),
         );
-        c.add_node(format!("s{i}"), b.build(), tx, rx, NIC_IRQ, (i + 1) as u32);
+        c.add_node(format!("s{i}"), b.build(), (i + 1) as u32);
     }
     c
 }
@@ -249,9 +245,7 @@ fn bridged_line() -> Topology {
                 ..KernelConfig::default()
             });
             let p = b.add_process(format!("t{i}"));
-            let tx = b.add_mailbox(4);
-            let rx = b.add_mailbox(8);
-            b.board_mut().add_nic("can", NIC_IRQ);
+            let nic = b.add_nic(NIC_IRQ, 4, 8);
             let dst = match j {
                 0 => Some(NodeId((((s + 1) % SEGS) * PER) as u32)),
                 1 => None,
@@ -270,7 +264,7 @@ fn bridged_line() -> Topology {
                 Script::periodic(vec![
                     Action::Compute(Duration::from_us(60)),
                     Action::SendMbox {
-                        mbox: tx,
+                        mbox: nic.tx,
                         bytes: 8,
                         tag: addressed_tag(dst, i as u32),
                     },
@@ -282,19 +276,11 @@ fn bridged_line() -> Topology {
                 Duration::from_ms(2),
                 Script::looping(vec![
                     Action::WaitIrq(NIC_IRQ),
-                    Action::RecvMbox(rx),
+                    Action::RecvMbox(nic.rx),
                     Action::Compute(Duration::from_us(20)),
                 ]),
             );
-            t.add_node(
-                seg,
-                format!("t{i}"),
-                b.build(),
-                tx,
-                rx,
-                NIC_IRQ,
-                (j + 1) as u32,
-            );
+            t.add_node(seg, format!("t{i}"), b.build(), (j + 1) as u32);
         }
     }
     t.add_gateway(segs[0], segs[1], GatewayConfig::default());
@@ -355,9 +341,7 @@ fn app_board() -> Kernel {
         ..KernelConfig::default()
     });
     let p = b.add_process("app7");
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    let nic = b.add_nic(NIC_IRQ, 8, 16);
     b.add_periodic_task(
         p,
         "tx",
@@ -365,7 +349,7 @@ fn app_board() -> Kernel {
         Script::periodic(vec![
             Action::Compute(Duration::from_us(120)),
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(Some(NodeId(3)), 7),
             },
@@ -376,7 +360,7 @@ fn app_board() -> Kernel {
         "nicdrv",
         Duration::from_ms(2),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(30)),
         ]),
     );
@@ -441,7 +425,7 @@ fn solo_board() -> Kernel {
 fn app_board_bytes_stay_within_their_ceiling() {
     let (k, heap) = heap_bytes_of(app_board);
     let board = heap + std::mem::size_of::<ClusterNode>();
-    assert!(board <= 3_548, "app board holds {board} B ({heap} B heap)");
+    assert!(board <= 3_532, "app board holds {board} B ({heap} B heap)");
     assert_eq!(k.task_count(), 2);
 }
 
@@ -454,7 +438,7 @@ fn solo_board_bytes_stay_within_their_ceiling() {
     let (k, heap) = heap_bytes_of(solo_board);
     let board = heap + std::mem::size_of::<Kernel>();
     assert!(
-        board <= 15_456,
+        board <= 15_448,
         "solo board holds {board} B ({heap} B heap)"
     );
     assert_eq!(k.task_count(), 24);

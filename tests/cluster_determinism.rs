@@ -16,7 +16,7 @@ use emeralds::core::script::{Action, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
 use emeralds::fieldbus::{addressed_tag, Cluster};
-use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, Time};
+use emeralds::sim::{Duration, IrqLine, NodeId, SimRng, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 
@@ -28,7 +28,7 @@ fn hash_of(s: &str) -> u64 {
 
 /// A traced node that sends an addressed frame on a jittered period,
 /// drains its RX mailbox, and runs filler compute.
-fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
+fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -37,9 +37,7 @@ fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, Mbox
         ..KernelConfig::default()
     });
     let p = b.add_process(format!("node{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    let nic = b.add_nic(NIC_IRQ, 8, 16);
     b.add_periodic_task(
         p,
         "tx",
@@ -47,7 +45,7 @@ fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, Mbox
         Script::periodic(vec![
             Action::Compute(Duration::from_us(rng.int_in(100, 300))),
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(Some(dst), i as u32),
             },
@@ -64,11 +62,11 @@ fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, Mbox
         "nicdrv",
         Duration::from_ms(2),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(40)),
         ]),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// A 6-node ring cluster with tracing on.
@@ -79,8 +77,8 @@ fn ring_cluster() -> Cluster {
     for i in 0..N {
         let mut nrng = rng.derive(i as u64);
         let dst = NodeId(((i + 1) % N) as u32);
-        let (k, tx, rx) = traced_node(i, dst, &mut nrng);
-        c.add_node(format!("node{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
+        let k = traced_node(i, dst, &mut nrng);
+        c.add_node(format!("node{i}"), k, (i + 1) as u32);
     }
     c
 }
@@ -90,7 +88,7 @@ fn ring_cluster() -> Cluster {
 /// the TX mailbox, which a plain kernel run has no analogue for. The
 /// mailboxes and NIC exist (the cluster wiring needs them) but no task
 /// touches them.
-fn local_only_kernel() -> (Kernel, MboxId, MboxId) {
+fn local_only_kernel() -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -99,9 +97,7 @@ fn local_only_kernel() -> (Kernel, MboxId, MboxId) {
         ..KernelConfig::default()
     });
     let p = b.add_process("solo");
-    let tx = b.add_mailbox(4);
-    let rx = b.add_mailbox(4);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    b.add_nic(NIC_IRQ, 4, 4);
     b.add_periodic_task(
         p,
         "fast",
@@ -120,18 +116,17 @@ fn local_only_kernel() -> (Kernel, MboxId, MboxId) {
         Duration::from_ms(20),
         Script::compute_only(Duration::from_ms(2)),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 #[test]
 fn single_node_cluster_matches_plain_kernel() {
     let horizon = Time::from_ms(60);
-    let (mut plain, _, _) = local_only_kernel();
+    let mut plain = local_only_kernel();
     plain.run_until(horizon);
 
     let mut c = Cluster::new(1_000_000);
-    let (k, tx, rx) = local_only_kernel();
-    c.add_node("solo", k, tx, rx, NIC_IRQ, 1);
+    c.add_node("solo", local_only_kernel(), 1);
     c.run_until(horizon);
 
     // Epoch-split execution of the same kernel: schedule, metrics, and
@@ -253,8 +248,7 @@ fn adaptive_stretch_truncates_at_horizon() {
     let end = Time::from_ms(60);
     let build = || {
         let mut c = Cluster::new(1_000_000);
-        let (k, tx, rx) = local_only_kernel();
-        c.add_node("solo", k, tx, rx, NIC_IRQ, 1);
+        c.add_node("solo", local_only_kernel(), 1);
         c
     };
     let mut whole = build();
@@ -287,7 +281,7 @@ fn adaptive_stretch_truncates_at_horizon() {
 
 /// A node that posts one frame right at each job release (the timer
 /// expiry adaptive stretches target), then idles most of its period.
-fn sparse_tx_node(i: usize, dst: NodeId) -> (Kernel, MboxId, MboxId) {
+fn sparse_tx_node(i: usize, dst: NodeId) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -296,16 +290,14 @@ fn sparse_tx_node(i: usize, dst: NodeId) -> (Kernel, MboxId, MboxId) {
         ..KernelConfig::default()
     });
     let p = b.add_process(format!("sparse{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    let nic = b.add_nic(NIC_IRQ, 8, 16);
     b.add_periodic_task(
         p,
         "tx",
         Duration::from_us(9_700 + 900 * i as u64),
         Script::periodic(vec![
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(Some(dst), i as u32),
             },
@@ -317,11 +309,11 @@ fn sparse_tx_node(i: usize, dst: NodeId) -> (Kernel, MboxId, MboxId) {
         "nicdrv",
         Duration::from_ms(2),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(40)),
         ]),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// Frames enqueued at the very instant a stretched epoch lands on (the
@@ -336,8 +328,7 @@ fn tx_at_stretched_boundary_is_delivered_identically() {
         c.set_adaptive(adaptive);
         for i in 0..2usize {
             let dst = NodeId(((i + 1) % 2) as u32);
-            let (k, tx, rx) = sparse_tx_node(i, dst);
-            c.add_node(format!("n{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
+            c.add_node(format!("n{i}"), sparse_tx_node(i, dst), (i + 1) as u32);
         }
         c.run_until(horizon);
         let hashes: Vec<u64> = c

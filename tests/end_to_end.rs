@@ -189,7 +189,7 @@ fn mpu_region_semantics() {
 /// consumers; everything meets deadlines and the bus stats add up.
 #[test]
 fn three_node_fieldbus_system() {
-    let nic = IrqLine(2);
+    let line = IrqLine(2);
     let sensor = || {
         let mut b = KernelBuilder::new(KernelConfig {
             policy: SchedPolicy::Csd {
@@ -198,9 +198,7 @@ fn three_node_fieldbus_system() {
             ..KernelConfig::default()
         });
         let p = b.add_process("sensor");
-        let tx = b.add_mailbox(8);
-        let rx = b.add_mailbox(8);
-        b.board_mut().add_nic("nic", nic);
+        let nic = b.add_nic(line, 8, 8);
         b.add_periodic_task(
             p,
             "sample",
@@ -208,7 +206,7 @@ fn three_node_fieldbus_system() {
             Script::periodic(vec![
                 Action::Compute(us(300)),
                 Action::SendMbox {
-                    mbox: tx,
+                    mbox: nic.tx,
                     bytes: 8,
                     tag: addressed_tag(None, 55),
                 },
@@ -218,9 +216,9 @@ fn three_node_fieldbus_system() {
             p,
             "drain",
             ms(5),
-            Script::looping(vec![Action::RecvMbox(rx), Action::Compute(us(20))]),
+            Script::looping(vec![Action::RecvMbox(nic.rx), Action::Compute(us(20))]),
         );
-        (b.build(), tx, rx)
+        b.build()
     };
     let consumer = |work_us: u64| {
         let mut b = KernelBuilder::new(KernelConfig {
@@ -228,25 +226,20 @@ fn three_node_fieldbus_system() {
             ..KernelConfig::default()
         });
         let p = b.add_process("consumer");
-        let tx = b.add_mailbox(8);
-        let rx = b.add_mailbox(16);
-        b.board_mut().add_nic("nic", nic);
+        let nic = b.add_nic(line, 8, 16);
         b.add_driver_task(
             p,
             "rx",
             ms(2),
-            Script::looping(vec![Action::RecvMbox(rx), Action::Compute(us(work_us))]),
+            Script::looping(vec![Action::RecvMbox(nic.rx), Action::Compute(us(work_us))]),
         );
         b.add_periodic_task(p, "main", ms(20), Script::compute_only(ms(2)));
-        (b.build(), tx, rx)
+        b.build()
     };
     let mut net = Cluster::new(2_000_000);
-    let (k0, tx0, rx0) = sensor();
-    let (k1, tx1, rx1) = consumer(100);
-    let (k2, tx2, rx2) = consumer(200);
-    net.add_node("sensor", k0, tx0, rx0, nic, 1);
-    let c1 = net.add_node("c1", k1, tx1, rx1, nic, 5);
-    let c2 = net.add_node("c2", k2, tx2, rx2, nic, 6);
+    net.add_node("sensor", sensor(), 1);
+    let c1 = net.add_node("c1", consumer(100), 5);
+    let c2 = net.add_node("c2", consumer(200), 6);
     net.run_until(Time::from_ms(300));
     let s = net.stats();
     assert_eq!(s.frames_dropped, 0);
@@ -292,13 +285,16 @@ fn footprint_report_after_a_run() {
 
 /// Per-node inline footprint ceilings, so a simulated board cannot grow
 /// unseen: every node of a bus carries one `ClusterNode` (its `Kernel`
-/// included), and every kernel one `Board`. The ceilings are the sizes
+/// included), every kernel one `Board`, and every board one `Device`
+/// per peripheral (its NIC included). The ceilings are the sizes
 /// measured on x86-64; lower them when a change shrinks a node.
 #[test]
 #[cfg(target_arch = "x86_64")]
 fn node_footprint_stays_within_its_ceiling() {
     let node = std::mem::size_of::<emeralds::fieldbus::ClusterNode>();
     let board = std::mem::size_of::<emeralds::hal::Board>();
-    assert!(node <= 1_720, "ClusterNode is {node} B");
+    let device = std::mem::size_of::<emeralds::hal::Device>();
+    assert!(node <= 1_704, "ClusterNode is {node} B");
     assert!(board <= 96, "Board is {board} B");
+    assert!(device <= 64, "Device is {device} B");
 }

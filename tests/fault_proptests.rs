@@ -23,7 +23,7 @@ use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
 use emeralds::fieldbus::{addressed_tag, Cluster};
-use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, StateId, ThreadId, Time};
+use emeralds::sim::{Duration, IrqLine, NodeId, SimRng, StateId, ThreadId, Time};
 
 /// The frame-conservation invariant, checked wherever a cluster is
 /// observed at rest.
@@ -41,24 +41,21 @@ const CASES: u64 = 16;
 
 /// A minimal node: one idle periodic task keeps the kernel alive;
 /// frames are injected and observed externally through the mailboxes.
-fn shell_node(tx_cap: usize, rx_cap: usize) -> (Kernel, MboxId, MboxId, IrqLine) {
+fn shell_node(tx_cap: usize, rx_cap: usize) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::RmQueue,
         record_trace: false,
         ..KernelConfig::default()
     });
     let p = b.add_process("shell");
-    let tx = b.add_mailbox(tx_cap);
-    let rx = b.add_mailbox(rx_cap);
-    let line = IrqLine(2);
-    b.board_mut().add_nic("can", line);
+    b.add_nic(IrqLine(2), tx_cap, rx_cap);
     b.add_periodic_task(
         p,
         "idle",
         Duration::from_ms(5),
         Script::compute_only(Duration::from_us(10)),
     );
-    (b.build(), tx, rx, line)
+    b.build()
 }
 
 /// Queues `n_frames` same-priority frames on one node under a
@@ -66,10 +63,9 @@ fn shell_node(tx_cap: usize, rx_cap: usize) -> (Kernel, MboxId, MboxId, IrqLine)
 /// Returns (retransmissions, error_frames) for aggregate assertions.
 fn check_fifo_preserved(seed: u64, n_frames: u32, corruption: f64) -> (u64, u64) {
     let mut net = Cluster::new(1_000_000);
-    let (k0, tx0, rx0, irq0) = shell_node(64, 8);
-    let (k1, tx1, rx1, irq1) = shell_node(8, 64);
-    let src = net.add_node("src", k0, tx0, rx0, irq0, 10);
-    let sink = net.add_node("sink", k1, tx1, rx1, irq1, 20);
+    let src = net.add_node("src", shell_node(64, 8), 10);
+    let sink = net.add_node("sink", shell_node(8, 64), 20);
+    let (tx0, rx1) = (net.node(src).nic.tx, net.node(sink).nic.rx);
     net.set_fault_plan(&FaultPlan::new(seed).with_corruption(corruption));
     for i in 0..n_frames {
         let ok = net.node_mut(src).kernel.external_mbox_push(
@@ -134,12 +130,11 @@ fn retransmission_preserves_same_priority_fifo() {
 /// gets through; once the window ends, it recovers and rejoins.
 fn check_busoff_contains(babble_period_us: u64, babble_start_us: u64) {
     let mut net = Cluster::new(1_000_000);
-    let (k0, tx0, rx0, irq0) = shell_node(8, 8);
-    let (k1, tx1, rx1, irq1) = shell_node(8, 8);
-    let (k2, tx2, rx2, irq2) = shell_node(8, 64);
-    let babbler = net.add_node("babbler", k0, tx0, rx0, irq0, 10);
-    let clean = net.add_node("clean", k1, tx1, rx1, irq1, 11);
-    let sink = net.add_node("sink", k2, tx2, rx2, irq2, 12);
+    let babbler = net.add_node("babbler", shell_node(8, 8), 10);
+    let clean = net.add_node("clean", shell_node(8, 8), 11);
+    let sink = net.add_node("sink", shell_node(8, 64), 12);
+    let (tx0, tx1) = (net.node(babbler).nic.tx, net.node(clean).nic.tx);
+    let rx2 = net.node(sink).nic.rx;
     net.set_fault_plan(&FaultPlan::new(1).babble(
         babbler,
         Time::from_us(babble_start_us),
@@ -252,10 +247,9 @@ fn busoff_boundary_conserves_queued_and_inflight_frames() {
         let babble_period = rng.int_in(40, 120);
         let babble_start = rng.int_in(200, 1500);
         let mut net = Cluster::new(1_000_000);
-        let (k0, tx0, rx0, irq0) = shell_node(64, 8);
-        let (k1, tx1, rx1, irq1) = shell_node(8, 64);
-        let babbler = net.add_node("babbler", k0, tx0, rx0, irq0, 10);
-        let sink = net.add_node("sink", k1, tx1, rx1, irq1, 20);
+        let babbler = net.add_node("babbler", shell_node(64, 8), 10);
+        let sink = net.add_node("sink", shell_node(8, 64), 20);
+        let tx0 = net.node(babbler).nic.tx;
         net.set_fault_plan(&FaultPlan::new(case + 1).babble(
             babbler,
             Time::from_us(babble_start),
@@ -305,8 +299,7 @@ fn parallel_executive_conserves_frames_across_fault_boundaries() {
         let plan = FaultPlan::random(seed, 4, horizon, 0.05, 0.6, 0.6);
         let mut c = Cluster::new(1_000_000);
         for i in 0..4u32 {
-            let (k, tx, rx, irq) = traffic_node(i, NodeId((i + 1) % 4));
-            c.add_node(format!("n{i}"), k, tx, rx, irq, i + 1);
+            c.add_node(format!("n{i}"), traffic_node(i, NodeId((i + 1) % 4)), i + 1);
         }
         c.set_fault_plan(&plan);
         // Staggered horizons: the run is interrupted mid-outage and
@@ -325,17 +318,14 @@ fn parallel_executive_conserves_frames_across_fault_boundaries() {
 
 /// A node with real periodic traffic for the cluster-side ledger
 /// sweep.
-fn traffic_node(i: u32, dst: NodeId) -> (Kernel, MboxId, MboxId, IrqLine) {
+fn traffic_node(i: u32, dst: NodeId) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::RmQueue,
         record_trace: false,
         ..KernelConfig::default()
     });
     let p = b.add_process(format!("traffic{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    let line = IrqLine(2);
-    b.board_mut().add_nic("can", line);
+    let nic = b.add_nic(IrqLine(2), 8, 16);
     b.add_periodic_task(
         p,
         "tx",
@@ -343,7 +333,7 @@ fn traffic_node(i: u32, dst: NodeId) -> (Kernel, MboxId, MboxId, IrqLine) {
         Script::periodic(vec![
             Action::Compute(Duration::from_us(80)),
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(Some(dst), i),
             },
@@ -354,27 +344,24 @@ fn traffic_node(i: u32, dst: NodeId) -> (Kernel, MboxId, MboxId, IrqLine) {
         "nicdrv",
         Duration::from_ms(2),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(40)),
         ]),
     );
-    (b.build(), tx, rx, line)
+    b.build()
 }
 
 /// A writer node publishing into a state-message variable on a
 /// jittered period. The NIC samples the variable and ships changed
 /// versions over a `link_state` channel.
-fn state_writer_node(period_us: u64) -> (Kernel, MboxId, MboxId, IrqLine, StateId) {
+fn state_writer_node(period_us: u64) -> (Kernel, StateId) {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::RmQueue,
         record_trace: false,
         ..KernelConfig::default()
     });
     let p = b.add_process("writer");
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(8);
-    let line = IrqLine(2);
-    b.board_mut().add_nic("can", line);
+    b.add_nic(IrqLine(2), 8, 8);
     let tid = b.add_periodic_task(
         p,
         "pub",
@@ -389,22 +376,19 @@ fn state_writer_node(period_us: u64) -> (Kernel, MboxId, MboxId, IrqLine, StateI
     );
     let var = b.add_state_msg(tid, 8, 3, &[]);
     assert_eq!(var, StateId(0));
-    (b.build(), tx, rx, line, var)
+    (b.build(), var)
 }
 
 /// A reader node holding the NIC-fed replica, polled by a periodic
 /// control task.
-fn state_reader_node(period_us: u64) -> (Kernel, MboxId, MboxId, IrqLine, StateId) {
+fn state_reader_node(period_us: u64) -> (Kernel, StateId) {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::RmQueue,
         record_trace: false,
         ..KernelConfig::default()
     });
     let p = b.add_process("reader");
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(8);
-    let line = IrqLine(2);
-    b.board_mut().add_nic("can", line);
+    b.add_nic(IrqLine(2), 8, 8);
     let var = b.add_state_replica(p, 8, 3, &[]);
     b.add_periodic_task(
         p,
@@ -415,7 +399,7 @@ fn state_reader_node(period_us: u64) -> (Kernel, MboxId, MboxId, IrqLine, StateI
             Action::Compute(Duration::from_us(50)),
         ]),
     );
-    (b.build(), tx, rx, line, var)
+    (b.build(), var)
 }
 
 /// State links must uphold conservation under wire corruption: every
@@ -430,10 +414,10 @@ fn state_links_conserve_frames_under_corruption() {
         let seed = rng.int_in(1, u64::MAX - 1);
         let wr_period = rng.int_in(2_000, 6_000);
         let mut net = Cluster::new(1_000_000);
-        let (k0, tx0, rx0, irq0, wvar) = state_writer_node(wr_period);
-        let (k1, tx1, rx1, irq1, rvar) = state_reader_node(5_000);
-        let src = net.add_node("writer", k0, tx0, rx0, irq0, 10);
-        let dst = net.add_node("reader", k1, tx1, rx1, irq1, 20);
+        let (k0, wvar) = state_writer_node(wr_period);
+        let (k1, rvar) = state_reader_node(5_000);
+        let src = net.add_node("writer", k0, 10);
+        let dst = net.add_node("reader", k1, 20);
         net.link_state(src, wvar, dst, rvar, 30, 8);
         net.set_fault_plan(&FaultPlan::new(seed).with_corruption(p));
         net.run_until(Time::from_ms(60));

@@ -29,7 +29,7 @@ use emeralds::core::script::{Action, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
 use emeralds::fieldbus::{addressed_tag, Cluster, GatewayConfig, GatewayId, SegmentId, Topology};
-use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, Time};
+use emeralds::sim::{Duration, IrqLine, NodeId, SimRng, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 
@@ -68,7 +68,7 @@ fn check_golden(name: &str, observed: &str) {
 /// A traced node sending an addressed frame on a jittered period,
 /// draining its RX mailbox, with filler compute — the SC traffic
 /// shape, small enough to trace.
-fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
+fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -77,9 +77,7 @@ fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, Mbox
         ..KernelConfig::default()
     });
     let p = b.add_process(format!("node{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    let nic = b.add_nic(NIC_IRQ, 8, 16);
     b.add_periodic_task(
         p,
         "tx",
@@ -87,7 +85,7 @@ fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, Mbox
         Script::periodic(vec![
             Action::Compute(Duration::from_us(rng.int_in(100, 300))),
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(Some(dst), i as u32),
             },
@@ -104,11 +102,11 @@ fn traced_node(i: usize, dst: NodeId, rng: &mut SimRng) -> (Kernel, MboxId, Mbox
         "nicdrv",
         Duration::from_ms(2),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(40)),
         ]),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// A 6-node ring cluster with tracing on (the SC quick shape).
@@ -119,8 +117,8 @@ fn ring_cluster() -> Cluster {
     for i in 0..N {
         let mut nrng = rng.derive(i as u64);
         let dst = NodeId(((i + 1) % N) as u32);
-        let (k, tx, rx) = traced_node(i, dst, &mut nrng);
-        c.add_node(format!("node{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
+        let k = traced_node(i, dst, &mut nrng);
+        c.add_node(format!("node{i}"), k, (i + 1) as u32);
     }
     c
 }
@@ -187,8 +185,8 @@ fn line_topology() -> Topology {
             } else {
                 NodeId((s * PER + (j + 1) % PER) as u32)
             };
-            let (k, tx, rx) = traced_node(i, dst, &mut nrng);
-            t.add_node(seg, format!("node{i}"), k, tx, rx, NIC_IRQ, (j + 1) as u32);
+            let k = traced_node(i, dst, &mut nrng);
+            t.add_node(seg, format!("node{i}"), k, (j + 1) as u32);
         }
     }
     t.add_gateway(segs[0], segs[1], GatewayConfig::default());

@@ -4,7 +4,7 @@
 //! workload, deadline-miss forensics, bounded ring-trace recording, and
 //! JSONL export.
 
-use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig, ServiceCounters};
+use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig, ServiceCounters, MISS_WINDOW};
 use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::{SchedPolicy, SemScheme};
 use emeralds::sim::{Duration, SemId, SimRng, StateId, ThreadId, Time, TraceEvent};
@@ -391,7 +391,6 @@ fn hot_path_work_counters() {
 fn deadline_miss_captures_forensic_window() {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Edf,
-        miss_window: 16,
         ..KernelConfig::default()
     });
     let p = b.add_process("app");
@@ -408,7 +407,7 @@ fn deadline_miss_captures_forensic_window() {
     let reports = k.miss_reports();
     assert_eq!(reports.len(), 1, "run stops at the first miss");
     let r = &reports[0];
-    assert_eq!(r.window.len().min(16), r.window.len());
+    assert!(r.window.len() <= MISS_WINDOW);
     assert!(!r.window.is_empty());
     // The window ends with the miss itself.
     assert!(matches!(
@@ -432,7 +431,6 @@ fn deadline_miss_captures_forensic_window() {
     // Forensics survive a bounded ring trace too.
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Edf,
-        miss_window: 16,
         trace_ring: Some(32),
         ..KernelConfig::default()
     });

@@ -19,21 +19,19 @@ use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::SchedPolicy;
 use emeralds::faults::FaultPlan;
 use emeralds::fieldbus::Cluster;
-use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, StateId, Time};
+use emeralds::sim::{Duration, IrqLine, NodeId, StateId, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 
 /// A node publishing into a state-message variable every `period_us`.
-fn writer_node(period_us: u64) -> (Kernel, MboxId, MboxId, StateId) {
+fn writer_node(period_us: u64) -> (Kernel, StateId) {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::RmQueue,
         record_trace: false,
         ..KernelConfig::default()
     });
     let p = b.add_process("writer");
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(8);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    b.add_nic(NIC_IRQ, 8, 8);
     let tid = b.add_periodic_task(
         p,
         "pub",
@@ -48,20 +46,18 @@ fn writer_node(period_us: u64) -> (Kernel, MboxId, MboxId, StateId) {
     );
     let var = b.add_state_msg(tid, 8, 3, &[]);
     assert_eq!(var, StateId(0));
-    (b.build(), tx, rx, var)
+    (b.build(), var)
 }
 
 /// A node polling its NIC-fed replica every `period_us`.
-fn reader_node(period_us: u64) -> (Kernel, MboxId, MboxId, StateId) {
+fn reader_node(period_us: u64) -> (Kernel, StateId) {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::RmQueue,
         record_trace: false,
         ..KernelConfig::default()
     });
     let p = b.add_process("reader");
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(8);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    b.add_nic(NIC_IRQ, 8, 8);
     let var = b.add_state_replica(p, 8, 3, &[]);
     b.add_periodic_task(
         p,
@@ -72,7 +68,7 @@ fn reader_node(period_us: u64) -> (Kernel, MboxId, MboxId, StateId) {
             Action::Compute(Duration::from_us(60)),
         ]),
     );
-    (b.build(), tx, rx, var)
+    (b.build(), var)
 }
 
 /// Healthy bus: every recorded age obeys `age <= P + D`, where `P` is
@@ -82,10 +78,10 @@ fn reader_node(period_us: u64) -> (Kernel, MboxId, MboxId, StateId) {
 fn healthy_bus_age_bounded_by_period_plus_delivery() {
     let period_us = 10_000;
     let mut net = Cluster::new(1_000_000);
-    let (kw, txw, rxw, wvar) = writer_node(period_us);
-    let (kr, txr, rxr, rvar) = reader_node(7_000);
-    let src = net.add_node("writer", kw, txw, rxw, NIC_IRQ, 1);
-    let dst = net.add_node("reader", kr, txr, rxr, NIC_IRQ, 2);
+    let (kw, wvar) = writer_node(period_us);
+    let (kr, rvar) = reader_node(7_000);
+    let src = net.add_node("writer", kw, 1);
+    let dst = net.add_node("reader", kr, 2);
     net.link_state(src, wvar, dst, rvar, 5, 8);
     net.run_until(Time::from_ms(200));
 
@@ -118,13 +114,13 @@ fn storm_cluster() -> Cluster {
     let mut c = Cluster::new(1_000_000);
     let mut wvars = Vec::new();
     for i in 0..2usize {
-        let (k, tx, rx, var) = writer_node(8_000 + 2_000 * i as u64);
-        c.add_node(format!("writer{i}"), k, tx, rx, NIC_IRQ, (i + 1) as u32);
+        let (k, var) = writer_node(8_000 + 2_000 * i as u64);
+        c.add_node(format!("writer{i}"), k, (i + 1) as u32);
         wvars.push(var);
     }
     for (i, &wvar) in wvars.iter().enumerate() {
-        let (k, tx, rx, var) = reader_node(9_000 + 2_000 * i as u64);
-        c.add_node(format!("reader{i}"), k, tx, rx, NIC_IRQ, (i + 3) as u32);
+        let (k, var) = reader_node(9_000 + 2_000 * i as u64);
+        c.add_node(format!("reader{i}"), k, (i + 3) as u32);
         c.link_state(
             NodeId(i as u32),
             wvar,

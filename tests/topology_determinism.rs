@@ -20,7 +20,7 @@ use emeralds::faults::FaultPlan;
 use emeralds::fieldbus::{
     addressed_tag, GatewayConfig, GatewayId, NodeStats, SegmentId, TopoEventKind, Topology,
 };
-use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SimRng, Time};
+use emeralds::sim::{Duration, IrqLine, NodeId, SimRng, Time};
 
 const NIC_IRQ: IrqLine = IrqLine(2);
 
@@ -46,7 +46,7 @@ fn worker_counts() -> Vec<usize> {
 
 /// A traced node sending addressed frames to a (global) peer, or
 /// broadcasting them, on a jittered period, draining its RX mailbox.
-fn traced_node(i: usize, dst: Option<NodeId>, rng: &mut SimRng) -> (Kernel, MboxId, MboxId) {
+fn traced_node(i: usize, dst: Option<NodeId>, rng: &mut SimRng) -> Kernel {
     let mut b = KernelBuilder::new(KernelConfig {
         policy: SchedPolicy::Csd {
             boundaries: vec![1],
@@ -55,9 +55,7 @@ fn traced_node(i: usize, dst: Option<NodeId>, rng: &mut SimRng) -> (Kernel, Mbox
         ..KernelConfig::default()
     });
     let p = b.add_process(format!("node{i}"));
-    let tx = b.add_mailbox(8);
-    let rx = b.add_mailbox(16);
-    b.board_mut().add_nic("can", NIC_IRQ);
+    let nic = b.add_nic(NIC_IRQ, 8, 16);
     b.add_periodic_task(
         p,
         "tx",
@@ -65,7 +63,7 @@ fn traced_node(i: usize, dst: Option<NodeId>, rng: &mut SimRng) -> (Kernel, Mbox
         Script::periodic(vec![
             Action::Compute(Duration::from_us(rng.int_in(100, 300))),
             Action::SendMbox {
-                mbox: tx,
+                mbox: nic.tx,
                 bytes: 8,
                 tag: addressed_tag(dst, i as u32),
             },
@@ -76,11 +74,11 @@ fn traced_node(i: usize, dst: Option<NodeId>, rng: &mut SimRng) -> (Kernel, Mbox
         "nicdrv",
         Duration::from_ms(2),
         Script::looping(vec![
-            Action::RecvMbox(rx),
+            Action::RecvMbox(nic.rx),
             Action::Compute(Duration::from_us(40)),
         ]),
     );
-    (b.build(), tx, rx)
+    b.build()
 }
 
 /// A line of three segments, three app nodes each, bridged by two
@@ -104,8 +102,8 @@ fn line_topology(workers: usize) -> Topology {
             } else {
                 NodeId((s * PER + (j + 1) % PER) as u32)
             };
-            let (k, tx, rx) = traced_node(i, Some(dst), &mut nrng);
-            t.add_node(seg, format!("node{i}"), k, tx, rx, NIC_IRQ, (j + 1) as u32);
+            let k = traced_node(i, Some(dst), &mut nrng);
+            t.add_node(seg, format!("node{i}"), k, (j + 1) as u32);
         }
     }
     t.add_gateway(segs[0], segs[1], GatewayConfig::default());
@@ -119,8 +117,8 @@ fn line_topology(workers: usize) -> Topology {
 /// while the engine skips them.
 fn faulted_broadcast_line(workers: usize) -> Topology {
     let mut t = line_topology(workers);
-    let (k, tx, rx) = traced_node(9, None, &mut SimRng::seeded(0xB0CA));
-    t.add_node(SegmentId(1), "caster", k, tx, rx, NIC_IRQ, 9);
+    let k = traced_node(9, None, &mut SimRng::seeded(0xB0CA));
+    t.add_node(SegmentId(1), "caster", k, 9);
     let plan = FaultPlan::random(0xFA11, t.node_count(), Time::from_ms(80), 0.05, 0.5, 0.5);
     t.set_fault_plan(&plan);
     t
