@@ -493,7 +493,7 @@ Kernel ROM budget (modeled for MC68040; paper total: 13 KB)
   TOTAL                                         13300 B
 
 Kernel object sizes (target model vs host simulation struct)
-  TCB                      target  128 B   host  392 B
+  TCB                      target  128 B   host  200 B
   semaphore                target   32 B   host   80 B
   condvar                  target   24 B   host   56 B
   mailbox                  target   64 B   host  112 B

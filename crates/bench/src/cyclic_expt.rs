@@ -79,7 +79,7 @@ fn csd_aperiodic_response(ts: &TaskSet) -> f64 {
         let fired = Time::from_ms(20) + Duration::from_us(offset_us);
         {
             let board = b.board_mut();
-            let dev = board.add_sensor("aper", Some(line));
+            let dev = board.add_sensor(Some(line));
             board.schedule_sample(fired, dev, 1);
         }
         let go = b.add_counting_sem(1);
@@ -142,7 +142,7 @@ fn rebuild(ts: &TaskSet, fired: Time) -> emeralds_core::Kernel {
     let line = IrqLine(6);
     {
         let board = b.board_mut();
-        let dev = board.add_sensor("aper", Some(line));
+        let dev = board.add_sensor(Some(line));
         board.schedule_sample(fired, dev, 1);
     }
     let go = b.add_counting_sem(1);

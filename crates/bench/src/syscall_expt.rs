@@ -36,7 +36,7 @@ fn run_workload(cost: CostModel, with_ipc: bool) -> f64 {
             boundaries: vec![1],
         },
         sem_scheme: SemScheme::Emeralds,
-        cost,
+        cost: cost.into(),
         record_trace: false,
         ..KernelConfig::default()
     });

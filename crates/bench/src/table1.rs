@@ -35,7 +35,6 @@ pub fn ready_tasks(n: usize, queue: QueueAssign) -> TcbTable {
         let mut t = Tcb::new(
             ThreadId(i as u32),
             ProcId(0),
-            format!("t{i}"),
             Timing::Periodic {
                 period: Duration::from_ms(10 + i as u64),
                 deadline: Duration::from_ms(10 + i as u64),

@@ -43,7 +43,6 @@ fn build(shape: Shape) -> (TcbTable, CsdSched) {
         let mut t = Tcb::new(
             ThreadId(i as u32),
             ProcId(0),
-            format!("t{i}"),
             Timing::Periodic {
                 period: Duration::from_ms(5 + i as u64),
                 deadline: Duration::from_ms(5 + i as u64),

@@ -10,7 +10,7 @@ use emeralds_sim::{OverheadKind, ThreadId, Time, TraceEvent};
 
 use crate::kernel::{Kernel, TimerEvent};
 use crate::script::{Action, Operand, ScriptKind};
-use crate::tcb::{BlockReason, ThreadState, Timing};
+use crate::tcb::{BlockReason, Step, ThreadState, Timing};
 
 impl Kernel {
     /// Runs until virtual time reaches `horizon` (or nothing remains
@@ -159,18 +159,17 @@ impl Kernel {
             self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_exit);
             return;
         }
-        let pc = self.tcbs.get(tid).pc;
-        let len = self.tcbs.get(tid).script.actions.len();
-        if pc >= len {
-            match self.tcbs.get(tid).script.kind {
+        let t = self.tcbs.get(tid);
+        let pc = t.pc as usize;
+        let Some(&Step { action, .. }) = t.steps.get(pc) else {
+            match t.kind {
                 ScriptKind::PeriodicJob => self.complete_job(tid),
                 ScriptKind::Looping => {
                     self.tcbs.get_mut(tid).pc = 0;
                 }
             }
             return;
-        }
-        let action = self.tcbs.get(tid).script.actions[pc];
+        };
         match action {
             Action::Compute(d) => {
                 {
@@ -257,9 +256,8 @@ impl Kernel {
         let t = self.tcbs.get(tid);
         if t.job == job && !t.job_done && !t.missed_current {
             let dl = t.abs_deadline;
-            let t = self.tcbs.get_mut(tid);
-            t.missed_current = true;
-            t.deadline_misses += 1;
+            self.tcbs.get_mut(tid).missed_current = true;
+            self.stats[tid.index()].deadline_misses += 1;
             self.note_deadline_miss(tid, job, dl);
         }
     }
@@ -268,17 +266,13 @@ impl Kernel {
     /// next release.
     fn complete_job(&mut self, tid: ThreadId) {
         let now = self.clock.now();
-        {
-            let t = self.tcbs.get_mut(tid);
-            t.job_done = true;
-            t.jobs_completed += 1;
-            let resp = now.saturating_since(t.job_release);
-            if resp > t.max_response {
-                t.max_response = resp;
-            }
-            t.response_hist.record(resp);
-        }
-        let job = self.tcbs.get(tid).job;
+        let t = self.tcbs.get_mut(tid);
+        t.job_done = true;
+        let (job, resp) = (t.job, now.saturating_since(t.job_release));
+        let s = &mut self.stats[tid.index()];
+        s.jobs_completed += 1;
+        s.max_response = s.max_response.max(resp);
+        s.response_hist.record(resp);
         self.record(TraceEvent::JobComplete { tid, job });
         self.block_thread(tid, BlockReason::EndOfJob);
         self.reschedule();
@@ -309,9 +303,9 @@ impl Kernel {
                 let (job, dl) = {
                     let t = self.tcbs.get_mut(tid);
                     t.missed_current = true;
-                    t.deadline_misses += 1;
                     (t.job, t.abs_deadline)
                 };
+                self.stats[tid.index()].deadline_misses += 1;
                 self.note_deadline_miss(tid, job, dl);
             }
             return;
@@ -385,7 +379,8 @@ impl Kernel {
                 let t = self.tcbs.get_mut(n);
                 if !t.dispatched {
                     t.dispatched = true;
-                    t.dispatch_hist.record(now.saturating_since(t.job_release));
+                    let latency = now.saturating_since(t.job_release);
+                    self.stats[n.index()].dispatch_hist.record(latency);
                 }
             }
         }
@@ -416,9 +411,9 @@ impl Kernel {
                 unreachable!("sem wait completes via grant");
             }
             ThreadState::Blocked(_) => {
-                let pc = self.tcbs.get(tid).pc;
-                let hint = self.tcbs.get(tid).hints.get(pc).copied().flatten();
-                self.tcbs.get_mut(tid).pc = pc + 1;
+                let t = self.tcbs.get_mut(tid);
+                let hint = t.steps.get(t.pc as usize).and_then(|s| s.hint);
+                t.pc += 1;
                 hint
             }
         };

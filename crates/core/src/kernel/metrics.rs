@@ -656,7 +656,7 @@ pub struct TaskSnapshot {
     pub ready: bool,
     /// Debug rendering of the thread state (block reason included).
     pub state: String,
-    pub pc: usize,
+    pub pc: u32,
     pub effective_deadline: Time,
 }
 
@@ -755,17 +755,18 @@ impl Kernel {
         let tasks = self
             .tcbs
             .iter()
-            .map(|t| TaskMetrics {
+            .zip(&self.stats)
+            .map(|(t, s)| TaskMetrics {
                 tid: t.id,
-                name: t.name.clone(),
-                jobs_completed: t.jobs_completed,
-                deadline_misses: t.deadline_misses,
+                name: s.name.clone(),
+                jobs_completed: s.jobs_completed,
+                deadline_misses: s.deadline_misses,
                 cpu_time: t.cpu_time,
-                max_response: t.max_response,
-                mean_response: t.response_hist.mean(),
-                p99_response: t.response_hist.quantile_bound(0.99),
-                max_dispatch_latency: t.dispatch_hist.max(),
-                mean_dispatch_latency: t.dispatch_hist.mean(),
+                max_response: s.max_response,
+                mean_response: s.response_hist.mean(),
+                p99_response: s.response_hist.quantile_bound(0.99),
+                max_dispatch_latency: s.dispatch_hist.max(),
+                mean_dispatch_latency: s.dispatch_hist.mean(),
             })
             .collect();
         KernelMetrics {
@@ -806,9 +807,10 @@ impl Kernel {
         let tasks = self
             .tcbs
             .iter()
-            .map(|t| TaskSnapshot {
+            .zip(&self.stats)
+            .map(|(t, s)| TaskSnapshot {
                 tid: t.id,
-                name: t.name.clone(),
+                name: s.name.clone(),
                 ready: t.state == ThreadState::Ready,
                 state: format!("{:?}", t.state),
                 pc: t.pc,
@@ -822,7 +824,7 @@ impl Kernel {
         self.miss_reports.push(MissReport {
             at: self.clock.now(),
             tid,
-            name: self.tcbs.get(tid).name.clone(),
+            name: self.stats[tid.index()].name.clone(),
             job,
             deadline,
             release,

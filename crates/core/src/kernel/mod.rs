@@ -23,6 +23,8 @@ pub use metrics::{
 };
 pub use validate::ConfigError;
 
+use std::sync::{Arc, LazyLock};
+
 use emeralds_hal::{Board, Clock, CostModel, Nic, Perms};
 use emeralds_sim::{
     Accounting, CvId, Duration, EventId, EventQueue, IrqLine, MboxId, OverheadKind, ProcId, SemId,
@@ -31,13 +33,12 @@ use emeralds_sim::{
 
 use crate::alloc::PoolSet;
 use crate::ipc::{Mailbox, SharedRegion, StateMsgVar};
-use crate::parser;
 use crate::proc::Process;
 use crate::sched::{SchedPolicy, SchedulerImpl};
 use crate::script::{Action, Script, ScriptKind};
 use crate::sync::policy::{make_policy, LockPolicy};
 use crate::sync::{CondVar, SemScheme, Semaphore, SrpStats};
-use crate::tcb::{QueueAssign, Tcb, TcbTable, Timing};
+use crate::tcb::{QueueAssign, TaskStats, Tcb, TcbTable, Timing};
 
 /// Kernel-wide configuration.
 #[derive(Clone, Debug)]
@@ -50,8 +51,11 @@ pub struct KernelConfig {
     /// resource ceilings offline and rejects infeasible graphs (see
     /// [`ConfigError`]).
     pub sem_scheme: SemScheme,
-    /// Per-primitive virtual-time prices.
-    pub cost: CostModel,
+    /// Per-primitive virtual-time prices. Shared: every kernel built
+    /// from [`KernelConfig::default`] holds a handle to one process-wide
+    /// price list, so thousands of boards read one copy that stays in
+    /// cache. A kernel with its own prices takes `model.into()`.
+    pub cost: Arc<CostModel>,
     /// Record the full event trace (disable for long experiment runs).
     pub record_trace: bool,
     /// When recording, bound trace storage to the most recent N events
@@ -60,6 +64,10 @@ pub struct KernelConfig {
     pub trace_ring: Option<usize>,
 }
 
+/// The calibrated MC68040 price list every default-configured kernel
+/// shares.
+static MC68040: LazyLock<Arc<CostModel>> = LazyLock::new(|| Arc::new(CostModel::mc68040_25mhz()));
+
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
@@ -67,7 +75,7 @@ impl Default for KernelConfig {
                 boundaries: vec![0],
             },
             sem_scheme: SemScheme::Emeralds,
-            cost: CostModel::mc68040_25mhz(),
+            cost: Arc::clone(&MC68040),
             record_trace: true,
             trace_ring: None,
         }
@@ -112,26 +120,38 @@ pub enum TimerEvent {
 /// Its object tables never grow after build, so each holds exactly the
 /// objects the configuration added. The IRQ tables hold one entry per
 /// line up to the highest line the board wires.
+///
+/// `repr(C)` keeps the declared order: the fields a frame reception, a
+/// wake and a dispatch read come first and share as few cache lines as
+/// they can; the tables and bookkeeping those paths never read follow.
 #[derive(Debug)]
+#[repr(C)]
 pub struct Kernel {
-    pub(crate) cfg: KernelConfig,
+    // --- Read on every reception, wake and dispatch ---
     pub(crate) clock: Clock,
-    pub(crate) board: Board,
+    pub(crate) current: Option<ThreadId>,
+    pub(crate) cfg: KernelConfig,
     pub(crate) tcbs: TcbTable,
-    pub(crate) sched: SchedulerImpl,
-    pub(crate) procs: Box<[Process]>,
-    pub(crate) sems: Box<[Semaphore]>,
-    pub(crate) cvs: Box<[CondVar]>,
     pub(crate) mboxes: Box<[Mailbox]>,
-    pub(crate) statemsgs: Box<[StateMsgVar]>,
-    pub(crate) regions: Box<[SharedRegion]>,
-    pub(crate) events: Box<[EventObj]>,
+    pub(crate) sched: SchedulerImpl,
+    /// Scheduler invocations (`reschedule` calls).
+    pub(crate) select_calls: u64,
+    /// The locking policy (PI or SRP). `Option` only so policy calls
+    /// can borrow the kernel mutably alongside the policy — see
+    /// [`Kernel::with_policy`]; it is always `Some` between calls.
+    pub(crate) lock_policy: Option<Box<dyn LockPolicy>>,
     pub(crate) irq_waiters: Box<[Vec<ThreadId>]>,
     pub(crate) irq_actions: Box<[IrqAction]>,
     /// The software timer queue (Figure 1: "Timers / Clock services").
     /// `arm_timer` charges a flat `timer_program` per arm, so the
     /// host-side structure cannot move virtual time (DESIGN.md §12).
     pub(crate) timers: EventQueue<TimerEvent>,
+    pub(crate) board: Board,
+    pub(crate) trace: Trace,
+    pub(crate) acct: Accounting,
+    pub(crate) counters: ServiceCounters,
+
+    // --- Timer counts, object tables and forensics ---
     /// Timers armed, build-time releases included.
     pub(crate) timer_arms: u64,
     /// Sum of the timer heap's height after each arm: the upper bound
@@ -139,15 +159,20 @@ pub struct Kernel {
     pub(crate) timer_heights: u64,
     /// Timers expired.
     pub(crate) timer_expirations: u64,
+    /// Per-task statistics, indexed like `tcbs`: kept out of the TCBs
+    /// so the dispatch and wake paths do not pull them into cache.
+    pub(crate) stats: Box<[TaskStats]>,
+    pub(crate) procs: Box<[Process]>,
+    pub(crate) sems: Box<[Semaphore]>,
+    pub(crate) cvs: Box<[CondVar]>,
+    pub(crate) statemsgs: Box<[StateMsgVar]>,
+    pub(crate) regions: Box<[SharedRegion]>,
+    pub(crate) events: Box<[EventObj]>,
     /// Reused buffer for the IRQ lines `Board::advance_to` raises —
     /// the steady-state execution loop must not allocate.
     pub(crate) irq_scratch: Vec<IrqLine>,
     /// Timer-pool blocks reserved at build (see [`Kernel::pools`]).
     pub(crate) timer_blocks: usize,
-    pub(crate) current: Option<ThreadId>,
-    pub(crate) trace: Trace,
-    pub(crate) acct: Accounting,
-    pub(crate) counters: ServiceCounters,
     pub(crate) miss_reports: Vec<MissReport>,
     /// Pending message of a sender blocked on a full mailbox.
     pub(crate) pending_send: Box<[Option<crate::ipc::Message>]>,
@@ -155,15 +180,9 @@ pub struct Kernel {
     /// `(cause, until)` instead of by CPU state. Installed by fault
     /// executives around outages.
     pub(crate) miss_cause_hint: Option<(MissCause, Time)>,
-    /// Scheduler invocations (`reschedule` calls).
-    pub(crate) select_calls: u64,
     /// `sem_acquire` calls that took the uncontended fast path (free
     /// permit, no waiters, no pre-lock members, no early grant).
     pub(crate) sem_fast_acquires: u64,
-    /// The locking policy (PI or SRP). `Option` only so policy calls
-    /// can borrow the kernel mutably alongside the policy — see
-    /// [`Kernel::with_policy`]; it is always `Some` between calls.
-    pub(crate) lock_policy: Option<Box<dyn LockPolicy>>,
 }
 
 impl Kernel {
@@ -237,6 +256,12 @@ impl Kernel {
     /// TCB inspection (read-only).
     pub fn tcb(&self, tid: ThreadId) -> &Tcb {
         self.tcbs.get(tid)
+    }
+
+    /// A task's accumulated statistics: its name, completed jobs,
+    /// deadline misses and response/dispatch distributions.
+    pub fn task_stats(&self, tid: ThreadId) -> &TaskStats {
+        &self.stats[tid.index()]
     }
 
     /// Number of tasks.
@@ -703,11 +728,11 @@ impl KernelBuilder {
 
     /// Finalizes the kernel, returning a typed [`ConfigError`] instead
     /// of panicking on an invalid configuration: CSD boundaries beyond
-    /// the task count, scripts referencing unknown kernel objects,
-    /// invalid `next_sem` hint overrides, interrupt lines beyond the
-    /// controller, more objects than a kernel pool holds, and — under
-    /// [`SemScheme::Srp`] — infeasible or deadlock-prone resource
-    /// graphs.
+    /// the task count, scripts referencing unknown kernel objects or
+    /// devices, invalid `next_sem` hint overrides, interrupt lines
+    /// beyond the controller, more objects than a kernel pool holds,
+    /// and — under [`SemScheme::Srp`] — infeasible or deadlock-prone
+    /// resource graphs.
     pub fn try_build(mut self) -> Result<Kernel, ConfigError> {
         let n = self.tasks.len();
         if let SchedPolicy::Csd { boundaries } = &self.cfg.policy {
@@ -738,6 +763,7 @@ impl KernelBuilder {
         };
 
         let mut tcbs = TcbTable::with_capacity(n);
+        let mut stats = Vec::with_capacity(n);
         let mut sched = SchedulerImpl::new(&self.cfg.policy);
         let mut timers = EventQueue::new();
         let mut timer_heights = 0;
@@ -753,16 +779,15 @@ impl KernelBuilder {
             let tid = ThreadId(i as u32);
             let prio = rm_prio[i];
             let queue = self.cfg.policy.queue_of(prio);
-            let mut hints = parser::compute_hints(&spec.script);
-            for &(ti, ai, h) in &self.hint_overrides {
-                if ti == i {
-                    hints[ai] = h;
-                }
-            }
             let proc = spec.proc;
             let timing = spec.timing;
-            let mut tcb = Tcb::new(tid, proc, spec.name, timing, spec.script, prio, queue);
-            tcb.hints = hints;
+            stats.push(TaskStats::new(spec.name));
+            let mut tcb = Tcb::new(tid, proc, timing, spec.script, prio, queue);
+            for &(ti, ai, h) in &self.hint_overrides {
+                if ti == i {
+                    tcb.steps[ai].hint = h;
+                }
+            }
             self.procs[proc.index()].add_thread(tid);
             match timing {
                 Timing::Periodic { phase, .. } => {
@@ -843,6 +868,7 @@ impl KernelBuilder {
             clock: Clock::new(),
             board: self.board,
             tcbs,
+            stats: stats.into_boxed_slice(),
             sched,
             procs: self.procs.into_boxed_slice(),
             sems: self.sems.into_boxed_slice(),

@@ -74,7 +74,7 @@ fn fig2_edf_schedules_everything() {
     k.run_until(Time::from_ms(400));
     assert_eq!(k.total_deadline_misses(), 0);
     // τ5 completed all of its jobs.
-    assert!(k.tcb(ThreadId(4)).jobs_completed >= 44);
+    assert!(k.task_stats(ThreadId(4)).jobs_completed >= 44);
 }
 
 /// CSD-2 with the DP queue holding τ1–τ5 also schedules it, with
@@ -225,11 +225,12 @@ fn schemes_agree_on_application_behaviour() {
     a.run_until(Time::from_ms(150));
     b.run_until(Time::from_ms(150));
     for i in 0..3u32 {
-        let (ta, tb) = (a.tcb(ThreadId(i)), b.tcb(ThreadId(i)));
-        assert_eq!(ta.jobs_completed, tb.jobs_completed, "task {i}");
-        assert_eq!(ta.cpu_time, tb.cpu_time, "task {i}");
-        assert_eq!(ta.deadline_misses, 0);
-        assert_eq!(tb.deadline_misses, 0);
+        let tid = ThreadId(i);
+        let (sa, sb) = (a.task_stats(tid), b.task_stats(tid));
+        assert_eq!(sa.jobs_completed, sb.jobs_completed, "task {i}");
+        assert_eq!(a.tcb(tid).cpu_time, b.tcb(tid).cpu_time, "task {i}");
+        assert_eq!(sa.deadline_misses, 0);
+        assert_eq!(sb.deadline_misses, 0);
     }
     // The EMERALDS kernel spent less on overhead.
     assert!(b.accounting().total_overhead() < a.accounting().total_overhead());
@@ -353,7 +354,7 @@ fn fig10_internal_event_chain_completes() {
     let mut k = b.build();
     k.run_until(Time::from_ms(100));
     assert_eq!(k.total_deadline_misses(), 0);
-    assert_eq!(k.tcb(t2).jobs_completed, 1);
+    assert_eq!(k.task_stats(t2).jobs_completed, 1);
     // T2 received the lock exactly once.
     assert_eq!(
         k.trace()
@@ -407,8 +408,8 @@ fn mailbox_blocking_semantics() {
     let mut k = b.build();
     k.run_until(Time::from_ms(50));
     assert_eq!(k.total_deadline_misses(), 0);
-    assert_eq!(k.tcb(consumer).jobs_completed, 1);
-    assert_eq!(k.tcb(producer).jobs_completed, 1);
+    assert_eq!(k.task_stats(consumer).jobs_completed, 1);
+    assert_eq!(k.task_stats(producer).jobs_completed, 1);
     assert_eq!(k.mailbox(mb).sent, 3);
     assert_eq!(k.mailbox(mb).received, 3);
     // The consumer ends holding the last tag.
@@ -462,8 +463,8 @@ fn irq_driven_driver_thread() {
     let line = IrqLine(4);
     let (rpm, valve) = {
         let board = b.board_mut();
-        let rpm = board.add_sensor("rpm", Some(line));
-        let valve = board.add_actuator("valve");
+        let rpm = board.add_sensor(Some(line));
+        let valve = board.add_actuator();
         board.schedule_periodic_samples(rpm, Time::from_ms(1), ms(5), 4, |k| 900 + k as u32);
         (rpm, valve)
     };
@@ -497,7 +498,7 @@ fn irq_action_releases_counting_sem() {
     b.on_irq(line, IrqAction::ReleaseSem(data_ready));
     let sensor = {
         let board = b.board_mut();
-        let s = board.add_sensor("adc", Some(line));
+        let s = board.add_sensor(Some(line));
         board.schedule_periodic_samples(s, Time::from_ms(2), ms(10), 3, |_| 5);
         s
     };
@@ -555,8 +556,8 @@ fn condvar_wait_signal_round_trip() {
     let mut k = b.build();
     k.run_until(Time::from_ms(50));
     assert_eq!(k.total_deadline_misses(), 0);
-    assert_eq!(k.tcb(waiter).jobs_completed, 1);
-    assert_eq!(k.tcb(signaller).jobs_completed, 1);
+    assert_eq!(k.task_stats(waiter).jobs_completed, 1);
+    assert_eq!(k.task_stats(signaller).jobs_completed, 1);
     assert!(
         k.trace()
             .filter(|e| matches!(e, TraceEvent::CvSignal { .. }))
@@ -617,7 +618,7 @@ fn placeholder_t3_case_restores_order() {
     );
     // Everyone completed one job.
     for t in [t3, t2, tl] {
-        assert_eq!(k.tcb(t).jobs_completed, 1, "{t}");
+        assert_eq!(k.task_stats(t).jobs_completed, 1, "{t}");
     }
     // The semaphore ends free with no placeholder.
     assert!(k.sem(s).available());
@@ -655,7 +656,7 @@ fn idle_to_matches_advance_to_on_an_idle_kernel() {
         let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
         let p = b.add_process("app");
         let line = IrqLine(4);
-        let dev = b.board_mut().add_sensor("rpm", Some(line));
+        let dev = b.board_mut().add_sensor(Some(line));
         b.board_mut()
             .schedule_periodic_samples(dev, Time::from_ms(15), ms(5), 3, |k| k as u32);
         b.add_periodic_task(p, "ctl", ms(10), Script::compute_only(us(300)));
@@ -713,8 +714,12 @@ fn event_latch_semantics() {
     );
     let mut k = b.build();
     k.run_until(Time::from_ms(50));
-    assert_eq!(k.tcb(early).jobs_completed, 1);
-    assert_eq!(k.tcb(late).jobs_completed, 1, "latched signal consumed");
+    assert_eq!(k.task_stats(early).jobs_completed, 1);
+    assert_eq!(
+        k.task_stats(late).jobs_completed,
+        1,
+        "latched signal consumed"
+    );
 }
 
 /// Deadline-monotonic assignment: with constrained deadlines, DM
@@ -783,7 +788,7 @@ fn constrained_deadline_miss_detected_at_the_deadline() {
     // Exactly one miss is recorded for the job — no double count at
     // the next release (run to just before job 2's deadline check).
     k.run_until(Time::from_ms(90));
-    assert_eq!(k.tcb(tid).deadline_misses, 1);
+    assert_eq!(k.task_stats(tid).deadline_misses, 1);
 }
 
 /// Worst-case response times are tracked per task.
@@ -792,10 +797,10 @@ fn response_time_statistics() {
     let mut k = table2_builder(SchedPolicy::Edf).build();
     k.run_until(Time::from_ms(400));
     // τ1 (highest rate) responds in about its own wcet.
-    let r1 = k.tcb(ThreadId(0)).max_response;
+    let r1 = k.task_stats(ThreadId(0)).max_response;
     assert!(r1 >= ms(1) && r1 < ms(4), "tau1 response {r1}");
     // τ10 (lowest priority) sees real interference but meets P=400.
-    let r10 = k.tcb(ThreadId(9)).max_response;
+    let r10 = k.task_stats(ThreadId(9)).max_response;
     assert!(r10 > ms(2) && r10 <= ms(400), "tau10 response {r10}");
 }
 
@@ -850,8 +855,8 @@ fn counting_semaphore_producer_consumer() {
     );
     let mut k = b.build();
     k.run_until(Time::from_ms(50));
-    assert_eq!(k.tcb(consumer).jobs_completed, 1);
-    assert_eq!(k.tcb(producer).jobs_completed, 1);
+    assert_eq!(k.task_stats(consumer).jobs_completed, 1);
+    assert_eq!(k.task_stats(producer).jobs_completed, 1);
     assert_eq!(
         k.trace()
             .filter(|e| matches!(e, TraceEvent::PriorityInherit { .. }))
@@ -990,7 +995,7 @@ fn wait_irq_beyond_the_controller_is_a_typed_error() {
 fn device_beyond_the_controller_is_a_typed_error() {
     use crate::kernel::ConfigError;
     let (mut b, _) = irq_builder();
-    b.board_mut().add_sensor("adc", Some(OUT_OF_RANGE));
+    b.board_mut().add_sensor(Some(OUT_OF_RANGE));
     let err = b.try_build().err();
     assert_eq!(
         err,
@@ -1005,6 +1010,149 @@ fn device_beyond_the_controller_is_a_typed_error() {
         b.try_build().err(),
         Some(ConfigError::IrqLineOutOfRange { line: OUT_OF_RANGE })
     );
+}
+
+/// Every default-configured kernel reads one process-wide price list:
+/// two configurations, and a kernel built from one, hold the same
+/// allocation.
+#[test]
+fn default_kernels_share_one_price_list() {
+    use std::sync::Arc;
+    let (a, b) = (KernelConfig::default(), KernelConfig::default());
+    assert!(Arc::ptr_eq(&a.cost, &b.cost));
+    let mut kb = KernelBuilder::new(KernelConfig::default());
+    let p = kb.add_process("app");
+    kb.add_periodic_task(p, "t", ms(10), Script::compute_only(us(100)));
+    assert!(Arc::ptr_eq(&kb.build().cfg.cost, &a.cost));
+}
+
+/// A kernel given its own model keeps it: every charge comes from it.
+#[test]
+fn a_kernel_given_its_own_model_is_charged_from_it() {
+    use emeralds_hal::CostModel;
+    use emeralds_sim::OverheadKind;
+    let mut model = CostModel::zero();
+    model.context_switch = us(7);
+    let mut b = KernelBuilder::new(KernelConfig {
+        cost: model.into(),
+        ..cfg(SchedPolicy::RmQueue, SemScheme::Emeralds)
+    });
+    let p = b.add_process("app");
+    b.add_periodic_task(p, "t", ms(10), Script::compute_only(us(100)));
+    let mut k = b.build();
+    k.run_until(Time::from_ms(50));
+    let switches = k.trace().context_switch_count();
+    assert!(switches >= 10, "{switches} context switches");
+    let acct = k.accounting();
+    assert_eq!(acct.total(OverheadKind::ContextSwitch), us(7) * switches);
+    assert_eq!(acct.total_overhead(), us(7) * switches);
+}
+
+/// A board with one mailbox, one state message, one event and one
+/// device, whose second task runs `action` after a computation. Every
+/// id 0 below names an object it has; a higher id names none.
+fn one_of_each(action: Action) -> KernelBuilder {
+    let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
+    let p = b.add_process("app");
+    let writer = b.add_periodic_task(p, "writer", ms(5), Script::compute_only(us(10)));
+    b.add_mailbox(4);
+    b.add_state_msg(writer, 8, 3, &[p]);
+    b.add_event();
+    b.board_mut().add_actuator();
+    let job = vec![Action::Compute(us(5)), action];
+    b.add_periodic_task(p, "user", ms(10), Script::periodic(job));
+    b
+}
+
+/// Builds `one_of_each` around the action `with(known)` (which must
+/// build) and `with(unknown)` (whose error is returned).
+fn reject_unknown<I: Copy>(
+    known: I,
+    unknown: I,
+    with: impl Fn(I) -> Action,
+) -> Option<crate::kernel::ConfigError> {
+    assert!(one_of_each(with(known)).try_build().is_ok());
+    one_of_each(with(unknown)).try_build().err()
+}
+
+/// A script naming a mailbox the configuration never added is a typed
+/// build error, not an index panic at its first send or receive.
+#[test]
+fn unknown_mailbox_in_script_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    let (task, action, mbox) = (ThreadId(1), 1, MboxId(7));
+    let send = |m| Action::SendMbox {
+        mbox: m,
+        bytes: 8,
+        tag: 0,
+    };
+    for err in [
+        reject_unknown(MboxId(0), mbox, Action::RecvMbox),
+        reject_unknown(MboxId(0), mbox, send),
+    ] {
+        assert_eq!(
+            err,
+            Some(ConfigError::UnknownMailbox { task, action, mbox })
+        );
+    }
+}
+
+/// Likewise for a state message, read or written.
+#[test]
+fn unknown_state_message_in_script_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    use emeralds_sim::StateId;
+    let (task, action, var) = (ThreadId(1), 1, StateId(3));
+    let write = |v| Action::StateWrite {
+        var: v,
+        value: crate::script::Operand::Const(1),
+    };
+    for err in [
+        reject_unknown(StateId(0), var, Action::StateRead),
+        reject_unknown(StateId(0), var, write),
+    ] {
+        assert_eq!(
+            err,
+            Some(ConfigError::UnknownStateMsg { task, action, var })
+        );
+    }
+}
+
+/// Likewise for a software event, signalled or awaited.
+#[test]
+fn unknown_event_in_script_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    let (task, action, event) = (ThreadId(1), 1, EventId(2));
+    for err in [
+        reject_unknown(EventId(0), event, Action::WaitEvent),
+        reject_unknown(EventId(0), event, Action::SignalEvent),
+    ] {
+        assert_eq!(
+            err,
+            Some(ConfigError::UnknownEvent {
+                task,
+                action,
+                event
+            })
+        );
+    }
+}
+
+/// Likewise for a board device, read or written.
+#[test]
+fn unknown_device_in_script_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    use emeralds_sim::DevId;
+    let (task, action, dev) = (ThreadId(1), 1, DevId(4));
+    let write = |d| Action::DevWrite(d, crate::script::Operand::FromLastRead);
+    for err in [
+        reject_unknown(DevId(0), dev, Action::DevRead),
+        reject_unknown(DevId(0), dev, write),
+    ] {
+        assert_eq!(err, Some(ConfigError::UnknownDevice { task, action, dev }));
+    }
+    let err = one_of_each(Action::DevRead(dev)).try_build().err();
+    assert!(err.unwrap().to_string().contains("unknown device"));
 }
 
 /// A raise on a line that no device, `on_irq` or `WaitIrq` wires is
@@ -1236,7 +1384,7 @@ fn irq_storm_is_survivable_and_accounted() {
     let line = IrqLine(7);
     {
         let board = b.board_mut();
-        let dev = board.add_sensor("noisy", Some(line));
+        let dev = board.add_sensor(Some(line));
         board.schedule_periodic_samples(
             dev,
             Time::from_us(100),
@@ -1254,7 +1402,11 @@ fn irq_storm_is_survivable_and_accounted() {
     let ctrl = b.add_periodic_task(p, "ctrl", ms(5), Script::compute_only(ms(1)));
     let mut k = b.build();
     k.run_until(Time::from_ms(80));
-    assert_eq!(k.tcb(ctrl).deadline_misses, 0, "control survives the storm");
+    assert_eq!(
+        k.task_stats(ctrl).deadline_misses,
+        0,
+        "control survives the storm"
+    );
     assert!(k.tcb(worker).cpu_time > Duration::ZERO);
     use emeralds_sim::OverheadKind;
     let irq_time = k.accounting().total(OverheadKind::Interrupt);

@@ -20,7 +20,7 @@
 
 use emeralds_hal::irq::MAX_IRQ_LINES;
 use emeralds_sched::{srp_ceilings, SrpEvent, SrpGraphError, SrpTaskProfile};
-use emeralds_sim::{CvId, IrqLine, SemId, ThreadId};
+use emeralds_sim::{CvId, DevId, EventId, IrqLine, MboxId, SemId, StateId, ThreadId};
 
 use crate::alloc::PoolSet;
 use crate::kernel::{KernelBuilder, TaskSpec};
@@ -51,6 +51,32 @@ pub enum ConfigError {
         task: ThreadId,
         action: usize,
         cv: CvId,
+    },
+    /// A script action references a mailbox that was never added.
+    UnknownMailbox {
+        task: ThreadId,
+        action: usize,
+        mbox: MboxId,
+    },
+    /// A script action references a state message that was never
+    /// added.
+    UnknownStateMsg {
+        task: ThreadId,
+        action: usize,
+        var: StateId,
+    },
+    /// A script action references a software event that was never
+    /// added.
+    UnknownEvent {
+        task: ThreadId,
+        action: usize,
+        event: EventId,
+    },
+    /// A script action references a device the board does not have.
+    UnknownDevice {
+        task: ThreadId,
+        action: usize,
+        dev: DevId,
     },
     /// A hint override targets a missing action, or one that is not a
     /// hint-carrying blocking call.
@@ -109,6 +135,26 @@ impl std::fmt::Display for ConfigError {
             ConfigError::UnknownCondVar { task, action, cv } => write!(
                 f,
                 "task {task} action {action} references unknown condition variable {cv}"
+            ),
+            ConfigError::UnknownMailbox { task, action, mbox } => write!(
+                f,
+                "task {task} action {action} references unknown mailbox {mbox}"
+            ),
+            ConfigError::UnknownStateMsg { task, action, var } => write!(
+                f,
+                "task {task} action {action} references unknown state message {var}"
+            ),
+            ConfigError::UnknownEvent {
+                task,
+                action,
+                event,
+            } => write!(
+                f,
+                "task {task} action {action} references unknown event {event}"
+            ),
+            ConfigError::UnknownDevice { task, action, dev } => write!(
+                f,
+                "task {task} action {action} references unknown device {dev}"
             ),
             ConfigError::InvalidHintTarget { task, action } => write!(
                 f,
@@ -169,9 +215,9 @@ impl From<SrpGraphError> for ConfigError {
 }
 
 impl KernelBuilder {
-    /// Checks every script action against the kernel objects that were
-    /// actually added, and — under SRP — against the primitives the
-    /// ceiling analysis can model.
+    /// Checks every script action against the kernel objects and board
+    /// devices that were actually added, and — under SRP — against the
+    /// primitives the ceiling analysis can model.
     pub(super) fn validate_scripts(&self) -> Result<(), ConfigError> {
         let srp = self.cfg.sem_scheme == SemScheme::Srp;
         for (i, spec) in self.tasks.iter().enumerate() {
@@ -193,6 +239,30 @@ impl KernelBuilder {
                         if srp {
                             return Err(ConfigError::SrpCondVar { task, action });
                         }
+                    }
+                    &Action::SendMbox { mbox, .. } | &Action::RecvMbox(mbox)
+                        if mbox.index() >= self.mbox_caps.len() =>
+                    {
+                        return Err(ConfigError::UnknownMailbox { task, action, mbox });
+                    }
+                    &Action::StateWrite { var, .. } | &Action::StateRead(var)
+                        if var.index() >= self.statemsg_specs.len() =>
+                    {
+                        return Err(ConfigError::UnknownStateMsg { task, action, var });
+                    }
+                    &Action::SignalEvent(event) | &Action::WaitEvent(event)
+                        if event.index() >= self.event_count =>
+                    {
+                        return Err(ConfigError::UnknownEvent {
+                            task,
+                            action,
+                            event,
+                        });
+                    }
+                    &Action::DevRead(dev) | &Action::DevWrite(dev, _)
+                        if dev.index() >= self.board.device_count() =>
+                    {
+                        return Err(ConfigError::UnknownDevice { task, action, dev });
                     }
                     _ => {}
                 }

@@ -62,6 +62,7 @@ impl CsdSched {
     pub fn add(&mut self, tid: ThreadId, tcbs: &mut TcbTable) {
         match tcbs.get(tid).queue {
             QueueAssign::Dp(j) => {
+                let j = j as usize;
                 assert!(j < self.dps.len(), "task assigned to missing DP queue {j}");
                 self.dps[j].add(tid, tcbs);
             }
@@ -72,7 +73,7 @@ impl CsdSched {
     /// Routes a block to the owning queue.
     pub fn on_block(&mut self, tid: ThreadId, tcbs: &mut TcbTable, cost: &CostModel) -> Duration {
         match tcbs.get(tid).queue {
-            QueueAssign::Dp(j) => self.dps[j].on_block(tid, cost),
+            QueueAssign::Dp(j) => self.dps[j as usize].on_block(tid, cost),
             QueueAssign::Fp => self.fp.on_block(tid, tcbs, cost),
         }
     }
@@ -80,7 +81,7 @@ impl CsdSched {
     /// Routes an unblock to the owning queue.
     pub fn on_unblock(&mut self, tid: ThreadId, tcbs: &mut TcbTable, cost: &CostModel) -> Duration {
         match tcbs.get(tid).queue {
-            QueueAssign::Dp(j) => self.dps[j].on_unblock(tid, cost),
+            QueueAssign::Dp(j) => self.dps[j as usize].on_unblock(tid, cost),
             QueueAssign::Fp => self.fp.on_unblock(tid, tcbs, cost),
         }
     }
@@ -123,7 +124,6 @@ mod tests {
             let mut tcb = Tcb::new(
                 ThreadId(i),
                 ProcId(0),
-                format!("t{i}"),
                 Timing::Periodic {
                     period: Duration::from_ms(5 + i as u64 * 10),
                     deadline: Duration::from_ms(5 + i as u64 * 10),

@@ -111,7 +111,6 @@ mod tests {
             let mut tcb = Tcb::new(
                 ThreadId(i),
                 ProcId(0),
-                format!("t{i}"),
                 Timing::Periodic {
                     period: Duration::from_ms(10 + i as u64),
                     deadline: Duration::from_ms(10 + i as u64),

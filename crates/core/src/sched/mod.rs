@@ -50,7 +50,7 @@ impl SchedPolicy {
             SchedPolicy::Csd { boundaries } => {
                 for (j, &b) in boundaries.iter().enumerate() {
                     if (rm_prio as usize) < b {
-                        return QueueAssign::Dp(j);
+                        return QueueAssign::Dp(j as u32);
                     }
                 }
                 QueueAssign::Fp

@@ -50,7 +50,7 @@ impl RmQueue {
 
     fn reindex(&self, tcbs: &mut TcbTable, from: usize) {
         for (i, &t) in self.slots.iter().enumerate().skip(from) {
-            tcbs.get_mut(t).fp_slot = i;
+            tcbs.get_mut(t).fp_slot = i as u32;
         }
     }
 
@@ -82,7 +82,7 @@ impl RmQueue {
     /// visited (the 1.0 + 0.36 n µs of Table 1).
     pub fn on_block(&mut self, tid: ThreadId, tcbs: &TcbTable, cost: &CostModel) -> Duration {
         let mut charge = cost.rmq_block_fixed;
-        let slot = tcbs.get(tid).fp_slot;
+        let slot = slot_of(tcbs, tid);
         debug_assert_eq!(self.slots.get(slot), Some(&tid), "stale fp_slot");
         if slot == self.highestp {
             // Scan for the next ready task below.
@@ -104,7 +104,7 @@ impl RmQueue {
     /// Accounts a member unblocking: one TCB write plus one compare
     /// against `highestp`.
     pub fn on_unblock(&mut self, tid: ThreadId, tcbs: &TcbTable, cost: &CostModel) -> Duration {
-        let slot = tcbs.get(tid).fp_slot;
+        let slot = slot_of(tcbs, tid);
         debug_assert_eq!(self.slots.get(slot), Some(&tid), "stale fp_slot");
         if slot < self.highestp {
             self.highestp = slot;
@@ -127,8 +127,8 @@ impl RmQueue {
         tcbs: &mut TcbTable,
         cost: &CostModel,
     ) -> Duration {
-        let from = tcbs.get(holder).fp_slot;
-        let to = tcbs.get(donor).fp_slot;
+        let from = slot_of(tcbs, holder);
+        let to = slot_of(tcbs, donor);
         debug_assert_eq!(self.slots[from], holder);
         debug_assert_eq!(self.slots[to], donor);
         if to >= from {
@@ -152,7 +152,7 @@ impl RmQueue {
         tcbs: &mut TcbTable,
         cost: &CostModel,
     ) -> Duration {
-        let from = tcbs.get(holder).fp_slot;
+        let from = slot_of(tcbs, holder);
         debug_assert_eq!(self.slots[from], holder);
         let prio = tcbs.get(holder).rm_prio;
         self.slots.remove(from);
@@ -178,13 +178,13 @@ impl RmQueue {
         tcbs: &mut TcbTable,
         cost: &CostModel,
     ) -> Duration {
-        let ia = tcbs.get(a).fp_slot;
-        let ib = tcbs.get(b).fp_slot;
+        let ia = slot_of(tcbs, a);
+        let ib = slot_of(tcbs, b);
         debug_assert_eq!(self.slots[ia], a);
         debug_assert_eq!(self.slots[ib], b);
         self.slots.swap(ia, ib);
-        tcbs.get_mut(a).fp_slot = ib;
-        tcbs.get_mut(b).fp_slot = ia;
+        tcbs.get_mut(a).fp_slot = ib as u32;
+        tcbs.get_mut(b).fp_slot = ia as u32;
         // The swap can move a ready task above highestp (the holder
         // rising) — the O(1) compare mirrors the unblock path.
         let min_slot = ia.min(ib);
@@ -202,6 +202,11 @@ impl RmQueue {
     }
 }
 
+/// A member's slot in the queue, as the TCB records it.
+fn slot_of(tcbs: &TcbTable, tid: ThreadId) -> usize {
+    tcbs.get(tid).fp_slot as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +221,6 @@ mod tests {
             let mut tcb = Tcb::new(
                 ThreadId(i),
                 ProcId(0),
-                format!("t{i}"),
                 Timing::Periodic {
                     period: Duration::from_ms(10 + i as u64),
                     deadline: Duration::from_ms(10 + i as u64),

@@ -14,7 +14,7 @@ use emeralds_sim::{
     CvId, Duration, DurationHistogram, EventId, IrqLine, MboxId, ProcId, SemId, ThreadId, Time,
 };
 
-use crate::script::Script;
+use crate::script::{Action, Script, ScriptKind};
 
 /// Why a thread is blocked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,7 +53,7 @@ pub enum ThreadState {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueueAssign {
     /// Dynamic-priority (EDF) queue `j` (0 = DP1).
-    Dp(usize),
+    Dp(u32),
     /// The fixed-priority (RM) queue.
     Fp,
 }
@@ -75,28 +75,26 @@ pub enum Timing {
     EventDriven { rank: Duration },
 }
 
-/// A task control block.
+/// A task control block: the state the dispatch, blocking and
+/// release paths read. Statistics a task accumulates live apart, in
+/// its [`TaskStats`], so a wake touches fewer cache lines.
 #[derive(Clone, Debug)]
 pub struct Tcb {
     pub id: ThreadId,
     pub proc: ProcId,
-    /// Shared so metrics snapshots bump a refcount instead of copying
-    /// the string.
-    pub name: Arc<str>,
     pub timing: Timing,
-    pub script: Script,
-    /// Next-semaphore hints, parallel to `script.actions`
-    /// (see [`crate::parser`]). `hints[i]` is the semaphore the task
-    /// will acquire right after blocking call `i` returns.
-    pub hints: Vec<Option<SemId>>,
-    /// [`crate::parser::end_of_job_hint`] of `script`, precomputed —
+    /// How the script repeats.
+    pub kind: ScriptKind,
+    /// The script's actions, each beside its next-semaphore hint.
+    pub steps: Box<[Step]>,
+    /// [`crate::parser::end_of_job_hint`] of the script, precomputed —
     /// the release path consults it once per job.
     pub eoj_hint: Option<SemId>,
 
     // --- Execution state ---
     pub state: ThreadState,
     /// Program counter into the script.
-    pub pc: usize,
+    pub pc: u32,
     /// Remaining time of the in-progress `Compute` action.
     pub compute_left: Duration,
     /// Set while blocked inside a system call whose exit cost must be
@@ -128,7 +126,7 @@ pub struct Tcb {
     /// Queue this task lives in.
     pub queue: QueueAssign,
     /// Current slot in the FP queue (maintained by the scheduler).
-    pub fp_slot: usize,
+    pub fp_slot: u32,
     /// Deadline inherited through priority inheritance (EDF tasks);
     /// effective deadline is the minimum of this and `abs_deadline`.
     pub inherited_deadline: Option<Time>,
@@ -141,8 +139,32 @@ pub struct Tcb {
     /// release).
     pub missed_current: bool,
 
-    // --- Statistics ---
+    /// CPU time consumed (every `Compute` slice adds to it).
     pub cpu_time: Duration,
+    /// True once the current job has been dispatched (guards the
+    /// latency sample; starts true so boot-time state records nothing).
+    pub dispatched: bool,
+}
+
+/// One action of a task's script beside its §6.2.1 next-semaphore
+/// hint (see [`crate::parser`]): for a blocking call, the semaphore the
+/// task acquires right after the call returns. Side by side, a wake
+/// reads the hint from the cache line its next action sits on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Step {
+    pub action: Action,
+    pub hint: Option<SemId>,
+}
+
+/// What a task accumulates for reports: touched only at job
+/// completion, a periodic job's first dispatch, a deadline miss, and
+/// in [`crate::kernel::Kernel::metrics`]. The kernel keeps one per task
+/// in a table indexed by [`ThreadId`], beside the TCB table.
+#[derive(Clone, Debug)]
+pub struct TaskStats {
+    /// Shared so metrics snapshots bump a refcount instead of copying
+    /// the string.
+    pub name: Arc<str>,
     pub jobs_completed: u64,
     pub deadline_misses: u64,
     /// Worst observed response time (release → completion).
@@ -152,18 +174,29 @@ pub struct Tcb {
     /// Distribution of release→first-dispatch latencies (periodic
     /// tasks only; event-driven tasks have no release instant).
     pub dispatch_hist: DurationHistogram,
-    /// True once the current job has been dispatched (guards the
-    /// latency sample; starts true so boot-time state records nothing).
-    pub dispatched: bool,
+}
+
+impl TaskStats {
+    /// Empty statistics for the task called `name`.
+    pub fn new(name: impl Into<Arc<str>>) -> TaskStats {
+        TaskStats {
+            name: name.into(),
+            jobs_completed: 0,
+            deadline_misses: 0,
+            max_response: Duration::ZERO,
+            response_hist: DurationHistogram::new(),
+            dispatch_hist: DurationHistogram::new(),
+        }
+    }
 }
 
 impl Tcb {
     /// Creates a TCB in the blocked-until-first-release state for
-    /// periodic tasks, or ready for event-driven tasks.
+    /// periodic tasks, or ready for event-driven tasks. Each step
+    /// carries the hint the §6.2.1 parser computes for it.
     pub fn new(
         id: ThreadId,
         proc: ProcId,
-        name: impl Into<Arc<str>>,
         timing: Timing,
         script: Script,
         rm_prio: u32,
@@ -173,15 +206,20 @@ impl Tcb {
             Timing::Periodic { .. } => ThreadState::Blocked(BlockReason::EndOfJob),
             Timing::EventDriven { .. } => ThreadState::Ready,
         };
-        let hints = vec![None; script.actions.len()];
+        let hints = crate::parser::compute_hints(&script);
         let eoj_hint = crate::parser::end_of_job_hint(&script);
+        let steps = script
+            .actions
+            .into_iter()
+            .zip(hints)
+            .map(|(action, hint)| Step { action, hint })
+            .collect();
         Tcb {
             id,
             proc,
-            name: name.into(),
             timing,
-            script,
-            hints,
+            kind: script.kind,
+            steps,
             eoj_hint,
             state,
             pc: 0,
@@ -197,16 +235,11 @@ impl Tcb {
             job_done: true,
             rm_prio,
             queue,
-            fp_slot: usize::MAX,
+            fp_slot: u32::MAX,
             inherited_deadline: None,
             held_sems: Vec::new(),
             missed_current: false,
             cpu_time: Duration::ZERO,
-            jobs_completed: 0,
-            deadline_misses: 0,
-            max_response: Duration::ZERO,
-            response_hist: DurationHistogram::new(),
-            dispatch_hist: DurationHistogram::new(),
             dispatched: true,
         }
     }
@@ -303,7 +336,6 @@ mod tests {
         Tcb::new(
             ThreadId(id),
             ProcId(0),
-            format!("t{id}"),
             Timing::Periodic {
                 period: Duration::from_ms(10),
                 deadline: Duration::from_ms(10),
@@ -328,7 +360,6 @@ mod tests {
         let t = Tcb::new(
             ThreadId(0),
             ProcId(0),
-            "driver",
             Timing::EventDriven {
                 rank: Duration::from_ms(5),
             },
@@ -356,7 +387,7 @@ mod tests {
         tab.insert(tcb(0));
         tab.insert(tcb(1));
         assert_eq!(tab.len(), 2);
-        assert_eq!(&*tab.get(ThreadId(1)).name, "t1");
+        assert_eq!(tab.get(ThreadId(1)).rm_prio, 1);
         tab.get_mut(ThreadId(0)).job = 3;
         assert_eq!(tab.get(ThreadId(0)).job, 3);
     }

@@ -19,7 +19,6 @@ fn make_tcbs(n: usize, queue_of: impl Fn(usize) -> QueueAssign) -> TcbTable {
         let mut t = Tcb::new(
             ThreadId(i as u32),
             ProcId(0),
-            format!("t{i}"),
             Timing::Periodic {
                 period: Duration::from_ms(10 + i as u64),
                 deadline: Duration::from_ms(10 + i as u64),
@@ -184,7 +183,7 @@ fn edf_kernel_is_optimal_at_zero_cost() {
             record_trace: false,
             ..KernelConfig::default()
         };
-        cfg.cost = CostModel::zero();
+        cfg.cost = CostModel::zero().into();
         let mut b = KernelBuilder::new(cfg);
         let p = b.add_process("w");
         let mut u = 0.0f64;

@@ -35,13 +35,13 @@ impl Board {
     }
 
     /// Adds a sensor wired to `irq`. Returns its device id.
-    pub fn add_sensor(&mut self, name: &'static str, irq: Option<IrqLine>) -> DevId {
-        self.add_device(name, DeviceKind::Sensor(Sensor::default()), irq)
+    pub fn add_sensor(&mut self, irq: Option<IrqLine>) -> DevId {
+        self.add_device(DeviceKind::Sensor(Sensor::default()), irq)
     }
 
     /// Adds an actuator (no interrupt). Returns its device id.
-    pub fn add_actuator(&mut self, name: &'static str) -> DevId {
-        self.add_device(name, DeviceKind::Actuator(Actuator::default()), None)
+    pub fn add_actuator(&mut self) -> DevId {
+        self.add_device(DeviceKind::Actuator(Actuator::default()), None)
     }
 
     /// Adds the board's network interface. Returns its device id.
@@ -52,7 +52,7 @@ impl Board {
     pub fn add_nic(&mut self, nic: Nic) -> DevId {
         assert!(self.nic().is_none(), "the board already has a NIC");
         let Nic { tx, rx, irq } = nic;
-        self.add_device("nic", DeviceKind::Nic { tx, rx }, Some(irq))
+        self.add_device(DeviceKind::Nic { tx, rx }, Some(irq))
     }
 
     /// The board's network interface wiring, if it has one.
@@ -63,14 +63,9 @@ impl Board {
         })
     }
 
-    fn add_device(&mut self, name: &'static str, kind: DeviceKind, irq: Option<IrqLine>) -> DevId {
+    fn add_device(&mut self, kind: DeviceKind, irq: Option<IrqLine>) -> DevId {
         let id = DevId(self.devices.len() as u32);
-        self.devices.push(Device {
-            id,
-            kind,
-            irq,
-            name,
-        });
+        self.devices.push(Device { id, kind, irq });
         id
     }
 
@@ -176,7 +171,7 @@ mod tests {
     #[test]
     fn scheduled_samples_raise_irqs() {
         let mut b = Board::default();
-        let rpm = b.add_sensor("rpm", Some(IrqLine(4)));
+        let rpm = b.add_sensor(Some(IrqLine(4)));
         b.schedule_sample(Time::from_ms(1), rpm, 900);
         assert_eq!(b.next_event_time(), Some(Time::from_ms(1)));
         let mut raised = Vec::new();
@@ -191,7 +186,7 @@ mod tests {
     #[test]
     fn periodic_schedule_generates_count_samples() {
         let mut b = Board::default();
-        let s = b.add_sensor("gyro", None);
+        let s = b.add_sensor(None);
         b.schedule_periodic_samples(s, Time::from_ms(1), Duration::from_ms(2), 5, |k| k as u32);
         b.advance_to(Time::from_ms(20), &mut Vec::new());
         if let DeviceKind::Sensor(sen) = &b.device(s).kind {
@@ -218,7 +213,7 @@ mod tests {
     #[test]
     fn actuator_helpers() {
         let mut b = Board::default();
-        let act = b.add_actuator("valve");
+        let act = b.add_actuator();
         b.device_mut(act).write_register(Time::from_ms(3), 7);
         assert_eq!(b.actuator_log(act), &[(Time::from_ms(3), 7)]);
     }
@@ -227,9 +222,9 @@ mod tests {
     fn nic_device_is_registered_with_irq() {
         let mut b = Board::default();
         assert_eq!(b.nic(), None);
-        b.add_sensor("rpm", None);
+        b.add_sensor(None);
         let nic = b.add_nic(NIC);
-        b.add_actuator("valve");
+        b.add_actuator();
         assert_eq!(b.device(nic).irq, Some(IrqLine(2)));
         assert_eq!(b.nic(), Some(NIC));
         assert_eq!(b.device_count(), 3);

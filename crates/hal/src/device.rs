@@ -78,7 +78,6 @@ pub struct Device {
     pub kind: DeviceKind,
     /// Interrupt line the device is wired to, if any.
     pub irq: Option<IrqLine>,
-    pub name: &'static str,
 }
 
 impl Device {
@@ -131,7 +130,6 @@ mod tests {
             id: DevId(0),
             kind: DeviceKind::Sensor(Sensor::default()),
             irq: Some(IrqLine(4)),
-            name: "rpm",
         }
     }
 
@@ -164,7 +162,6 @@ mod tests {
             id: DevId(1),
             kind: DeviceKind::Actuator(Actuator::default()),
             irq: None,
-            name: "throttle",
         };
         d.write_register(Time::from_ms(1), 42);
         d.write_register(Time::from_ms(2), 43);
@@ -181,7 +178,6 @@ mod tests {
             id: DevId(1),
             kind: DeviceKind::Actuator(Actuator::default()),
             irq: None,
-            name: "x",
         };
         d.deliver_sample(1);
     }

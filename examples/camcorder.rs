@@ -40,7 +40,7 @@ fn build(policy: SchedPolicy) -> (Kernel, emeralds::sim::ThreadId) {
         ..KernelConfig::default()
     });
     let cam = b.add_process("camcorder");
-    let lens = b.board_mut().add_actuator("lens");
+    let lens = b.board_mut().add_actuator();
     let frame_lock = b.add_mutex();
     let vector_ready = b.add_event(); // latching hand-off
 
@@ -97,7 +97,7 @@ fn main() {
             if name == "RM" { "period" } else { "deadline" }
         );
         print!("{}", metrics.render());
-        let est = k.tcb(estimator);
+        let est = k.task_stats(estimator);
         println!(
             "motion-est: worst response {} against its 8 ms deadline, {} misses\n",
             est.max_response, est.deadline_misses

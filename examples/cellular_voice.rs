@@ -115,15 +115,17 @@ fn main() {
         let (mut k, tasks) = build(policy);
         k.run_until(horizon);
         for (at, tid) in k.trace().deadline_misses() {
-            println!("  MISS {} at {at}", k.tcb(tid).name);
+            println!("  MISS {} at {at}", k.task_stats(tid).name);
         }
         assert_eq!(k.total_deadline_misses(), 0, "{name}: missed deadlines");
         println!("--- {name} ---");
         for &tid in &tasks {
-            let t = k.tcb(tid);
+            let s = k.task_stats(tid);
             println!(
                 "  {:<16} jobs={:<4} cpu={}",
-                t.name, t.jobs_completed, t.cpu_time
+                s.name,
+                s.jobs_completed,
+                k.tcb(tid).cpu_time
             );
         }
         let sched = k.accounting().scheduler_overhead();

@@ -39,9 +39,9 @@ fn main() {
     // Board: crank sensor (IRQ-driven) + injector and spark actuators.
     let (crank, injector, spark) = {
         let board = b.board_mut();
-        let crank = board.add_sensor("crank", Some(crank_irq));
-        let injector = board.add_actuator("injector");
-        let spark = board.add_actuator("spark");
+        let crank = board.add_sensor(Some(crank_irq));
+        let injector = board.add_actuator();
+        let spark = board.add_actuator();
         // 2 ms crank pulses carrying a rising RPM signal.
         board.schedule_periodic_samples(crank, Time::from_ms(1), Duration::from_ms(2), 200, |k| {
             800 + (k * 7 % 400) as u32
@@ -116,10 +116,13 @@ fn main() {
 
     println!("=== engine control, 400 ms ===");
     for tid in [driver, fuel, spark_task, diag] {
-        let t = k.tcb(tid);
+        let s = k.task_stats(tid);
         println!(
             "{:<12} jobs={:<3} misses={} cpu={}",
-            t.name, t.jobs_completed, t.deadline_misses, t.cpu_time
+            s.name,
+            s.jobs_completed,
+            s.deadline_misses,
+            k.tcb(tid).cpu_time
         );
     }
     let injections = k.board().actuator_log(injector).len();

@@ -69,12 +69,9 @@ fn main() {
     println!("\n=== run report ===");
     print!("{}", kernel.metrics().render());
     // The task closest to missing: worst response relative to period.
-    let response_ratio = |tid| {
-        let t = kernel.tcb(tid);
-        match t.timing {
-            Timing::Periodic { period, .. } => t.max_response.ratio(period),
-            Timing::EventDriven { .. } => 0.0,
-        }
+    let response_ratio = |tid| match kernel.tcb(tid).timing {
+        Timing::Periodic { period, .. } => kernel.task_stats(tid).max_response.ratio(period),
+        Timing::EventDriven { .. } => 0.0,
     };
     let tightest = [control, sensor, logger, health]
         .into_iter()
@@ -82,7 +79,7 @@ fn main() {
         .expect("four tasks");
     println!(
         "tightest task: {} (worst response / period)",
-        kernel.tcb(tightest).name
+        kernel.task_stats(tightest).name
     );
 
     println!("\n=== overhead ledger ===");

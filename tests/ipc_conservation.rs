@@ -139,7 +139,7 @@ fn check_state_message_monotone(writer_period_ms: u64, reader_period_ms: u64, si
             _ => {}
         }
     }
-    assert_eq!(v.writes(), k.tcb(writer).jobs_completed, "{ctx}");
+    assert_eq!(v.writes(), k.task_stats(writer).jobs_completed, "{ctx}");
 }
 
 #[test]

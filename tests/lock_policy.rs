@@ -166,13 +166,13 @@ fn pi_and_srp_agree_on_contention_free_workloads() {
         srp.run_until(Time::from_ms(400));
         for &t in &tasks {
             assert_eq!(
-                pi.tcb(t).jobs_completed,
-                srp.tcb(t).jobs_completed,
+                pi.task_stats(t).jobs_completed,
+                srp.task_stats(t).jobs_completed,
                 "seed {seed}, {t}: job counts diverge"
             );
             assert_eq!(
-                pi.tcb(t).deadline_misses,
-                srp.tcb(t).deadline_misses,
+                pi.task_stats(t).deadline_misses,
+                srp.task_stats(t).deadline_misses,
                 "seed {seed}, {t}: miss counts diverge"
             );
             assert_eq!(

@@ -153,8 +153,9 @@ fn check_schemes_equivalent(spec: &[(u64, u64, bool)]) {
         k.run_until(Time::from_ms(400));
         (0..spec.len() as u32)
             .map(|i| {
-                let t = k.tcb(emeralds::sim::ThreadId(i));
-                (t.jobs_completed, t.deadline_misses, t.cpu_time)
+                let tid = emeralds::sim::ThreadId(i);
+                let s = k.task_stats(tid);
+                (s.jobs_completed, s.deadline_misses, k.tcb(tid).cpu_time)
             })
             .collect::<Vec<_>>()
     };

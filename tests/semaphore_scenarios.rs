@@ -116,8 +116,8 @@ fn schemes_agree_and_emeralds_switches_less() {
         b.run_until(Time::from_ms(500));
         for &tid in &tasks {
             assert_eq!(
-                a.tcb(tid).jobs_completed,
-                b.tcb(tid).jobs_completed,
+                a.task_stats(tid).jobs_completed,
+                b.task_stats(tid).jobs_completed,
                 "seed {seed}, {tid}"
             );
             assert_eq!(
