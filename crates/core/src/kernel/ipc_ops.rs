@@ -66,14 +66,8 @@ impl Kernel {
         } else {
             // Full: park the sender with its message pending.
             self.pending_send[tid.index()] = Some(msg);
-            let key = self.prio_key(tid);
-            let keys: Vec<u128> = self.mboxes[mb.index()]
-                .senders
-                .iter()
-                .map(|&w| self.prio_key(w))
-                .collect();
-            let pos = keys.iter().position(|&k| k > key).unwrap_or(keys.len());
-            self.mboxes[mb.index()].senders.insert(pos, tid);
+            self.tcbs
+                .enqueue_by_prio(&mut self.mboxes[mb.index()].senders, tid);
             self.tcbs.get_mut(tid).in_syscall = true;
             self.block_thread(tid, BlockReason::MboxSend(mb));
             self.reschedule();
@@ -123,14 +117,8 @@ impl Kernel {
                 self.complete_blocking_call(snd);
             }
         } else {
-            let key = self.prio_key(tid);
-            let keys: Vec<u128> = self.mboxes[mb.index()]
-                .receivers
-                .iter()
-                .map(|&w| self.prio_key(w))
-                .collect();
-            let pos = keys.iter().position(|&k| k > key).unwrap_or(keys.len());
-            self.mboxes[mb.index()].receivers.insert(pos, tid);
+            self.tcbs
+                .enqueue_by_prio(&mut self.mboxes[mb.index()].receivers, tid);
             self.tcbs.get_mut(tid).in_syscall = true;
             self.block_thread(tid, BlockReason::MboxRecv(mb));
             self.reschedule();

@@ -38,7 +38,7 @@ use crate::sched::{SchedPolicy, SchedulerImpl};
 use crate::script::{Action, Script, ScriptKind};
 use crate::sync::policy::{make_policy, LockPolicy};
 use crate::sync::{CondVar, SemScheme, Semaphore, SrpStats};
-use crate::tcb::{QueueAssign, TaskStats, Tcb, TcbTable, Timing};
+use crate::tcb::{TaskStats, Tcb, TcbTable, Timing};
 
 /// Kernel-wide configuration.
 #[derive(Clone, Debug)]
@@ -358,23 +358,6 @@ impl Kernel {
         self.counters.observe(&ev);
         self.trace.push(self.clock.now(), ev);
     }
-
-    /// A thread's priority key for wait-queue ordering: lower is more
-    /// urgent. Bands (DP queues before FP) dominate; within a DP band
-    /// the effective deadline decides, within FP the base RM priority.
-    pub(crate) fn prio_key(&self, tid: ThreadId) -> u128 {
-        let t = self.tcbs.get(tid);
-        match t.queue {
-            QueueAssign::Dp(j) => {
-                ((j as u128) << 96)
-                    | ((t.effective_deadline().as_ns() as u128) << 32)
-                    | t.id.0 as u128
-            }
-            QueueAssign::Fp => {
-                (u64::MAX as u128) << 96 | ((t.rm_prio as u128) << 32) | t.id.0 as u128
-            }
-        }
-    }
 }
 
 /// Specification of one task, collected by the builder.
@@ -678,7 +661,8 @@ impl KernelBuilder {
     }
 
     /// Registers the first-level action for an interrupt line. A line
-    /// beyond the interrupt controller is rejected at build.
+    /// beyond the interrupt controller, or an action naming a
+    /// semaphore or event that was never added, is rejected at build.
     pub fn on_irq(&mut self, line: IrqLine, action: IrqAction) {
         self.irq_actions.push((line, action));
     }
@@ -728,11 +712,11 @@ impl KernelBuilder {
 
     /// Finalizes the kernel, returning a typed [`ConfigError`] instead
     /// of panicking on an invalid configuration: CSD boundaries beyond
-    /// the task count, scripts referencing unknown kernel objects or
-    /// devices, invalid `next_sem` hint overrides, interrupt lines
-    /// beyond the controller, more objects than a kernel pool holds,
-    /// and — under [`SemScheme::Srp`] — infeasible or deadlock-prone
-    /// resource graphs.
+    /// the task count, scripts or `on_irq` actions referencing unknown
+    /// kernel objects or devices, invalid `next_sem` hint overrides,
+    /// interrupt lines beyond the controller, more objects than a
+    /// kernel pool holds, and — under [`SemScheme::Srp`] — infeasible
+    /// or deadlock-prone resource graphs.
     pub fn try_build(mut self) -> Result<Kernel, ConfigError> {
         let n = self.tasks.len();
         if let SchedPolicy::Csd { boundaries } = &self.cfg.policy {
@@ -745,6 +729,7 @@ impl KernelBuilder {
         }
         self.validate_scripts()?;
         self.validate_hint_overrides()?;
+        self.validate_irq_actions()?;
         let irq_lines = self.irq_table_len()?;
         let timer_blocks = self.check_pools()?;
 

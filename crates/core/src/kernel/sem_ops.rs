@@ -68,18 +68,9 @@ impl Kernel {
         // below triggers the scheduling decision either way.
         let _ = self.release_sem_inner(tid, guard);
         // Park on the condition.
-        let key = self.prio_key(tid);
-        let keys: Vec<(u128, usize)> = self.cvs[cv.index()]
-            .waiters
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (self.prio_key(w), i))
-            .collect();
-        let pos = keys
-            .iter()
-            .position(|&(k, _)| k > key)
-            .unwrap_or(keys.len());
-        self.cvs[cv.index()].waiters.insert(pos, tid);
+        let pos = self
+            .tcbs
+            .enqueue_by_prio(&mut self.cvs[cv.index()].waiters, tid);
         self.cvs[cv.index()].guard_of.insert(pos, guard);
         self.tcbs.get_mut(tid).in_syscall = true;
         self.block_thread(tid, BlockReason::Cv(cv));

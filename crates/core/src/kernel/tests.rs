@@ -1012,6 +1012,54 @@ fn device_beyond_the_controller_is_a_typed_error() {
     );
 }
 
+/// An `on_irq` action releasing a semaphore the configuration never
+/// added is a typed build error, not an index panic at the line's
+/// first interrupt.
+#[test]
+fn on_irq_releasing_an_unknown_semaphore_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    let with = |sem| {
+        let (mut b, _) = irq_builder();
+        b.add_counting_sem(4);
+        b.on_irq(IrqLine(3), IrqAction::ReleaseSem(sem));
+        b.try_build().err()
+    };
+    assert_eq!(with(SemId(0)), None);
+    let line = IrqLine(3);
+    let err = with(SemId(1));
+    assert_eq!(
+        err,
+        Some(ConfigError::UnknownIrqSemaphore {
+            line,
+            sem: SemId(1)
+        })
+    );
+    assert!(err.unwrap().to_string().contains("unknown semaphore"));
+}
+
+/// Likewise for an `on_irq` action signalling an unknown event.
+#[test]
+fn on_irq_signalling_an_unknown_event_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    let with = |event| {
+        let (mut b, _) = irq_builder();
+        b.add_event();
+        b.on_irq(IrqLine(3), IrqAction::SignalEvent(event));
+        b.try_build().err()
+    };
+    assert_eq!(with(EventId(0)), None);
+    let line = IrqLine(3);
+    let err = with(EventId(4));
+    assert_eq!(
+        err,
+        Some(ConfigError::UnknownIrqEvent {
+            line,
+            event: EventId(4)
+        })
+    );
+    assert!(err.unwrap().to_string().contains("unknown event"));
+}
+
 /// Every default-configured kernel reads one process-wide price list:
 /// two configurations, and a kernel built from one, hold the same
 /// allocation.

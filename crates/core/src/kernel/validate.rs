@@ -23,7 +23,7 @@ use emeralds_sched::{srp_ceilings, SrpEvent, SrpGraphError, SrpTaskProfile};
 use emeralds_sim::{CvId, DevId, EventId, IrqLine, MboxId, SemId, StateId, ThreadId};
 
 use crate::alloc::PoolSet;
-use crate::kernel::{KernelBuilder, TaskSpec};
+use crate::kernel::{IrqAction, KernelBuilder, TaskSpec};
 use crate::parser;
 use crate::script::Action;
 use crate::sync::SemScheme;
@@ -108,6 +108,11 @@ pub enum ConfigError {
     /// A device, an `on_irq` registration or a `WaitIrq` action names
     /// a line the interrupt controller does not have.
     IrqLineOutOfRange { line: IrqLine },
+    /// An `on_irq` action releases a semaphore that was never added.
+    UnknownIrqSemaphore { line: IrqLine, sem: SemId },
+    /// An `on_irq` action signals a software event that was never
+    /// added.
+    UnknownIrqEvent { line: IrqLine, event: EventId },
     /// The configuration draws more objects from a kernel pool than
     /// the pool holds.
     PoolExhausted {
@@ -193,6 +198,12 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "IRQ line {line} is beyond the interrupt controller's {MAX_IRQ_LINES} lines"
             ),
+            ConfigError::UnknownIrqSemaphore { line, sem } => {
+                write!(f, "the {line} action releases unknown semaphore {sem}")
+            }
+            ConfigError::UnknownIrqEvent { line, event } => {
+                write!(f, "the {line} action signals unknown event {event}")
+            }
             ConfigError::PoolExhausted {
                 pool,
                 capacity,
@@ -330,6 +341,24 @@ impl KernelBuilder {
                         expected,
                     });
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks every `on_irq` action against the semaphores and events
+    /// that were actually added, so none indexes past its table at the
+    /// line's first interrupt.
+    pub(super) fn validate_irq_actions(&self) -> Result<(), ConfigError> {
+        for &(line, action) in &self.irq_actions {
+            match action {
+                IrqAction::ReleaseSem(sem) if sem.index() >= self.sems.len() => {
+                    return Err(ConfigError::UnknownIrqSemaphore { line, sem });
+                }
+                IrqAction::SignalEvent(event) if event.index() >= self.event_count => {
+                    return Err(ConfigError::UnknownIrqEvent { line, event });
+                }
+                _ => {}
             }
         }
         Ok(())

@@ -29,25 +29,6 @@ impl CondVar {
         }
     }
 
-    /// Adds a waiter with its guard mutex, priority ordered (FIFO on
-    /// ties).
-    pub fn enqueue(
-        &mut self,
-        tid: ThreadId,
-        guard: SemId,
-        key: u128,
-        key_of: impl Fn(ThreadId) -> u128,
-    ) {
-        debug_assert!(!self.waiters.contains(&tid));
-        let pos = self
-            .waiters
-            .iter()
-            .position(|&w| key_of(w) > key)
-            .unwrap_or(self.waiters.len());
-        self.waiters.insert(pos, tid);
-        self.guard_of.insert(pos, guard);
-    }
-
     /// Removes and returns the highest-priority waiter and its guard.
     pub fn pop(&mut self) -> Option<(ThreadId, SemId)> {
         if self.waiters.is_empty() {
@@ -73,13 +54,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn waiters_pop_in_priority_order() {
+    fn pop_takes_the_head_waiter_with_its_guard() {
         let mut cv = CondVar::new(CvId(0));
-        let keys = [9u128, 2, 5];
-        let key_of = |t: ThreadId| keys[t.index()];
-        cv.enqueue(ThreadId(0), SemId(0), 9, key_of);
-        cv.enqueue(ThreadId(1), SemId(1), 2, key_of);
-        cv.enqueue(ThreadId(2), SemId(2), 5, key_of);
+        // The kernel parks waiters in priority order, each guard at
+        // its waiter's position.
+        cv.waiters = vec![ThreadId(1), ThreadId(2), ThreadId(0)];
+        cv.guard_of = vec![SemId(1), SemId(2), SemId(0)];
         assert_eq!(cv.len(), 3);
         assert_eq!(cv.pop(), Some((ThreadId(1), SemId(1))));
         assert_eq!(cv.pop(), Some((ThreadId(2), SemId(2))));

@@ -100,20 +100,15 @@ impl Kernel {
                 self.do_priority_inheritance(s, next);
             }
             // §6.3.1: every other pre-lock member is blocked until we
-            // release.
+            // release. Walked by index, which allocates nothing: the
+            // loop flags members but never adds or removes one.
             if self.cfg.sem_scheme == SemScheme::Emeralds {
-                let members: Vec<ThreadId> = self.sems[s.index()]
-                    .prelock
-                    .iter()
-                    .filter(|&&(t, blocked)| t != tid && !blocked)
-                    .map(|&(t, _)| t)
-                    .collect();
-                for m in members {
-                    for entry in &mut self.sems[s.index()].prelock {
-                        if entry.0 == m {
-                            entry.1 = true;
-                        }
+                for i in 0..self.sems[s.index()].prelock.len() {
+                    let (m, blocked) = self.sems[s.index()].prelock[i];
+                    if m == tid || blocked {
+                        continue;
                     }
+                    self.sems[s.index()].prelock[i].1 = true;
                     self.charge(OverheadKind::Semaphore, self.cfg.cost.sem_logic);
                     self.block_thread(m, BlockReason::PreLock(s));
                     self.record(TraceEvent::PreLockBlock { tid: m, sem: s });
@@ -181,10 +176,10 @@ impl Kernel {
             .prelock
             .iter()
             .filter(|&&(_, blocked)| blocked)
-            .map(|&(t, _)| self.prio_key(t))
+            .map(|&(t, _)| self.tcbs.prio_key(t))
             .min();
         let hand_over = match (self.sems[s.index()].waiters.first(), best_parked) {
-            (Some(&w), Some(parked)) => self.prio_key(w) < parked,
+            (Some(&w), Some(parked)) => self.tcbs.prio_key(w) < parked,
             (Some(_), None) => true,
             (None, _) => false,
         };
@@ -206,29 +201,23 @@ impl Kernel {
         } else {
             self.sems[s.index()].put();
             // §6.3.1: the lock is free again — wake every pre-lock
-            // member we parked.
-            let parked: Vec<ThreadId> = self.sems[s.index()]
-                .prelock
-                .iter()
-                .filter(|&&(_, blocked)| blocked)
-                .map(|&(t, _)| t)
-                .collect();
+            // member we parked, walking by index as the acquire does.
             // Preemption check instead of an unconditional scheduler
             // pass: a member was parked while ready, so it ranked
             // below the then-running acquirer, and priority keys are
             // fixed for the life of a job — waking it cannot displace
             // the releaser unless it outranks it now.
-            let releaser_key = self.prio_key(tid);
+            let releaser_key = self.tcbs.prio_key(tid);
             let mut preempts = false;
-            for p in parked {
-                for entry in &mut self.sems[s.index()].prelock {
-                    if entry.0 == p {
-                        entry.1 = false;
-                    }
+            for i in 0..self.sems[s.index()].prelock.len() {
+                let (p, parked) = self.sems[s.index()].prelock[i];
+                if !parked {
+                    continue;
                 }
+                self.sems[s.index()].prelock[i].1 = false;
                 self.charge(OverheadKind::Semaphore, self.cfg.cost.sem_logic);
                 self.make_ready(p);
-                preempts |= self.prio_key(p) < releaser_key;
+                preempts |= self.tcbs.prio_key(p) < releaser_key;
             }
             preempts
         }
@@ -274,7 +263,7 @@ impl Kernel {
             let Some(holder) = self.sems[sem.index()].holder else {
                 return applied;
             };
-            if self.prio_key(donor) >= self.prio_key(holder) {
+            if self.tcbs.prio_key(donor) >= self.tcbs.prio_key(holder) {
                 return applied;
             }
             self.apply_inheritance(sem, holder, donor);
@@ -384,17 +373,15 @@ impl Kernel {
             QueueAssign::Dp(_) => {
                 // Recompute the inherited deadline from the waiters of
                 // the other semaphores still held.
-                let mut inherited: Option<emeralds_sim::Time> = None;
-                let held = self.tcbs.get(holder).held_sems.clone();
-                for h in held {
-                    if h == s {
-                        continue;
-                    }
-                    for &w in &self.sems[h.index()].waiters {
-                        let d = self.tcbs.get(w).effective_deadline();
-                        inherited = Some(inherited.map_or(d, |x: emeralds_sim::Time| x.min(d)));
-                    }
-                }
+                let inherited = self
+                    .tcbs
+                    .get(holder)
+                    .held_sems
+                    .iter()
+                    .filter(|&&h| h != s)
+                    .flat_map(|h| &self.sems[h.index()].waiters)
+                    .map(|&w| self.tcbs.get(w).effective_deadline())
+                    .min();
                 self.tcbs.get_mut(holder).inherited_deadline = inherited;
                 self.charge(OverheadKind::PriorityInheritance, self.cfg.cost.pi_dp_fixed);
             }
@@ -404,14 +391,8 @@ impl Kernel {
 
     /// Priority-ordered insertion into a semaphore wait queue.
     pub(crate) fn enqueue_sem_waiter(&mut self, s: SemId, tid: ThreadId) {
-        let key = self.prio_key(tid);
-        let keys: Vec<u128> = self.sems[s.index()]
-            .waiters
-            .iter()
-            .map(|&w| self.prio_key(w))
-            .collect();
-        let pos = keys.iter().position(|&k| k > key).unwrap_or(keys.len());
-        self.sems[s.index()].waiters.insert(pos, tid);
+        self.tcbs
+            .enqueue_by_prio(&mut self.sems[s.index()].waiters, tid);
     }
 
     /// The §6.2 decision point: wake the thread, or — when its next
@@ -429,15 +410,7 @@ impl Kernel {
                             .holder
                             .expect("locked mutex has holder");
                         let boosted = self.do_priority_inheritance(s, tid);
-                        let key = self.prio_key(tid);
-                        let keys: Vec<u128> = self.sems[s.index()]
-                            .waiters
-                            .iter()
-                            .map(|&w| self.prio_key(w))
-                            .collect();
-                        let waiters = &mut self.sems[s.index()];
-                        let pos = keys.iter().position(|&k| k > key).unwrap_or(keys.len());
-                        waiters.waiters.insert(pos, tid);
+                        self.enqueue_sem_waiter(s, tid);
                         self.tcbs.get_mut(tid).state = ThreadState::Blocked(BlockReason::Sem(s));
                         self.record(TraceEvent::EarlyInherit {
                             waiter: tid,

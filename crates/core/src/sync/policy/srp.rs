@@ -123,7 +123,7 @@ impl SrpPolicy {
         }
         // Deterministic order: best priority key first (ties by id are
         // impossible — keys embed the id).
-        self.pending.sort_by_key(|&t| k.prio_key(t));
+        self.pending.sort_by_key(|&t| k.tcbs.prio_key(t));
         let mut woke = false;
         let mut still_pending = Vec::new();
         for tid in std::mem::take(&mut self.pending) {

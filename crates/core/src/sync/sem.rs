@@ -139,18 +139,6 @@ impl Semaphore {
         self.holder = None;
     }
 
-    /// Inserts `tid` into the wait queue before the first waiter with
-    /// a larger key (priority order; FIFO among equals).
-    pub fn enqueue_waiter(&mut self, tid: ThreadId, key: u128, key_of: impl Fn(ThreadId) -> u128) {
-        debug_assert!(!self.waiters.contains(&tid));
-        let pos = self
-            .waiters
-            .iter()
-            .position(|&w| key_of(w) > key)
-            .unwrap_or(self.waiters.len());
-        self.waiters.insert(pos, tid);
-    }
-
     /// Removes and returns the highest-priority waiter.
     pub fn pop_waiter(&mut self) -> Option<ThreadId> {
         if self.waiters.is_empty() {
@@ -213,22 +201,6 @@ mod tests {
         assert!(!s.available());
         s.put();
         assert!(s.available());
-    }
-
-    #[test]
-    fn wait_queue_is_priority_ordered_fifo_on_ties() {
-        let mut s = Semaphore::mutex(SemId(0));
-        let keys = [5u128, 3, 5, 1];
-        let key_of = |t: ThreadId| keys[t.index()];
-        s.enqueue_waiter(ThreadId(0), 5, key_of);
-        s.enqueue_waiter(ThreadId(1), 3, key_of);
-        s.enqueue_waiter(ThreadId(2), 5, key_of);
-        s.enqueue_waiter(ThreadId(3), 1, key_of);
-        assert_eq!(s.pop_waiter(), Some(ThreadId(3)));
-        assert_eq!(s.pop_waiter(), Some(ThreadId(1)));
-        assert_eq!(s.pop_waiter(), Some(ThreadId(0))); // FIFO among 5s
-        assert_eq!(s.pop_waiter(), Some(ThreadId(2)));
-        assert_eq!(s.pop_waiter(), None);
     }
 
     #[test]

@@ -325,6 +325,39 @@ impl TcbTable {
     pub fn iter(&self) -> impl Iterator<Item = &Tcb> {
         self.tcbs.iter()
     }
+
+    /// A thread's priority key for wait-queue ordering: lower is more
+    /// urgent. Bands (DP queues before FP) dominate; within a DP band
+    /// the effective deadline decides, within FP the base RM priority.
+    /// The low bits hold the thread id, so no two threads tie.
+    pub(crate) fn prio_key(&self, tid: ThreadId) -> u128 {
+        let t = self.get(tid);
+        match t.queue {
+            QueueAssign::Dp(j) => {
+                ((j as u128) << 96)
+                    | ((t.effective_deadline().as_ns() as u128) << 32)
+                    | t.id.0 as u128
+            }
+            QueueAssign::Fp => {
+                (u64::MAX as u128) << 96 | ((t.rm_prio as u128) << 32) | t.id.0 as u128
+            }
+        }
+    }
+
+    /// Parks `tid` in the wait queue `queue`, which every blocking
+    /// object keeps in ascending [`TcbTable::prio_key`] order: before
+    /// the first waiter with a larger key. Returns its position. The
+    /// waiters' keys are read in place, so a park allocates only when
+    /// the queue outgrows its capacity.
+    pub(crate) fn enqueue_by_prio(&self, queue: &mut Vec<ThreadId>, tid: ThreadId) -> usize {
+        let key = self.prio_key(tid);
+        let pos = queue
+            .iter()
+            .position(|&w| self.prio_key(w) > key)
+            .unwrap_or(queue.len());
+        queue.insert(pos, tid);
+        pos
+    }
 }
 
 #[cfg(test)]
@@ -379,6 +412,29 @@ mod tests {
         assert_eq!(t.effective_deadline(), Time::from_ms(5));
         t.inherited_deadline = Some(Time::from_ms(30));
         assert_eq!(t.effective_deadline(), Time::from_ms(20));
+    }
+
+    #[test]
+    fn waiters_park_in_prio_key_order() {
+        // 0, 1: FP at RM ranks 3 and 1. 2, 3: DP1 with deadlines 20
+        // and 9 ms. 4: DP1 at 30 ms, inheriting 5 ms. 5: DP2 at 1 ms.
+        let mut tab = TcbTable::new();
+        for id in 0..6 {
+            tab.insert(tcb(id));
+        }
+        tab.get_mut(ThreadId(0)).rm_prio = 3;
+        for (id, band, deadline) in [(2, 0, 20), (3, 0, 9), (4, 0, 30), (5, 1, 1)] {
+            let t = tab.get_mut(ThreadId(id));
+            t.queue = QueueAssign::Dp(band);
+            t.abs_deadline = Time::from_ms(deadline);
+        }
+        tab.get_mut(ThreadId(4)).inherited_deadline = Some(Time::from_ms(5));
+        let mut queue = Vec::new();
+        let positions: Vec<usize> = (0..6)
+            .map(|id| tab.enqueue_by_prio(&mut queue, ThreadId(id)))
+            .collect();
+        assert_eq!(positions, [0, 0, 0, 0, 0, 3]);
+        assert_eq!(queue, [4, 3, 2, 5, 1, 0].map(ThreadId));
     }
 
     #[test]

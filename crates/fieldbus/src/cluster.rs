@@ -818,7 +818,8 @@ impl Cluster {
     }
 
     /// Engine cost accounting accumulated across every `run_until` so
-    /// far: barrier crossings plus exchange/total wall nanoseconds.
+    /// far: barrier crossings plus exchange/total wall nanoseconds, the
+    /// exchange's a sampled estimate ([`EpochStats::serial_ns`]).
     /// Host-side measurement only — never feeds back into the
     /// simulation.
     pub fn exec_stats(&self) -> &EpochStats {

@@ -95,7 +95,11 @@ pub trait EpochNode {
 pub struct EpochStats {
     /// Barrier crossings (== epochs executed == exchange invocations).
     pub barriers: u64,
-    /// Wall nanoseconds spent inside the exchange closure.
+    /// Wall nanoseconds spent inside the exchange closure. From
+    /// [`run_epochs`] this is an estimate: one exchange in 16 is timed
+    /// and counted 16 times, and a call never reports more than its
+    /// `wall_ns` (the excess carries into the set's later calls), so
+    /// compare it over whole runs, not single calls.
     pub serial_ns: u64,
     /// Wall nanoseconds for the whole `run_epochs` call.
     pub wall_ns: u64,
@@ -128,6 +132,11 @@ pub struct ActiveSet {
     wake_min: Time,
     /// Node advances so far, catch-ups excluded.
     advances: u64,
+    /// Barriers crossed so far: the index [`sampled`] hashes.
+    barriers: u64,
+    /// Sampled exchange nanoseconds not yet reported, because a call
+    /// may not report more than its own wall time ([`settle`]).
+    carry: u64,
 }
 
 impl ActiveSet {
@@ -195,6 +204,31 @@ impl ActiveSet {
     }
 }
 
+/// [`run_epochs`] times one exchange in `2^SAMPLE_BITS`.
+const SAMPLE_BITS: u32 = 4;
+const SAMPLE_STRIDE: u64 = 1 << SAMPLE_BITS;
+
+/// Whether barrier number `k` (counted over every run of one
+/// [`ActiveSet`]) times its exchange. Fibonacci hashing: the top
+/// [`SAMPLE_BITS`] bits of `k · 2^64/φ` are zero for one index in
+/// [`SAMPLE_STRIDE`], and the golden ratio spreads those indices so
+/// evenly that no periodic barrier pattern lines up with them. The
+/// choice depends on `k` alone, so every run samples the same barriers.
+fn sampled(k: u64) -> bool {
+    k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SAMPLE_BITS) == 0
+}
+
+/// Settles one call's sampled exchange `estimate` against its `wall`
+/// time, with the `carry` earlier calls could not report. Returns what
+/// the call reports, never more than `wall`, and the new carry: the
+/// two always sum to `estimate + carry`, so nothing is lost, only
+/// reported once a later call has room for it.
+fn settle(estimate: u64, carry: u64, wall: u64) -> (u64, u64) {
+    let due = estimate + carry;
+    let reported = due.min(wall);
+    (reported, due - reported)
+}
+
 /// The exchange's view of one barrier.
 pub struct Barrier<'a> {
     /// The barrier instant.
@@ -244,8 +278,16 @@ impl Barrier<'_> {
 /// them to the horizon with [`ActiveSet::catch_up`]. The wake array is
 /// re-read only when the node count changed since the last call.
 ///
-/// Returns per-call [`EpochStats`] (barrier count and exchange/total
-/// wall nanoseconds).
+/// Returns per-call [`EpochStats`]: the barrier count, the call's wall
+/// nanoseconds (two clock reads per call) and an estimate of the
+/// exchange's share of them. Reading the clock around every exchange
+/// would cost a quiet bus a third of its wall, so only one barrier in
+/// 16 is timed, chosen by a hash of the set's running barrier count
+/// (the same barriers on every run). Each sample counts 16 times,
+/// after subtracting an empty clock window (two back-to-back reads)
+/// so the clock's own latency is not scaled with it. A call's
+/// `serial_ns` never exceeds its `wall_ns`; the excess carries into
+/// the set's later calls.
 ///
 /// # Panics
 ///
@@ -272,6 +314,7 @@ where
         return stats;
     }
     let t_run = Instant::now();
+    let mut estimate = 0;
     let mut cur = from;
     let mut hint: Option<Time> = None;
     while cur < horizon {
@@ -298,15 +341,20 @@ where
             wake_min = wake_min.min(w);
         }
         set.advances += set.active.len() as u64;
+        let t_ex = sampled(set.barriers).then(Instant::now);
+        set.barriers += 1;
         let mut barrier = Barrier {
             at: end,
             active: &set.active,
             wake_min,
             woken: &mut set.woken,
         };
-        let t_ex = Instant::now();
         hint = exchange(nodes, &mut barrier);
-        stats.serial_ns += t_ex.elapsed().as_nanos() as u64;
+        if let Some(t_ex) = t_ex {
+            let t_done = Instant::now();
+            let spent = (t_done - t_ex).saturating_sub(t_done.elapsed());
+            estimate += spent.as_nanos() as u64 * SAMPLE_STRIDE;
+        }
         set.wake_min = barrier.wake_min();
         for &i in &set.woken {
             set.wakes[i] = Time::ZERO;
@@ -319,6 +367,7 @@ where
         cur = end;
     }
     stats.wall_ns = t_run.elapsed().as_nanos() as u64;
+    (stats.serial_ns, set.carry) = settle(estimate, set.carry, stats.wall_ns);
     stats
 }
 
@@ -565,6 +614,89 @@ mod tests {
         // First epoch ends at 550, the stretched proposal clamps at
         // the horizon: two barriers total.
         assert_eq!(stretched.barriers, 2);
+    }
+
+    /// How many of `n` indices from `start` in steps of `step` the
+    /// sampler picks.
+    fn picks(start: u64, step: u64, n: u64) -> u64 {
+        (0..n).filter(|&j| sampled(start + j * step)).count() as u64
+    }
+
+    #[test]
+    fn sampler_picks_one_in_sixteen_of_any_window() {
+        // 4 096 / 16 = 256 per window, within ±25 %.
+        let within = |c: u64| (192..=320).contains(&c);
+        let mut rng = crate::SimRng::seeded(7);
+        let starts = (0..64).map(|_| rng.raw() >> 1);
+        for start in [0, 1, 15, 4_095, 1 << 32, u64::MAX - 4_096]
+            .into_iter()
+            .chain(starts)
+        {
+            let c = picks(start, 1, 4_096);
+            assert!(within(c), "{c} picks from {start}");
+        }
+        // Nor does a periodic barrier pattern line up with the picks:
+        // every residue class of every period up to 64 is sampled
+        // about as often.
+        for period in 2..=64 {
+            for first in 0..period {
+                let c = picks(first, period, 4_096);
+                assert!(within(c), "{c} picks of {first} mod {period}");
+            }
+        }
+    }
+
+    #[test]
+    fn sampler_picks_the_same_barriers_on_every_run() {
+        let first: Vec<u64> = (0..128).filter(|&k| sampled(k)).collect();
+        assert_eq!(first, [0, 13, 34, 47, 68, 81, 89, 102, 123]);
+        // The index runs on across the calls on one set, so calls of a
+        // few barriers each (a topology segment's outer epochs) do not
+        // all time their first exchange.
+        let mut set = ActiveSet::default();
+        let mut nodes = vec![Probe::busy()];
+        for k in 0..4 {
+            let from = us(450 * k);
+            run_epochs(
+                &mut nodes,
+                &mut set,
+                from,
+                from + Duration::from_us(450),
+                L,
+                &mut |_, _| None,
+            );
+        }
+        assert_eq!(set.barriers, 4 * 5);
+    }
+
+    #[test]
+    fn settle_caps_each_call_at_its_wall_and_carries_the_rest() {
+        // Room for all of it: reported as is, nothing carried.
+        assert_eq!(settle(300, 0, 1_000), (300, 0));
+        // A sample scaled past its call's wall: capped, the excess
+        // carried, then released by later calls as room allows.
+        assert_eq!(settle(1_600, 0, 400), (400, 1_200));
+        assert_eq!(settle(0, 1_200, 500), (500, 700));
+        assert_eq!(settle(100, 700, 1_000), (800, 0));
+        // Over any sequence of calls, reported plus carried equals
+        // what was sampled, and no call reports more than its wall.
+        let calls = [
+            (0, 50),
+            (3_200, 120),
+            (0, 90),
+            (0, 400),
+            (1_600, 70),
+            (0, 5_000),
+        ];
+        let (mut carry, mut reported) = (0, 0);
+        for (estimate, wall) in calls {
+            let (r, c) = settle(estimate, carry, wall);
+            assert!(r <= wall, "{r} > {wall}");
+            assert_eq!(r + c, estimate + carry);
+            (reported, carry) = (reported + r, c);
+        }
+        assert_eq!(carry, 0, "the last call had room for the rest");
+        assert_eq!(reported, 3_200 + 1_600);
     }
 
     #[test]

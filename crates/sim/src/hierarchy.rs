@@ -56,7 +56,8 @@ pub struct TwoLevelStats {
     /// The outer (inter-group) engine: barriers are inter-group
     /// exchanges, serial nanoseconds are gateway-transfer time.
     pub outer: EpochStats,
-    /// Summed inner (intra-group) loops across every group and epoch.
+    /// Summed inner (intra-group) loops across every group and epoch;
+    /// their `serial_ns` is [`crate::run_epochs`]' sampled estimate.
     pub inner: EpochStats,
 }
 

@@ -29,7 +29,9 @@
 //! Everything here is deterministic: no global state, and the RNG
 //! helpers require explicit seeds. The only host-clock reads are the
 //! [`EpochStats`] timers of the epoch engines, which report where the
-//! host time of a run went and never feed back into virtual time.
+//! host time of a run went and never feed back into virtual time. A
+//! single bus times one exchange in 16, so its exchange time is an
+//! estimate ([`EpochStats::serial_ns`]).
 
 pub mod account;
 pub mod cluster;

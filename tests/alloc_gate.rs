@@ -9,6 +9,9 @@
 //!
 //! - a single-kernel `Kernel::advance_to` window mixing timer
 //!   releases, dispatches, and uncontended semaphore traffic;
+//! - a contended single-kernel window, where threads park behind
+//!   other waiters on a mailbox and on a mutex (with its §6.3.1
+//!   pre-lock blocks and wakes);
 //! - a quiet-bus cluster stretch, where the epoch executive proves
 //!   idleness and crosses barriers without staging a frame;
 //! - a sparse-traffic cluster window, where the active-set engine
@@ -39,7 +42,7 @@ use emeralds::fieldbus::{
     addressed_tag, Cluster, ClusterNode, GatewayConfig, GatewayId, SegmentId, Topology,
 };
 use emeralds::sim::count_alloc;
-use emeralds::sim::{Duration, IrqLine, NodeId, StateId, ThreadId, Time};
+use emeralds::sim::{Duration, IrqLine, MboxId, NodeId, SemId, StateId, ThreadId, Time};
 
 #[global_allocator]
 static ALLOC: emeralds::sim::CountingAlloc = emeralds::sim::CountingAlloc;
@@ -96,6 +99,85 @@ fn steady_state_kernel_window_allocates_nothing() {
     );
     // The window did real work, not nothing.
     assert!(k.metrics().context_switches > 0);
+}
+
+/// Waiters parking behind waiters: two drivers park on an empty
+/// mailbox that a feeder fills every 4 ms, and three tasks released
+/// while a lower-priority owner holds a mutex park on it every 10 ms.
+fn contended_kernel(policy: SchedPolicy) -> (Kernel, SemId, MboxId) {
+    let us = Duration::from_us;
+    let mut b = KernelBuilder::new(KernelConfig {
+        policy,
+        record_trace: false,
+        ..KernelConfig::default()
+    });
+    let p = b.add_process("gate");
+    let m = b.add_mutex();
+    let mbox = b.add_mailbox(2);
+    for r in 0..2u64 {
+        b.add_driver_task(
+            p,
+            format!("rx{r}"),
+            Duration::from_ms(1 + r),
+            Script::looping(vec![Action::RecvMbox(mbox), Action::Compute(us(20))]),
+        );
+    }
+    let send = Action::SendMbox {
+        mbox,
+        bytes: 8,
+        tag: 0,
+    };
+    b.add_periodic_task(
+        p,
+        "feeder",
+        Duration::from_ms(4),
+        Script::periodic(vec![Action::Compute(us(30)), send, send]),
+    );
+    let section = |hold| {
+        Script::periodic(vec![
+            Action::AcquireSem(m),
+            Action::Compute(us(hold)),
+            Action::ReleaseSem(m),
+        ])
+    };
+    b.add_periodic_task(p, "owner", Duration::from_ms(10), section(400));
+    for c in 0..3u64 {
+        let period = Duration::from_ms(5);
+        b.add_periodic_task_phased(
+            p,
+            format!("c{c}"),
+            period,
+            period,
+            us(100 + 20 * c),
+            section(30),
+        );
+    }
+    (b.build(), m, mbox)
+}
+
+#[test]
+fn parking_behind_waiters_allocates_nothing() {
+    // Fixed priorities, and deadlines (the DP queue's inheritance
+    // restore recomputes the holder's deadline from other waiters).
+    for policy in [SchedPolicy::RmQueue, SchedPolicy::Edf] {
+        let (mut k, m, mbox) = contended_kernel(policy.clone());
+        // Warm-up: both wait queues reach their longest.
+        k.run_until(Time::from_ms(50));
+        let before = count_alloc::thread_alloc_count();
+        let (mut sem_peak, mut mbox_peak) = (0, 0);
+        for step in 1..=1_000u64 {
+            k.advance_to(Time::from_ms(50) + Duration::from_us(50 * step));
+            sem_peak = sem_peak.max(k.sem(m).waiters.len());
+            mbox_peak = mbox_peak.max(k.mailbox(mbox).receivers.len());
+        }
+        let delta = count_alloc::thread_alloc_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{policy:?}: parking behind waiters made {delta} heap allocations"
+        );
+        // Three tasks queued on the mutex and two on the mailbox at once.
+        assert_eq!((sem_peak, mbox_peak), (3, 2), "{policy:?}");
+    }
 }
 
 /// Four quiet nodes: one sparse control task and an event-driven NIC
