@@ -59,11 +59,6 @@ impl Mailbox {
         self.queue.len() < self.capacity
     }
 
-    /// True if a message is waiting.
-    pub fn has_message(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
     /// Number of queued messages.
     pub fn len(&self) -> usize {
         self.queue.len()
@@ -92,21 +87,6 @@ impl Mailbox {
             self.received += 1;
         }
         m
-    }
-
-    /// Priority-ordered insertion into a blocked list.
-    pub fn enqueue_blocked(
-        list: &mut Vec<ThreadId>,
-        tid: ThreadId,
-        key: u128,
-        key_of: impl Fn(ThreadId) -> u128,
-    ) {
-        debug_assert!(!list.contains(&tid));
-        let pos = list
-            .iter()
-            .position(|&w| key_of(w) > key)
-            .unwrap_or(list.len());
-        list.insert(pos, tid);
     }
 }
 
@@ -144,22 +124,11 @@ mod tests {
     }
 
     #[test]
-    fn blocked_lists_priority_ordered() {
-        let mut list = Vec::new();
-        let keys = [4u128, 1, 2];
-        let key_of = |t: ThreadId| keys[t.index()];
-        Mailbox::enqueue_blocked(&mut list, ThreadId(0), 4, key_of);
-        Mailbox::enqueue_blocked(&mut list, ThreadId(1), 1, key_of);
-        Mailbox::enqueue_blocked(&mut list, ThreadId(2), 2, key_of);
-        assert_eq!(list, vec![ThreadId(1), ThreadId(2), ThreadId(0)]);
-    }
-
-    #[test]
     fn emptiness_queries() {
         let mut mb = Mailbox::new(MboxId(1), 3);
-        assert!(mb.is_empty() && !mb.has_message() && mb.has_space());
+        assert!(mb.is_empty() && mb.has_space());
         mb.push(msg(9));
-        assert!(!mb.is_empty() && mb.has_message());
+        assert!(!mb.is_empty());
         assert_eq!(mb.len(), 1);
     }
 }

@@ -8,9 +8,7 @@
 //! the same system (see DESIGN.md).
 
 pub mod mailbox;
-pub mod shm;
 pub mod statemsg;
 
 pub use mailbox::{Mailbox, Message};
-pub use shm::SharedRegion;
 pub use statemsg::{required_depth, StateMsgVar, EXTERNAL_WRITER, MIN_DEPTH};

@@ -10,6 +10,7 @@ use emeralds_sim::{OverheadKind, ThreadId, Time, TraceEvent};
 
 use crate::kernel::{Kernel, TimerEvent};
 use crate::script::{Action, Operand, ScriptKind};
+use crate::sync::SemScheme;
 use crate::tcb::{BlockReason, Step, ThreadState, Timing};
 
 impl Kernel {
@@ -387,9 +388,12 @@ impl Kernel {
     }
 
     /// Completes the blocking call a thread was parked in: advances
-    /// past the blocking action and, under the EMERALDS semaphore
-    /// scheme, consults the §6.2 next-semaphore hint before deciding
-    /// whether the thread actually wakes.
+    /// past the blocking action, then lets the locking protocol decide
+    /// whether the thread actually wakes — under PI the §6.2
+    /// early-inheritance check on its next-semaphore hint (wake,
+    /// inherit early and stay blocked, or join the pre-lock queue),
+    /// under SRP the ceiling admission test (wake, or defer until a
+    /// ceiling pop).
     pub(crate) fn complete_blocking_call(&mut self, tid: ThreadId) {
         let state = self.tcbs.get(tid).state;
         let hint = match state {
@@ -417,19 +421,10 @@ impl Kernel {
                 hint
             }
         };
-        self.finish_unblock_with_hint(tid, hint);
-    }
-
-    /// The policy decision point for a completing blocking call: under
-    /// PI, the §6.2 early-inheritance check (wake, or inherit early and
-    /// stay blocked, or join the pre-lock queue); under SRP, the
-    /// ceiling admission test (wake, or defer until a ceiling pop).
-    pub(crate) fn finish_unblock_with_hint(
-        &mut self,
-        tid: ThreadId,
-        hint: Option<emeralds_sim::SemId>,
-    ) {
-        self.with_policy(|p, k| p.unblock_with_hint(k, tid, hint));
+        match self.cfg.sem_scheme {
+            SemScheme::Standard | SemScheme::Emeralds => self.pi_wake(tid, hint),
+            SemScheme::Srp => self.srp_wake(tid),
+        }
     }
 
     /// Services all deliverable interrupts.

@@ -131,7 +131,7 @@ impl Kernel {
         let v = &self.statemsgs[var.index()];
         let region = v.region;
         let size = v.size;
-        let base = self.regions[region_index(&self.regions, region)].base;
+        let base = self.board.mpu.region(region).base;
         let proc = self.tcbs.get(tid).proc;
         // The MPU guards the shared buffer.
         if self.board.mpu.check(proc, base, AccessKind::Write).is_err() {
@@ -152,7 +152,7 @@ impl Kernel {
         let v = &self.statemsgs[var.index()];
         let region = v.region;
         let size = v.size;
-        let base = self.regions[region_index(&self.regions, region)].base;
+        let base = self.board.mpu.region(region).base;
         let proc = self.tcbs.get(tid).proc;
         if self.board.mpu.check(proc, base, AccessKind::Read).is_err() {
             self.record(TraceEvent::ProtectionFault { tid, addr: base });
@@ -245,7 +245,7 @@ impl Kernel {
             self.tcbs.get_mut(tid).pc += 1;
             self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_exit);
         } else {
-            self.irq_waiters[line.index()].push(tid);
+            self.irqs[line.index()].waiters.push(tid);
             self.tcbs.get_mut(tid).in_syscall = true;
             self.block_thread(tid, BlockReason::Irq(line));
             self.reschedule();
@@ -345,49 +345,37 @@ impl Kernel {
 
     /// First-level handling of one acknowledged interrupt line.
     pub(crate) fn handle_irq_line(&mut self, line: IrqLine) {
-        // The IRQ tables end at the highest line the board wires; a
-        // line past them has no waiter and no action.
-        let Some(parked) = self.irq_waiters.get_mut(line.index()) else {
+        // The IRQ table ends at the highest line the board wires; a
+        // line past it has no waiter and no action.
+        let Some(slot) = self.irqs.get_mut(line.index()) else {
             return;
         };
+        let action = slot.action;
         // Wake user-level driver threads parked on the line. The list
         // goes back afterwards, emptied, so a driver that parks again
         // reuses its capacity instead of allocating per interrupt.
-        let mut waiters = std::mem::take(parked);
+        let mut waiters = std::mem::take(&mut slot.waiters);
         for &w in &waiters {
             self.complete_blocking_call(w);
         }
         waiters.clear();
-        let parked_meanwhile = std::mem::replace(&mut self.irq_waiters[line.index()], waiters);
-        self.irq_waiters[line.index()].extend(parked_meanwhile);
-        match self.irq_actions[line.index()] {
+        let slot = &mut self.irqs[line.index()];
+        let parked_meanwhile = std::mem::replace(&mut slot.waiters, waiters);
+        slot.waiters.extend(parked_meanwhile);
+        match action {
             IrqAction::None => {}
             IrqAction::ReleaseSem(s) => {
-                // V from interrupt context (counting semaphores).
-                let waiter = self.sems[s.index()].pop_waiter();
-                match waiter {
-                    Some(w) => {
-                        if self.sems[s.index()].is_mutex() {
-                            self.sems[s.index()].holder = Some(w);
-                            self.tcbs.get_mut(w).held_sems.push(s);
-                        }
-                        // Waiter blocked inside acquire: resume it.
-                        let t = self.tcbs.get_mut(w);
-                        if t.blocked_in_acquire {
-                            t.blocked_in_acquire = false;
-                            t.pc += 1;
-                        } else {
-                            t.granted_sem = Some(s);
-                        }
-                        self.counters.sem_handed_over += 1;
-                        self.record(TraceEvent::SemAcquired { tid: w, sem: s });
-                        self.make_ready(w);
-                        self.reschedule();
-                    }
-                    None => {
-                        if self.sems[s.index()].count < self.sems[s.index()].max_count {
-                            self.sems[s.index()].count += 1;
-                        }
+                // V from interrupt context. The build admits only
+                // counting semaphores here, so there is no holder to
+                // hand over; a permit nobody waits for saturates.
+                if let Some(w) = self.sems[s.index()].pop_waiter() {
+                    self.grant_sem(s, w);
+                    self.make_ready(w);
+                    self.reschedule();
+                } else {
+                    let sem = &mut self.sems[s.index()];
+                    if sem.count < sem.max_count {
+                        sem.count += 1;
                     }
                 }
             }
@@ -403,11 +391,4 @@ impl Kernel {
             }
         }
     }
-}
-
-fn region_index(regions: &[crate::ipc::SharedRegion], id: emeralds_sim::RegionId) -> usize {
-    regions
-        .iter()
-        .position(|r| r.id == id)
-        .expect("state message region registered")
 }

@@ -32,11 +32,11 @@ use emeralds_sim::{
 };
 
 use crate::alloc::PoolSet;
-use crate::ipc::{Mailbox, SharedRegion, StateMsgVar};
+use crate::ipc::{Mailbox, StateMsgVar};
 use crate::proc::Process;
 use crate::sched::{SchedPolicy, SchedulerImpl};
 use crate::script::{Action, Script, ScriptKind};
-use crate::sync::policy::{make_policy, LockPolicy};
+use crate::sync::policy::SrpState;
 use crate::sync::{CondVar, SemScheme, Semaphore, SrpStats};
 use crate::tcb::{TaskStats, Tcb, TcbTable, Timing};
 
@@ -45,10 +45,10 @@ use crate::tcb::{TaskStats, Tcb, TcbTable, Timing};
 pub struct KernelConfig {
     /// Scheduler selection (§5).
     pub policy: SchedPolicy,
-    /// Locking implementation (§6) — the central ablation switch: the
-    /// two priority-inheritance schemes, or SRP/ceiling scheduling as
-    /// the classic rival. Under SRP the builder computes static
-    /// resource ceilings offline and rejects infeasible graphs (see
+    /// Locking protocol (§6) — the central ablation switch: the two
+    /// priority-inheritance schemes, or SRP/ceiling scheduling as the
+    /// classic rival. Under SRP the builder computes static resource
+    /// ceilings offline and rejects infeasible graphs (see
     /// [`ConfigError`]).
     pub sem_scheme: SemScheme,
     /// Per-primitive virtual-time prices. Shared: every kernel built
@@ -89,10 +89,20 @@ impl Default for KernelConfig {
 pub enum IrqAction {
     /// Nothing beyond waking `WaitIrq` waiters.
     None,
-    /// V a counting semaphore (data-available pattern).
+    /// V a counting semaphore (data-available pattern). A mutex has a
+    /// holder an interrupt cannot be, so naming one fails the build.
     ReleaseSem(SemId),
     /// Signal a software event object.
     SignalEvent(EventId),
+}
+
+/// One interrupt line's kernel state: the drivers parked on it in
+/// `WaitIrq` and its first-level action, side by side because every
+/// interrupt on the line reads both.
+#[derive(Clone, Debug)]
+pub(crate) struct IrqSlot {
+    pub(crate) waiters: Vec<ThreadId>,
+    pub(crate) action: IrqAction,
 }
 
 /// A software event object (binary latch with waiters).
@@ -118,7 +128,7 @@ pub enum TimerEvent {
 /// The EMERALDS kernel instance.
 ///
 /// Its object tables never grow after build, so each holds exactly the
-/// objects the configuration added. The IRQ tables hold one entry per
+/// objects the configuration added. The IRQ table holds one slot per
 /// line up to the highest line the board wires.
 ///
 /// `repr(C)` keeps the declared order: the fields a frame reception, a
@@ -136,12 +146,10 @@ pub struct Kernel {
     pub(crate) sched: SchedulerImpl,
     /// Scheduler invocations (`reschedule` calls).
     pub(crate) select_calls: u64,
-    /// The locking policy (PI or SRP). `Option` only so policy calls
-    /// can borrow the kernel mutably alongside the policy — see
-    /// [`Kernel::with_policy`]; it is always `Some` between calls.
-    pub(crate) lock_policy: Option<Box<dyn LockPolicy>>,
-    pub(crate) irq_waiters: Box<[Vec<ThreadId>]>,
-    pub(crate) irq_actions: Box<[IrqAction]>,
+    /// SRP's ceilings, ceiling stack and deferred wakes: `Some` only
+    /// under [`SemScheme::Srp`], so a PI kernel pays one pointer.
+    pub(crate) srp: Option<Box<SrpState>>,
+    pub(crate) irqs: Box<[IrqSlot]>,
     /// The software timer queue (Figure 1: "Timers / Clock services").
     /// `arm_timer` charges a flat `timer_program` per arm, so the
     /// host-side structure cannot move virtual time (DESIGN.md §12).
@@ -166,7 +174,6 @@ pub struct Kernel {
     pub(crate) sems: Box<[Semaphore]>,
     pub(crate) cvs: Box<[CondVar]>,
     pub(crate) statemsgs: Box<[StateMsgVar]>,
-    pub(crate) regions: Box<[SharedRegion]>,
     pub(crate) events: Box<[EventObj]>,
     /// Reused buffer for the IRQ lines `Board::advance_to` raises —
     /// the steady-state execution loop must not allocate.
@@ -229,28 +236,9 @@ impl Kernel {
         (self.timer_arms, self.timer_heights, self.timer_expirations)
     }
 
-    /// Runs a closure with the locking policy and the kernel borrowed
-    /// simultaneously (the policy is taken out for the duration, so
-    /// policy methods must not re-enter a semaphore syscall).
-    pub(crate) fn with_policy<R>(
-        &mut self,
-        f: impl FnOnce(&mut dyn LockPolicy, &mut Kernel) -> R,
-    ) -> R {
-        let mut p = self
-            .lock_policy
-            .take()
-            .expect("re-entrant locking-policy call");
-        let r = f(p.as_mut(), self);
-        self.lock_policy = Some(p);
-        r
-    }
-
-    /// SRP runtime statistics (`None` under the PI policy).
+    /// SRP runtime statistics (`None` under the two PI schemes).
     pub fn srp_stats(&self) -> Option<SrpStats> {
-        self.lock_policy
-            .as_ref()
-            .expect("policy present between calls")
-            .srp_stats()
+        self.srp.as_ref().map(|srp| srp.stats)
     }
 
     /// TCB inspection (read-only).
@@ -296,15 +284,17 @@ impl Kernel {
 
     /// Kernel object pools (footprint reporting). Every block is drawn
     /// at build, so each pool holds the length of the table it backs,
-    /// and the timer pool the blocks reserved for the tasks' timers.
+    /// the region pool one MPU region per state message, and the timer
+    /// pool the blocks reserved for the tasks' timers.
     pub fn pools(&self) -> PoolSet {
+        let statemsgs = self.statemsgs.len();
         PoolSet::small_memory([
             self.tcbs.len(),
             self.sems.len(),
             self.cvs.len(),
             self.mboxes.len(),
-            self.statemsgs.len(),
-            self.regions.len(),
+            statemsgs,
+            statemsgs,
             self.timer_blocks,
         ])
     }
@@ -550,7 +540,8 @@ impl KernelBuilder {
         id
     }
 
-    /// Adds a counting semaphore.
+    /// Adds a counting semaphore with `permits` permits, at most that
+    /// many available at once. Zero permits fails the build.
     pub fn add_counting_sem(&mut self, permits: u32) -> SemId {
         let id = SemId(self.sems.len() as u32);
         self.sems.push(Semaphore::counting(id, permits));
@@ -661,8 +652,9 @@ impl KernelBuilder {
     }
 
     /// Registers the first-level action for an interrupt line. A line
-    /// beyond the interrupt controller, or an action naming a
-    /// semaphore or event that was never added, is rejected at build.
+    /// beyond the interrupt controller, an action naming a semaphore or
+    /// event that was never added, or one releasing a mutex, is
+    /// rejected at build.
     pub fn on_irq(&mut self, line: IrqLine, action: IrqAction) {
         self.irq_actions.push((line, action));
     }
@@ -712,8 +704,9 @@ impl KernelBuilder {
 
     /// Finalizes the kernel, returning a typed [`ConfigError`] instead
     /// of panicking on an invalid configuration: CSD boundaries beyond
-    /// the task count, scripts or `on_irq` actions referencing unknown
-    /// kernel objects or devices, invalid `next_sem` hint overrides,
+    /// the task count, counting semaphores without permits, scripts or
+    /// `on_irq` actions referencing unknown kernel objects or devices,
+    /// interrupts releasing a mutex, invalid `next_sem` hint overrides,
     /// interrupt lines beyond the controller, more objects than a
     /// kernel pool holds, and — under [`SemScheme::Srp`] — infeasible
     /// or deadlock-prone resource graphs.
@@ -726,6 +719,9 @@ impl KernelBuilder {
                     tasks: n,
                 });
             }
+        }
+        if let Some(s) = self.sems.iter().find(|s| s.max_count == 0) {
+            return Err(ConfigError::ZeroPermits { sem: s.id });
         }
         self.validate_scripts()?;
         self.validate_hint_overrides()?;
@@ -742,9 +738,9 @@ impl KernelBuilder {
 
         // SRP: static resource ceilings from the task/resource graph,
         // with build-time rejection of infeasible shapes.
-        let ceilings = match self.cfg.sem_scheme {
-            SemScheme::Standard | SemScheme::Emeralds => vec![None; self.sems.len()],
-            SemScheme::Srp => self.srp_ceiling_table(&rm_prio)?,
+        let srp = match self.cfg.sem_scheme {
+            SemScheme::Standard | SemScheme::Emeralds => None,
+            SemScheme::Srp => Some(Box::new(SrpState::new(self.srp_ceiling_table(&rm_prio)?))),
         };
 
         let mut tcbs = TcbTable::with_capacity(n);
@@ -803,7 +799,6 @@ impl KernelBuilder {
             .collect();
 
         // State messages get MPU-backed shared regions.
-        let mut regions = Vec::with_capacity(self.statemsg_specs.len());
         let mut statemsgs = Vec::with_capacity(self.statemsg_specs.len());
         for (i, &spec) in self.statemsg_specs.iter().enumerate() {
             let StateMsgSpec {
@@ -827,13 +822,9 @@ impl KernelBuilder {
                 .board
                 .mpu
                 .add_region(writer_proc, base, bytes, Perms::RW);
-            let mut region = SharedRegion::new(rid, base, bytes, writer_proc);
             for &p in &self.statemsg_readers[i] {
                 self.board.mpu.share(rid, p);
-                region.map_into(p);
             }
-            self.procs[writer_proc.index()].add_region(rid);
-            regions.push(region);
             statemsgs.push(StateMsgVar::new(
                 StateId(i as u32),
                 writer,
@@ -843,11 +834,14 @@ impl KernelBuilder {
             ));
         }
 
-        let mut irq_actions = vec![IrqAction::None; irq_lines];
+        let idle_line = IrqSlot {
+            waiters: Vec::new(),
+            action: IrqAction::None,
+        };
+        let mut irqs = vec![idle_line; irq_lines];
         for &(line, action) in &self.irq_actions {
-            irq_actions[line.index()] = action;
+            irqs[line.index()].action = action;
         }
-        let lock_policy = Some(make_policy(self.cfg.sem_scheme, ceilings));
         let mut kernel = Kernel {
             cfg: self.cfg,
             clock: Clock::new(),
@@ -860,10 +854,8 @@ impl KernelBuilder {
             cvs: self.cvs.into_boxed_slice(),
             mboxes,
             statemsgs: statemsgs.into_boxed_slice(),
-            regions: regions.into_boxed_slice(),
             events: (0..self.event_count).map(|_| EventObj::default()).collect(),
-            irq_waiters: vec![Vec::new(); irq_lines].into_boxed_slice(),
-            irq_actions: irq_actions.into_boxed_slice(),
+            irqs: irqs.into_boxed_slice(),
             timer_arms: timers.len() as u64,
             timers,
             timer_heights,
@@ -879,7 +871,7 @@ impl KernelBuilder {
             miss_cause_hint: None,
             select_calls: 0,
             sem_fast_acquires: 0,
-            lock_policy,
+            srp,
         };
         // Event-driven tasks are ready at boot: dispatch one.
         kernel.reschedule();

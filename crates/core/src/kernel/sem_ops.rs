@@ -1,22 +1,21 @@
 //! Semaphore and condition-variable system-call envelopes.
 //!
 //! The semaphore syscalls share one envelope — entry charge, `Syscall`
-//! trace record, semaphore-logic charge — and one release tail; the
-//! policy-specific bodies (who gets the lock, who blocks, what happens
-//! to priorities) live behind [`crate::sync::LockPolicy`]:
-//!
-//! - [`crate::sync::PiPolicy`] — the paper's §6.1–§6.3 priority
-//!   inheritance with early inheritance and the pre-lock queue.
-//! - [`crate::sync::SrpPolicy`] — SRP/ceiling scheduling: static
-//!   ceilings, a system-ceiling stack, admission at dispatch.
+//! trace record, semaphore-logic charge — and one release tail. In
+//! between, each branches once on [`SemScheme`] to the protocol's body
+//! (who gets the lock, who blocks, what happens to priorities; see
+//! [`crate::sync::policy`]): the paper's §6.1–§6.3 priority
+//! inheritance for `Standard` and `Emeralds`, SRP's ceiling stack for
+//! `Srp`.
 //!
 //! Condition variables remain PI-flavoured (they release and re-acquire
 //! their guard with inheritance); SRP configurations reject them at
-//! build time, so the cond ops never run under a ceiling policy.
+//! build time, so the cond ops never run under the ceiling protocol.
 
 use emeralds_sim::{CvId, OverheadKind, SemId, ThreadId, TraceEvent};
 
 use crate::kernel::Kernel;
+use crate::sync::SemScheme;
 use crate::tcb::{BlockReason, ThreadState};
 
 impl Kernel {
@@ -28,7 +27,10 @@ impl Kernel {
             name: "acquire_sem",
         });
         self.charge(OverheadKind::Semaphore, self.cfg.cost.sem_logic);
-        self.with_policy(|p, k| p.acquire(k, tid, s));
+        match self.cfg.sem_scheme {
+            SemScheme::Standard | SemScheme::Emeralds => self.pi_acquire(tid, s),
+            SemScheme::Srp => self.srp_acquire(tid, s),
+        }
     }
 
     /// `release_sem()` system call.
@@ -44,7 +46,10 @@ impl Kernel {
             name: "release_sem",
         });
         self.charge(OverheadKind::Semaphore, self.cfg.cost.sem_logic);
-        let woke_someone = self.with_policy(|p, k| p.release(k, tid, s));
+        let woke_someone = match self.cfg.sem_scheme {
+            SemScheme::Standard | SemScheme::Emeralds => self.pi_release(tid, s),
+            SemScheme::Srp => self.srp_release(tid, s),
+        };
         self.tcbs.get_mut(tid).pc += 1;
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_exit);
         if woke_someone {
@@ -66,7 +71,7 @@ impl Kernel {
         self.record(TraceEvent::CvWait { tid, cv });
         // Release the guard (may hand it to a waiter); the blocking
         // below triggers the scheduling decision either way.
-        let _ = self.release_sem_inner(tid, guard);
+        let _ = self.pi_release(tid, guard);
         // Park on the condition.
         let pos = self
             .tcbs

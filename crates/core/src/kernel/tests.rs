@@ -488,7 +488,8 @@ fn irq_driven_driver_thread() {
 }
 
 /// An IRQ action releasing a counting semaphore wakes a waiting
-/// thread.
+/// thread. A one-permit counting semaphore is not a mutex: it has no
+/// holder, and its acquirer holds nothing.
 #[test]
 fn irq_action_releases_counting_sem() {
     let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
@@ -520,7 +521,10 @@ fn irq_action_releases_counting_sem() {
         "cpu {}",
         k.tcb(worker).cpu_time
     );
-    let _ = k;
+    // Each interrupt handed its permit straight to the parked worker.
+    assert_eq!(k.counters().sem_handed_over, 3);
+    assert_eq!(k.sem(data_ready).holder, None);
+    assert!(k.tcb(worker).held_sems.is_empty());
 }
 
 /// Condition variables: a waiter released by a signaller re-acquires
@@ -1021,20 +1025,44 @@ fn on_irq_releasing_an_unknown_semaphore_is_a_typed_error() {
     let with = |sem| {
         let (mut b, _) = irq_builder();
         b.add_counting_sem(4);
+        b.add_mutex();
         b.on_irq(IrqLine(3), IrqAction::ReleaseSem(sem));
         b.try_build().err()
     };
     assert_eq!(with(SemId(0)), None);
     let line = IrqLine(3);
-    let err = with(SemId(1));
+    let err = with(SemId(2));
     assert_eq!(
         err,
         Some(ConfigError::UnknownIrqSemaphore {
             line,
-            sem: SemId(1)
+            sem: SemId(2)
         })
     );
     assert!(err.unwrap().to_string().contains("unknown semaphore"));
+    // A mutex has a holder an interrupt cannot be.
+    let err = with(SemId(1));
+    assert_eq!(
+        err,
+        Some(ConfigError::IrqReleasesMutex {
+            line,
+            sem: SemId(1)
+        })
+    );
+    assert!(err.unwrap().to_string().contains("releases mutex S1"));
+}
+
+/// A counting semaphore without permits is a typed build error, not a
+/// panic at the builder call.
+#[test]
+fn zero_permit_counting_sem_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    let (mut b, _) = irq_builder();
+    b.add_counting_sem(1);
+    let sem = b.add_counting_sem(0);
+    let err = b.try_build().err();
+    assert_eq!(err, Some(ConfigError::ZeroPermits { sem }));
+    assert!(err.unwrap().to_string().contains("S1 has no permits"));
 }
 
 /// Likewise for an `on_irq` action signalling an unknown event.

@@ -38,6 +38,9 @@ pub enum ConfigError {
         /// How many tasks the configuration actually has.
         tasks: usize,
     },
+    /// A counting semaphore was added with no permits: it could never
+    /// be taken, and releasing it would exceed its maximum.
+    ZeroPermits { sem: SemId },
     /// A script action references a semaphore that was never added.
     UnknownSemaphore {
         task: ThreadId,
@@ -110,6 +113,9 @@ pub enum ConfigError {
     IrqLineOutOfRange { line: IrqLine },
     /// An `on_irq` action releases a semaphore that was never added.
     UnknownIrqSemaphore { line: IrqLine, sem: SemId },
+    /// An `on_irq` action releases a mutex: only its holder may, and
+    /// an interrupt holds nothing.
+    IrqReleasesMutex { line: IrqLine, sem: SemId },
     /// An `on_irq` action signals a software event that was never
     /// added.
     UnknownIrqEvent { line: IrqLine, event: EventId },
@@ -133,6 +139,9 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "CSD boundary beyond task count: boundary {boundary} with {tasks} task(s)"
             ),
+            ConfigError::ZeroPermits { sem } => {
+                write!(f, "counting semaphore {sem} has no permits")
+            }
             ConfigError::UnknownSemaphore { task, action, sem } => write!(
                 f,
                 "task {task} action {action} references unknown semaphore {sem}"
@@ -201,6 +210,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::UnknownIrqSemaphore { line, sem } => {
                 write!(f, "the {line} action releases unknown semaphore {sem}")
             }
+            ConfigError::IrqReleasesMutex { line, sem } => write!(
+                f,
+                "the {line} action releases mutex {sem}; interrupts may release only \
+                 counting semaphores"
+            ),
             ConfigError::UnknownIrqEvent { line, event } => {
                 write!(f, "the {line} action signals unknown event {event}")
             }
@@ -348,13 +362,18 @@ impl KernelBuilder {
 
     /// Checks every `on_irq` action against the semaphores and events
     /// that were actually added, so none indexes past its table at the
-    /// line's first interrupt.
+    /// line's first interrupt, and admits only counting semaphores to
+    /// an interrupt's release.
     pub(super) fn validate_irq_actions(&self) -> Result<(), ConfigError> {
         for &(line, action) in &self.irq_actions {
             match action {
-                IrqAction::ReleaseSem(sem) if sem.index() >= self.sems.len() => {
-                    return Err(ConfigError::UnknownIrqSemaphore { line, sem });
-                }
+                IrqAction::ReleaseSem(sem) => match self.sems.get(sem.index()) {
+                    None => return Err(ConfigError::UnknownIrqSemaphore { line, sem }),
+                    Some(s) if s.is_mutex() => {
+                        return Err(ConfigError::IrqReleasesMutex { line, sem });
+                    }
+                    Some(_) => {}
+                },
                 IrqAction::SignalEvent(event) if event.index() >= self.event_count => {
                     return Err(ConfigError::UnknownIrqEvent { line, event });
                 }

@@ -2,15 +2,15 @@
 //! Full memory protection for threads. Threads are scheduled by the
 //! kernel.").
 
-use emeralds_sim::{ProcId, RegionId, ThreadId};
+use emeralds_sim::{ProcId, ThreadId};
 
-/// A process: an address space (a set of MPU regions) holding threads.
+/// A process: an address space holding threads. The MPU records which
+/// regions each process may access.
 #[derive(Clone, Debug)]
 pub struct Process {
     pub id: ProcId,
     pub name: String,
     pub threads: Vec<ThreadId>,
-    pub regions: Vec<RegionId>,
 }
 
 impl Process {
@@ -20,7 +20,6 @@ impl Process {
             id,
             name: name.into(),
             threads: Vec::new(),
-            regions: Vec::new(),
         }
     }
 
@@ -29,12 +28,6 @@ impl Process {
         debug_assert!(!self.threads.contains(&tid));
         self.threads.push(tid);
     }
-
-    /// Registers an MPU region.
-    pub fn add_region(&mut self, rid: RegionId) {
-        debug_assert!(!self.regions.contains(&rid));
-        self.regions.push(rid);
-    }
 }
 
 #[cfg(test)]
@@ -42,13 +35,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn process_tracks_threads_and_regions() {
+    fn process_tracks_threads() {
         let mut p = Process::new(ProcId(0), "engine");
         p.add_thread(ThreadId(0));
         p.add_thread(ThreadId(1));
-        p.add_region(RegionId(3));
         assert_eq!(p.threads.len(), 2);
-        assert_eq!(p.regions, vec![RegionId(3)]);
         assert_eq!(p.name, "engine");
     }
 }

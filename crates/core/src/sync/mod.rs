@@ -9,5 +9,5 @@ pub mod policy;
 pub mod sem;
 
 pub use condvar::CondVar;
-pub use policy::{LockPolicy, PiPolicy, SrpPolicy, SrpStats};
+pub use policy::SrpStats;
 pub use sem::{SemScheme, Semaphore};

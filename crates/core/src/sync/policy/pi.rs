@@ -1,49 +1,28 @@
-//! The EMERALDS priority-inheritance locking policy (§6.2–§6.3).
+//! The EMERALDS priority-inheritance semaphore protocol (§6.2–§6.3).
 //!
-//! This is the kernel's original semaphore machinery moved behind
-//! [`LockPolicy`], unchanged: inheritance happens early (at the
-//! preceding blocking call, driven by the §6.2.1 parser hints), FP
-//! repositioning is the O(1) placeholder swap, and the §6.3.1 pre-lock
-//! queue turns "case B" into "case A". It serves both
-//! priority-inheritance values of [`SemScheme`]: `Emeralds` as above,
-//! and the `Standard` ablation (inheritance inside `acquire`, full
-//! queue walks).
+//! Inheritance happens early (at the preceding blocking call, driven
+//! by the §6.2.1 parser hints), FP repositioning is the O(1)
+//! placeholder swap, and the §6.3.1 pre-lock queue turns "case B" into
+//! "case A". It serves both priority-inheritance values of
+//! [`SemScheme`]: `Emeralds` as above, and the `Standard` ablation
+//! (inheritance inside `acquire`, full queue walks). All protocol
+//! state (placeholders, pre-lock queues, the `inherited` flag) lives
+//! on the semaphores themselves.
 //!
-//! Every charge, trace record, and scheduler invocation is exactly
-//! where it was before the policy split, so a PI kernel's virtual-time
-//! behaviour is bit-identical to the pre-refactor kernel — the
-//! determinism and scenario suites pin this.
+//! The plain wait for a permit, the release bookkeeping and the
+//! hand-over of a permit to a waiter (`grant_sem`) are shared with the
+//! SRP protocol and with an interrupt's `ReleaseSem` action.
 
 use emeralds_sim::{OverheadKind, SemId, ThreadId, TraceEvent};
 
 use crate::kernel::Kernel;
-use crate::sync::policy::LockPolicy;
 use crate::sync::SemScheme;
 use crate::tcb::{BlockReason, QueueAssign, ThreadState};
 
-/// Priority-inheritance policy: stateless — all protocol state
-/// (placeholders, pre-lock queues, the `inherited` flag) lives on the
-/// semaphores themselves, as it did before the policy split.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PiPolicy;
-
-impl LockPolicy for PiPolicy {
-    fn acquire(&mut self, k: &mut Kernel, tid: ThreadId, s: SemId) {
-        k.pi_acquire_body(tid, s);
-    }
-
-    fn release(&mut self, k: &mut Kernel, tid: ThreadId, s: SemId) -> bool {
-        k.release_sem_inner(tid, s)
-    }
-
-    fn unblock_with_hint(&mut self, k: &mut Kernel, tid: ThreadId, hint: Option<SemId>) {
-        k.pi_unblock_with_hint(tid, hint);
-    }
-}
-
 impl Kernel {
     /// `acquire_sem()` body under PI (envelope already charged).
-    pub(crate) fn pi_acquire_body(&mut self, tid: ThreadId, s: SemId) {
+    #[inline(never)]
+    pub(crate) fn pi_acquire(&mut self, tid: ThreadId, s: SemId) {
         // Uncontended fast path: no early grant pending on this
         // semaphore, the permit is free, nobody waits, and the
         // pre-lock queue holds at most the caller itself (§6.2.1 puts
@@ -64,11 +43,7 @@ impl Kernel {
             {
                 self.sem_fast_acquires += 1;
                 self.sems[s.index()].prelock_remove(tid);
-                self.sems[s.index()].take(tid);
-                if self.sems[s.index()].is_mutex() {
-                    self.tcbs.get_mut(tid).held_sems.push(s);
-                }
-                self.record(TraceEvent::SemAcquired { tid, sem: s });
+                self.take_permit(tid, s);
                 self.tcbs.get_mut(tid).pc += 1;
                 self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_exit);
                 return;
@@ -88,11 +63,7 @@ impl Kernel {
             self.sems[s.index()].prelock_remove(tid);
         }
         if self.sems[s.index()].available() {
-            self.sems[s.index()].take(tid);
-            if self.sems[s.index()].is_mutex() {
-                self.tcbs.get_mut(tid).held_sems.push(s);
-            }
-            self.record(TraceEvent::SemAcquired { tid, sem: s });
+            self.take_permit(tid, s);
             // A release that deferred to a parked pre-lock member
             // leaves its waiters queued, so a free lock can still
             // have waiters: the new holder inherits from the top one.
@@ -119,41 +90,55 @@ impl Kernel {
             }
             self.tcbs.get_mut(tid).pc += 1;
             self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_exit);
-        } else if self.sems[s.index()].is_mutex() {
-            // Contended mutex: inherit and wait.
-            let holder = self.sems[s.index()]
-                .holder
-                .expect("locked mutex has holder");
+        } else {
+            // Contended: a mutex's holder inherits from the caller (a
+            // counting semaphore has no holder to boost), then the
+            // caller waits.
             self.do_priority_inheritance(s, tid);
-            self.enqueue_sem_waiter(s, tid);
-            {
-                let t = self.tcbs.get_mut(tid);
-                t.in_syscall = true;
-                t.blocked_in_acquire = true;
-            }
-            self.block_thread(tid, BlockReason::Sem(s));
+            self.wait_for_permit(tid, s);
+        }
+    }
+
+    /// Takes a free permit of `s` for `tid` and records the
+    /// acquisition; a mutex joins the caller's held list.
+    pub(crate) fn take_permit(&mut self, tid: ThreadId, s: SemId) {
+        self.sems[s.index()].take(tid);
+        if self.sems[s.index()].is_mutex() {
+            self.tcbs.get_mut(tid).held_sems.push(s);
+        }
+        self.record(TraceEvent::SemAcquired { tid, sem: s });
+    }
+
+    /// Parks `tid` in its `acquire_sem()` call on the wait queue of
+    /// `s`, which has no free permit, and reschedules. A mutex's waiter
+    /// records the holder it waits for; a counting semaphore has none.
+    pub(crate) fn wait_for_permit(&mut self, tid: ThreadId, s: SemId) {
+        self.enqueue_sem_waiter(s, tid);
+        {
+            let t = self.tcbs.get_mut(tid);
+            t.in_syscall = true;
+            t.blocked_in_acquire = true;
+        }
+        self.block_thread(tid, BlockReason::Sem(s));
+        if let Some(holder) = self.sems[s.index()].holder {
             self.record(TraceEvent::SemBlocked {
                 tid,
                 sem: s,
                 holder,
             });
-            self.reschedule();
-        } else {
-            // Counting semaphore with no permits: plain wait, no PI.
-            self.enqueue_sem_waiter(s, tid);
-            {
-                let t = self.tcbs.get_mut(tid);
-                t.in_syscall = true;
-                t.blocked_in_acquire = true;
-            }
-            self.block_thread(tid, BlockReason::Sem(s));
-            self.reschedule();
         }
+        self.reschedule();
     }
 
-    /// The release path shared by `release_sem` and `cond_wait`.
-    /// Returns true when some thread became ready.
-    pub(crate) fn release_sem_inner(&mut self, tid: ThreadId, s: SemId) -> bool {
+    /// Gives up `tid`'s hold on `s` and records the release. A mutex
+    /// must be released by its holder, which drops any priority it
+    /// inherited through `s` (SRP never inherits, so for it the undo
+    /// is a no-op).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mutex is released by a non-holder.
+    pub(crate) fn drop_hold(&mut self, tid: ThreadId, s: SemId) {
         if self.sems[s.index()].is_mutex() {
             assert_eq!(
                 self.sems[s.index()].holder,
@@ -164,6 +149,13 @@ impl Kernel {
             self.tcbs.get_mut(tid).held_sems.retain(|&h| h != s);
         }
         self.record(TraceEvent::SemReleased { tid, sem: s });
+    }
+
+    /// `release_sem()` body under PI, also the guard release of
+    /// `cond_wait`. Returns true when some thread became ready.
+    #[inline(never)]
+    pub(crate) fn pi_release(&mut self, tid: ThreadId, s: SemId) -> bool {
+        self.drop_hold(tid, s);
         // A parked pre-lock member (§6.3.1) is a contender for the
         // lock just like a queued waiter: handing the permit past a
         // higher-priority parked member would invert priorities (and
@@ -197,6 +189,7 @@ impl Kernel {
                 }
             }
             self.grant_sem(s, w);
+            self.make_ready(w);
             true
         } else {
             self.sems[s.index()].put();
@@ -223,29 +216,30 @@ impl Kernel {
         }
     }
 
-    /// Completes a waiter's pending acquire: wake it (the lock is
-    /// already assigned) and fix its resume point.
-    fn grant_sem(&mut self, s: SemId, w: ThreadId) {
+    /// Hands a permit of `s` to `w`, a waiter just popped from its
+    /// queue (a mutex's caller has already made `w` the holder):
+    /// counts and records the acquisition and fixes `w`'s resume
+    /// point. The caller then wakes `w` and reschedules. Shared by the
+    /// PI and SRP releases and an interrupt's `ReleaseSem` action.
+    pub(crate) fn grant_sem(&mut self, s: SemId, w: ThreadId) {
         debug_assert_eq!(
             self.tcbs.get(w).state,
             ThreadState::Blocked(BlockReason::Sem(s))
         );
         self.counters.sem_handed_over += 1;
         self.record(TraceEvent::SemAcquired { tid: w, sem: s });
-        if self.tcbs.get(w).blocked_in_acquire {
+        let t = self.tcbs.get_mut(w);
+        if t.blocked_in_acquire {
             // It blocked inside acquire_sem()/cond_wait(): the call
             // returns now.
-            let t = self.tcbs.get_mut(w);
             t.blocked_in_acquire = false;
             t.pc += 1;
             // in_syscall already true → exit charged on resume.
         } else {
             // EMERALDS early-PI waiter: its acquire_sem() call is
             // still ahead; mark the grant for it to discover.
-            self.tcbs.get_mut(w).granted_sem = Some(s);
+            t.granted_sem = Some(s);
         }
-        // The caller (release path) reschedules once after the grant.
-        self.make_ready(w);
     }
 
     /// Priority inheritance from `donor` (blocked or about to block on
@@ -395,11 +389,12 @@ impl Kernel {
             .enqueue_by_prio(&mut self.sems[s.index()].waiters, tid);
     }
 
-    /// The §6.2 decision point: wake the thread, or — when its next
-    /// lock target is already held — inherit early and keep it
-    /// blocked; when the target is free, admit it to the pre-lock
-    /// queue (§6.3.1).
-    pub(crate) fn pi_unblock_with_hint(&mut self, tid: ThreadId, hint: Option<SemId>) {
+    /// The §6.2 wake decision for a completing blocking call: wake
+    /// the thread, or — when its next lock target is already held —
+    /// inherit early and keep it blocked; when the target is free,
+    /// admit it to the pre-lock queue (§6.3.1).
+    #[inline(never)]
+    pub(crate) fn pi_wake(&mut self, tid: ThreadId, hint: Option<SemId>) {
         if self.cfg.sem_scheme == SemScheme::Emeralds {
             if let Some(s) = hint {
                 if self.sems[s.index()].is_mutex() {

@@ -24,48 +24,45 @@
 //! configuration time — see [`crate::kernel::ConfigError`] — so the
 //! contended-acquire fallback below is defensive: it counts into
 //! [`SrpStats::unexpected_blocks`], which the test suite asserts stays
-//! zero.
+//! zero, and then waits and is handed the permit exactly as under PI.
 
 use emeralds_sim::{OverheadKind, SemId, ThreadId, TraceEvent};
 
 use crate::kernel::Kernel;
-use crate::sync::policy::LockPolicy;
-use crate::tcb::BlockReason;
 
 /// Runtime counters of the SRP machinery (deterministic; virtual-time
-/// driven).
+/// driven). Deferred wakes are counted by
+/// [`crate::kernel::ServiceCounters::ceiling_defers`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SrpStats {
     /// Deepest the system-ceiling stack ever got.
     pub max_stack_depth: usize,
-    /// Wake-ups deferred by the admission test.
-    pub deferrals: u64,
     /// Contended `acquire_sem()` calls — impossible under a validated
     /// graph; counted (and a plain blocking wait taken) rather than
     /// trusted away.
     pub unexpected_blocks: u64,
 }
 
-/// Stack Resource Policy: static ceilings, a system-ceiling stack, and
-/// preemption-level admission at dispatch.
-#[derive(Clone, Debug)]
-pub struct SrpPolicy {
+/// SRP's run-time state: only kernels built under
+/// [`crate::sync::SemScheme::Srp`] hold one.
+#[derive(Debug)]
+pub(crate) struct SrpState {
     /// Per-semaphore resource ceilings (`None` = no script acquires the
     /// semaphore, so it never constrains admission).
-    ceilings: Vec<Option<u32>>,
+    ceilings: Box<[Option<u32>]>,
     /// Ceilings of currently-held mutexes, in acquisition order.
     stack: Vec<(SemId, u32)>,
     /// Tasks whose wake-up the admission test deferred, still blocked.
     pending: Vec<ThreadId>,
-    stats: SrpStats,
+    pub(crate) stats: SrpStats,
 }
 
-impl SrpPolicy {
-    /// A policy over the given offline ceiling table (from
+impl SrpState {
+    /// State over the given offline ceiling table (from
     /// `emeralds_sched::srp_ceilings`).
-    pub fn new(ceilings: Vec<Option<u32>>) -> SrpPolicy {
-        SrpPolicy {
-            ceilings,
+    pub(crate) fn new(ceilings: Vec<Option<u32>>) -> SrpState {
+        SrpState {
+            ceilings: ceilings.into_boxed_slice(),
             stack: Vec::new(),
             pending: Vec::new(),
             stats: SrpStats::default(),
@@ -77,37 +74,49 @@ impl SrpPolicy {
         self.stack.iter().map(|&(_, c)| c).min()
     }
 
-    /// The admission test: with the stack empty everyone runs; else the
-    /// waker needs a strictly better preemption level than the system
+    /// The admission test: with the stack empty everyone runs; else a
+    /// task needs a strictly better preemption level than the system
     /// ceiling.
-    fn admits(&self, k: &Kernel, tid: ThreadId) -> bool {
-        match self.system_ceiling() {
-            None => true,
-            Some(c) => k.tcbs.get(tid).rm_prio < c,
-        }
+    fn admits(&self, level: u32) -> bool {
+        self.system_ceiling().is_none_or(|c| level < c)
+    }
+}
+
+impl Kernel {
+    fn srp(&mut self) -> &mut SrpState {
+        self.srp
+            .as_deref_mut()
+            .expect("an Srp kernel holds SRP state")
     }
 
-    fn push_ceiling(&mut self, k: &mut Kernel, tid: ThreadId, s: SemId) {
-        let c = self.ceilings[s.index()].expect("validated graph: acquired sem has a ceiling");
-        self.stack.push((s, c));
-        self.stats.max_stack_depth = self.stats.max_stack_depth.max(self.stack.len());
-        k.charge(OverheadKind::Semaphore, k.cfg.cost.srp_ceiling_push);
-        k.record(TraceEvent::CeilingPush {
+    fn srp_admits(&self, tid: ThreadId) -> bool {
+        let srp = self.srp.as_deref().expect("an Srp kernel holds SRP state");
+        srp.admits(self.tcbs.get(tid).rm_prio)
+    }
+
+    fn srp_push_ceiling(&mut self, tid: ThreadId, s: SemId) {
+        let srp = self.srp();
+        let c = srp.ceilings[s.index()].expect("validated graph: acquired sem has a ceiling");
+        srp.stack.push((s, c));
+        srp.stats.max_stack_depth = srp.stats.max_stack_depth.max(srp.stack.len());
+        self.charge(OverheadKind::Semaphore, self.cfg.cost.srp_ceiling_push);
+        self.record(TraceEvent::CeilingPush {
             tid,
             sem: s,
             ceiling: c,
         });
     }
 
-    fn pop_ceiling(&mut self, k: &mut Kernel, tid: ThreadId, s: SemId) {
-        let idx = self
+    fn srp_pop_ceiling(&mut self, tid: ThreadId, s: SemId) {
+        let srp = self.srp();
+        let idx = srp
             .stack
             .iter()
             .rposition(|&(sem, _)| sem == s)
             .expect("released sem is on the ceiling stack");
-        let (_, c) = self.stack.remove(idx);
-        k.charge(OverheadKind::Semaphore, k.cfg.cost.srp_ceiling_pop);
-        k.record(TraceEvent::CeilingPop {
+        let (_, c) = srp.stack.remove(idx);
+        self.charge(OverheadKind::Semaphore, self.cfg.cost.srp_ceiling_pop);
+        self.record(TraceEvent::CeilingPop {
             tid,
             sem: s,
             ceiling: c,
@@ -117,124 +126,96 @@ impl SrpPolicy {
     /// Re-examines the pending list after a ceiling pop. Each
     /// examination is one admission test (charged); admitted tasks wake
     /// in priority order. Returns true when anyone woke.
-    fn admit_pending(&mut self, k: &mut Kernel) -> bool {
-        if self.pending.is_empty() {
-            return false;
-        }
+    fn srp_admit_pending(&mut self) -> bool {
+        let mut pending = std::mem::take(&mut self.srp().pending);
         // Deterministic order: best priority key first (ties by id are
         // impossible — keys embed the id).
-        self.pending.sort_by_key(|&t| k.tcbs.prio_key(t));
+        pending.sort_by_key(|&t| self.tcbs.prio_key(t));
         let mut woke = false;
-        let mut still_pending = Vec::new();
-        for tid in std::mem::take(&mut self.pending) {
-            k.charge(OverheadKind::Semaphore, k.cfg.cost.srp_admission);
-            if self.admits(k, tid) {
-                k.record(TraceEvent::CeilingAdmit { tid });
-                k.make_ready(tid);
-                woke = true;
-            } else {
-                still_pending.push(tid);
+        pending.retain(|&tid| {
+            self.charge(OverheadKind::Semaphore, self.cfg.cost.srp_admission);
+            if !self.srp_admits(tid) {
+                return true;
             }
-        }
-        self.pending = still_pending;
+            self.record(TraceEvent::CeilingAdmit { tid });
+            self.make_ready(tid);
+            woke = true;
+            false
+        });
+        self.srp().pending = pending;
         woke
     }
-}
 
-impl LockPolicy for SrpPolicy {
-    fn acquire(&mut self, k: &mut Kernel, tid: ThreadId, s: SemId) {
+    /// `acquire_sem()` body under SRP (envelope already charged).
+    #[inline(never)]
+    pub(crate) fn srp_acquire(&mut self, tid: ThreadId, s: SemId) {
         debug_assert!(
-            k.sems[s.index()].is_mutex(),
+            self.sems[s.index()].is_mutex(),
             "SRP configs reject counting-semaphore acquires"
         );
-        if k.sems[s.index()].available() {
-            k.sems[s.index()].take(tid);
-            k.tcbs.get_mut(tid).held_sems.push(s);
-            k.record(TraceEvent::SemAcquired { tid, sem: s });
-            self.push_ceiling(k, tid, s);
-            k.tcbs.get_mut(tid).pc += 1;
-            k.charge(OverheadKind::Syscall, k.cfg.cost.syscall_exit);
+        if self.sems[s.index()].available() {
+            self.take_permit(tid, s);
+            self.srp_push_ceiling(tid, s);
+            self.tcbs.get_mut(tid).pc += 1;
+            self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_exit);
         } else {
             // Admission should have made this impossible; fall back to
             // a plain priority-ordered blocking wait (no inheritance —
             // SRP has none) and count the anomaly.
-            self.stats.unexpected_blocks += 1;
-            let holder = k.sems[s.index()].holder.expect("locked mutex has holder");
-            k.enqueue_sem_waiter(s, tid);
-            {
-                let t = k.tcbs.get_mut(tid);
-                t.in_syscall = true;
-                t.blocked_in_acquire = true;
-            }
-            k.block_thread(tid, BlockReason::Sem(s));
-            k.record(TraceEvent::SemBlocked {
-                tid,
-                sem: s,
-                holder,
-            });
-            k.reschedule();
+            self.srp().stats.unexpected_blocks += 1;
+            self.wait_for_permit(tid, s);
         }
     }
 
-    fn release(&mut self, k: &mut Kernel, tid: ThreadId, s: SemId) -> bool {
-        assert_eq!(
-            k.sems[s.index()].holder,
-            Some(tid),
-            "{s} released by non-holder {tid}"
-        );
-        k.tcbs.get_mut(tid).held_sems.retain(|&h| h != s);
-        k.record(TraceEvent::SemReleased { tid, sem: s });
-        self.pop_ceiling(k, tid, s);
-        let mut woke = false;
+    /// `release_sem()` body under SRP. Returns true when some thread
+    /// became ready.
+    #[inline(never)]
+    pub(crate) fn srp_release(&mut self, tid: ThreadId, s: SemId) -> bool {
+        self.drop_hold(tid, s);
+        self.srp_pop_ceiling(tid, s);
         // Defensive hand-over for the unexpected-contention fallback.
-        if let Some(w) = k.sems[s.index()].pop_waiter() {
-            k.sems[s.index()].holder = Some(w);
-            k.tcbs.get_mut(w).held_sems.push(s);
-            k.counters.sem_handed_over += 1;
-            k.record(TraceEvent::SemAcquired { tid: w, sem: s });
-            {
-                let t = k.tcbs.get_mut(w);
-                t.blocked_in_acquire = false;
-                t.pc += 1;
-            }
-            self.push_ceiling(k, w, s);
-            k.make_ready(w);
-            woke = true;
+        let handed_over = if let Some(w) = self.sems[s.index()].pop_waiter() {
+            self.sems[s.index()].holder = Some(w);
+            self.tcbs.get_mut(w).held_sems.push(s);
+            self.grant_sem(s, w);
+            self.srp_push_ceiling(w, s);
+            self.make_ready(w);
+            true
         } else {
-            k.sems[s.index()].put();
-        }
+            self.sems[s.index()].put();
+            false
+        };
         // A popped ceiling can unblock deferred wake-ups.
-        woke |= self.admit_pending(k);
-        woke
+        let admitted = self.srp_admit_pending();
+        handed_over || admitted
     }
 
-    fn unblock_with_hint(&mut self, k: &mut Kernel, tid: ThreadId, _hint: Option<SemId>) {
-        // SRP ignores §6.2 hints: the admission test plays their role.
+    /// The SRP wake decision for a completing blocking call: the
+    /// admission test (wake, or defer until a ceiling pop). SRP ignores
+    /// §6.2 hints; the admission test plays their role.
+    #[inline(never)]
+    pub(crate) fn srp_wake(&mut self, tid: ThreadId) {
         // The test itself is the charged operation — one comparison
         // against the system-ceiling register.
-        k.charge(OverheadKind::Semaphore, k.cfg.cost.srp_admission);
-        if self.admits(k, tid) {
+        self.charge(OverheadKind::Semaphore, self.cfg.cost.srp_admission);
+        if self.srp_admits(tid) {
             // Record an admit only when a non-empty stack made this a
             // real decision; plain wakes stay plain.
-            if !self.stack.is_empty() {
-                k.record(TraceEvent::CeilingAdmit { tid });
+            if !self.srp().stack.is_empty() {
+                self.record(TraceEvent::CeilingAdmit { tid });
             }
-            k.make_ready(tid);
-            k.reschedule();
+            self.make_ready(tid);
+            self.reschedule();
         } else {
-            debug_assert!(!self.pending.contains(&tid), "double deferral of {tid}");
-            let ceiling = self
+            let srp = self.srp();
+            debug_assert!(!srp.pending.contains(&tid), "double deferral of {tid}");
+            let ceiling = srp
                 .system_ceiling()
                 .expect("non-admission implies a ceiling");
-            self.stats.deferrals += 1;
-            self.pending.push(tid);
-            k.record(TraceEvent::CeilingDefer { tid, ceiling });
+            srp.pending.push(tid);
+            self.record(TraceEvent::CeilingDefer { tid, ceiling });
             // The task stays blocked: nothing in scheduler state
             // changed, so no reschedule.
         }
-    }
-
-    fn srp_stats(&self) -> Option<SrpStats> {
-        Some(self.stats)
     }
 }

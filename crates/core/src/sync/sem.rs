@@ -26,10 +26,12 @@
 
 use emeralds_sim::{SemId, ThreadId};
 
-/// Which locking implementation a kernel runs — the §6 ablation
-/// switch. `Standard` and `Emeralds` are the two priority-inheritance
-/// schemes of [`crate::sync::PiPolicy`]; `Srp` swaps the whole policy
-/// for [`crate::sync::SrpPolicy`].
+/// Which locking protocol a kernel runs — the §6 ablation switch.
+/// `Standard` and `Emeralds` are the two priority-inheritance schemes;
+/// `Srp` replaces inheritance with ceiling admission. The kernel reads
+/// it at three dispatch points: the bodies of `acquire_sem()` and
+/// `release_sem()`, and the wake decision of a completing blocking
+/// call (see [`crate::sync::policy`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SemScheme {
     /// Textbook PI semaphore: inheritance on `acquire`, full queue
@@ -49,7 +51,7 @@ pub enum SemScheme {
 #[derive(Clone, Debug)]
 pub struct Semaphore {
     pub id: SemId,
-    /// Remaining permits. Mutex semantics when `max_count == 1`.
+    /// Remaining permits.
     pub count: u32,
     pub max_count: u32,
     /// Current holder (mutex mode only; counting semaphores do not do
@@ -69,6 +71,10 @@ pub struct Semaphore {
     /// Set while the holder runs with an inherited priority (used to
     /// undo inheritance exactly once).
     pub inherited: bool,
+    /// Created as a mutex: it has a holder and priority inheritance. A
+    /// counting semaphore with one permit is still a counting
+    /// semaphore.
+    mutex: bool,
 }
 
 impl Semaphore {
@@ -83,16 +89,13 @@ impl Semaphore {
             prelock: Vec::new(),
             placeholder: None,
             inherited: false,
+            mutex: true,
         }
     }
 
     /// Creates a counting semaphore with `permits` initial permits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `permits` is zero.
+    /// The kernel builder rejects zero permits.
     pub fn counting(id: SemId, permits: u32) -> Semaphore {
-        assert!(permits > 0, "counting semaphore needs permits");
         Semaphore {
             id,
             count: permits,
@@ -102,12 +105,13 @@ impl Semaphore {
             prelock: Vec::new(),
             placeholder: None,
             inherited: false,
+            mutex: false,
         }
     }
 
-    /// True for mutex-mode semaphores (PI applies).
+    /// True for semaphores created as mutexes (PI applies).
     pub fn is_mutex(&self) -> bool {
-        self.max_count == 1
+        self.mutex
     }
 
     /// True if a permit is available.

@@ -83,11 +83,11 @@ pub struct MpuFault {
     pub kind: AccessKind,
 }
 
-/// The memory protection unit: a table of regions.
+/// The memory protection unit: a table of regions, indexed by their
+/// ids.
 #[derive(Clone, Debug, Default)]
 pub struct Mpu {
     regions: Vec<Region>,
-    next_id: u32,
 }
 
 impl Mpu {
@@ -110,8 +110,7 @@ impl Mpu {
                 .any(|r| base < r.base + r.size && r.base < base + size),
             "overlapping region"
         );
-        let id = RegionId(self.next_id);
-        self.next_id += 1;
+        let id = RegionId(self.regions.len() as u32);
         self.regions.push(Region {
             id,
             base,
@@ -131,8 +130,7 @@ impl Mpu {
     pub fn share(&mut self, region: RegionId, proc: ProcId) {
         let r = self
             .regions
-            .iter_mut()
-            .find(|r| r.id == region)
+            .get_mut(region.index())
             .expect("unknown region");
         if !r.sharers.contains(&proc) {
             r.sharers.push(proc);
@@ -151,6 +149,16 @@ impl Mpu {
         } else {
             Err(MpuFault { proc, addr, kind })
         }
+    }
+
+    /// The region with id `id`. Ids are dense indices in registration
+    /// order, so the lookup is O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region does not exist.
+    pub fn region(&self, id: RegionId) -> &Region {
+        &self.regions[id.index()]
     }
 
     /// The region covering `addr`, if any.
@@ -221,6 +229,7 @@ mod tests {
         let mut mpu = Mpu::new();
         let id = mpu.add_region(ProcId(0), 0x3000, 0x40, Perms::RX);
         assert_eq!(mpu.region_at(0x3020).unwrap().id, id);
+        assert_eq!(mpu.region(id).base, 0x3000);
         assert!(mpu.region_at(0x4000).is_none());
         assert_eq!(mpu.region_count(), 1);
     }

@@ -297,11 +297,11 @@ fn node_footprint_stays_within_its_ceiling() {
     let tcb = std::mem::size_of::<emeralds::core::tcb::Tcb>();
     let board = std::mem::size_of::<emeralds::hal::Board>();
     let device = std::mem::size_of::<emeralds::hal::Device>();
-    assert!(node <= 1_456, "ClusterNode is {node} B");
-    assert!(kernel <= 1_168, "Kernel is {kernel} B");
+    assert!(node <= 1_408, "ClusterNode is {node} B");
+    assert!(kernel <= 1_120, "Kernel is {kernel} B");
     // The paper's TCB is 128 B; the host one also holds the script
     // pointer, the job bookkeeping and the lock state.
     assert!(tcb <= 200, "Tcb is {tcb} B");
-    assert!(board <= 96, "Board is {board} B");
+    assert!(board <= 88, "Board is {board} B");
     assert!(device <= 48, "Device is {device} B");
 }

@@ -412,6 +412,12 @@ fn policy_ab_rows_show_rival_mechanisms() {
         let (pi, srp) = (policy_side(&pi_k), policy_side(&srp_k));
         let stats = srp_k.srp_stats().expect("SRP kernel reports SRP stats");
         let pushes = srp_k.counters().ceiling_pushes;
+        assert_eq!(
+            [SemScheme::Standard, SemScheme::Emeralds, SemScheme::Srp]
+                .map(|scheme| policy_scenario(sc, scheme).srp_stats().is_some()),
+            [false, false, true],
+            "{sc}: only SRP kernels hold ceiling state"
+        );
 
         assert_eq!(
             stats.unexpected_blocks, 0,
