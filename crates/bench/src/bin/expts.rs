@@ -495,9 +495,9 @@ Kernel ROM budget (modeled for MC68040; paper total: 13 KB)
 Kernel object sizes (target model vs host simulation struct)
   TCB                      target  128 B   host  200 B
   semaphore                target   32 B   host   80 B
-  condvar                  target   24 B   host   56 B
+  condvar                  target   24 B   host   32 B
   mailbox                  target   64 B   host  112 B
-  state message (header)   target   32 B   host  160 B
+  state message (header)   target   32 B   host  152 B
 
 pool          block    cap   peak   reserved   peak RAM
 tcb             128     64     10      8192B      1280B

@@ -63,11 +63,10 @@ pub struct StateMsgVar {
     /// the stamp of the version returned. Empty until the first read
     /// of a written variable.
     age_hist: DurationHistogram,
-    /// Lifetime statistics. Kept in `Cell`s so the wait-free read path
-    /// can take `&self`, matching the single-writer/multi-reader
-    /// semantics of §7 (a read mutates nothing an observer can race
-    /// on).
-    writes: Cell<u64>,
+    /// Lifetime read count (`seq` counts the writes). Kept in `Cell`s
+    /// so the wait-free read path can take `&self`, matching the
+    /// single-writer/multi-reader semantics of §7 (a read mutates
+    /// nothing an observer can race on).
     reads: Cell<u64>,
     /// Reads that observed the writer advance past a full buffer wrap
     /// mid-copy and restarted. With the buffer sized by
@@ -101,7 +100,6 @@ impl StateMsgVar {
             slots: vec![0; depth],
             stamps: vec![Time::ZERO; depth],
             age_hist: DurationHistogram::new(),
-            writes: Cell::new(0),
             reads: Cell::new(0),
             retries: Cell::new(0),
         }
@@ -131,7 +129,6 @@ impl StateMsgVar {
         self.slots[slot] = value;
         self.stamps[slot] = at;
         self.seq = next;
-        self.writes.set(self.writes.get() + 1);
     }
 
     /// Has the writer wrapped the whole buffer since `start_seq` was
@@ -222,11 +219,6 @@ impl StateMsgVar {
         &self.age_hist
     }
 
-    /// Lifetime write count.
-    pub fn writes(&self) -> u64 {
-        self.writes.get()
-    }
-
     /// Lifetime read count.
     pub fn reads(&self) -> u64 {
         self.reads.get()
@@ -236,12 +228,6 @@ impl StateMsgVar {
     /// the [`required_depth`] bound).
     pub fn retries(&self) -> u64 {
         self.retries.get()
-    }
-
-    /// RAM the variable occupies (buffer + header), for the footprint
-    /// report.
-    pub fn ram_bytes(&self) -> usize {
-        self.depth * self.size + 16
     }
 }
 
@@ -397,7 +383,7 @@ mod tests {
         v.write(ThreadId(1), 42, Time::from_us(10));
         v.write(ThreadId(1), 43, Time::from_us(20));
         assert_eq!(v.read_stamped(), (43, Time::from_us(20)));
-        assert_eq!(v.writes(), 2);
+        assert_eq!(v.seq, 2);
         assert_eq!(v.reads(), 2);
     }
 
@@ -498,12 +484,6 @@ mod tests {
         );
         // The §7 floor: even a zero-span read needs MIN_DEPTH slots.
         assert_eq!(required_depth(Duration::from_ms(10), Duration::ZERO), 3);
-    }
-
-    #[test]
-    fn ram_accounting() {
-        let v = StateMsgVar::new(StateId(0), ThreadId(0), RegionId(0), 16, 4);
-        assert_eq!(v.ram_bytes(), 4 * 16 + 16);
     }
 
     /// The protocol model: an uninterrupted write then read is

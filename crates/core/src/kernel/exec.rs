@@ -9,7 +9,7 @@
 use emeralds_sim::{OverheadKind, ThreadId, Time, TraceEvent};
 
 use crate::kernel::{Kernel, TimerEvent};
-use crate::script::{Action, Operand, ScriptKind};
+use crate::script::{Action, Operand};
 use crate::sync::SemScheme;
 use crate::tcb::{BlockReason, Step, ThreadState, Timing};
 
@@ -57,8 +57,8 @@ impl Kernel {
     /// Runs until `horizon` or the first deadline miss; returns true
     /// if a miss occurred.
     pub fn run_until_miss(&mut self, horizon: Time) -> bool {
-        while self.trace.deadline_miss_count() == 0 && self.step(horizon) {}
-        self.trace.deadline_miss_count() > 0
+        while self.total_deadline_misses() == 0 && self.step(horizon) {}
+        self.total_deadline_misses() > 0
     }
 
     /// The earliest pending external occurrence (kernel timer or board
@@ -163,11 +163,11 @@ impl Kernel {
         let t = self.tcbs.get(tid);
         let pc = t.pc as usize;
         let Some(&Step { action, .. }) = t.steps.get(pc) else {
-            match t.kind {
-                ScriptKind::PeriodicJob => self.complete_job(tid),
-                ScriptKind::Looping => {
-                    self.tcbs.get_mut(tid).pc = 0;
-                }
+            // The builder gives periodic tasks job scripts and
+            // event-driven tasks looping ones.
+            match t.timing {
+                Timing::Periodic { .. } => self.complete_job(tid),
+                Timing::EventDriven { .. } => self.tcbs.get_mut(tid).pc = 0,
             }
             return;
         };

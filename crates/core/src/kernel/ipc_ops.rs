@@ -7,6 +7,7 @@ use emeralds_sim::{
 
 use crate::ipc::Message;
 use crate::kernel::{IrqAction, Kernel, TimerEvent};
+use crate::script::Action;
 use crate::tcb::BlockReason;
 
 impl Kernel {
@@ -17,21 +18,8 @@ impl Kernel {
             tid,
             name: "mbox_send",
         });
-        let msg = Message {
-            bytes,
-            tag,
-            sender: tid,
-        };
         // Direct hand-off to a blocked receiver: one copy in, one out.
-        let receiver = {
-            let mbx = &mut self.mboxes[mb.index()];
-            if mbx.receivers.is_empty() {
-                None
-            } else {
-                Some(mbx.receivers.remove(0))
-            }
-        };
-        if let Some(r) = receiver {
+        if let Some(r) = self.take_receiver(mb) {
             self.charge(OverheadKind::IpcCopy, self.cfg.cost.mbox_copy(bytes));
             self.charge(OverheadKind::IpcCopy, self.cfg.cost.mbox_copy(bytes));
             self.record(TraceEvent::MboxSend {
@@ -55,7 +43,11 @@ impl Kernel {
         }
         if self.mboxes[mb.index()].has_space() {
             self.charge(OverheadKind::IpcCopy, self.cfg.cost.mbox_copy(bytes));
-            self.mboxes[mb.index()].push(msg);
+            self.mboxes[mb.index()].push(Message {
+                bytes,
+                tag,
+                sender: tid,
+            });
             self.record(TraceEvent::MboxSend {
                 tid,
                 mbox: mb,
@@ -64,8 +56,8 @@ impl Kernel {
             self.tcbs.get_mut(tid).pc += 1;
             self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_exit);
         } else {
-            // Full: park the sender with its message pending.
-            self.pending_send[tid.index()] = Some(msg);
+            // Full: park the sender at its send, which holds the
+            // message until a pop admits it.
             self.tcbs
                 .enqueue_by_prio(&mut self.mboxes[mb.index()].senders, tid);
             self.tcbs.get_mut(tid).in_syscall = true;
@@ -91,31 +83,7 @@ impl Kernel {
             self.tcbs.get_mut(tid).last_read = msg.tag;
             self.tcbs.get_mut(tid).pc += 1;
             self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_exit);
-            // Space freed: admit one parked sender.
-            let sender = {
-                let mbx = &mut self.mboxes[mb.index()];
-                if mbx.senders.is_empty() {
-                    None
-                } else {
-                    Some(mbx.senders.remove(0))
-                }
-            };
-            if let Some(snd) = sender {
-                let pending = self.pending_send[snd.index()]
-                    .take()
-                    .expect("parked sender has a pending message");
-                self.charge(
-                    OverheadKind::IpcCopy,
-                    self.cfg.cost.mbox_copy(pending.bytes),
-                );
-                self.mboxes[mb.index()].push(pending);
-                self.record(TraceEvent::MboxSend {
-                    tid: snd,
-                    mbox: mb,
-                    bytes: pending.bytes,
-                });
-                self.complete_blocking_call(snd);
-            }
+            self.admit_parked_sender(mb);
         } else {
             self.tcbs
                 .enqueue_by_prio(&mut self.mboxes[mb.index()].receivers, tid);
@@ -201,7 +169,6 @@ impl Kernel {
             name: "event_signal",
         });
         self.record(TraceEvent::EventSignal { tid, event: e });
-        self.events[e.index()].signals += 1;
         let waiters = std::mem::take(&mut self.events[e.index()].waiters);
         if waiters.is_empty() {
             self.events[e.index()].latched = true;
@@ -280,41 +247,49 @@ impl Kernel {
     /// and admits one parked sender if the pop made room.
     pub fn external_mbox_pop(&mut self, mb: MboxId) -> Option<Message> {
         let msg = self.mboxes[mb.index()].pop()?;
-        let sender = {
-            let mbx = &mut self.mboxes[mb.index()];
-            if mbx.senders.is_empty() {
-                None
-            } else {
-                Some(mbx.senders.remove(0))
-            }
-        };
-        if let Some(snd) = sender {
-            let pending = self.pending_send[snd.index()]
-                .take()
-                .expect("parked sender has a pending message");
-            self.charge(
-                OverheadKind::IpcCopy,
-                self.cfg.cost.mbox_copy(pending.bytes),
-            );
-            self.mboxes[mb.index()].push(pending);
-            self.complete_blocking_call(snd);
-        }
+        self.admit_parked_sender(mb);
         Some(msg)
+    }
+
+    /// Takes the first receiver parked on the empty mailbox `mb`.
+    fn take_receiver(&mut self, mb: MboxId) -> Option<ThreadId> {
+        let receivers = &mut self.mboxes[mb.index()].receivers;
+        (!receivers.is_empty()).then(|| receivers.remove(0))
+    }
+
+    /// A pop made room in `mb`: queues the message of its first parked
+    /// sender and completes that sender's blocking call. The message is
+    /// the `SendMbox` action at the sender's pc, which only this wake
+    /// moves past.
+    fn admit_parked_sender(&mut self, mb: MboxId) {
+        let senders = &mut self.mboxes[mb.index()].senders;
+        if senders.is_empty() {
+            return;
+        }
+        let snd = senders.remove(0);
+        let t = self.tcbs.get(snd);
+        let Action::SendMbox { bytes, tag, .. } = t.steps[t.pc as usize].action else {
+            unreachable!("parked sender {snd} is not at a send");
+        };
+        self.charge(OverheadKind::IpcCopy, self.cfg.cost.mbox_copy(bytes));
+        self.mboxes[mb.index()].push(Message {
+            bytes,
+            tag,
+            sender: snd,
+        });
+        self.record(TraceEvent::MboxSend {
+            tid: snd,
+            mbox: mb,
+            bytes,
+        });
+        self.complete_blocking_call(snd);
     }
 
     /// Device-side mailbox delivery (e.g. a NIC posting a received
     /// frame): hands the message to a blocked receiver or queues it.
     /// Returns false (and drops the message) when the mailbox is full.
     pub fn external_mbox_push(&mut self, mb: MboxId, msg: Message) -> bool {
-        let receiver = {
-            let mbx = &mut self.mboxes[mb.index()];
-            if mbx.receivers.is_empty() {
-                None
-            } else {
-                Some(mbx.receivers.remove(0))
-            }
-        };
-        if let Some(r) = receiver {
+        if let Some(r) = self.take_receiver(mb) {
             self.charge(OverheadKind::IpcCopy, self.cfg.cost.mbox_copy(msg.bytes));
             self.record(TraceEvent::MboxRecv {
                 tid: r,
@@ -380,7 +355,6 @@ impl Kernel {
                 }
             }
             IrqAction::SignalEvent(e) => {
-                self.events[e.index()].signals += 1;
                 let waiters = std::mem::take(&mut self.events[e.index()].waiters);
                 if waiters.is_empty() {
                     self.events[e.index()].latched = true;

@@ -109,9 +109,6 @@ pub struct ServiceCounters {
     /// [`crate::ipc::required_depth`], which is the §7 guarantee this
     /// counter exists to check.
     pub statemsg_retries: u64,
-    pub cv_waits: u64,
-    pub cv_signals: u64,
-    pub event_signals: u64,
 
     // --- Interrupts / protection ---
     pub irq_raised: u64,
@@ -160,9 +157,6 @@ impl ServiceCounters {
             TraceEvent::MboxRecv { .. } => self.mbox_recvs += 1,
             TraceEvent::StateWrite { .. } => self.statemsg_writes += 1,
             TraceEvent::StateRead { .. } => self.statemsg_reads += 1,
-            TraceEvent::CvWait { .. } => self.cv_waits += 1,
-            TraceEvent::CvSignal { .. } => self.cv_signals += 1,
-            TraceEvent::EventSignal { .. } => self.event_signals += 1,
             TraceEvent::IrqRaised { .. } => self.irq_raised += 1,
             TraceEvent::IrqHandled { .. } => self.irq_dispatched += 1,
             TraceEvent::ProtectionFault { .. } => self.protection_faults += 1,
@@ -192,7 +186,9 @@ impl ServiceCounters {
     }
 
     /// Named `(label, value)` pairs, in a stable order, for rendering
-    /// and serialization.
+    /// and serialization. Each condition wait, condition signal and
+    /// event signal is one system call, so `cv_waits`, `cv_signals`
+    /// and `event_signals` print those syscall counts.
     pub fn entries(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("sys_acquire_sem", self.sys_acquire_sem),
@@ -225,9 +221,9 @@ impl ServiceCounters {
             ("statemsg_writes", self.statemsg_writes),
             ("statemsg_reads", self.statemsg_reads),
             ("statemsg_retries", self.statemsg_retries),
-            ("cv_waits", self.cv_waits),
-            ("cv_signals", self.cv_signals),
-            ("event_signals", self.event_signals),
+            ("cv_waits", self.sys_cond_wait),
+            ("cv_signals", self.sys_cond_signal),
+            ("event_signals", self.sys_event_signal),
             ("irq_raised", self.irq_raised),
             ("irq_dispatched", self.irq_dispatched),
             ("protection_faults", self.protection_faults),
@@ -772,7 +768,7 @@ impl Kernel {
         KernelMetrics {
             now: self.clock.now(),
             context_switches: self.trace.context_switch_count(),
-            deadline_misses: self.trace.deadline_miss_count(),
+            deadline_misses: self.total_deadline_misses(),
             app_time: self.acct.app,
             idle_time: self.acct.idle,
             total_overhead: self.acct.total_overhead(),

@@ -33,7 +33,6 @@ use emeralds_sim::{
 
 use crate::alloc::PoolSet;
 use crate::ipc::{Mailbox, StateMsgVar};
-use crate::proc::Process;
 use crate::sched::{SchedPolicy, SchedulerImpl};
 use crate::script::{Action, Script, ScriptKind};
 use crate::sync::policy::SrpState;
@@ -110,7 +109,6 @@ pub(crate) struct IrqSlot {
 pub struct EventObj {
     pub latched: bool,
     pub waiters: Vec<ThreadId>,
-    pub signals: u64,
 }
 
 /// Kernel-internal timed occurrences.
@@ -170,7 +168,6 @@ pub struct Kernel {
     /// Per-task statistics, indexed like `tcbs`: kept out of the TCBs
     /// so the dispatch and wake paths do not pull them into cache.
     pub(crate) stats: Box<[TaskStats]>,
-    pub(crate) procs: Box<[Process]>,
     pub(crate) sems: Box<[Semaphore]>,
     pub(crate) cvs: Box<[CondVar]>,
     pub(crate) statemsgs: Box<[StateMsgVar]>,
@@ -181,8 +178,6 @@ pub struct Kernel {
     /// Timer-pool blocks reserved at build (see [`Kernel::pools`]).
     pub(crate) timer_blocks: usize,
     pub(crate) miss_reports: Vec<MissReport>,
-    /// Pending message of a sender blocked on a full mailbox.
-    pub(crate) pending_send: Box<[Option<crate::ipc::Message>]>,
     /// While set and `now <= until`, deadline misses are classified as
     /// `(cause, until)` instead of by CPU state. Installed by fault
     /// executives around outages.
@@ -299,14 +294,11 @@ impl Kernel {
         ])
     }
 
-    /// Process inspection (read-only).
-    pub fn process(&self, id: ProcId) -> &Process {
-        &self.procs[id.index()]
-    }
-
-    /// Total deadline misses across all tasks.
+    /// Total deadline misses across all tasks: the misses of every
+    /// cause.
     pub fn total_deadline_misses(&self) -> u64 {
-        self.trace.deadline_miss_count()
+        let c = &self.counters;
+        c.misses_fault + c.misses_overload + c.misses_unknown
     }
 
     /// Classifies deadline misses detected at or before `until` as
@@ -403,7 +395,8 @@ struct StateMsgSpec {
 pub struct KernelBuilder {
     cfg: KernelConfig,
     board: Board,
-    procs: Vec<Process>,
+    /// Processes added: `ProcId`s count up from 0.
+    procs: u32,
     tasks: Vec<TaskSpec>,
     sems: Vec<Semaphore>,
     cvs: Vec<CondVar>,
@@ -426,7 +419,7 @@ impl KernelBuilder {
         KernelBuilder {
             cfg,
             board: Board::new(),
-            procs: Vec::new(),
+            procs: 0,
             tasks: Vec::new(),
             sems: Vec::new(),
             cvs: Vec::new(),
@@ -449,10 +442,12 @@ impl KernelBuilder {
         self.hint_overrides.push((task.index(), action, hint));
     }
 
-    /// Adds a protected process.
-    pub fn add_process(&mut self, name: impl Into<String>) -> ProcId {
-        let id = ProcId(self.procs.len() as u32);
-        self.procs.push(Process::new(id, name));
+    /// Adds a protected process: an MPU domain that tasks run in and
+    /// state messages are mapped into. The name documents the caller;
+    /// the kernel keeps nothing of it.
+    pub fn add_process(&mut self, _name: impl Into<String>) -> ProcId {
+        let id = ProcId(self.procs);
+        self.procs += 1;
         id
     }
 
@@ -555,7 +550,7 @@ impl KernelBuilder {
         id
     }
 
-    /// Adds a mailbox with the given capacity.
+    /// Adds a mailbox with the given capacity. Zero fails the build.
     pub fn add_mailbox(&mut self, capacity: usize) -> MboxId {
         let id = MboxId(self.mbox_caps.len() as u32);
         self.mbox_caps.push(capacity);
@@ -704,12 +699,14 @@ impl KernelBuilder {
 
     /// Finalizes the kernel, returning a typed [`ConfigError`] instead
     /// of panicking on an invalid configuration: CSD boundaries beyond
-    /// the task count, counting semaphores without permits, scripts or
-    /// `on_irq` actions referencing unknown kernel objects or devices,
-    /// interrupts releasing a mutex, invalid `next_sem` hint overrides,
-    /// interrupt lines beyond the controller, more objects than a
-    /// kernel pool holds, and — under [`SemScheme::Srp`] — infeasible
-    /// or deadlock-prone resource graphs.
+    /// the task count, counting semaphores without permits, mailboxes
+    /// without capacity, tasks, readers or replica owners in unknown
+    /// processes, scripts or `on_irq` actions referencing unknown
+    /// kernel objects or devices, interrupts releasing a mutex, invalid
+    /// `next_sem` hint overrides, interrupt lines beyond the
+    /// controller, more objects than a kernel pool holds, and — under
+    /// [`SemScheme::Srp`] — infeasible or deadlock-prone resource
+    /// graphs.
     pub fn try_build(mut self) -> Result<Kernel, ConfigError> {
         let n = self.tasks.len();
         if let SchedPolicy::Csd { boundaries } = &self.cfg.policy {
@@ -723,6 +720,12 @@ impl KernelBuilder {
         if let Some(s) = self.sems.iter().find(|s| s.max_count == 0) {
             return Err(ConfigError::ZeroPermits { sem: s.id });
         }
+        if let Some(i) = self.mbox_caps.iter().position(|&c| c == 0) {
+            return Err(ConfigError::ZeroCapacity {
+                mbox: MboxId(i as u32),
+            });
+        }
+        self.validate_procs()?;
         self.validate_scripts()?;
         self.validate_hint_overrides()?;
         self.validate_irq_actions()?;
@@ -769,7 +772,6 @@ impl KernelBuilder {
                     tcb.steps[ai].hint = h;
                 }
             }
-            self.procs[proc.index()].add_thread(tid);
             match timing {
                 Timing::Periodic { phase, .. } => {
                     tcb.next_release = Time::ZERO + phase;
@@ -849,7 +851,6 @@ impl KernelBuilder {
             tcbs,
             stats: stats.into_boxed_slice(),
             sched,
-            procs: self.procs.into_boxed_slice(),
             sems: self.sems.into_boxed_slice(),
             cvs: self.cvs.into_boxed_slice(),
             mboxes,
@@ -867,7 +868,6 @@ impl KernelBuilder {
             acct: Accounting::new(),
             counters: ServiceCounters::default(),
             miss_reports: Vec::new(),
-            pending_send: vec![None; n].into_boxed_slice(),
             miss_cause_hint: None,
             select_calls: 0,
             sem_fast_acquires: 0,

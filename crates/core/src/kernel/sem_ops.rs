@@ -15,6 +15,7 @@
 use emeralds_sim::{CvId, OverheadKind, SemId, ThreadId, TraceEvent};
 
 use crate::kernel::Kernel;
+use crate::script::Action;
 use crate::sync::SemScheme;
 use crate::tcb::{BlockReason, ThreadState};
 
@@ -72,11 +73,9 @@ impl Kernel {
         // Release the guard (may hand it to a waiter); the blocking
         // below triggers the scheduling decision either way.
         let _ = self.pi_release(tid, guard);
-        // Park on the condition.
-        let pos = self
-            .tcbs
+        // Park on the condition, at the `CondWait` that names the guard.
+        self.tcbs
             .enqueue_by_prio(&mut self.cvs[cv.index()].waiters, tid);
-        self.cvs[cv.index()].guard_of.insert(pos, guard);
         self.tcbs.get_mut(tid).in_syscall = true;
         self.block_thread(tid, BlockReason::Cv(cv));
         self.reschedule();
@@ -93,7 +92,13 @@ impl Kernel {
         self.charge(OverheadKind::Semaphore, self.cfg.cost.sem_logic);
         self.record(TraceEvent::CvSignal { tid, cv });
         let mut woke = false;
-        if let Some((w, guard)) = self.cvs[cv.index()].pop() {
+        if let Some(w) = self.cvs[cv.index()].pop() {
+            // The waiter is still at its `CondWait`, which names the
+            // guard; only this wake moves it past.
+            let t = self.tcbs.get(w);
+            let Action::CondWait(_, guard) = t.steps[t.pc as usize].action else {
+                unreachable!("condition waiter {w} is not at a cond_wait");
+            };
             if self.sems[guard.index()].available() {
                 self.sems[guard.index()].take(w);
                 self.tcbs.get_mut(w).held_sems.push(guard);

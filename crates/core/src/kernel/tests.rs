@@ -445,7 +445,7 @@ fn state_message_pipeline() {
     let mut k = b.build();
     k.run_until(Time::from_ms(100));
     assert_eq!(k.total_deadline_misses(), 0);
-    assert_eq!(k.statemsg(var).writes(), 10);
+    assert_eq!(k.statemsg(var).seq, 10);
     assert_eq!(k.statemsg(var).reads(), 5);
     assert_eq!(k.tcb(reader).last_read, 7);
     // No mailbox copies, but state-message copies were charged.
@@ -1063,6 +1063,52 @@ fn zero_permit_counting_sem_is_a_typed_error() {
     let err = b.try_build().err();
     assert_eq!(err, Some(ConfigError::ZeroPermits { sem }));
     assert!(err.unwrap().to_string().contains("S1 has no permits"));
+}
+
+/// A mailbox without capacity, added alone or as either half of a
+/// NIC, is a typed build error, not a panic inside the build: a
+/// mailbox must never be full and empty at once.
+#[test]
+fn zero_capacity_mailbox_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    let (mut b, _) = irq_builder();
+    b.add_mailbox(4);
+    let mbox = b.add_mailbox(0);
+    let err = b.try_build().err();
+    assert_eq!(err, Some(ConfigError::ZeroCapacity { mbox }));
+    assert!(err.unwrap().to_string().contains("MB3 has no capacity"));
+    for (tx, rx) in [(0, 1), (1, 0)] {
+        let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
+        let nic = b.add_nic(IrqLine(2), tx, rx);
+        let mbox = if tx == 0 { nic.tx } else { nic.rx };
+        assert_eq!(
+            b.try_build().err(),
+            Some(ConfigError::ZeroCapacity { mbox })
+        );
+    }
+}
+
+/// A task, a state-message reader or a replica owner in a process the
+/// builder never added is a typed build error.
+#[test]
+fn unknown_process_is_a_typed_error() {
+    use crate::kernel::ConfigError;
+    use emeralds_sim::ProcId;
+    let with = |task, reader, owner| {
+        let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
+        b.add_process("app");
+        let writer = b.add_periodic_task(task, "writer", ms(5), Script::compute_only(us(10)));
+        b.add_state_msg(writer, 8, 3, &[reader]);
+        b.add_state_replica(owner, 8, 3, &[]);
+        b.try_build().err()
+    };
+    let (app, proc) = (ProcId(0), ProcId(9));
+    assert_eq!(with(app, app, app), None);
+    for (task, reader, owner) in [(proc, app, app), (app, proc, app), (app, app, proc)] {
+        let err = with(task, reader, owner);
+        assert_eq!(err, Some(ConfigError::UnknownProcess { proc }));
+        assert!(err.unwrap().to_string().contains("unknown process P9"));
+    }
 }
 
 /// Likewise for an `on_irq` action signalling an unknown event.

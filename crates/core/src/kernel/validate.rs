@@ -20,7 +20,7 @@
 
 use emeralds_hal::irq::MAX_IRQ_LINES;
 use emeralds_sched::{srp_ceilings, SrpEvent, SrpGraphError, SrpTaskProfile};
-use emeralds_sim::{CvId, DevId, EventId, IrqLine, MboxId, SemId, StateId, ThreadId};
+use emeralds_sim::{CvId, DevId, EventId, IrqLine, MboxId, ProcId, SemId, StateId, ThreadId};
 
 use crate::alloc::PoolSet;
 use crate::kernel::{IrqAction, KernelBuilder, TaskSpec};
@@ -41,6 +41,12 @@ pub enum ConfigError {
     /// A counting semaphore was added with no permits: it could never
     /// be taken, and releasing it would exceed its maximum.
     ZeroPermits { sem: SemId },
+    /// A mailbox was added with no capacity: it would be full and
+    /// empty at once, which the blocking protocol rules out.
+    ZeroCapacity { mbox: MboxId },
+    /// A task, a state-message reader list or a replica owner names a
+    /// process that was never added.
+    UnknownProcess { proc: ProcId },
     /// A script action references a semaphore that was never added.
     UnknownSemaphore {
         task: ThreadId,
@@ -142,6 +148,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroPermits { sem } => {
                 write!(f, "counting semaphore {sem} has no permits")
             }
+            ConfigError::ZeroCapacity { mbox } => write!(f, "mailbox {mbox} has no capacity"),
+            ConfigError::UnknownProcess { proc } => write!(f, "unknown process {proc}"),
             ConfigError::UnknownSemaphore { task, action, sem } => write!(
                 f,
                 "task {task} action {action} references unknown semaphore {sem}"
@@ -240,6 +248,23 @@ impl From<SrpGraphError> for ConfigError {
 }
 
 impl KernelBuilder {
+    /// Checks that every task runs in, every state message is read
+    /// from, and every replica is owned by a process that was added.
+    pub(super) fn validate_procs(&self) -> Result<(), ConfigError> {
+        let named = self
+            .tasks
+            .iter()
+            .map(|t| t.proc)
+            .chain(self.statemsg_specs.iter().filter_map(|s| s.owner))
+            .chain(self.statemsg_readers.iter().flatten().copied());
+        for proc in named {
+            if proc.0 >= self.procs {
+                return Err(ConfigError::UnknownProcess { proc });
+            }
+        }
+        Ok(())
+    }
+
     /// Checks every script action against the kernel objects and board
     /// devices that were actually added, and — under SRP — against the
     /// primitives the ceiling analysis can model.

@@ -81,7 +81,6 @@ pub mod footprint;
 pub mod ipc;
 pub mod kernel;
 pub mod parser;
-pub mod proc;
 pub mod sched;
 pub mod script;
 pub mod sync;

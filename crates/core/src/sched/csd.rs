@@ -48,11 +48,6 @@ impl CsdSched {
         self.dps.len() + 1
     }
 
-    /// Length of DP queue `j`.
-    pub fn dp_len(&self, j: usize) -> usize {
-        self.dps[j].len()
-    }
-
     /// Length of the FP queue.
     pub fn fp_len(&self) -> usize {
         self.fp.len()
@@ -222,8 +217,6 @@ mod tests {
     fn queue_lengths_reported() {
         let (_tcbs, c) = setup();
         assert_eq!(c.num_queues(), 3);
-        assert_eq!(c.dp_len(0), 2);
-        assert_eq!(c.dp_len(1), 2);
         assert_eq!(c.fp_len(), 2);
     }
 }

@@ -160,18 +160,6 @@ impl Script {
     pub fn is_empty(&self) -> bool {
         self.actions.is_empty()
     }
-
-    /// Total computation time of one pass (the `c_i` of the analysis),
-    /// ignoring kernel-call overheads.
-    pub fn compute_demand(&self) -> Duration {
-        self.actions
-            .iter()
-            .map(|a| match a {
-                Action::Compute(d) => *d,
-                _ => Duration::ZERO,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -190,14 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn compute_demand_sums_compute_actions() {
+    fn script_length_counts_actions() {
         let s = Script::periodic(vec![
             Action::Compute(Duration::from_us(10)),
             Action::AcquireSem(SemId(0)),
             Action::Compute(Duration::from_us(5)),
             Action::ReleaseSem(SemId(0)),
         ]);
-        assert_eq!(s.compute_demand(), Duration::from_us(15));
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
     }
@@ -212,6 +199,6 @@ mod tests {
     fn compute_only_helper() {
         let s = Script::compute_only(Duration::from_ms(2));
         assert_eq!(s.kind, ScriptKind::PeriodicJob);
-        assert_eq!(s.compute_demand(), Duration::from_ms(2));
+        assert_eq!(s.actions, [Action::Compute(Duration::from_ms(2))]);
     }
 }

@@ -7,16 +7,15 @@
 //! priority if contended). The kernel orchestrates the release and
 //! re-acquire; this type only holds the wait queue.
 
-use emeralds_sim::{CvId, SemId, ThreadId};
+use emeralds_sim::{CvId, ThreadId};
 
-/// A condition variable.
+/// A condition variable. The mutex a waiter re-acquires is the guard
+/// its `CondWait` action names, so the queue holds only the waiters.
 #[derive(Clone, Debug)]
 pub struct CondVar {
     pub id: CvId,
     /// Waiters in signal order (priority-ordered at insertion).
     pub waiters: Vec<ThreadId>,
-    /// The mutex each waiter must re-acquire on wakeup.
-    pub guard_of: Vec<SemId>,
 }
 
 impl CondVar {
@@ -25,17 +24,12 @@ impl CondVar {
         CondVar {
             id,
             waiters: Vec::new(),
-            guard_of: Vec::new(),
         }
     }
 
-    /// Removes and returns the highest-priority waiter and its guard.
-    pub fn pop(&mut self) -> Option<(ThreadId, SemId)> {
-        if self.waiters.is_empty() {
-            None
-        } else {
-            Some((self.waiters.remove(0), self.guard_of.remove(0)))
-        }
+    /// Removes and returns the highest-priority waiter.
+    pub fn pop(&mut self) -> Option<ThreadId> {
+        (!self.waiters.is_empty()).then(|| self.waiters.remove(0))
     }
 
     /// Number of waiters.
@@ -54,16 +48,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pop_takes_the_head_waiter_with_its_guard() {
+    fn pop_takes_the_head_waiter() {
         let mut cv = CondVar::new(CvId(0));
-        // The kernel parks waiters in priority order, each guard at
-        // its waiter's position.
+        // The kernel parks waiters in priority order.
         cv.waiters = vec![ThreadId(1), ThreadId(2), ThreadId(0)];
-        cv.guard_of = vec![SemId(1), SemId(2), SemId(0)];
         assert_eq!(cv.len(), 3);
-        assert_eq!(cv.pop(), Some((ThreadId(1), SemId(1))));
-        assert_eq!(cv.pop(), Some((ThreadId(2), SemId(2))));
-        assert_eq!(cv.pop(), Some((ThreadId(0), SemId(0))));
+        assert_eq!(cv.pop(), Some(ThreadId(1)));
+        assert_eq!(cv.pop(), Some(ThreadId(2)));
+        assert_eq!(cv.pop(), Some(ThreadId(0)));
         assert!(cv.is_empty());
         assert_eq!(cv.pop(), None);
     }

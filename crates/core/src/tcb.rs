@@ -14,7 +14,7 @@ use emeralds_sim::{
     CvId, Duration, DurationHistogram, EventId, IrqLine, MboxId, ProcId, SemId, ThreadId, Time,
 };
 
-use crate::script::{Action, Script, ScriptKind};
+use crate::script::{Action, Script};
 
 /// Why a thread is blocked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,9 +82,9 @@ pub enum Timing {
 pub struct Tcb {
     pub id: ThreadId,
     pub proc: ProcId,
+    /// Decides at the end of `steps` whether the script ends the job
+    /// (periodic) or loops (event-driven).
     pub timing: Timing,
-    /// How the script repeats.
-    pub kind: ScriptKind,
     /// The script's actions, each beside its next-semaphore hint.
     pub steps: Box<[Step]>,
     /// [`crate::parser::end_of_job_hint`] of the script, precomputed —
@@ -218,7 +218,6 @@ impl Tcb {
             id,
             proc,
             timing,
-            kind: script.kind,
             steps,
             eoj_hint,
             state,
@@ -346,17 +345,16 @@ impl TcbTable {
 
     /// Parks `tid` in the wait queue `queue`, which every blocking
     /// object keeps in ascending [`TcbTable::prio_key`] order: before
-    /// the first waiter with a larger key. Returns its position. The
-    /// waiters' keys are read in place, so a park allocates only when
-    /// the queue outgrows its capacity.
-    pub(crate) fn enqueue_by_prio(&self, queue: &mut Vec<ThreadId>, tid: ThreadId) -> usize {
+    /// the first waiter with a larger key. The waiters' keys are read
+    /// in place, so a park allocates only when the queue outgrows its
+    /// capacity.
+    pub(crate) fn enqueue_by_prio(&self, queue: &mut Vec<ThreadId>, tid: ThreadId) {
         let key = self.prio_key(tid);
         let pos = queue
             .iter()
             .position(|&w| self.prio_key(w) > key)
             .unwrap_or(queue.len());
         queue.insert(pos, tid);
-        pos
     }
 }
 
@@ -430,10 +428,9 @@ mod tests {
         }
         tab.get_mut(ThreadId(4)).inherited_deadline = Some(Time::from_ms(5));
         let mut queue = Vec::new();
-        let positions: Vec<usize> = (0..6)
-            .map(|id| tab.enqueue_by_prio(&mut queue, ThreadId(id)))
-            .collect();
-        assert_eq!(positions, [0, 0, 0, 0, 0, 3]);
+        for id in 0..6 {
+            tab.enqueue_by_prio(&mut queue, ThreadId(id));
+        }
         assert_eq!(queue, [4, 3, 2, 5, 1, 0].map(ThreadId));
     }
 

@@ -380,15 +380,6 @@ impl FaultClock {
         self.faulted.iter().map(|&i| &self.nodes[i])
     }
 
-    /// Total scheduled downtime for `node` within `[0, until)`.
-    pub fn downtime(&self, node: usize, until: Time) -> Duration {
-        self.nodes[node]
-            .down
-            .iter()
-            .map(|&(s, e)| e.min(until).since(s.min(until)))
-            .sum()
-    }
-
     /// Decides whether the next bus grant corrupts on the wire.
     /// Serial: consumes one grant index. The decision for grant *k* is
     /// a stateless hash of `(seed, k)`, so it does not depend on how
@@ -504,7 +495,6 @@ mod tests {
             assert!(!fc.is_down(1, Time::from_ms(15)));
             // An index beyond the compiled range has no outage.
             assert!(!fc.is_down(2, Time::from_ms(15)));
-            assert_eq!(fc.downtime(0, Time::from_ms(41)), ms(13));
         }
     }
 

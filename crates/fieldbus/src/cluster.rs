@@ -44,6 +44,11 @@ use emeralds_sim::{
 
 use crate::errors::{error_time, recovery_time, FailStopGate, NodeStats};
 use crate::{frame_of, garbage_frame, BusStats, Frame, StateLink, StatePayload};
+
+/// Bits a CAN 2.0A data frame adds to its payload: start of frame,
+/// 11-bit identifier, RTR, IDE, r0, DLC, CRC and its delimiter, ACK,
+/// end of frame and interframe space.
+const FRAMING_BITS: u64 = 47;
 pub use emeralds_sim::EpochStats;
 
 /// A frame reception staged at a barrier and applied by the receiving
@@ -224,7 +229,6 @@ impl EpochNode for ClusterNode {
 #[derive(Debug)]
 pub(crate) struct BusState {
     bitrate_bps: u64,
-    framing_bits: u64,
     /// The instant the bus becomes idle.
     bus_free_at: Time,
     /// Harvest order within an arbitration id (CAN FIFO tie-break).
@@ -272,7 +276,6 @@ impl BusState {
         assert!(bitrate_bps > 0, "zero bit rate");
         let mut bus = BusState {
             bitrate_bps,
-            framing_bits: 47,
             bus_free_at: Time::ZERO,
             seq: 0,
             pending: Vec::new(),
@@ -294,7 +297,7 @@ impl BusState {
 
     /// Wire time of one frame.
     pub(crate) fn frame_time(&self, bytes: usize) -> Duration {
-        let bits = bytes as u64 * 8 + self.framing_bits;
+        let bits = bytes as u64 * 8 + FRAMING_BITS;
         Duration::from_ns(bits * 1_000_000_000 / self.bitrate_bps)
     }
 

@@ -37,12 +37,6 @@ impl Clock {
         assert!(t >= self.now, "clock cannot run backwards");
         self.now = t;
     }
-
-    /// Reads the clock with the resolution of the paper's 5 MHz
-    /// measurement timer (200 ns granularity).
-    pub fn read_coarse(&self) -> Time {
-        self.now.quantize_to_hz(5_000_000)
-    }
 }
 
 #[cfg(test)]
@@ -64,12 +58,5 @@ mod tests {
         let mut c = Clock::new();
         c.advance_to(Time::from_us(5));
         c.advance_to(Time::from_us(4));
-    }
-
-    #[test]
-    fn coarse_read_quantizes_to_200ns() {
-        let mut c = Clock::new();
-        c.advance(Duration::from_ns(999));
-        assert_eq!(c.read_coarse(), Time::from_ns(800));
     }
 }

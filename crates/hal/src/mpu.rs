@@ -160,16 +160,6 @@ impl Mpu {
     pub fn region(&self, id: RegionId) -> &Region {
         &self.regions[id.index()]
     }
-
-    /// The region covering `addr`, if any.
-    pub fn region_at(&self, addr: u64) -> Option<&Region> {
-        self.regions.iter().find(|r| r.contains(addr))
-    }
-
-    /// Number of registered regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
 }
 
 #[cfg(test)]
@@ -228,9 +218,6 @@ mod tests {
     fn region_lookup() {
         let mut mpu = Mpu::new();
         let id = mpu.add_region(ProcId(0), 0x3000, 0x40, Perms::RX);
-        assert_eq!(mpu.region_at(0x3020).unwrap().id, id);
         assert_eq!(mpu.region(id).base, 0x3000);
-        assert!(mpu.region_at(0x4000).is_none());
-        assert_eq!(mpu.region_count(), 1);
     }
 }

@@ -148,16 +148,6 @@ impl Accounting {
         self.app + self.idle + self.total_overhead()
     }
 
-    /// Fraction of accounted time that was overhead.
-    pub fn overhead_fraction(&self) -> f64 {
-        let total = self.grand_total();
-        if total.is_zero() {
-            0.0
-        } else {
-            self.total_overhead().ratio(total)
-        }
-    }
-
     /// Renders a per-category table (µs), for experiment output.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -225,15 +215,6 @@ mod tests {
         a.charge(OverheadKind::SchedSelect, Duration::from_us(4));
         a.charge(OverheadKind::Syscall, Duration::from_us(100));
         assert_eq!(a.scheduler_overhead(), Duration::from_us(7));
-    }
-
-    #[test]
-    fn overhead_fraction_accounts_app_and_idle() {
-        let mut a = Accounting::new();
-        a.app = Duration::from_us(70);
-        a.idle = Duration::from_us(20);
-        a.charge(OverheadKind::Semaphore, Duration::from_us(10));
-        assert!((a.overhead_fraction() - 0.1).abs() < 1e-12);
     }
 
     #[test]

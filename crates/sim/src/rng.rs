@@ -109,14 +109,6 @@ impl SimRng {
         self.float_in(0.0, 1.0) < p.clamp(0.0, 1.0)
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
-    }
-
     /// Raw `u64`, for seeding foreign generators.
     pub fn raw(&mut self) -> u64 {
         self.next_u64()
@@ -174,17 +166,6 @@ mod tests {
         let mut c1 = root1.derive(3);
         let mut c2 = root2.derive(3);
         assert_eq!(c1.raw(), c2.raw());
-    }
-
-    #[test]
-    fn shuffle_permutes() {
-        let mut r = SimRng::seeded(11);
-        let mut xs: Vec<u32> = (0..16).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..16).collect::<Vec<_>>());
-        assert_ne!(xs, (0..16).collect::<Vec<_>>());
     }
 
     #[test]

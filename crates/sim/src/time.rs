@@ -79,15 +79,6 @@ impl Time {
     pub fn saturating_since(self, earlier: Time) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Quantizes this instant to the resolution of a counter running at
-    /// `hz` ticks per second, rounding down, mimicking a coarse on-chip
-    /// measurement timer (the paper used a 5 MHz one).
-    pub fn quantize_to_hz(self, hz: u64) -> Time {
-        assert!(hz > 0 && hz <= 1_000_000_000, "unsupported timer rate");
-        let tick = 1_000_000_000 / hz;
-        Time(self.0 / tick * tick)
-    }
 }
 
 impl Duration {
@@ -356,15 +347,6 @@ mod tests {
             Time::from_us(1).saturating_since(Time::from_us(5)),
             Duration::ZERO
         );
-    }
-
-    #[test]
-    fn quantization_mimics_coarse_timer() {
-        // A 5 MHz timer ticks every 200 ns.
-        let t = Time::from_ns(1_999);
-        assert_eq!(t.quantize_to_hz(5_000_000).as_ns(), 1_800);
-        let t = Time::from_ns(2_000);
-        assert_eq!(t.quantize_to_hz(5_000_000).as_ns(), 2_000);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! harness can redraw Figure 2's RM schedule.
 
 use crate::ids::{CvId, EventId, IrqLine, MboxId, SemId, StateId, ThreadId};
-use crate::time::{Duration, Time};
+use crate::time::Time;
 
 /// One recorded kernel-level occurrence.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,7 +151,6 @@ pub struct Trace {
     /// Ring mode: index of the oldest stored event.
     ring_start: usize,
     context_switches: u64,
-    deadline_misses: u64,
     /// Events offered for storage (recorded + evicted + discarded).
     total_seen: u64,
 }
@@ -165,7 +164,6 @@ impl Trace {
             ring_capacity: None,
             ring_start: 0,
             context_switches: 0,
-            deadline_misses: 0,
             total_seen: 0,
         }
     }
@@ -195,11 +193,6 @@ impl Trace {
         }
     }
 
-    /// True if events are being stored.
-    pub fn is_recording(&self) -> bool {
-        self.recording
-    }
-
     /// The ring capacity, if bounded.
     pub fn ring_capacity(&self) -> Option<usize> {
         self.ring_capacity
@@ -210,10 +203,8 @@ impl Trace {
     /// non-recording kernel pays counter arithmetic and nothing else.
     #[inline]
     pub fn push(&mut self, at: Time, event: TraceEvent) {
-        match &event {
-            TraceEvent::ContextSwitch { .. } => self.context_switches += 1,
-            TraceEvent::DeadlineMiss { .. } => self.deadline_misses += 1,
-            _ => {}
+        if let TraceEvent::ContextSwitch { .. } = event {
+            self.context_switches += 1;
         }
         self.total_seen += 1;
         if self.recording {
@@ -274,11 +265,6 @@ impl Trace {
     /// Total context switches (counted even when not recording).
     pub fn context_switch_count(&self) -> u64 {
         self.context_switches
-    }
-
-    /// Total deadline misses (counted even when not recording).
-    pub fn deadline_miss_count(&self) -> u64 {
-        self.deadline_misses
     }
 
     /// Stored deadline-miss events.
@@ -628,26 +614,6 @@ fn event_to_json(out: &mut String, at: Time, e: &TraceEvent) {
     out.push('}');
 }
 
-/// A busy-interval summary over a window, used by utilization reports.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BusySummary {
-    /// Total simulated window length.
-    pub window: Duration,
-    /// Time some thread was running.
-    pub busy: Duration,
-}
-
-impl BusySummary {
-    /// CPU utilization over the window.
-    pub fn utilization(&self) -> f64 {
-        if self.window.is_zero() {
-            0.0
-        } else {
-            self.busy.ratio(self.window)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,7 +638,6 @@ mod tests {
             },
         );
         assert_eq!(tr.context_switch_count(), 1);
-        assert_eq!(tr.deadline_miss_count(), 1);
         assert_eq!(tr.deadline_misses(), vec![(Time::from_us(5), ThreadId(1))]);
     }
 
@@ -682,7 +647,6 @@ mod tests {
         tr.push(Time::ZERO, switch(None, Some(1)));
         assert_eq!(tr.context_switch_count(), 1);
         assert!(tr.is_empty());
-        assert!(!tr.is_recording());
     }
 
     #[test]
@@ -821,19 +785,5 @@ mod tests {
         let mut buf = Vec::new();
         tr.write_jsonl(&mut buf).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), out);
-    }
-
-    #[test]
-    fn busy_summary_utilization() {
-        let b = BusySummary {
-            window: Duration::from_ms(10),
-            busy: Duration::from_ms(4),
-        };
-        assert!((b.utilization() - 0.4).abs() < 1e-12);
-        let empty = BusySummary {
-            window: Duration::ZERO,
-            busy: Duration::ZERO,
-        };
-        assert_eq!(empty.utilization(), 0.0);
     }
 }

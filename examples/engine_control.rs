@@ -130,7 +130,7 @@ fn main() {
     println!("\ninjector commands: {injections}, spark commands: {sparks}");
     println!(
         "rpm state message: {} writes, {} reads",
-        k.statemsg(var).writes(),
+        k.statemsg(var).seq,
         k.statemsg(var).reads()
     );
     println!(

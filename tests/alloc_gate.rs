@@ -510,7 +510,7 @@ fn solo_board() -> Kernel {
 fn app_board_bytes_stay_within_their_ceiling() {
     let (k, heap) = heap_bytes_of(app_board);
     let board = heap + std::mem::size_of::<ClusterNode>();
-    assert!(board <= 3_036, "app board holds {board} B ({heap} B heap)");
+    assert!(board <= 2_848, "app board holds {board} B ({heap} B heap)");
     assert_eq!(k.task_count(), 2);
 }
 
@@ -523,7 +523,7 @@ fn solo_board_bytes_stay_within_their_ceiling() {
     let (k, heap) = heap_bytes_of(solo_board);
     let board = heap + std::mem::size_of::<Kernel>();
     assert!(
-        board <= 13_716,
+        board <= 12_880,
         "solo board holds {board} B ({heap} B heap)"
     );
     assert_eq!(k.task_count(), 24);
