@@ -62,15 +62,56 @@ impl Kernel {
     }
 
     /// The earliest pending external occurrence (kernel timer or board
-    /// device event). Cluster executives use this to prove a node
-    /// cannot act before that instant when it is idle: an idle kernel
-    /// only wakes on a timer or device event, so with no current
-    /// thread the pre-state stays inert until then.
+    /// device event). An idle kernel only wakes on a timer or device
+    /// event, so with no current thread the pre-state stays inert until
+    /// then; [`Kernel::next_action_time`] extends that proof to a
+    /// kernel in the middle of a `Compute`.
     pub fn next_external_time(&self) -> Option<Time> {
         match (self.timers.peek_time(), self.board.next_event_time()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
+    }
+
+    /// The earliest instant at which this kernel can do anything other
+    /// than continue its running thread's `Compute`, or `None` when it
+    /// never will on its own.
+    ///
+    /// - With a `Compute` in progress or next at the thread's pc: the
+    ///   end of that compute (`now + compute_left`, or the action's
+    ///   whole duration if it has not started) or the next timer or
+    ///   device event, whichever comes first. A pending syscall-exit
+    ///   charge only delays the compute's end, so the value may be
+    ///   early, never late.
+    /// - With no current thread: [`Kernel::next_external_time`].
+    /// - When the thread's next step is any other action, or the end of
+    ///   its script: now.
+    ///
+    /// Until that instant, running the kernel to any horizon only
+    /// continues the compute or idles, and a compute split at horizons
+    /// resumes from `compute_left` and adds the same app time, so
+    /// cluster executives may skip the kernel until then.
+    pub fn next_action_time(&self) -> Option<Time> {
+        let Some(tid) = self.current else {
+            return self.next_external_time();
+        };
+        let now = self.clock.now();
+        let t = self.tcbs.get(tid);
+        let Some(&Step {
+            action: Action::Compute(d),
+            ..
+        }) = t.steps.get(t.pc as usize)
+        else {
+            return Some(now);
+        };
+        // A compute that has not started has all of `d` left.
+        let left = if t.compute_left.is_zero() {
+            d
+        } else {
+            t.compute_left
+        };
+        let end = now + left;
+        Some(self.next_external_time().map_or(end, |e| e.min(end)))
     }
 
     /// Executes one scheduling quantum. Returns false when the horizon
@@ -364,7 +405,6 @@ impl Kernel {
     /// Invokes the scheduler (`t_s`) and dispatches, charging a
     /// context switch when the pick changes.
     pub(crate) fn reschedule(&mut self) {
-        self.select_calls += 1;
         let (next, c) = self.sched.select(&self.tcbs, &self.cfg.cost);
         self.charge(OverheadKind::SchedSelect, c);
         if next != self.current {

@@ -355,6 +355,7 @@ impl Kernel {
                 }
             }
             IrqAction::SignalEvent(e) => {
+                self.record(TraceEvent::IrqEventSignal { line, event: e });
                 let waiters = std::mem::take(&mut self.events[e.index()].waiters);
                 if waiters.is_empty() {
                     self.events[e.index()].latched = true;

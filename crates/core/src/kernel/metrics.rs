@@ -113,6 +113,10 @@ pub struct ServiceCounters {
     // --- Interrupts / protection ---
     pub irq_raised: u64,
     pub irq_dispatched: u64,
+    /// Software events an interrupt's first-level action signalled.
+    /// Not system calls: `event_signals` adds them to the
+    /// `event_signal` calls.
+    pub irq_event_signals: u64,
     pub protection_faults: u64,
 
     // --- Deadline misses by cause ---
@@ -159,6 +163,7 @@ impl ServiceCounters {
             TraceEvent::StateRead { .. } => self.statemsg_reads += 1,
             TraceEvent::IrqRaised { .. } => self.irq_raised += 1,
             TraceEvent::IrqHandled { .. } => self.irq_dispatched += 1,
+            TraceEvent::IrqEventSignal { .. } => self.irq_event_signals += 1,
             TraceEvent::ProtectionFault { .. } => self.protection_faults += 1,
             _ => {}
         }
@@ -186,9 +191,10 @@ impl ServiceCounters {
     }
 
     /// Named `(label, value)` pairs, in a stable order, for rendering
-    /// and serialization. Each condition wait, condition signal and
-    /// event signal is one system call, so `cv_waits`, `cv_signals`
-    /// and `event_signals` print those syscall counts.
+    /// and serialization. Each condition wait and condition signal is
+    /// one system call, so `cv_waits` and `cv_signals` print those
+    /// syscall counts; `event_signals` adds the events interrupts
+    /// signalled to the `event_signal` calls.
     pub fn entries(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("sys_acquire_sem", self.sys_acquire_sem),
@@ -223,7 +229,10 @@ impl ServiceCounters {
             ("statemsg_retries", self.statemsg_retries),
             ("cv_waits", self.sys_cond_wait),
             ("cv_signals", self.sys_cond_signal),
-            ("event_signals", self.sys_event_signal),
+            (
+                "event_signals",
+                self.sys_event_signal + self.irq_event_signals,
+            ),
             ("irq_raised", self.irq_raised),
             ("irq_dispatched", self.irq_dispatched),
             ("protection_faults", self.protection_faults),

@@ -142,8 +142,6 @@ pub struct Kernel {
     pub(crate) tcbs: TcbTable,
     pub(crate) mboxes: Box<[Mailbox]>,
     pub(crate) sched: SchedulerImpl,
-    /// Scheduler invocations (`reschedule` calls).
-    pub(crate) select_calls: u64,
     /// SRP's ceilings, ceiling stack and deferred wakes: `Some` only
     /// under [`SemScheme::Srp`], so a PI kernel pays one pointer.
     pub(crate) srp: Option<Box<SrpState>>,
@@ -210,10 +208,11 @@ impl Kernel {
 
     /// `(scheduler invocations, full queue evaluations)`. Every
     /// invocation evaluates the queues, so both numbers are the
-    /// `reschedule` count; the pair keeps the shape the repository
-    /// benchmark reads.
+    /// `reschedule` count: each charges one `SchedSelect`. The pair
+    /// keeps the shape the repository benchmark reads.
     pub fn dispatch_cache_stats(&self) -> (u64, u64) {
-        (self.select_calls, self.select_calls)
+        let selects = self.acct.ops(OverheadKind::SchedSelect);
+        (selects, selects)
     }
 
     /// `sem_acquire` calls that skipped the general-path queue scans
@@ -869,7 +868,6 @@ impl KernelBuilder {
             counters: ServiceCounters::default(),
             miss_reports: Vec::new(),
             miss_cause_hint: None,
-            select_calls: 0,
             sem_fast_acquires: 0,
             srp,
         };

@@ -527,6 +527,53 @@ fn irq_action_releases_counting_sem() {
     assert!(k.tcb(worker).held_sems.is_empty());
 }
 
+/// An IRQ action signalling an event wakes the driver waiting on it,
+/// and each signal is traced, naming the line and the event, and
+/// counted with the event signals but not with the system calls.
+#[test]
+fn irq_action_signals_event_visibly() {
+    let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
+    let p = b.add_process("drv");
+    let line = IrqLine(3);
+    let ready = b.add_event();
+    b.on_irq(line, IrqAction::SignalEvent(ready));
+    let sensor = {
+        let board = b.board_mut();
+        let s = board.add_sensor(Some(line));
+        board.schedule_periodic_samples(s, Time::from_ms(2), ms(4), 5, |k| 10 + k as u32);
+        s
+    };
+    let driver = b.add_driver_task(
+        p,
+        "adc-driver",
+        ms(2),
+        Script::looping(vec![
+            Action::WaitEvent(ready),
+            Action::DevRead(sensor),
+            Action::Compute(us(50)),
+        ]),
+    );
+    let mut k = b.build();
+    k.run_until(Time::from_ms(30));
+    // Five wakes: the driver read every sample.
+    assert_eq!(k.tcb(driver).last_read, 14);
+    assert_eq!(k.tcb(driver).cpu_time, us(250));
+    let signals: Vec<&TraceEvent> = k
+        .trace()
+        .iter()
+        .map(|(_, e)| e)
+        .filter(|e| matches!(e, TraceEvent::IrqEventSignal { .. }))
+        .collect();
+    let signal = TraceEvent::IrqEventSignal { line, event: ready };
+    assert_eq!(signals, vec![&signal; 5]);
+    let c = k.counters();
+    assert_eq!((c.irq_event_signals, c.sys_event_signal), (5, 0));
+    let entries = k.metrics().counters.entries();
+    assert!(entries.contains(&("event_signals", 5)), "{entries:?}");
+    // The driver's six waits are the only system calls.
+    assert_eq!((c.sys_event_wait, c.syscall_total()), (6, 6));
+}
+
 /// Condition variables: a waiter released by a signaller re-acquires
 /// the guard mutex and proceeds.
 #[test]
@@ -695,6 +742,62 @@ fn idle_to_matches_advance_to_on_an_idle_kernel() {
         idled.accounting().grand_total().as_ns(),
         idled.now().as_ns()
     );
+}
+
+/// `next_action_time` is the first instant the kernel can do anything
+/// but continue its running thread's `Compute`: the compute's end or an
+/// earlier timer while one runs or is next, now when another action is
+/// next, and the next external occurrence while idle.
+#[test]
+fn next_action_time_ends_at_the_running_compute_or_an_earlier_event() {
+    let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
+    let p = b.add_process("app");
+    let long = b.add_periodic_task(
+        p,
+        "long",
+        ms(10),
+        Script::periodic(vec![
+            Action::Compute(us(400)),
+            Action::Compute(us(300)),
+            Action::ReadClock,
+            Action::Compute(ms(2)),
+        ]),
+    );
+    // Outranks `long` and is first released in its 2 ms compute.
+    b.add_periodic_task_phased(p, "tick", ms(5), ms(5), ms(2), Script::compute_only(us(50)));
+    let mut k = b.build();
+
+    // A compute in progress ends `compute_left` from now.
+    k.run_until(Time::from_us(100));
+    assert_eq!(k.current(), Some(long));
+    let left = k.tcb(long).compute_left;
+    assert!(left > Duration::ZERO && left < us(400), "left {left}");
+    let first_end = k.now() + left;
+    assert_eq!(k.next_action_time(), Some(first_end));
+
+    // The first compute ends exactly at the horizon: the second has not
+    // started, so its whole duration lies ahead.
+    k.run_until(first_end);
+    assert_eq!((k.now(), k.tcb(long).pc), (first_end, 1));
+    assert!(k.tcb(long).compute_left.is_zero());
+    assert_eq!(k.next_action_time(), Some(first_end + us(300)));
+
+    // A non-`Compute` action at the pc acts now.
+    k.run_until(first_end + us(300));
+    assert_eq!(k.tcb(long).pc, 2);
+    assert_eq!(k.next_action_time(), Some(k.now()));
+
+    // A timer due before the running compute ends comes first.
+    k.run_until(Time::from_ms(1));
+    assert_eq!(k.tcb(long).pc, 3);
+    assert!(k.now() + k.tcb(long).compute_left > Time::from_ms(2));
+    assert_eq!(k.next_action_time(), Some(Time::from_ms(2)));
+
+    // Idle: the next timer or device event.
+    k.run_until(Time::from_ms(4));
+    assert_eq!(k.current(), None);
+    assert_eq!(k.next_external_time(), Some(Time::from_ms(7)));
+    assert_eq!(k.next_action_time(), Some(Time::from_ms(7)));
 }
 
 /// Event latching: a signal with no waiter is consumed by the next

@@ -8,10 +8,11 @@
 //!   independently advances its local virtual clock by one lookahead
 //!   window *L* (one max-size bus-frame time — no frame can
 //!   cross the bus faster, so no node can miss an input by running
-//!   ahead). An idle node — no running thread, no staged frame, an
-//!   empty TX mailbox — is skipped until its next timer or device
-//!   event, or until a frame is staged for it; its clock catches up
-//!   (idle time only) first.
+//!   ahead). A node with no staged frame and an empty TX mailbox whose
+//!   kernel is idle, or in the middle of a `Compute`, is skipped until
+//!   the compute can end or its next timer or device event, or until a
+//!   frame is staged for it; its clock catches up (idle time, or the
+//!   rest of the compute) first.
 //! - **Barrier exchange** (serial, node order): deliver in-flight
 //!   frames whose wire time completed, harvest each node's TX mailbox
 //!   onto the arbitration queue, then grant the bus CAN-style (lowest
@@ -112,6 +113,17 @@ pub struct ClusterNode {
 }
 
 impl ClusterNode {
+    /// The kernel's wake: `Time::ZERO` while its running thread acts at
+    /// once, otherwise [`Kernel::next_action_time`] (`Time::MAX` for
+    /// never).
+    fn kernel_wake(&self) -> Time {
+        let k = &self.kernel;
+        match k.next_action_time() {
+            Some(t) if k.current().is_some() && t <= k.now() => Time::ZERO,
+            t => t.unwrap_or(Time::MAX),
+        }
+    }
+
     /// Runs the kernel to `to` through the fail-stop gate, if any.
     fn drive(&mut self, to: Time) {
         match self.gate.as_mut() {
@@ -157,36 +169,39 @@ impl ClusterNode {
 }
 
 impl EpochNode for ClusterNode {
-    /// Now while the kernel runs a thread, the NIC holds staged frames,
-    /// or the TX mailbox holds messages; otherwise the kernel's next
-    /// timer or device event. The advance epilogue drains the TX
-    /// mailbox, so it is non-empty only at the start of a run, after
-    /// messages were pushed into it between runs. An idle kernel only
-    /// wakes on a timer or device event, so until then an advance
-    /// would only add idle time. A fail-stop gate needs no entry: its
-    /// stall only moves the clock and adds idle time too, and the gate
-    /// applies it whenever the node next runs — at its wake, before a
-    /// staged frame lands, or at the run-end catch-up — exactly as it
-    /// would have at the window start (`FailStopGate::drive`).
+    /// Now while the NIC holds staged frames, the TX mailbox holds
+    /// messages or the running thread acts at once; otherwise
+    /// [`Kernel::next_action_time`]: the end of the running thread's
+    /// `Compute` or the next timer or device event, whichever comes
+    /// first. The advance epilogue drains the TX mailbox, so it is
+    /// non-empty only at the start of a run, after messages were pushed
+    /// into it between runs. Until that wake an advance only continues
+    /// the compute or idles, and a compute split at barriers resumes
+    /// from its remaining time and adds the same app time, so skipping
+    /// the node until then changes nothing. A fail-stop gate needs no
+    /// entry: its stall only moves the clock and adds idle time too,
+    /// and the gate applies it whenever the node next runs — at its
+    /// wake, before a staged frame lands, or at the run-end catch-up —
+    /// exactly as it would have at the window start
+    /// (`FailStopGate::drive`).
     fn wake(&self) -> Time {
         if !self.inbox.is_empty()
             || !self.staged_tx.is_empty()
-            || self.kernel.current().is_some()
             || !self.kernel.mailbox(self.nic.tx).is_empty()
         {
             Time::ZERO
         } else {
-            self.kernel.next_external_time().unwrap_or(Time::MAX)
+            self.kernel_wake()
         }
     }
 
     fn advance(&mut self, from: Time, to: Time) -> Time {
         if !self.inbox.is_empty() {
             // A node skipped since an earlier barrier first catches up
-            // to the staging barrier (idle time only), so the kernel
-            // observes the same instant an every-epoch advance would.
-            // NIC delivery DMA then runs here, inside the node's own
-            // advance, not in the exchange.
+            // to the staging barrier (idle time, or the rest of a
+            // running compute), so the kernel observes the same instant
+            // an every-epoch advance would. NIC delivery DMA then runs
+            // here, inside the node's own advance, not in the exchange.
             self.drive(from);
             self.apply_inbox();
         }
@@ -206,20 +221,26 @@ impl EpochNode for ClusterNode {
         while let Some(msg) = self.kernel.external_mbox_pop(tx) {
             self.staged_tx.push(msg);
         }
-        self.wake()
+        // The inbox was applied above and the TX mailbox just drained.
+        if self.staged_tx.is_empty() {
+            self.kernel_wake()
+        } else {
+            Time::ZERO
+        }
     }
 
-    /// The fail-stop gate, when the node has one, applies exactly as
-    /// `drive(to)` would; otherwise the kernel's clock moves without
-    /// re-deriving that it is idle.
+    /// Drives the node to `to` through the fail-stop gate, if any, or
+    /// through the rest of a running compute; a bare idle kernel's
+    /// clock moves without re-deriving that it is idle.
     fn idle_to(&mut self, to: Time) {
         debug_assert!(
             self.inbox.is_empty() && self.wake() >= to,
             "idle_to({to:?}) on a node with work or input before it"
         );
-        match self.gate.as_mut() {
-            Some(gate) => gate.drive(&mut self.kernel, to),
-            None => self.kernel.idle_to(to),
+        if self.gate.is_none() && self.kernel.current().is_none() {
+            self.kernel.idle_to(to);
+        } else {
+            self.drive(to);
         }
     }
 }
@@ -640,25 +661,30 @@ impl BusState {
     /// Adaptive lookahead: after an exchange at `now`, propose the
     /// next barrier. Returns `None` (fixed cadence, `now + L`) unless
     /// the bus is *provably quiet*: nothing pending arbitration,
-    /// nothing staged for delivery or harvest, and every kernel idle
-    /// (no current thread). Frames already *in flight* do not pin the
-    /// cadence — a granted frame's completion instant is fixed at
-    /// grant time, so its staging barrier (the first grid point at or
-    /// after completion) merely joins the bound set below.
+    /// nothing staged for delivery or harvest, and no kernel acting now
+    /// (each idle or in the middle of a `Compute`). Frames already *in
+    /// flight* do not pin the cadence — a granted frame's completion
+    /// instant is fixed at grant time, so its staging barrier (the
+    /// first grid point at or after completion) merely joins the bound
+    /// set below.
     ///
-    /// An idle kernel acts next at its earliest timer/board event; a
-    /// quiet bus can also be disturbed by the *fault schedule* — a
-    /// babble injection falling due, a fail-stop window boundary, or a
-    /// bus-off recovery. Every epoch boundary stays on the fixed grid
-    /// `origin + k·L`, and the proposal is the earliest grid point at
-    /// which any of those can act, so every skipped grid barrier is
-    /// provably a no-op:
+    /// An idle kernel acts next at its earliest timer/board event, a
+    /// computing one at the end of its compute or that event,
+    /// whichever comes first; a quiet bus can also be disturbed by the
+    /// *fault schedule* — a babble injection falling due, a fail-stop
+    /// window boundary, or a bus-off recovery. Every epoch boundary
+    /// stays on the fixed grid `origin + k·L`, and the proposal is the
+    /// earliest grid point at which any of those can act, so every
+    /// skipped grid barrier is provably a no-op:
     ///
-    /// - **Kernel events and babble ticks** act at the first grid
-    ///   point *strictly after* their instant `t`: a TX posted at `t`
-    ///   — or a babble cursor parked at `t` — is harvested at the
-    ///   first barrier past it under fixed cadence too (a barrier
-    ///   landing exactly on `t` does not yet see it).
+    /// - **Kernel events, compute ends and babble ticks** act at the
+    ///   first grid point *strictly after* their instant `t`: a TX
+    ///   posted at `t` — or a babble cursor parked at `t` — is
+    ///   harvested at the first barrier past it under fixed cadence too
+    ///   (a barrier landing exactly on `t` does not yet see it). A
+    ///   compute that ends exactly on a barrier runs its next action in
+    ///   the following epoch, because the kernel's step loop returns at
+    ///   the horizon first.
     /// - **Offline-state changes** (fail-stop starts/ends, bus-off
     ///   recovery instants `since + recovery`) are judged by
     ///   barrier-time comparison (`is_down(now)`, `try_recover(now)`),
@@ -680,11 +706,11 @@ impl BusState {
     /// differs. `tests/cluster_determinism.rs` pins both.
     ///
     /// `wake_min` is the minimum of the engine's wake array
-    /// ([`Barrier::wake_min`]): a busy node reports `Time::ZERO`, an
-    /// idle one its kernel's next timer or device event, so the node
-    /// bound costs no pass over the nodes. A wake before `now` — a
-    /// busy node, or a timer a fail-stop stall left overdue — vetoes
-    /// the stretch.
+    /// ([`Barrier::wake_min`]): a node acting now reports `Time::ZERO`,
+    /// any other its kernel's [`Kernel::next_action_time`], so the
+    /// node bound costs no pass over the nodes. A wake before `now` — a
+    /// node acting now, or a timer a fail-stop stall left overdue —
+    /// vetoes the stretch.
     fn next_barrier_proposal(
         &self,
         nodes: &[ClusterNode],
@@ -963,10 +989,11 @@ impl Cluster {
     /// clock sits at (or past) `horizon` on return. Callable
     /// repeatedly; each call resumes from the previous horizon.
     ///
-    /// The call touches every node only to bump the clocks of idle
-    /// ones at the end; a full advance runs only for nodes due before
-    /// the horizon. Wakes and bus-off states are re-read from every
-    /// node only after [`Cluster::add_node`] or [`Cluster::node_mut`].
+    /// The call touches every node only to drive the clocks of idle
+    /// or computing ones there at the end; a full advance runs only for
+    /// nodes due before the horizon. Wakes and bus-off states are
+    /// re-read from every node only after [`Cluster::add_node`] or
+    /// [`Cluster::node_mut`].
     ///
     /// # Panics
     ///

@@ -721,12 +721,12 @@ impl Topology {
     /// horizon. Every node's clock sits at (or past) `horizon` on
     /// return.
     ///
-    /// The call touches every node only to bump the clocks of idle
-    /// ones at the end; a full advance runs only for nodes due before
-    /// the horizon. A segment's wakes and bus-off states are re-read
-    /// from its nodes only after [`Topology::add_node`],
-    /// [`Topology::try_add_gateway`] or [`Topology::node_mut`] touched
-    /// it.
+    /// The call touches every node only to drive the clocks of idle
+    /// or computing ones there at the end; a full advance runs only for
+    /// nodes due before the horizon. A segment's wakes and bus-off
+    /// states are re-read from its nodes only after
+    /// [`Topology::add_node`], [`Topology::try_add_gateway`] or
+    /// [`Topology::node_mut`] touched it.
     ///
     /// # Panics
     ///

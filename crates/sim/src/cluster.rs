@@ -23,27 +23,30 @@
 //!
 //! **Active set.** A kernel acts only when a timer, an interrupt or a
 //! message arrives, so most nodes of a quiet cluster have nothing to do
-//! at most barriers. Each node reports a *wake* instant
-//! ([`EpochNode::wake`]): the earliest instant it can act on its own,
-//! or [`Time::ZERO`] while it has work now. The engine keeps these in
-//! one dense array ([`ActiveSet`]) and advances at each barrier only
-//! the nodes whose wake falls before the epoch end. A skipped node's
-//! clock lags: advancing it would only have added idle time, and split
-//! idle spans sum to the same value, so it is caught up on demand —
-//! by its own next advance, which first brings it to the epoch start
-//! before applying input staged there, or by [`ActiveSet::catch_up`]
-//! before a caller's public run returns. The catch-up gives a full
-//! advance only to the nodes whose recorded wake falls before the
-//! horizon; every other node gets a bare clock bump
+//! at most barriers, and a node in the middle of a long computation has
+//! nothing to show until it ends. Each node reports a *wake* instant
+//! ([`EpochNode::wake`]): the earliest instant it can do anything but
+//! idle or continue a running computation, or [`Time::ZERO`] while it
+//! acts now. The engine keeps these in one dense array ([`ActiveSet`])
+//! and advances at each barrier only the nodes whose wake falls before
+//! the epoch end. A skipped node's clock lags: advancing it would only
+//! have added idle time or run its computation further, and split idle
+//! spans and split computations sum to the same values, so it is caught
+//! up on demand — by its own next advance, which first brings it to the
+//! epoch start before applying input staged there, or by
+//! [`ActiveSet::catch_up`] before a caller's public run returns. The
+//! catch-up gives a full advance only to the nodes whose recorded wake
+//! falls before the horizon; every other node is only driven to it
 //! ([`EpochNode::idle_to`]). The exchange reports the nodes it handed
 //! input to ([`Barrier::wake`]); they advance in the next epoch. The
 //! set of barriers does not depend on which nodes were skipped, so
 //! results are bit-identical to advancing every node.
 //!
 //! Only the engine changes a node inside a run, and it records every
-//! wake it changes, so the wake array is exact when a run ends and
-//! stays exact until a caller changes a node from outside. Callers
-//! re-read it ([`ActiveSet::refresh`]) only after such a change.
+//! wake it changes, so no recorded wake is late when a run ends (one
+//! may be early, which costs an advance, never a result), and none
+//! becomes late until a caller changes a node from outside. Callers
+//! re-read the array ([`ActiveSet::refresh`]) only after such a change.
 //!
 //! Host threads live one level up, between the segments of a bridged
 //! topology ([`crate::run_two_level`]). A single bus's epochs carry a
@@ -64,24 +67,28 @@ use crate::time::{Duration, Time};
 /// the horizon.
 pub trait EpochNode {
     /// The earliest instant at which this node can act without being
-    /// handed input: [`Time::ZERO`] while it has work now, [`Time::MAX`]
+    /// handed input: [`Time::ZERO`] while it acts now, [`Time::MAX`]
     /// when it never will. Advancing a node to any horizon at or before
-    /// its wake must only move its clock and add idle time; the engine
-    /// skips such advances and relies on this.
+    /// its wake must only move its clock, adding idle time or running a
+    /// computation further, and an advance split at any horizons before
+    /// the wake must leave the node as one advance would; the engine
+    /// skips such advances and relies on this. A wake may be early,
+    /// never late.
     fn wake(&self) -> Time;
 
     /// Advances the node from the barrier at `from` to `to` and returns
     /// its new wake. A node skipped since an earlier barrier first
-    /// catches its clock up to `from` (idle time only) before applying
-    /// any input staged at `from`. `advance(t, t)` is a pure catch-up.
+    /// catches its clock up to `from` (idling, or running a computation
+    /// further) before applying any input staged at `from`.
+    /// `advance(t, t)` is a pure catch-up.
     fn advance(&mut self, from: Time, to: Time) -> Time;
 
-    /// Moves an idle node's clock to `to`: the same post-state as
-    /// `advance(to, to)`, without re-deriving that the node is idle.
+    /// Drives a node with nothing to do before `to` there: the same
+    /// post-state as `advance(to, to)`, without re-deriving its wake.
     /// The caller guarantees the precondition: the node's wake is at or
     /// after `to` and it holds no staged input. By the wake contract
-    /// such an advance only moves the clock and adds idle time, so the
-    /// wake does not change.
+    /// such an advance only moves the clock, idling or computing, so
+    /// the recorded wake still holds: the node does nothing before it.
     fn idle_to(&mut self, to: Time);
 }
 
@@ -152,11 +159,11 @@ impl ActiveSet {
     }
 
     /// Brings every node to `horizon` in one pass over the wake array.
-    /// A node whose recorded wake is at or after the horizon is idle
-    /// through it and holds no staged input (staging sets its wake to
-    /// `Time::ZERO`), so [`EpochNode::idle_to`] only moves its clock
-    /// and its wake stands. Every other node — due before the horizon,
-    /// or handed input at the final barrier — gets
+    /// A node whose recorded wake is at or after the horizon only idles
+    /// or computes through it and holds no staged input (staging sets
+    /// its wake to `Time::ZERO`), so [`EpochNode::idle_to`] only drives
+    /// its clock there and its wake stands. Every other node — due
+    /// before the horizon, or handed input at the final barrier — gets
     /// `advance(horizon, horizon)`, its returned wake is recorded, and
     /// its index joins [`ActiveSet::caught_up`]. Callers run this
     /// before a public run returns so every node's clock sits at (or,
@@ -249,7 +256,9 @@ impl Barrier<'_> {
 
     /// The earliest wake over all nodes, `Time::ZERO` once any node was
     /// handed input at this barrier. A value before [`Barrier::at`]
-    /// means some node has work now.
+    /// means some node acts now; any other value is the first instant
+    /// at which a node can do more than idle or compute — a timer, a
+    /// device event or the end of a running computation.
     pub fn wake_min(&self) -> Time {
         if self.woken.is_empty() {
             self.wake_min

@@ -112,6 +112,8 @@ pub enum TraceEvent {
     CvSignal { tid: ThreadId, cv: CvId },
     /// A software event was signalled.
     EventSignal { tid: ThreadId, event: EventId },
+    /// An interrupt's first-level action signalled a software event.
+    IrqEventSignal { line: IrqLine, event: EventId },
     /// A hardware interrupt was raised by a device.
     IrqRaised { line: IrqLine },
     /// The kernel finished first-level handling of an interrupt.
@@ -416,6 +418,7 @@ fn describe(e: &TraceEvent) -> String {
         CvWait { tid, cv } => format!("{tid} waits on {cv}"),
         CvSignal { tid, cv } => format!("{tid} signals {cv}"),
         EventSignal { tid, event } => format!("{tid} signals {event}"),
+        IrqEventSignal { line, event } => format!("{line} signals {event}"),
         IrqRaised { line } => format!("{line} raised"),
         IrqHandled { line } => format!("{line} handled"),
         Syscall { tid, name } => format!("{tid} syscall {name}"),
@@ -587,6 +590,10 @@ fn event_to_json(out: &mut String, at: Time, e: &TraceEvent) {
         EventSignal { tid, event } => {
             kind(out, "event_signal");
             out.push_str(&format!(",\"tid\":{},\"event\":{}", tid.0, event.0));
+        }
+        IrqEventSignal { line, event } => {
+            kind(out, "irq_event_signal");
+            out.push_str(&format!(",\"line\":{},\"event\":{}", line.0, event.0));
         }
         IrqRaised { line } => {
             kind(out, "irq_raised");

@@ -17,6 +17,9 @@
 //! - a sparse-traffic cluster window, where the active-set engine
 //!   skips most nodes at most barriers and frames land on nodes whose
 //!   clocks lag;
+//! - a long-compute cluster window driven in 1 ms slices, where the
+//!   engine skips a node mid-`Compute` across several lookahead
+//!   windows and the run-end catch-up drives a busy kernel;
 //! - a bridged-topology window on one outer worker, driven in 1 ms
 //!   slices as a hardware-in-the-loop rig drives it: cross-segment
 //!   frames through gateway queues, broadcasts onto bridge NICs, and a
@@ -306,6 +309,81 @@ fn sparse_traffic_window_allocates_nothing() {
         advanced * 4 < 16 * barriers,
         "{advanced} advances over {barriers} barriers"
     );
+}
+
+/// Four nodes whose control laws compute for 450–660 µs, four to six
+/// 111 µs lookahead windows, then send one frame to their ring
+/// successor, which an interrupt-woken driver drains.
+fn long_compute_cluster() -> Cluster {
+    const N: u64 = 4;
+    let mut c = Cluster::new(1_000_000);
+    for i in 0..N {
+        let mut b = KernelBuilder::new(KernelConfig {
+            policy: SchedPolicy::RmQueue,
+            record_trace: false,
+            ..KernelConfig::default()
+        });
+        let p = b.add_process(format!("l{i}"));
+        let nic = b.add_nic(NIC_IRQ, 4, 4);
+        let dst = NodeId(((i + 1) % N) as u32);
+        b.add_periodic_task(
+            p,
+            "law",
+            Duration::from_us(3_100 + 600 * i),
+            Script::periodic(vec![
+                Action::Compute(Duration::from_us(450 + 70 * i)),
+                Action::SendMbox {
+                    mbox: nic.tx,
+                    bytes: 8,
+                    tag: addressed_tag(Some(dst), i as u32),
+                },
+            ]),
+        );
+        b.add_driver_task(
+            p,
+            "nicdrv",
+            Duration::from_ms(2),
+            Script::looping(vec![
+                Action::WaitIrq(NIC_IRQ),
+                Action::RecvMbox(nic.rx),
+                Action::Compute(Duration::from_us(20)),
+            ]),
+        );
+        c.add_node(format!("l{i}"), b.build(), (i + 1) as u32);
+    }
+    c
+}
+
+#[test]
+fn long_compute_slices_allocate_nothing() {
+    let mut c = long_compute_cluster();
+    // Warm-up: every node has sent and received.
+    c.run_until(Time::from_ms(100));
+    let sent = c.stats().frames_sent;
+    let before = count_alloc::thread_alloc_count();
+    let mut mid_compute = 0;
+    for slice in 1..=100u64 {
+        c.run_until(Time::from_ms(100 + slice));
+        mid_compute += c
+            .nodes()
+            .iter()
+            .filter(|n| {
+                let k = &n.kernel;
+                k.current()
+                    .is_some_and(|t| !k.tcb(t).compute_left.is_zero())
+            })
+            .count();
+    }
+    let delta = count_alloc::thread_alloc_count() - before;
+    assert_eq!(
+        delta, 0,
+        "long-compute cluster slices made {delta} heap allocations"
+    );
+    // Slices ended inside computes, and frames crossed the window.
+    assert!(mid_compute >= 20, "{mid_compute} nodes cut mid-compute");
+    let s = c.stats();
+    assert!(s.frames_sent - sent >= 100, "sent {}", s.frames_sent - sent);
+    assert_eq!(s.frames_dropped, 0);
 }
 
 /// A line of three segments, four app nodes each, bridged by two
