@@ -6,7 +6,7 @@
 //! block/unblock invokes the scheduler exactly as §5.1 models it
 //! (`t_b`, `t_u`, and a selection per transition).
 
-use emeralds_sim::{OverheadKind, ThreadId, Time, TraceEvent};
+use emeralds_sim::{Duration, MboxId, OverheadKind, ThreadId, Time, TraceEvent};
 
 use crate::kernel::{Kernel, TimerEvent};
 use crate::script::{Action, Operand};
@@ -39,9 +39,9 @@ impl Kernel {
     /// time: exactly what [`Kernel::advance_to`] does when no thread is
     /// current and no timer or device event falls before `to`. A no-op
     /// when the clock is already at or past `to`. Cluster executives
-    /// that already hold that idleness proof use this instead of paying
-    /// for `advance_to` to re-derive it. Debug builds assert the
-    /// precondition.
+    /// that noted that idleness when they last ran the kernel use this
+    /// instead of paying for `advance_to` to re-derive it. Debug builds
+    /// assert the precondition.
     pub fn idle_to(&mut self, to: Time) {
         debug_assert!(
             self.current.is_none() && self.next_external_time().is_none_or(|t| t >= to),
@@ -89,8 +89,9 @@ impl Kernel {
     ///
     /// Until that instant, running the kernel to any horizon only
     /// continues the compute or idles, and a compute split at horizons
-    /// resumes from `compute_left` and adds the same app time, so
-    /// cluster executives may skip the kernel until then.
+    /// resumes from `compute_left` and adds the same app time.
+    /// [`Kernel::next_bus_time`] answers with it while a bus task has
+    /// no bound of its own.
     pub fn next_action_time(&self) -> Option<Time> {
         let Some(tid) = self.current else {
             return self.next_external_time();
@@ -114,22 +115,78 @@ impl Kernel {
         Some(self.next_external_time().map_or(end, |e| e.min(end)))
     }
 
+    /// The earliest instant at which this kernel can post to its NIC's
+    /// TX mailbox or write a state message, the only kernel state a bus
+    /// reads, or `None` when it never will on its own. `rx` is the NIC's
+    /// receive mailbox: only a delivered frame, or a bus task's own send
+    /// into it, wakes a task waiting there.
+    ///
+    /// Each bus task (a script that posts to the NIC, sends into its
+    /// receive mailbox or writes a state message; fixed at build)
+    /// bounds its own next such action:
+    ///
+    /// - waiting for its next release (its job done): that release;
+    /// - waiting on `rx`: never;
+    /// - with a `Compute` at its pc (running, preempted, or released but
+    ///   held back by a lock): now plus the rest of that compute and of
+    ///   the `Compute`s that follow it, since a task acts only after
+    ///   running them and runs no faster than the clock;
+    /// - in any other state: no bound of its own, so the kernel answers
+    ///   [`Kernel::next_action_time`] instead.
+    ///
+    /// The answer is the earliest bound, or `None` with no bus task.
+    /// Charges only delay a task, so it may be early, never late. It is
+    /// also stable: a bus task leaves a bounded state only at or after
+    /// its bound, so running the kernel to any instant before the
+    /// answer leaves an answer no earlier. A cluster may therefore skip
+    /// the kernel until then and run its local work later in one
+    /// stretch.
+    pub fn next_bus_time(&self, rx: MboxId) -> Option<Time> {
+        let mut bits = self.bus_tasks;
+        if bits == 0 {
+            return None;
+        }
+        let now = self.clock.now();
+        let n = self.tcbs.len();
+        let mut bound = Time::MAX;
+        while bits != 0 {
+            let first = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            for i in (first..n).step_by(64) {
+                let t = self.tcbs.get(ThreadId(i as u32));
+                let at = match t.state {
+                    ThreadState::Blocked(BlockReason::EndOfJob) if t.job_done => t.next_release,
+                    ThreadState::Blocked(BlockReason::MboxRecv(m)) if m == rx => continue,
+                    _ => match t.steps.get(t.pc as usize) {
+                        Some(Step {
+                            action: Action::Compute(_),
+                            ..
+                        }) => now + compute_run(&t.steps, t.pc as usize, t.compute_left),
+                        _ => return self.next_action_time(),
+                    },
+                };
+                bound = bound.min(at);
+            }
+        }
+        Some(bound)
+    }
+
     /// Executes one scheduling quantum. Returns false when the horizon
     /// is reached or no future work exists.
     pub fn step(&mut self, horizon: Time) -> bool {
         if self.clock.now() >= horizon {
             return false;
         }
-        self.process_due_external();
+        let next = self.process_due_external();
         if self.clock.now() >= horizon {
             return false;
         }
         match self.current {
             Some(tid) => {
-                self.exec_slice(tid, horizon);
+                self.exec_slice(tid, horizon, next);
                 true
             }
-            None => match self.next_external_time() {
+            None => match next {
                 Some(t) if t < horizon => {
                     let now = self.clock.now();
                     let t = t.max(now);
@@ -148,13 +205,14 @@ impl Kernel {
     }
 
     /// Delivers every timer/device occurrence due at the current
-    /// instant.
-    pub(crate) fn process_due_external(&mut self) {
+    /// instant, and returns the next one ([`Kernel::next_external_time`]
+    /// afterwards).
+    pub(crate) fn process_due_external(&mut self) -> Option<Time> {
         loop {
             let now = self.clock.now();
             match self.next_external_time() {
                 Some(t) if t <= now => {}
-                _ => break,
+                next => return next,
             }
             if self.board.next_event_time().is_some_and(|t| t <= now) {
                 // Device events first: they latch interrupts. The
@@ -173,23 +231,33 @@ impl Kernel {
                 self.irq_scratch = raised;
                 self.service_pending_irqs();
             }
-            // Kernel timer expiries: every pop due at this instant is
+            // Kernel timer expiries: every timer due at this instant is
             // drained in one batch; the external-occurrence minimum is
-            // only re-derived once the batch is empty.
-            while let Some((_, ev)) = self.timers.pop_due(self.clock.now()) {
+            // only re-derived once the batch is empty. A release stays
+            // at the head until `release_job` puts the next one in its
+            // place; the other timers leave the queue here.
+            while let Some(&ev) = self.timers.peek_due(self.clock.now()) {
                 self.timer_expirations += 1;
                 self.charge(OverheadKind::Timer, self.cfg.cost.timer_expiry);
                 match ev {
                     TimerEvent::Release(tid) => self.release_job(tid),
-                    TimerEvent::Wake(tid) => self.complete_blocking_call(tid),
-                    TimerEvent::DeadlineCheck(tid, job) => self.check_deadline(tid, job),
+                    TimerEvent::Wake(tid) => {
+                        self.timers.pop_due(Time::MAX);
+                        self.complete_blocking_call(tid);
+                    }
+                    TimerEvent::DeadlineCheck(tid, job) => {
+                        self.timers.pop_due(Time::MAX);
+                        self.check_deadline(tid, job);
+                    }
                 }
             }
         }
     }
 
-    /// Executes (part of) the current thread's next action.
-    fn exec_slice(&mut self, tid: ThreadId, horizon: Time) {
+    /// Executes (part of) the current thread's next action. `next` is
+    /// the next external occurrence, as `process_due_external` returned
+    /// it.
+    fn exec_slice(&mut self, tid: ThreadId, horizon: Time, next: Option<Time>) {
         debug_assert!(
             self.tcbs.get(tid).is_ready(),
             "running thread {tid} is not ready"
@@ -222,7 +290,7 @@ impl Kernel {
                 }
                 let now = self.clock.now();
                 let mut limit = horizon;
-                if let Some(t) = self.next_external_time() {
+                if let Some(t) = next {
                     limit = limit.min(t.max(now));
                 }
                 let budget = limit.since(now);
@@ -246,11 +314,9 @@ impl Kernel {
                     }
                 }
                 // If we ran up to an event boundary, deliver and maybe
-                // preempt.
-                if self
-                    .next_external_time()
-                    .is_some_and(|t| t <= self.clock.now())
-                {
+                // preempt. Running the compute queued nothing, so `next`
+                // is still the next occurrence.
+                if next.is_some_and(|t| t <= self.clock.now()) {
                     self.process_due_external();
                 }
             }
@@ -320,13 +386,14 @@ impl Kernel {
         self.reschedule();
     }
 
-    /// A periodic release fires.
-    pub(crate) fn release_job(&mut self, tid: ThreadId) {
+    /// A periodic release fires. Its timer is still the queue's head:
+    /// the next release replaces it.
+    fn release_job(&mut self, tid: ThreadId) {
         let Timing::Periodic {
             period, deadline, ..
         } = self.tcbs.get(tid).timing
         else {
-            return;
+            unreachable!("release timer of event-driven task {tid}");
         };
         // Program the next release.
         {
@@ -334,7 +401,7 @@ impl Kernel {
             t.next_release += period;
         }
         let next = self.tcbs.get(tid).next_release;
-        self.arm_timer(next, TimerEvent::Release(tid));
+        self.rearm_head(next, TimerEvent::Release(tid));
 
         if !self.tcbs.get(tid).job_done {
             // Previous job still incomplete at this release. For
@@ -477,4 +544,17 @@ impl Kernel {
             self.record(TraceEvent::IrqHandled { line });
         }
     }
+}
+
+/// The CPU time a task spends in the run of `Compute`s that starts at
+/// `pc` before its next other action: the compute at `pc` from `left`
+/// (all of it when `left` is zero, as before it starts), then each one
+/// after it. Zero when the action at `pc` is not a `Compute`.
+fn compute_run(steps: &[Step], pc: usize, left: Duration) -> Duration {
+    let mut run = Duration::ZERO;
+    for (k, s) in steps.iter().enumerate().skip(pc) {
+        let Action::Compute(d) = s.action else { break };
+        run += if k == pc && !left.is_zero() { left } else { d };
+    }
+    run
 }

@@ -2,7 +2,8 @@
 
 use emeralds_hal::AccessKind;
 use emeralds_sim::{
-    Duration, EventId, IrqLine, MboxId, OverheadKind, StateId, ThreadId, Time, TraceEvent,
+    Duration, EventId, IrqLine, MboxId, OverheadKind, StateId, SyscallKind, ThreadId, Time,
+    TraceEvent,
 };
 
 use crate::ipc::Message;
@@ -16,7 +17,7 @@ impl Kernel {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,
-            name: "mbox_send",
+            name: SyscallKind::MboxSend,
         });
         // Direct hand-off to a blocked receiver: one copy in, one out.
         if let Some(r) = self.take_receiver(mb) {
@@ -71,7 +72,7 @@ impl Kernel {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,
-            name: "mbox_recv",
+            name: SyscallKind::MboxRecv,
         });
         if let Some(msg) = self.mboxes[mb.index()].pop() {
             self.charge(OverheadKind::IpcCopy, self.cfg.cost.mbox_copy(msg.bytes));
@@ -166,7 +167,7 @@ impl Kernel {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,
-            name: "event_signal",
+            name: SyscallKind::EventSignal,
         });
         self.record(TraceEvent::EventSignal { tid, event: e });
         let waiters = std::mem::take(&mut self.events[e.index()].waiters);
@@ -185,7 +186,7 @@ impl Kernel {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,
-            name: "event_wait",
+            name: SyscallKind::EventWait,
         });
         if self.events[e.index()].latched {
             self.events[e.index()].latched = false;
@@ -205,7 +206,7 @@ impl Kernel {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,
-            name: "wait_irq",
+            name: SyscallKind::WaitIrq,
         });
         if self.board.intc.is_pending(line) {
             self.board.intc.ack(line);
@@ -226,6 +227,21 @@ impl Kernel {
     #[inline]
     pub(crate) fn arm_timer(&mut self, at: Time, ev: TimerEvent) {
         self.timers.push(at, ev);
+        self.count_arm();
+    }
+
+    /// [`Kernel::arm_timer`] for a timer that takes the place of the
+    /// expired one at the queue's head: the same queue, counts and
+    /// charge as popping the head and arming, in one sift.
+    #[inline]
+    pub(crate) fn rearm_head(&mut self, at: Time, ev: TimerEvent) {
+        self.timers.replace_head(at, ev);
+        self.count_arm();
+    }
+
+    /// Counts and charges one timer arm.
+    #[inline]
+    fn count_arm(&mut self) {
         self.timer_arms += 1;
         self.timer_heights += u64::from(self.timers.len().ilog2());
         self.charge(OverheadKind::Timer, self.cfg.cost.timer_program);
@@ -234,7 +250,10 @@ impl Kernel {
     /// `sleep_for()`: one-shot timer wakeup.
     pub(crate) fn sys_sleep(&mut self, tid: ThreadId, d: Duration) {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
-        self.record(TraceEvent::Syscall { tid, name: "sleep" });
+        self.record(TraceEvent::Syscall {
+            tid,
+            name: SyscallKind::Sleep,
+        });
         let wake = self.clock.now() + d;
         self.arm_timer(wake, TimerEvent::Wake(tid));
         self.tcbs.get_mut(tid).in_syscall = true;

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use emeralds_sim::{Duration, DurationHistogram, ThreadId, Time, TraceEvent};
+use emeralds_sim::{Duration, DurationHistogram, SyscallKind, ThreadId, Time, TraceEvent};
 
 use crate::kernel::Kernel;
 use crate::tcb::{ThreadState, Timing};
@@ -69,8 +69,6 @@ pub struct ServiceCounters {
     pub sys_event_wait: u64,
     pub sys_wait_irq: u64,
     pub sys_sleep: u64,
-    /// Syscalls recorded under a name not listed above.
-    pub sys_other: u64,
 
     // --- Semaphore path ---
     /// Successful acquisitions (uncontended + handed over).
@@ -132,18 +130,17 @@ impl ServiceCounters {
     /// Folds one recorded event into the counters.
     pub fn observe(&mut self, e: &TraceEvent) {
         match e {
-            TraceEvent::Syscall { name, .. } => match *name {
-                "acquire_sem" => self.sys_acquire_sem += 1,
-                "release_sem" => self.sys_release_sem += 1,
-                "cond_wait" => self.sys_cond_wait += 1,
-                "cond_signal" => self.sys_cond_signal += 1,
-                "mbox_send" => self.sys_mbox_send += 1,
-                "mbox_recv" => self.sys_mbox_recv += 1,
-                "event_signal" => self.sys_event_signal += 1,
-                "event_wait" => self.sys_event_wait += 1,
-                "wait_irq" => self.sys_wait_irq += 1,
-                "sleep" => self.sys_sleep += 1,
-                _ => self.sys_other += 1,
+            TraceEvent::Syscall { name, .. } => match name {
+                SyscallKind::AcquireSem => self.sys_acquire_sem += 1,
+                SyscallKind::ReleaseSem => self.sys_release_sem += 1,
+                SyscallKind::CondWait => self.sys_cond_wait += 1,
+                SyscallKind::CondSignal => self.sys_cond_signal += 1,
+                SyscallKind::MboxSend => self.sys_mbox_send += 1,
+                SyscallKind::MboxRecv => self.sys_mbox_recv += 1,
+                SyscallKind::EventSignal => self.sys_event_signal += 1,
+                SyscallKind::EventWait => self.sys_event_wait += 1,
+                SyscallKind::WaitIrq => self.sys_wait_irq += 1,
+                SyscallKind::Sleep => self.sys_sleep += 1,
             },
             TraceEvent::SemAcquired { .. } => self.sem_acquired += 1,
             TraceEvent::SemBlocked { .. } => self.sem_contended += 1,
@@ -181,7 +178,6 @@ impl ServiceCounters {
             + self.sys_event_wait
             + self.sys_wait_irq
             + self.sys_sleep
-            + self.sys_other
     }
 
     /// Acquisitions that succeeded without a prior grant: total
@@ -194,7 +190,8 @@ impl ServiceCounters {
     /// and serialization. Each condition wait and condition signal is
     /// one system call, so `cv_waits` and `cv_signals` print those
     /// syscall counts; `event_signals` adds the events interrupts
-    /// signalled to the `event_signal` calls.
+    /// signalled to the `event_signal` calls. Every recorded syscall
+    /// has one of the ten kinds, so `sys_other` always prints 0.
     pub fn entries(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("sys_acquire_sem", self.sys_acquire_sem),
@@ -207,7 +204,7 @@ impl ServiceCounters {
             ("sys_event_wait", self.sys_event_wait),
             ("sys_wait_irq", self.sys_wait_irq),
             ("sys_sleep", self.sys_sleep),
-            ("sys_other", self.sys_other),
+            ("sys_other", 0),
             ("sem_acquired", self.sem_acquired),
             ("sem_uncontended", self.sem_uncontended()),
             ("sem_contended", self.sem_contended),

@@ -154,6 +154,12 @@ pub struct Kernel {
     pub(crate) trace: Trace,
     pub(crate) acct: Accounting,
     pub(crate) counters: ServiceCounters,
+    /// The tasks that can touch the bus: bit `i % 64` is set when task
+    /// `i`'s script posts to the NIC's TX mailbox, sends into its RX
+    /// mailbox (so it can wake a task waiting there) or writes a state
+    /// message. Tasks that share a bit are all treated as bus tasks,
+    /// which only makes [`Kernel::next_bus_time`] earlier.
+    pub(crate) bus_tasks: u64,
 
     // --- Timer counts, object tables and forensics ---
     /// Timers armed, build-time releases included.
@@ -173,8 +179,6 @@ pub struct Kernel {
     /// Reused buffer for the IRQ lines `Board::advance_to` raises —
     /// the steady-state execution loop must not allocate.
     pub(crate) irq_scratch: Vec<IrqLine>,
-    /// Timer-pool blocks reserved at build (see [`Kernel::pools`]).
-    pub(crate) timer_blocks: usize,
     pub(crate) miss_reports: Vec<MissReport>,
     /// While set and `now <= until`, deadline misses are classified as
     /// `(cause, until)` instead of by CPU state. Installed by fault
@@ -289,7 +293,10 @@ impl Kernel {
             self.mboxes.len(),
             statemsgs,
             statemsgs,
-            self.timer_blocks,
+            self.tcbs
+                .iter()
+                .map(|t| timer_blocks(t.timing, t.steps.iter().map(|s| &s.action)))
+                .sum(),
         ])
     }
 
@@ -355,23 +362,39 @@ struct TaskSpec {
     sort_deadline: Duration,
 }
 
+/// Timer-pool blocks a task reserves: one per event it can have
+/// pending at once — its release, a constrained-deadline check, a
+/// `SleepFor` wake.
+fn timer_blocks<'a>(timing: Timing, mut actions: impl Iterator<Item = &'a Action>) -> usize {
+    let sleeps = actions.any(|a| matches!(a, Action::SleepFor(_)));
+    let timed = match timing {
+        Timing::Periodic {
+            deadline, period, ..
+        } => 1 + usize::from(deadline < period),
+        Timing::EventDriven { .. } => 0,
+    };
+    usize::from(sleeps) + timed
+}
+
+/// The kernel's bus-task mask ([`Kernel::bus_tasks`]): the tasks whose
+/// scripts send into the NIC's mailboxes or write a state message.
+fn bus_task_mask(tcbs: &TcbTable, nic: Option<Nic>) -> u64 {
+    let mut mask = 0;
+    for (i, t) in tcbs.iter().enumerate() {
+        let touches = t.steps.iter().any(|s| match s.action {
+            Action::SendMbox { mbox, .. } => nic.is_some_and(|n| mbox == n.tx || mbox == n.rx),
+            Action::StateWrite { .. } => true,
+            _ => false,
+        });
+        mask |= u64::from(touches) << (i % 64);
+    }
+    mask
+}
+
 impl TaskSpec {
-    /// Timer-pool blocks the task reserves: one per event it can have
-    /// pending at once — its release, a constrained-deadline check, a
-    /// `SleepFor` wake.
+    /// The timer-pool blocks the task reserves.
     fn timer_blocks(&self) -> usize {
-        let sleeps = self
-            .script
-            .actions
-            .iter()
-            .any(|a| matches!(a, Action::SleepFor(_)));
-        let timed = match self.timing {
-            Timing::Periodic {
-                deadline, period, ..
-            } => 1 + usize::from(deadline < period),
-            Timing::EventDriven { .. } => 0,
-        };
-        usize::from(sleeps) + timed
+        timer_blocks(self.timing, self.script.actions.iter())
     }
 }
 
@@ -729,7 +752,7 @@ impl KernelBuilder {
         self.validate_hint_overrides()?;
         self.validate_irq_actions()?;
         let irq_lines = self.irq_table_len()?;
-        let timer_blocks = self.check_pools()?;
+        self.check_pools()?;
 
         // RM priority = rank by sort_period.
         let order = self.rm_order();
@@ -839,6 +862,7 @@ impl KernelBuilder {
             waiters: Vec::new(),
             action: IrqAction::None,
         };
+        let bus_tasks = bus_task_mask(&tcbs, self.board.nic());
         let mut irqs = vec![idle_line; irq_lines];
         for &(line, action) in &self.irq_actions {
             irqs[line.index()].action = action;
@@ -861,11 +885,11 @@ impl KernelBuilder {
             timer_heights,
             timer_expirations: 0,
             irq_scratch: Vec::new(),
-            timer_blocks,
             current: None,
             trace,
             acct: Accounting::new(),
             counters: ServiceCounters::default(),
+            bus_tasks,
             miss_reports: Vec::new(),
             miss_cause_hint: None,
             sem_fast_acquires: 0,

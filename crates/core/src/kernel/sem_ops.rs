@@ -12,7 +12,7 @@
 //! their guard with inheritance); SRP configurations reject them at
 //! build time, so the cond ops never run under the ceiling protocol.
 
-use emeralds_sim::{CvId, OverheadKind, SemId, ThreadId, TraceEvent};
+use emeralds_sim::{CvId, OverheadKind, SemId, SyscallKind, ThreadId, TraceEvent};
 
 use crate::kernel::Kernel;
 use crate::script::Action;
@@ -25,7 +25,7 @@ impl Kernel {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,
-            name: "acquire_sem",
+            name: SyscallKind::AcquireSem,
         });
         self.charge(OverheadKind::Semaphore, self.cfg.cost.sem_logic);
         match self.cfg.sem_scheme {
@@ -44,7 +44,7 @@ impl Kernel {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,
-            name: "release_sem",
+            name: SyscallKind::ReleaseSem,
         });
         self.charge(OverheadKind::Semaphore, self.cfg.cost.sem_logic);
         let woke_someone = match self.cfg.sem_scheme {
@@ -66,7 +66,7 @@ impl Kernel {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,
-            name: "cond_wait",
+            name: SyscallKind::CondWait,
         });
         self.charge(OverheadKind::Semaphore, self.cfg.cost.sem_logic);
         self.record(TraceEvent::CvWait { tid, cv });
@@ -87,7 +87,7 @@ impl Kernel {
         self.charge(OverheadKind::Syscall, self.cfg.cost.syscall_entry);
         self.record(TraceEvent::Syscall {
             tid,
-            name: "cond_signal",
+            name: SyscallKind::CondSignal,
         });
         self.charge(OverheadKind::Semaphore, self.cfg.cost.sem_logic);
         self.record(TraceEvent::CvSignal { tid, cv });

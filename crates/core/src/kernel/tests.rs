@@ -7,6 +7,7 @@ use crate::kernel::{IrqAction, Kernel, KernelBuilder, KernelConfig};
 use crate::sched::SchedPolicy;
 use crate::script::{Action, Script};
 use crate::sync::SemScheme;
+use crate::tcb::{BlockReason, ThreadState};
 
 fn ms(v: u64) -> Duration {
     Duration::from_ms(v)
@@ -798,6 +799,93 @@ fn next_action_time_ends_at_the_running_compute_or_an_earlier_event() {
     assert_eq!(k.current(), None);
     assert_eq!(k.next_external_time(), Some(Time::from_ms(7)));
     assert_eq!(k.next_action_time(), Some(Time::from_ms(7)));
+}
+
+/// `next_bus_time` bounds the next post to the NIC or state write: a
+/// parked sender's release, the rest of a sender's compute run however
+/// often a filler preempts it, never for a forwarder parked on the
+/// receive mailbox, and the kernel's next action while a bus task waits
+/// on anything else. A board with no bus task never touches the bus.
+#[test]
+fn next_bus_time_bounds_the_next_post() {
+    let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
+    let p = b.add_process("app");
+    let nic = b.add_nic(IrqLine(2), 4, 4);
+    let post = Action::SendMbox {
+        mbox: nic.tx,
+        bytes: 8,
+        tag: 0,
+    };
+    let sender = b.add_periodic_task_phased(
+        p,
+        "sender",
+        ms(10),
+        ms(10),
+        ms(1),
+        Script::periodic(vec![
+            Action::Compute(us(300)),
+            Action::Compute(us(200)),
+            post,
+        ]),
+    );
+    // Outranks the sender and preempts its computes.
+    b.add_periodic_task_phased(
+        p,
+        "filler",
+        ms(2),
+        ms(2),
+        us(1_100),
+        Script::compute_only(us(50)),
+    );
+    let forwarder = b.add_driver_task(
+        p,
+        "forwarder",
+        ms(20),
+        Script::looping(vec![Action::RecvMbox(nic.rx), post]),
+    );
+    let mut k = b.build();
+    let none_bus = |k: &Kernel| k.next_bus_time(MboxId(99));
+
+    // The forwarder runs first and parks on the receive mailbox; the
+    // sender waits for its first release.
+    k.run_until(Time::from_us(500));
+    assert_eq!(
+        k.tcb(forwarder).state,
+        ThreadState::Blocked(BlockReason::MboxRecv(nic.rx))
+    );
+    assert_eq!(k.next_bus_time(nic.rx), Some(Time::from_ms(1)));
+    // Parked on another mailbox, the forwarder answers with the
+    // kernel's next action.
+    assert_eq!(none_bus(&k), k.next_action_time());
+
+    // Released and computing, preempted or not: now plus the rest of
+    // the run of computes before the post.
+    k.run_until(Time::from_us(1_130));
+    assert_eq!(k.current(), Some(ThreadId(1)), "the filler preempts");
+    let left = k.tcb(sender).compute_left;
+    assert!(!left.is_zero());
+    assert_eq!(k.next_bus_time(nic.rx), Some(k.now() + left + us(200)));
+
+    // The post acts now.
+    let mut t = k.now();
+    while k.tcb(sender).pc < 2 {
+        t += us(10);
+        k.run_until(t);
+    }
+    assert_eq!(k.next_bus_time(nic.rx), Some(k.now()));
+
+    // Job done: the next release.
+    k.run_until(Time::from_ms(3));
+    assert!(k.tcb(sender).job_done);
+    assert_eq!(k.next_bus_time(nic.rx), Some(Time::from_ms(11)));
+
+    // No task touches the bus.
+    let mut b = KernelBuilder::new(cfg(SchedPolicy::RmQueue, SemScheme::Emeralds));
+    let p = b.add_process("app");
+    let nic = b.add_nic(IrqLine(2), 4, 4);
+    b.add_periodic_task(p, "local", ms(1), Script::compute_only(us(100)));
+    let k = b.build();
+    assert_eq!(k.next_bus_time(nic.rx), None);
 }
 
 /// Event latching: a signal with no waiter is consumed by the next

@@ -434,9 +434,8 @@ impl KernelBuilder {
     }
 
     /// Checks that every kernel pool holds the objects the
-    /// configuration draws from it, and returns the timer blocks the
-    /// tasks reserve.
-    pub(super) fn check_pools(&self) -> Result<usize, ConfigError> {
+    /// configuration draws from it.
+    pub(super) fn check_pools(&self) -> Result<(), ConfigError> {
         let timer_blocks = self.tasks.iter().map(TaskSpec::timer_blocks).sum();
         let statemsgs = self.statemsg_specs.len();
         let pools = PoolSet::small_memory([
@@ -454,7 +453,7 @@ impl KernelBuilder {
                 capacity: p.capacity,
                 needed: p.high_water(),
             }),
-            None => Ok(timer_blocks),
+            None => Ok(()),
         }
     }
 

@@ -4,15 +4,16 @@
 //! [`Cluster`] runs each [`Kernel`] on the deterministic
 //! conservative-lookahead engine of [`emeralds_sim::run_epochs`]:
 //!
-//! - **Epoch**: every node with work before the epoch end
+//! - **Epoch**: every node that can touch the bus before the epoch end
 //!   independently advances its local virtual clock by one lookahead
 //!   window *L* (one max-size bus-frame time — no frame can
 //!   cross the bus faster, so no node can miss an input by running
-//!   ahead). A node with no staged frame and an empty TX mailbox whose
-//!   kernel is idle, or in the middle of a `Compute`, is skipped until
-//!   the compute can end or its next timer or device event, or until a
-//!   frame is staged for it; its clock catches up (idle time, or the
-//!   rest of the compute) first.
+//!   ahead). A node with no staged frame and an empty TX mailbox is
+//!   skipped until its kernel's *bus wake*
+//!   ([`Kernel::next_bus_time`]: the earliest instant a task can post to
+//!   the NIC or write a state message), or until a frame is staged for
+//!   it; its local work (filler jobs, drivers, local IPC) runs in one
+//!   stretch when it is next driven.
 //! - **Barrier exchange** (serial, node order): deliver in-flight
 //!   frames whose wire time completed, harvest each node's TX mailbox
 //!   onto the arbitration queue, then grant the bus CAN-style (lowest
@@ -110,18 +111,19 @@ pub struct ClusterNode {
     /// judgement, arbitration) remain in the exchange, which consumes
     /// this buffer in node order.
     staged_tx: Vec<emeralds_core::ipc::Message>,
+    /// The kernel has no current thread and no timer or device event
+    /// before this instant (`Time::ZERO` when that is not known), so a
+    /// catch-up to it only moves the clock. Noted whenever the node
+    /// runs, and cleared when the node is handed out mutably: the bus
+    /// wake says when a node can touch the bus, not when it idles.
+    quiet_until: Time,
 }
 
 impl ClusterNode {
-    /// The kernel's wake: `Time::ZERO` while its running thread acts at
-    /// once, otherwise [`Kernel::next_action_time`] (`Time::MAX` for
-    /// never).
+    /// The kernel's bus wake, [`Kernel::next_bus_time`] (`Time::MAX`
+    /// for never).
     fn kernel_wake(&self) -> Time {
-        let k = &self.kernel;
-        match k.next_action_time() {
-            Some(t) if k.current().is_some() && t <= k.now() => Time::ZERO,
-            t => t.unwrap_or(Time::MAX),
-        }
+        self.kernel.next_bus_time(self.nic.rx).unwrap_or(Time::MAX)
     }
 
     /// Runs the kernel to `to` through the fail-stop gate, if any.
@@ -130,6 +132,15 @@ impl ClusterNode {
             Some(gate) => gate.drive(&mut self.kernel, to),
             None => self.kernel.advance_to(to),
         }
+    }
+
+    /// Notes how long the kernel, as it stands, stays quiet.
+    fn note_quiet(&mut self) {
+        let k = &self.kernel;
+        self.quiet_until = match k.current() {
+            None => k.next_external_time().unwrap_or(Time::MAX),
+            Some(_) => Time::ZERO,
+        };
     }
 
     /// Applies every staged reception. Runs inside the node's own
@@ -169,21 +180,23 @@ impl ClusterNode {
 }
 
 impl EpochNode for ClusterNode {
-    /// Now while the NIC holds staged frames, the TX mailbox holds
-    /// messages or the running thread acts at once; otherwise
-    /// [`Kernel::next_action_time`]: the end of the running thread's
-    /// `Compute` or the next timer or device event, whichever comes
-    /// first. The advance epilogue drains the TX mailbox, so it is
-    /// non-empty only at the start of a run, after messages were pushed
-    /// into it between runs. Until that wake an advance only continues
-    /// the compute or idles, and a compute split at barriers resumes
-    /// from its remaining time and adds the same app time, so skipping
-    /// the node until then changes nothing. A fail-stop gate needs no
-    /// entry: its stall only moves the clock and adds idle time too,
-    /// and the gate applies it whenever the node next runs — at its
-    /// wake, before a staged frame lands, or at the run-end catch-up —
-    /// exactly as it would have at the window start
-    /// (`FailStopGate::drive`).
+    /// Now while the NIC holds staged frames or the TX mailbox holds
+    /// messages; otherwise the kernel's bus wake,
+    /// [`Kernel::next_bus_time`]: the earliest instant a task can post
+    /// to the NIC or write a state message. The advance epilogue drains
+    /// the TX mailbox, so it is non-empty only at the start of a run,
+    /// after messages were pushed into it between runs.
+    ///
+    /// Between barriers the exchange reads a node only through its TX
+    /// mailbox (drained into `staged_tx` by the node's own advance) and
+    /// the writer variables of its state links, and neither can change
+    /// before the bus wake. Everything else the kernel does — filler
+    /// jobs, its NIC driver, local IPC — depends only on its own state,
+    /// and a kernel run split at any horizons is one run, so that work
+    /// runs in one stretch whenever the node is next driven: at its
+    /// wake, before a frame staged for it lands, or at the run-end
+    /// catch-up. A fail-stop gate needs no entry: it splits the run at
+    /// each window start (`FailStopGate::drive`) whenever it runs.
     fn wake(&self) -> Time {
         if !self.inbox.is_empty()
             || !self.staged_tx.is_empty()
@@ -221,6 +234,7 @@ impl EpochNode for ClusterNode {
         while let Some(msg) = self.kernel.external_mbox_pop(tx) {
             self.staged_tx.push(msg);
         }
+        self.note_quiet();
         // The inbox was applied above and the TX mailbox just drained.
         if self.staged_tx.is_empty() {
             self.kernel_wake()
@@ -229,18 +243,20 @@ impl EpochNode for ClusterNode {
         }
     }
 
-    /// Drives the node to `to` through the fail-stop gate, if any, or
-    /// through the rest of a running compute; a bare idle kernel's
-    /// clock moves without re-deriving that it is idle.
+    /// Drives the node to `to`, through the fail-stop gate if any: its
+    /// kernel may lag through local work, which runs here. A kernel
+    /// noted quiet until `to` or later only moves its clock, without
+    /// looking at its timers.
     fn idle_to(&mut self, to: Time) {
         debug_assert!(
             self.inbox.is_empty() && self.wake() >= to,
-            "idle_to({to:?}) on a node with work or input before it"
+            "idle_to({to:?}) on a node with input or bus work before it"
         );
-        if self.gate.is_none() && self.kernel.current().is_none() {
+        if self.gate.is_none() && to <= self.quiet_until {
             self.kernel.idle_to(to);
         } else {
             self.drive(to);
+            self.note_quiet();
         }
     }
 }
@@ -661,30 +677,27 @@ impl BusState {
     /// Adaptive lookahead: after an exchange at `now`, propose the
     /// next barrier. Returns `None` (fixed cadence, `now + L`) unless
     /// the bus is *provably quiet*: nothing pending arbitration,
-    /// nothing staged for delivery or harvest, and no kernel acting now
-    /// (each idle or in the middle of a `Compute`). Frames already *in
+    /// nothing staged for delivery or harvest, and no kernel about to
+    /// post or write a state message. Frames already *in
     /// flight* do not pin the cadence — a granted frame's completion
     /// instant is fixed at grant time, so its staging barrier (the
     /// first grid point at or after completion) merely joins the bound
     /// set below.
     ///
-    /// An idle kernel acts next at its earliest timer/board event, a
-    /// computing one at the end of its compute or that event,
-    /// whichever comes first; a quiet bus can also be disturbed by the
-    /// *fault schedule* — a babble injection falling due, a fail-stop
+    /// A kernel touches the bus next at its bus wake
+    /// ([`Kernel::next_bus_time`]); a quiet bus can also be disturbed by
+    /// the *fault schedule* — a babble injection falling due, a fail-stop
     /// window boundary, or a bus-off recovery. Every epoch boundary
     /// stays on the fixed grid `origin + k·L`, and the proposal is the
     /// earliest grid point at which any of those can act, so every
     /// skipped grid barrier is provably a no-op:
     ///
-    /// - **Kernel events, compute ends and babble ticks** act at the
-    ///   first grid point *strictly after* their instant `t`: a TX
-    ///   posted at `t` — or a babble cursor parked at `t` — is
-    ///   harvested at the first barrier past it under fixed cadence too
-    ///   (a barrier landing exactly on `t` does not yet see it). A
-    ///   compute that ends exactly on a barrier runs its next action in
-    ///   the following epoch, because the kernel's step loop returns at
-    ///   the horizon first.
+    /// - **Bus wakes and babble ticks** act at the first grid point
+    ///   *strictly after* their instant `t`: a TX posted or a state
+    ///   variable written at `t` — or a babble cursor parked at `t` —
+    ///   is harvested at the first barrier past it under fixed cadence
+    ///   too (a barrier landing exactly on `t` does not yet see it,
+    ///   because the kernel's step loop returns at the horizon first).
     /// - **Offline-state changes** (fail-stop starts/ends, bus-off
     ///   recovery instants `since + recovery`) are judged by
     ///   barrier-time comparison (`is_down(now)`, `try_recover(now)`),
@@ -696,8 +709,8 @@ impl BusState {
     ///   comparison (`done <= now`), so the earliest completion folds
     ///   into the at-or class: the stretch jumps straight to the grid
     ///   point where fixed cadence would stage the frame, and every
-    ///   grid barrier skipped in between (empty pending queue, idle
-    ///   kernels, no due staging) is provably a no-op. Receiver
+    ///   grid barrier skipped in between (empty pending queue, no bus
+    ///   wake, no due staging) is provably a no-op. Receiver
     ///   liveness at that barrier is identical too, because every
     ///   instant that can change it bounds the stretch above.
     ///
@@ -706,10 +719,10 @@ impl BusState {
     /// differs. `tests/cluster_determinism.rs` pins both.
     ///
     /// `wake_min` is the minimum of the engine's wake array
-    /// ([`Barrier::wake_min`]): a node acting now reports `Time::ZERO`,
-    /// any other its kernel's [`Kernel::next_action_time`], so the
+    /// ([`Barrier::wake_min`]): a node handed input, or holding TX,
+    /// reports `Time::ZERO`, any other its kernel's bus wake, so the
     /// node bound costs no pass over the nodes. A wake before `now` — a
-    /// node acting now, or a timer a fail-stop stall left overdue —
+    /// node handed input, or a release a fail-stop stall left overdue —
     /// vetoes the stretch.
     fn next_barrier_proposal(
         &self,
@@ -888,6 +901,7 @@ impl Cluster {
             inbox: Vec::new(),
             outcome: RxOutcome::default(),
             staged_tx: Vec::new(),
+            quiet_until: Time::ZERO,
         });
         NodeId(self.nodes.len() as u32 - 1)
     }
@@ -942,7 +956,9 @@ impl Cluster {
     /// (a message pushed into the TX mailbox, a stats edit) is seen.
     pub fn node_mut(&mut self, id: NodeId) -> &mut ClusterNode {
         self.stale = true;
-        &mut self.nodes[id.index()]
+        let node = &mut self.nodes[id.index()];
+        node.quiet_until = Time::ZERO;
+        node
     }
 
     /// All nodes, in id order.

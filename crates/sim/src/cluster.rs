@@ -22,18 +22,17 @@
 //!    the bus, deliver due frames).
 //!
 //! **Active set.** A kernel acts only when a timer, an interrupt or a
-//! message arrives, so most nodes of a quiet cluster have nothing to do
-//! at most barriers, and a node in the middle of a long computation has
-//! nothing to show until it ends. Each node reports a *wake* instant
-//! ([`EpochNode::wake`]): the earliest instant it can do anything but
-//! idle or continue a running computation, or [`Time::ZERO`] while it
-//! acts now. The engine keeps these in one dense array ([`ActiveSet`])
-//! and advances at each barrier only the nodes whose wake falls before
-//! the epoch end. A skipped node's clock lags: advancing it would only
-//! have added idle time or run its computation further, and split idle
-//! spans and split computations sum to the same values, so it is caught
-//! up on demand — by its own next advance, which first brings it to the
-//! epoch start before applying input staged there, or by
+//! message arrives, and the exchange sees a node only through what it
+//! hands the bus, so most nodes have nothing to show at most barriers.
+//! Each node reports a *wake* instant ([`EpochNode::wake`]): the
+//! earliest instant it can change anything the exchange observes
+//! without being handed input, or [`Time::ZERO`] once it was handed
+//! some. The engine keeps these in one dense array ([`ActiveSet`]) and
+//! advances at each barrier only the nodes whose wake falls before the
+//! epoch end. A skipped node's clock lags, possibly through local work:
+//! a node's run split at any horizons is one run, so it is caught up on
+//! demand — by its own next advance, which first brings it to the epoch
+//! start before applying input staged there, or by
 //! [`ActiveSet::catch_up`] before a caller's public run returns. The
 //! catch-up gives a full advance only to the nodes whose recorded wake
 //! falls before the horizon; every other node is only driven to it
@@ -66,14 +65,15 @@ use crate::time::{Duration, Time};
 /// deterministic: the post-state may depend only on the pre-state and
 /// the horizon.
 pub trait EpochNode {
-    /// The earliest instant at which this node can act without being
-    /// handed input: [`Time::ZERO`] while it acts now, [`Time::MAX`]
+    /// The earliest instant at which this node can change anything the
+    /// exchange observes without being handed input: [`Time::ZERO`]
+    /// while it holds something for the exchange now, [`Time::MAX`]
     /// when it never will. Advancing a node to any horizon at or before
-    /// its wake must only move its clock, adding idle time or running a
-    /// computation further, and an advance split at any horizons before
-    /// the wake must leave the node as one advance would; the engine
-    /// skips such advances and relies on this. A wake may be early,
-    /// never late.
+    /// its wake may run its local work but must change nothing the
+    /// exchange observes, an advance split at any horizons must leave
+    /// the node as one advance would, and such an advance must leave a
+    /// wake no earlier; the engine skips these advances and relies on
+    /// all three. A wake may be early, never late.
     fn wake(&self) -> Time;
 
     /// Advances the node from the barrier at `from` to `to` and returns
@@ -83,12 +83,12 @@ pub trait EpochNode {
     /// `advance(t, t)` is a pure catch-up.
     fn advance(&mut self, from: Time, to: Time) -> Time;
 
-    /// Drives a node with nothing to do before `to` there: the same
-    /// post-state as `advance(to, to)`, without re-deriving its wake.
-    /// The caller guarantees the precondition: the node's wake is at or
-    /// after `to` and it holds no staged input. By the wake contract
-    /// such an advance only moves the clock, idling or computing, so
-    /// the recorded wake still holds: the node does nothing before it.
+    /// Drives a node with nothing for the exchange before `to` there:
+    /// the same post-state as `advance(to, to)`, without re-deriving
+    /// its wake. The caller guarantees the precondition: the node's wake
+    /// is at or after `to` and it holds no staged input. By the wake
+    /// contract such an advance changes nothing the exchange observes
+    /// and leaves a wake no earlier, so the recorded wake still holds.
     fn idle_to(&mut self, to: Time);
 }
 
@@ -159,10 +159,11 @@ impl ActiveSet {
     }
 
     /// Brings every node to `horizon` in one pass over the wake array.
-    /// A node whose recorded wake is at or after the horizon only idles
-    /// or computes through it and holds no staged input (staging sets
-    /// its wake to `Time::ZERO`), so [`EpochNode::idle_to`] only drives
-    /// its clock there and its wake stands. Every other node — due
+    /// A node whose recorded wake is at or after the horizon changes
+    /// nothing the exchange observes before it and holds no staged
+    /// input (staging sets its wake to `Time::ZERO`), so
+    /// [`EpochNode::idle_to`] drives it there, running any local work on
+    /// the way, and its wake stands. Every other node — due
     /// before the horizon, or handed input at the final barrier — gets
     /// `advance(horizon, horizon)`, its returned wake is recorded, and
     /// its index joins [`ActiveSet::caught_up`]. Callers run this
@@ -256,9 +257,9 @@ impl Barrier<'_> {
 
     /// The earliest wake over all nodes, `Time::ZERO` once any node was
     /// handed input at this barrier. A value before [`Barrier::at`]
-    /// means some node acts now; any other value is the first instant
-    /// at which a node can do more than idle or compute — a timer, a
-    /// device event or the end of a running computation.
+    /// means some node has something for the exchange now; any other
+    /// value is the first instant at which a node can change anything
+    /// the exchange observes.
     pub fn wake_min(&self) -> Time {
         if self.woken.is_empty() {
             self.wake_min

@@ -33,16 +33,31 @@ pub struct EventQueue<E> {
     seq: u64,
 }
 
+/// One pending event under its ordering key: the time in the high 64
+/// bits and the insertion sequence in the low ones, so one `u128`
+/// comparison orders by `(time, sequence)`.
 #[derive(Debug)]
 struct Entry<E> {
-    at: Time,
-    seq: u64,
+    key: u128,
     payload: E,
+}
+
+impl<E> Entry<E> {
+    fn new(at: Time, seq: u64, payload: E) -> Entry<E> {
+        Entry {
+            key: (at.as_ns() as u128) << 64 | seq as u128,
+            payload,
+        }
+    }
+
+    fn at(&self) -> Time {
+        Time::from_ns((self.key >> 64) as u64)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
 
@@ -58,7 +73,7 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq)
         // pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -75,20 +90,41 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Time, payload: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { at, seq, payload });
+        self.heap.push(Entry::new(at, seq, payload));
     }
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(Entry::at)
+    }
+
+    /// The earliest event, if it occurs at or before `now`.
+    pub fn peek_due(&self, now: Time) -> Option<&E> {
+        self.heap
+            .peek()
+            .filter(|e| e.at() <= now)
+            .map(|e| &e.payload)
     }
 
     /// Removes and returns the earliest event if it occurs at or before
     /// `now`.
     pub fn pop_due(&mut self, now: Time) -> Option<(Time, E)> {
-        let head = self.heap.peek_mut().filter(|e| e.at <= now)?;
+        let head = self.heap.peek_mut().filter(|e| e.at() <= now)?;
         let e = PeekMut::pop(head);
-        Some((e.at, e.payload))
+        Some((e.at(), e.payload))
+    }
+
+    /// Replaces the earliest event with `payload` at `at` and returns
+    /// the one it replaced: the same queue as a `pop_due` followed by a
+    /// `push`, sequence number included, in one sift instead of two.
+    /// Returns `None`, pushing nothing, on an empty queue.
+    pub fn replace_head(&mut self, at: Time, payload: E) -> Option<(Time, E)> {
+        let seq = self.seq;
+        let mut head = self.heap.peek_mut()?;
+        self.seq += 1;
+        let old = std::mem::replace(&mut *head, Entry::new(at, seq, payload));
+        drop(head);
+        Some((old.at(), old.payload))
     }
 
     /// Number of pending events.
@@ -180,6 +216,9 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         assert_eq!(q.pop_due(Time::MAX), None);
+        assert_eq!(q.peek_due(Time::MAX), None);
+        assert_eq!(q.replace_head(Time::ZERO, ()), None);
+        assert!(q.is_empty(), "a replace on an empty queue pushes nothing");
     }
 
     #[test]
@@ -217,10 +256,19 @@ mod tests {
         fn peek_time(&self) -> Option<Time> {
             self.entries.first().map(|e| e.0)
         }
+
+        fn replace_head(&mut self, at: Time, payload: E) -> Option<(Time, E)> {
+            if self.entries.is_empty() {
+                return None;
+            }
+            let old = self.entries.remove(0);
+            self.push(at, payload);
+            Some(old)
+        }
     }
 
     /// Property test: the queue is observationally identical to the
-    /// sorted-list reference on randomized push/pop workloads —
+    /// sorted-list reference on randomized push/pop/replace workloads —
     /// including pushes landing *exactly* on a 2^16 ns boundary (the
     /// bucket width of the calendar queue the kernel once used) and one
     /// tick either side, overdue pushes, far-future pushes up against
@@ -240,8 +288,10 @@ mod tests {
             let mut next_payload = 0u64;
             for op in 0..400u32 {
                 let ctx = |now: Time| format!("case {case} op {op} now {}", now.as_ns());
-                if rng.int_in(0, 84) < 55 {
-                    // Push, drawing the time from an edge-heavy mix.
+                let draw = rng.int_in(0, 99);
+                if draw < 65 {
+                    // Push — or, one time in six, replace the head —
+                    // drawing the time from an edge-heavy mix.
                     let at = match rng.int_in(0, 9) {
                         0..=2 => {
                             Time::from_ns(now.as_ns().saturating_add(rng.int_in(0, 2 * BUCKET_NS)))
@@ -277,8 +327,16 @@ mod tests {
                     };
                     let p = next_payload;
                     next_payload += 1;
-                    q.push(at, p);
-                    m.push(at, p);
+                    if draw < 11 {
+                        // The kernel re-arms a periodic release in the
+                        // place of the expired one: often at a due head.
+                        let got = q.replace_head(at, p);
+                        let want = m.replace_head(at, p);
+                        assert_eq!(got, want, "replace diverged ({})", ctx(now));
+                    } else {
+                        q.push(at, p);
+                        m.push(at, p);
+                    }
                     // FIFO ties are common: push the same instant again.
                     if rng.chance(0.25) {
                         let p = next_payload;
@@ -299,6 +357,12 @@ mod tests {
                         }
                     };
                     loop {
+                        assert_eq!(
+                            q.peek_due(now),
+                            m.entries.first().filter(|e| e.0 <= now).map(|e| &e.1),
+                            "due head diverged ({})",
+                            ctx(now)
+                        );
                         let got = q.pop_due(now);
                         let want = m.pop_due(now);
                         assert_eq!(got, want, "pop diverged ({})", ctx(now));

@@ -57,4 +57,4 @@ pub use ids::{
 };
 pub use rng::SimRng;
 pub use time::{Duration, Time};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{SyscallKind, Trace, TraceEvent};

@@ -6,6 +6,8 @@
 //! sequences so tests can assert them literally, and so the experiment
 //! harness can redraw Figure 2's RM schedule.
 
+use std::fmt;
+
 use crate::ids::{CvId, EventId, IrqLine, MboxId, SemId, StateId, ThreadId};
 use crate::time::Time;
 
@@ -119,7 +121,7 @@ pub enum TraceEvent {
     /// The kernel finished first-level handling of an interrupt.
     IrqHandled { line: IrqLine },
     /// A system call was entered.
-    Syscall { tid: ThreadId, name: &'static str },
+    Syscall { tid: ThreadId, name: SyscallKind },
     /// A memory-protection fault was detected by the MPU.
     ProtectionFault { tid: ThreadId, addr: u64 },
     /// Free-form annotation from examples/tests.
@@ -131,6 +133,46 @@ impl TraceEvent {
     /// and the deadline-miss forensic reports.
     pub fn describe(&self) -> String {
         describe(self)
+    }
+}
+
+/// The kernel's system calls, each rendered under the name the
+/// EMERALDS API gives it (`acquire_sem`, `mbox_send`, ...).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum SyscallKind {
+    AcquireSem,
+    ReleaseSem,
+    CondWait,
+    CondSignal,
+    MboxSend,
+    MboxRecv,
+    EventSignal,
+    EventWait,
+    WaitIrq,
+    Sleep,
+}
+
+impl SyscallKind {
+    /// The call's name as traces and reports print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SyscallKind::AcquireSem => "acquire_sem",
+            SyscallKind::ReleaseSem => "release_sem",
+            SyscallKind::CondWait => "cond_wait",
+            SyscallKind::CondSignal => "cond_signal",
+            SyscallKind::MboxSend => "mbox_send",
+            SyscallKind::MboxRecv => "mbox_recv",
+            SyscallKind::EventSignal => "event_signal",
+            SyscallKind::EventWait => "event_wait",
+            SyscallKind::WaitIrq => "wait_irq",
+            SyscallKind::Sleep => "sleep",
+        }
+    }
+}
+
+impl fmt::Display for SyscallKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

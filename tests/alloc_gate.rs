@@ -20,6 +20,9 @@
 //! - a long-compute cluster window driven in 1 ms slices, where the
 //!   engine skips a node mid-`Compute` across several lookahead
 //!   windows and the run-end catch-up drives a busy kernel;
+//! - a filler-heavy node the engine skips for over 200 lookahead
+//!   windows, because it cannot touch the bus, and the run-end
+//!   catch-up drives through every filler job in one stretch;
 //! - a bridged-topology window on one outer worker, driven in 1 ms
 //!   slices as a hardware-in-the-loop rig drives it: cross-segment
 //!   frames through gateway queues, broadcasts onto bridge NICs, and a
@@ -384,6 +387,93 @@ fn long_compute_slices_allocate_nothing() {
     let s = c.stats();
     assert!(s.frames_sent - sent >= 100, "sent {}", s.frames_sent - sent);
     assert_eq!(s.frames_dropped, 0);
+}
+
+/// A filler-heavy sensor beside its sink: eight filler tasks with
+/// 0.5–1 ms periods, and one sample sent every 30 ms.
+fn filler_heavy_cluster() -> Cluster {
+    let mut b = KernelBuilder::new(KernelConfig {
+        policy: SchedPolicy::Csd {
+            boundaries: vec![2],
+        },
+        record_trace: false,
+        ..KernelConfig::default()
+    });
+    let p = b.add_process("sensor");
+    let nic = b.add_nic(NIC_IRQ, 4, 4);
+    b.add_periodic_task(
+        p,
+        "sample",
+        Duration::from_ms(30),
+        Script::periodic(vec![
+            Action::Compute(Duration::from_us(150)),
+            Action::SendMbox {
+                mbox: nic.tx,
+                bytes: 8,
+                tag: addressed_tag(Some(NodeId(1)), 0),
+            },
+        ]),
+    );
+    for f in 0..8u64 {
+        b.add_periodic_task(
+            p,
+            format!("ctl{f}"),
+            Duration::from_us(500 + 65 * f),
+            Script::compute_only(Duration::from_us(18 + 3 * f)),
+        );
+    }
+    let mut c = Cluster::new(1_000_000);
+    c.add_node("sensor", b.build(), 1);
+    let mut b = KernelBuilder::new(KernelConfig {
+        policy: SchedPolicy::RmQueue,
+        record_trace: false,
+        ..KernelConfig::default()
+    });
+    let p = b.add_process("sink");
+    let nic = b.add_nic(NIC_IRQ, 4, 4);
+    b.add_driver_task(
+        p,
+        "nicdrv",
+        Duration::from_ms(2),
+        Script::looping(vec![
+            Action::RecvMbox(nic.rx),
+            Action::Compute(Duration::from_us(30)),
+        ]),
+    );
+    c.add_node("sink", b.build(), 2);
+    c
+}
+
+/// Bus wakes: between samples the sensor cannot touch the bus, so the
+/// engine skips it over the whole 26 ms window (234 lookahead windows)
+/// and the run-end catch-up drives it through every filler job in one
+/// stretch.
+#[test]
+fn skipped_filler_node_caught_up_in_one_drive_allocates_nothing() {
+    let mut c = filler_heavy_cluster();
+    // Warm-up: one sample sent and drained, fillers at full tilt.
+    c.run_until(Time::from_ms(32));
+    assert_eq!(c.stats().frames_delivered, 2);
+    let jobs = |k: &Kernel| -> u64 {
+        (0..k.task_count())
+            .map(|i| k.task_stats(ThreadId(i as u32)).jobs_completed)
+            .sum()
+    };
+    let jobs_before = jobs(&c.node(NodeId(0)).kernel);
+    let advances = c.node_advances();
+    let before = count_alloc::thread_alloc_count();
+    c.run_until(Time::from_ms(58));
+    let delta = count_alloc::thread_alloc_count() - before;
+    assert_eq!(
+        delta, 0,
+        "catching up a skipped filler node made {delta} heap allocations"
+    );
+    // No node advanced inside the window; the catch-up ran the jobs.
+    assert_eq!(c.node_advances(), advances);
+    let k = &c.node(NodeId(0)).kernel;
+    assert!(k.now() >= Time::from_ms(58));
+    let ran = jobs(k) - jobs_before;
+    assert!(ran >= 300, "{ran} filler jobs in the window");
 }
 
 /// A line of three segments, four app nodes each, bridged by two

@@ -298,7 +298,7 @@ fn node_footprint_stays_within_its_ceiling() {
     let board = std::mem::size_of::<emeralds::hal::Board>();
     let device = std::mem::size_of::<emeralds::hal::Device>();
     assert!(node <= 1_344, "ClusterNode is {node} B");
-    assert!(kernel <= 1_056, "Kernel is {kernel} B");
+    assert!(kernel <= 1_048, "Kernel is {kernel} B");
     // The paper's TCB is 128 B; the host one also holds the script
     // pointer, the job bookkeeping and the lock state.
     assert!(tcb <= 200, "Tcb is {tcb} B");

@@ -7,7 +7,7 @@
 use emeralds::core::kernel::{Kernel, KernelBuilder, KernelConfig, ServiceCounters, MISS_WINDOW};
 use emeralds::core::script::{Action, Operand, Script};
 use emeralds::core::{SchedPolicy, SemScheme};
-use emeralds::sim::{Duration, SemId, SimRng, StateId, ThreadId, Time, TraceEvent};
+use emeralds::sim::{Duration, SemId, SimRng, StateId, SyscallKind, ThreadId, Time, TraceEvent};
 
 /// The Figure 6/8 scenario: a low-priority task (T1) takes the lock,
 /// then the high-priority task (T0) is released mid-critical-section
@@ -96,7 +96,7 @@ fn contended_acquire_event_sequence_standard_scheme() {
         sw(None, Some(LO)),
         TraceEvent::Syscall {
             tid: LO,
-            name: "acquire_sem",
+            name: SyscallKind::AcquireSem,
         },
         TraceEvent::SemAcquired { tid: LO, sem: S },
         // T0 released mid-critical-section: it preempts, then blocks.
@@ -104,7 +104,7 @@ fn contended_acquire_event_sequence_standard_scheme() {
         sw(Some(LO), Some(HI)),
         TraceEvent::Syscall {
             tid: HI,
-            name: "acquire_sem",
+            name: SyscallKind::AcquireSem,
         },
         TraceEvent::PriorityInherit {
             holder: LO,
@@ -119,7 +119,7 @@ fn contended_acquire_event_sequence_standard_scheme() {
         sw(Some(HI), Some(LO)), // extra switch #1
         TraceEvent::Syscall {
             tid: LO,
-            name: "release_sem",
+            name: SyscallKind::ReleaseSem,
         },
         TraceEvent::PriorityRestore { holder: LO },
         TraceEvent::SemReleased { tid: LO, sem: S },
@@ -128,7 +128,7 @@ fn contended_acquire_event_sequence_standard_scheme() {
         sw(Some(LO), Some(HI)), // extra switch #2
         TraceEvent::Syscall {
             tid: HI,
-            name: "release_sem",
+            name: SyscallKind::ReleaseSem,
         },
         TraceEvent::SemReleased { tid: HI, sem: S },
         TraceEvent::Blocked { tid: HI },
@@ -152,7 +152,7 @@ fn contended_acquire_event_sequence_emeralds_scheme() {
         sw(None, Some(LO)),
         TraceEvent::Syscall {
             tid: LO,
-            name: "acquire_sem",
+            name: SyscallKind::AcquireSem,
         },
         TraceEvent::SemAcquired { tid: LO, sem: S },
         // T0's release point: inherit early, stay blocked — no switch.
@@ -167,7 +167,7 @@ fn contended_acquire_event_sequence_emeralds_scheme() {
         },
         TraceEvent::Syscall {
             tid: LO,
-            name: "release_sem",
+            name: SyscallKind::ReleaseSem,
         },
         TraceEvent::PriorityRestore { holder: LO },
         TraceEvent::SemReleased { tid: LO, sem: S },
@@ -176,11 +176,11 @@ fn contended_acquire_event_sequence_emeralds_scheme() {
         sw(Some(LO), Some(HI)),
         TraceEvent::Syscall {
             tid: HI,
-            name: "acquire_sem",
+            name: SyscallKind::AcquireSem,
         }, // early grant
         TraceEvent::Syscall {
             tid: HI,
-            name: "release_sem",
+            name: SyscallKind::ReleaseSem,
         },
         TraceEvent::SemReleased { tid: HI, sem: S },
         TraceEvent::Blocked { tid: HI },

@@ -335,7 +335,7 @@ fn locking_events(k: &Kernel) -> Vec<String> {
         .events()
         .iter()
         .filter_map(|(_, e)| match e {
-            TraceEvent::Syscall { tid, name } if name.ends_with("_sem") => {
+            TraceEvent::Syscall { tid, name } if name.name().ends_with("_sem") => {
                 Some(format!("{name}:{tid}"))
             }
             TraceEvent::SemAcquired { tid, sem } => Some(format!("acquired:{tid}:{sem}")),
